@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from conftest import interactions, make_catalog
+from conftest import interactions, make_catalog, write_corpus
+from rerankeval._kernels import _sgd_epoch_py, sgd_epoch, wave_levels
 from rerankeval.candgen import (ItemKnnRecommender, build_item_knn,
                                 export_slates, gen_model_slate,
                                 gen_random_slate, import_slates, score_mf,
                                 train_mf)
 from rerankeval.errors import CatalogTooSmall, UnknownUser
-from rerankeval.ingest import RelevanceSet
+from rerankeval.ingest import (RelevanceSet, load_interactions, load_items,
+                               split_leave_n_out, train_by_user)
 
 
 class TestRandomSlate:
@@ -78,32 +80,86 @@ class TestTrainMf:
         assert m1.train_rmse == m2.train_rmse
 
 
+def sgd_problem(n, n_users, n_items, k, zipf=0.0, seed=0):
+    """Random interactions and start factors; zipf > 0 makes item 0 hot."""
+    rng = np.random.default_rng(seed)
+    popularity = np.arange(1, n_items + 1, dtype=np.float64) ** -zipf
+    u_idx = rng.integers(0, n_users, n)
+    i_idx = rng.choice(n_items, n, p=popularity / popularity.sum())
+    ratings = rng.uniform(0.5, 5.0, n)
+    start = (rng.normal(0, 0.1, (n_users, k)), rng.normal(0, 0.1, (n_items, k)),
+             np.zeros(n_users), np.zeros(n_items))
+    return u_idx, i_idx, ratings, start
+
+
+def run_epochs(kernel, u_idx, i_idx, ratings, start, orders):
+    state = tuple(a.copy() for a in start)
+    sses = [kernel(u_idx, i_idx, ratings, order, *state, 3.0, 0.01, 0.02)
+            for order in orders]
+    return sses, state
+
+
+def repeated_pairs():
+    rng = np.random.default_rng(3)
+    u_idx, i_idx, ratings, start = sgd_problem(120, 6, 5, 4)
+    pairs = rng.integers(0, 5, 120)  # five (u, i) pairs, each seen ~24 times
+    return u_idx[pairs], i_idx[pairs], ratings, start
+
+
 class TestKernelParity:
-    def test_jit_and_python_kernels_agree_exactly(self):
-        import numpy as np
-        from rerankeval._kernels import _sgd_epoch_py, sgd_epoch
-        rng = np.random.default_rng(0)
-        n, nu, ni, k = 200, 20, 15, 4
-        u_idx = rng.integers(0, nu, n)
-        i_idx = rng.integers(0, ni, n)
-        ratings = rng.uniform(0.5, 5.0, n)
-        order = rng.permutation(n)
+    """The wave-scheduled sgd_epoch against the scalar loop it reorders."""
 
-        def run(kernel):
-            local = np.random.default_rng(1)
-            uf = local.normal(0, 0.1, (nu, k))
-            itf = local.normal(0, 0.1, (ni, k))
-            ub = np.zeros(nu)
-            ib = np.zeros(ni)
-            sse = kernel(u_idx, i_idx, ratings, order, uf, itf, ub, ib,
-                         3.0, 0.01, 0.02)
-            return sse, uf, itf, ub, ib
+    CASES = {
+        "uniform": lambda: sgd_problem(200, 20, 15, 4),
+        "zipf_hot_item": lambda: sgd_problem(600, 60, 40, 8, zipf=1.5),
+        "repeated_pairs": repeated_pairs,
+        "k1": lambda: sgd_problem(300, 25, 20, 1),
+        "k33": lambda: sgd_problem(300, 25, 20, 33),
+        "single_interaction": lambda: sgd_problem(1, 1, 1, 4),
+    }
 
-        res_jit = run(sgd_epoch)
-        res_py = run(_sgd_epoch_py)
-        assert res_jit[0] == res_py[0]
-        for a, b in zip(res_jit[1:], res_py[1:]):
+    @staticmethod
+    def assert_same(kernel_args, epochs):
+        u_idx, i_idx, ratings, start = kernel_args
+        rng = np.random.default_rng(1)
+        orders = [rng.permutation(len(u_idx)) for _ in range(epochs)]
+        sse_wave, state_wave = run_epochs(sgd_epoch, u_idx, i_idx, ratings, start, orders)
+        sse_py, state_py = run_epochs(_sgd_epoch_py, u_idx, i_idx, ratings, start, orders)
+        assert sse_wave == sse_py
+        for a, b in zip(state_wave, state_py):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_wave_matches_scalar(self, case):
+        self.assert_same(self.CASES[case](), epochs=1)
+
+    def test_three_epochs_share_state(self):
+        self.assert_same(sgd_problem(400, 30, 25, 6, zipf=1.1), epochs=3)
+
+    def test_hot_item_gives_long_level_chain(self):
+        u_idx, i_idx, _, _ = sgd_problem(600, 60, 40, 8, zipf=1.5)
+        levels = wave_levels(u_idx.tolist(), i_idx.tolist(), 60, 40)
+        # every step on the hot item waits for the one before it
+        assert levels.max() >= np.bincount(i_idx).max() > 100
+
+    def test_levels_touch_disjoint_rows_after_their_dependencies(self):
+        u_idx, i_idx, _, _ = sgd_problem(300, 12, 10, 1, zipf=1.0)
+        levels = wave_levels(u_idx.tolist(), i_idx.tolist(), 12, 10)
+        for level in np.unique(levels):
+            steps = levels == level
+            assert len(set(u_idx[steps])) == len(set(i_idx[steps])) == steps.sum()
+        for t in range(len(levels)):
+            earlier = (u_idx[:t] == u_idx[t]) | (i_idx[:t] == i_idx[t])
+            assert (levels[:t][earlier] < levels[t]).all()
+
+    def test_empty_order(self):
+        u_idx, i_idx, ratings, start = sgd_problem(50, 5, 5, 3)
+        empty = np.array([], dtype=np.int64)
+        for kernel in (sgd_epoch, _sgd_epoch_py):
+            sses, state = run_epochs(kernel, u_idx, i_idx, ratings, start, [empty])
+            assert sses == [0.0]
+            for a, b in zip(state, start):
+                assert np.array_equal(a, b)
 
 
 class TestScoreMf:
@@ -125,6 +181,54 @@ class TestScoreMf:
     def test_finite(self):
         model = train_mf(synthetic_rank1(), k=2, epochs=2, seed=0)
         assert math.isfinite(score_mf(model, "u1", "i1"))
+
+
+def slate_corpus():
+    catalog = make_catalog(40)
+    train = interactions(
+        [("u", i, 4.0, i) for i in range(1, 6)] +
+        [(f"v{j}", i, (i % 9) / 2.0 + 0.5, i) for j in range(6)
+         for i in range(1, 41)])
+    model = train_mf(train, k=2, epochs=5, seed=0)
+    return catalog, train, model
+
+
+class TestScoreItems:
+    def test_mf_matches_score_mf(self):
+        model = train_mf(synthetic_rank1(), k=3, epochs=3, seed=0)
+        items = ["i0", "i3", "not_in_train", "i5", "i1", "also_absent"]
+        for user in ("u0", "u7", "ghost"):
+            expected = [score_mf(model, user, i) for i in items]
+            assert model.score_items(user, items).tolist() == \
+                pytest.approx(expected, rel=1e-12)
+
+    def test_knn_matches_per_item_score(self):
+        catalog, train, _ = slate_corpus()
+        rec = ItemKnnRecommender(build_item_knn(train, top_m=10, min_co_raters=2), train)
+        items = sorted(catalog.items)
+        assert rec.score_items("u", items).tolist() == [rec.score("u", i) for i in items]
+
+    @pytest.mark.parametrize("inject", [0, 3])
+    def test_batched_mf_slates_match_score_mf(self, tmp_path, inject):
+        class PerItemMf:
+            def __init__(self, model):
+                self.model = model
+
+            def score_items(self, user, items):
+                return np.array([score_mf(self.model, user, i) for i in items])
+
+        ratings_path, items_path = write_corpus(tmp_path)
+        catalog = load_items(items_path)
+        split = split_leave_n_out(load_interactions(ratings_path))
+        model = train_mf(split.train, k=8, epochs=5, seed=2)
+        by_user = train_by_user(split.train)
+        assert len(split.relevance) == 30
+        for user, rel in split.relevance.items():
+            exclusions = {r.item for r in by_user[user]}
+            batched = gen_model_slate(user, model, catalog, exclusions, inject, rel, seed=4)
+            per_item = gen_model_slate(user, PerItemMf(model), catalog, exclusions,
+                                       inject, rel, seed=4)
+            assert batched.items == per_item.items
 
 
 class TestItemKnn:
@@ -167,17 +271,8 @@ class TestItemKnn:
 
 
 class TestModelSlate:
-    def _setup(self):
-        catalog = make_catalog(40)
-        train = interactions(
-            [("u", i, 4.0, i) for i in range(1, 6)] +
-            [(f"v{j}", i, (i % 9) / 2.0 + 0.5, i) for j in range(6)
-             for i in range(1, 41)])
-        model = train_mf(train, k=2, epochs=5, seed=0)
-        return catalog, train, model
-
     def test_no_injection_is_pure_top_15(self):
-        catalog, train, model = self._setup()
+        catalog, train, model = slate_corpus()
         exclusions = {str(i) for i in range(1, 6)}
         slate = gen_model_slate("u", model, catalog, exclusions, 0, None, seed=1)
         eligible = [i for i in catalog.items if i not in exclusions]
@@ -185,30 +280,30 @@ class TestModelSlate:
         assert slate.items == expected
 
     def test_full_injection(self):
-        catalog, train, model = self._setup()
+        catalog, train, model = slate_corpus()
         rel = RelevanceSet(user="u", relevant={str(i) for i in range(10, 25)})
         slate = gen_model_slate("u", model, catalog, set(), 15, rel, seed=1)
         assert set(slate.items) == rel.relevant
 
     def test_score_ties_break_by_item_id(self):
-        catalog, train, model = self._setup()
+        catalog, train, model = slate_corpus()
 
         class ConstScorer:
-            def score(self, user, item):
-                return 1.0
+            def score_items(self, user, items):
+                return np.ones(len(items))
 
         slate = gen_model_slate("u", ConstScorer(), catalog, set(), 0, None, seed=1)
         assert slate.items == sorted(catalog.items)[:15]
 
     def test_knn_unknown_user(self):
-        catalog, train, _ = self._setup()
+        catalog, train, _ = slate_corpus()
         sim = build_item_knn(train, top_m=10, min_co_raters=2)
         rec = ItemKnnRecommender(sim, train)
         with pytest.raises(UnknownUser):
             gen_model_slate("ghost", rec, catalog, set(), 0, None, seed=1)
 
     def test_slate_invariants(self):
-        catalog, train, model = self._setup()
+        catalog, train, model = slate_corpus()
         rel = RelevanceSet(user="u", relevant={"30", "31", "32"})
         exclusions = {str(i) for i in range(1, 6)}
         slate = gen_model_slate("u", model, catalog, exclusions, 3, rel, seed=1)
