@@ -142,15 +142,21 @@ def score_mf(model, user, item):
 # Item-based kNN
 # --------------------------------------------------------------------------
 
+KNN_BLOCK_ROWS = 64  # similarity rows computed densely at a time
+
+
 @dataclass
 class ItemSimMatrix:
-    neighbors: dict  # item id -> list of (item id, cosine sim), sim descending
+    """Each item's top_m neighbours as a CSR matrix over the train items.
 
-    def sim(self, a, b):
-        for other, s in self.neighbors.get(a, ()):
-            if other == b:
-                return s
-        return 0.0
+    Row and column n stand for items[n] (item ids in sorted order). A row
+    stores its neighbours in neighbour order, sim descending with ties by
+    item id, not in column order; scoring adds them up in that order, so
+    the indices must never be sorted.
+    """
+    items: list            # item ids, sorted
+    index: dict            # item id -> row / column
+    matrix: sp.csr_matrix  # items x items, top_m nonzeros per row at most
 
 
 def build_item_knn(train, top_m=50, min_co_raters=3):
@@ -158,7 +164,14 @@ def build_item_knn(train, top_m=50, min_co_raters=3):
 
     Pairs with fewer than min_co_raters common raters are dropped; each item
     keeps its top_m neighbors. Self-similarity is excluded.
+
+    The items x items products run KNN_BLOCK_ROWS rows at a time, so only
+    one block is ever dense. Each block is a row slice of the full product
+    computed by the same sparse kernel, and the norms come from diagonal
+    blocks of it, so every sum runs in the order of the full product.
     """
+    if not train:
+        raise ValueError("no training interactions")
     if top_m < 1:
         raise ValueError("top_m must be >= 1")
     users = sorted({r.user for r in train})
@@ -175,24 +188,34 @@ def build_item_knn(train, top_m=50, min_co_raters=3):
     user_means = np.asarray(mat.sum(axis=1)).ravel() / np.maximum(
         np.asarray(mask.sum(axis=1)).ravel(), 1)
     centered = mat - sp.diags(user_means) @ mask
+    centered_t = centered.T.tocsr()
+    mask_t = mask.T.tocsr()
 
-    co_counts = (mask.T @ mask).toarray()
-    dots = (centered.T @ centered).toarray()
-    norms = np.sqrt(np.maximum(dots.diagonal(), 0.0))
+    n = len(items)
+    blocks = [(a, min(a + KNN_BLOCK_ROWS, n)) for a in range(0, n, KNN_BLOCK_ROWS)]
+    norms = np.sqrt(np.maximum(np.concatenate(
+        [(centered_t[a:b] @ centered[:, a:b]).diagonal() for a, b in blocks]), 0.0))
 
-    neighbors = {}
-    denom = np.outer(norms, norms)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sims = np.where(denom > 0, dots / denom, 0.0)
-    np.clip(sims, -1.0, 1.0, out=sims)
-    for i, item in enumerate(items):
-        row = sims[i].copy()
-        row[i] = -np.inf  # exclude self
-        row[co_counts[i] < min_co_raters] = -np.inf
-        cand = [(items[j], float(row[j])) for j in np.flatnonzero(np.isfinite(row))]
-        cand.sort(key=lambda t: (-t[1], t[0]))
-        neighbors[item] = cand[:top_m]
-    return ItemSimMatrix(neighbors=neighbors)
+    data, indices, counts = [], [], []
+    for a, b in blocks:
+        dots = (centered_t[a:b] @ centered).toarray()
+        denom = np.outer(norms[a:b], norms)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sims = np.where(denom > 0, dots / denom, 0.0)
+        np.clip(sims, -1.0, 1.0, out=sims)
+        sims[np.arange(b - a), np.arange(a, b)] = -np.inf  # exclude self
+        sims[(mask_t[a:b] @ mask).toarray() < min_co_raters] = -np.inf
+        # stable, so equal sims keep column order, which is item-id order
+        order = np.argsort(-sims, axis=1, kind="stable")[:, :top_m]
+        top = np.take_along_axis(sims, order, axis=1)
+        keep = np.isfinite(top)  # a prefix of each row
+        data.append(top[keep])
+        indices.append(order[keep])
+        counts.append(keep.sum(axis=1))
+    indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
+    matrix = sp.csr_matrix((np.concatenate(data), np.concatenate(indices), indptr),
+                           shape=(n, n))
+    return ItemSimMatrix(items=items, index=iix, matrix=matrix)
 
 
 class ItemKnnRecommender:
@@ -204,24 +227,24 @@ class ItemKnnRecommender:
         self.ratings_by_user = {}
         for r in train:
             self.ratings_by_user.setdefault(r.user, {})[r.item] = r.rating
-        # reverse index: rated item j -> [(candidate i, sim)] is not needed;
-        # look up each candidate's neighbor list instead
-        self._neighbor_sims = {
-            item: dict(neigh) for item, neigh in sim_matrix.neighbors.items()
-        }
 
-    def score(self, user, item):
+    def score_items(self, user, items):
+        """Score of each of items, as an array: one product of the similarity
+        matrix with the user's dense rating vector. Each row's terms are
+        added in neighbour order; unrated neighbours add a zero. Items absent
+        from train score 0.0."""
         rated = self.ratings_by_user.get(user)
         if not rated:
             raise UnknownUser(user)
-        sims = self._neighbor_sims.get(item)
-        if not sims:
-            return 0.0
-        return sum(s * rated[j] for j, s in sims.items() if j in rated)
-
-    def score_items(self, user, items):
-        """score for each of items, as an array."""
-        return np.array([self.score(user, i) for i in items], dtype=np.float64)
+        index = self.sim_matrix.index
+        ratings = np.zeros(len(index))
+        for item, rating in rated.items():
+            col = index.get(item)
+            if col is not None:
+                ratings[col] = rating
+        scores = self.sim_matrix.matrix @ ratings
+        rows = np.array([index.get(i, -1) for i in items], dtype=np.int64)
+        return np.where(rows >= 0, scores[rows], 0.0)
 
 
 # --------------------------------------------------------------------------

@@ -21,6 +21,10 @@ EXIT_OK = 0
 EXIT_PARTIAL = 1
 EXIT_CONFIG = 2
 
+GENERATORS = ("random", "mf", "knn", "external")
+_MODE_COLUMN = {"zero_shot": "zero_shot", "trained": "sft_dpo"}  # report column
+MODES = ("none", *_MODE_COLUMN)
+
 
 @dataclass
 class RunConfig:
@@ -63,6 +67,14 @@ class RunConfig:
             raise ValueError("counts must be >= 1")
         if any(c < 1 or c > self.slate_size for c in self.cutoffs):
             raise ValueError("cutoffs must be within [1, slate_size]")
+        if self.generator not in GENERATORS:
+            raise ValueError(f"unknown generator: {self.generator}")
+        if self.mode not in MODES:
+            raise ValueError(f"unknown mode: {self.mode}")
+        if self.knn_top_m < 1:
+            raise ValueError("knn_top_m must be >= 1")
+        if self.mf_k < 1:
+            raise ValueError("mf_k must be >= 1")
 
 
 _BOOL_KEYS = {"offline"}
@@ -222,10 +234,33 @@ def _sample_eval_users(relevance, by_user, cfg):
     return eligible
 
 
+def _external_slates(cfg, users, by_user, catalog):
+    """Imported slates of users, less those of users whose slate is missing,
+    names an item outside the catalog or one the user rated in train; each
+    of those users is skipped with a logged reason."""
+    slates = {s.user: s for s in candgen.import_slates(cfg.slates)}
+    out = {}
+    for user in users:
+        slate = slates.get(user)
+        if slate is None:
+            log.warning("skipped user %s: no external slate", user)
+            continue
+        rated = {r.item for r in by_user[user]}
+        unknown = [i for i in slate.items if i not in catalog]
+        seen = [i for i in slate.items if i in rated]
+        if unknown:
+            log.warning("skipped user %s: slate items not in the catalog: %s",
+                        user, unknown)
+        elif seen:
+            log.warning("skipped user %s: slate items rated in train: %s", user, seen)
+        else:
+            out[user] = slate
+    return out
+
+
 def _build_slates(cfg, users, by_user, catalog, relevance, train):
     if cfg.generator == "external":
-        slates = {s.user: s for s in candgen.import_slates(cfg.slates)}
-        return {u: slates[u] for u in users if u in slates}
+        return _external_slates(cfg, users, by_user, catalog)
     out = {}
     scorer = None
     if cfg.generator == "mf":
@@ -236,8 +271,6 @@ def _build_slates(cfg, users, by_user, catalog, relevance, train):
         sim = candgen.build_item_knn(train, top_m=cfg.knn_top_m,
                                      min_co_raters=cfg.knn_min_co_raters)
         scorer = candgen.ItemKnnRecommender(sim, train)
-    elif cfg.generator != "random":
-        raise ValueError(f"unknown generator: {cfg.generator}")
 
     for user in users:
         exclusions = {r.item for r in by_user[user]}
@@ -279,9 +312,6 @@ def _inject_into_random(slate, rel, catalog, exclusions, cfg):
     return candgen.Slate(user=slate.user, items=items, source=slate.source)
 
 
-_MODE_COLUMN = {"zero_shot": "zero_shot", "trained": "sft_dpo"}
-
-
 def cmd_run(cfg):
     run_dir = Path(cfg.run_dir)
     train, _test, relevance = _read_split(run_dir)
@@ -317,8 +347,6 @@ def cmd_run(cfg):
             rankings[user] = consensus.items
         ranked_results = metrics.evaluate_run(rankings, relevance, cfg.cutoffs)
         comparison = stats.compare_models(ranked_results, baseline_results)
-    elif cfg.mode != "none":
-        raise ValueError(f"unknown mode: {cfg.mode}")
 
     _write_report(run_dir, cfg, users, baseline_results, ranked_results,
                   comparison, skipped, fallbacks)

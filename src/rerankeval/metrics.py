@@ -1,11 +1,8 @@
 """Top-N ranking metrics: hit ratio, recall, precision, NDCG, and run-level
 aggregation."""
 
-import csv
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 from .errors import MissingRelevance
 
@@ -94,16 +91,3 @@ def results_to_json(results):
          "per_user": {u: r.per_user[u] for u in sorted(r.per_user)}}
         for r in results
     ]
-
-
-def write_results_csv(results, path):
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "n", "mean"])
-        for r in results:
-            writer.writerow([r.metric, r.n, f"{r.mean:.6f}"])
-
-
-def write_results_json(results, path):
-    Path(path).write_text(json.dumps(results_to_json(results), indent=2) + "\n",
-                          encoding="utf-8")

@@ -1,10 +1,8 @@
 """Significance tests: paired and two-sample t-tests with a self-contained
 Student's t CDF (regularized incomplete beta via Lentz's continued fraction)."""
 
-import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 from .errors import LengthMismatch, UserSetMismatch, ZeroVariance
 
@@ -174,17 +172,3 @@ def render_p(result):
     if result is None:
         return "-"
     return f"{result.p_value:.3f}{result.significant}"
-
-
-def write_comparison_csv(table, path):
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "n", "t_value", "df", "p_value", "significant"])
-        for (metric, n) in sorted(table):
-            r = table[(metric, n)]
-            if r is None:
-                writer.writerow([metric, n, "-", "-", "-", ""])
-            else:
-                writer.writerow([metric, n, f"{r.t_value:.4f}",
-                                 f"{r.degrees_of_freedom:.2f}",
-                                 f"{r.p_value:.4f}", r.significant])

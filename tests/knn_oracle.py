@@ -1,0 +1,80 @@
+"""Reference item-kNN: the per-item neighbour sort and the per-item scorer
+that candgen's sparse top-m matrix replaces. Kept only to check it against.
+
+build_item_knn_oracle returns {item id: [(neighbour id, sim), ...]}, sim
+descending with ties by id; OracleKnnScorer scores one item at a time as a
+Python sum over that list.
+"""
+
+import numpy as np
+import scipy.sparse as sp
+
+from rerankeval.errors import UnknownUser
+
+
+def build_item_knn_oracle(train, top_m=50, min_co_raters=3):
+    if top_m < 1:
+        raise ValueError("top_m must be >= 1")
+    users = sorted({r.user for r in train})
+    items = sorted({r.item for r in train})
+    uix = {u: n for n, u in enumerate(users)}
+    iix = {i: n for n, i in enumerate(items)}
+
+    rows = np.array([uix[r.user] for r in train])
+    cols = np.array([iix[r.item] for r in train])
+    vals = np.array([r.rating for r in train], dtype=np.float64)
+
+    mat = sp.csr_matrix((vals, (rows, cols)), shape=(len(users), len(items)))
+    mask = sp.csr_matrix((np.ones_like(vals), (rows, cols)), shape=mat.shape)
+    user_means = np.asarray(mat.sum(axis=1)).ravel() / np.maximum(
+        np.asarray(mask.sum(axis=1)).ravel(), 1)
+    centered = mat - sp.diags(user_means) @ mask
+
+    co_counts = (mask.T @ mask).toarray()
+    dots = (centered.T @ centered).toarray()
+    norms = np.sqrt(np.maximum(dots.diagonal(), 0.0))
+
+    neighbors = {}
+    denom = np.outer(norms, norms)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sims = np.where(denom > 0, dots / denom, 0.0)
+    np.clip(sims, -1.0, 1.0, out=sims)
+    for i, item in enumerate(items):
+        row = sims[i].copy()
+        row[i] = -np.inf  # exclude self
+        row[co_counts[i] < min_co_raters] = -np.inf
+        cand = [(items[j], float(row[j])) for j in np.flatnonzero(np.isfinite(row))]
+        cand.sort(key=lambda t: (-t[1], t[0]))
+        neighbors[item] = cand[:top_m]
+    return neighbors
+
+
+class OracleKnnScorer:
+    def __init__(self, neighbors, train):
+        self.ratings_by_user = {}
+        for r in train:
+            self.ratings_by_user.setdefault(r.user, {})[r.item] = r.rating
+        self._neighbor_sims = {item: dict(neigh) for item, neigh in neighbors.items()}
+
+    def score(self, user, item):
+        rated = self.ratings_by_user.get(user)
+        if not rated:
+            raise UnknownUser(user)
+        sims = self._neighbor_sims.get(item)
+        if not sims:
+            return 0.0
+        return sum(s * rated[j] for j, s in sims.items() if j in rated)
+
+    def score_items(self, user, items):
+        return np.array([self.score(user, i) for i in items], dtype=np.float64)
+
+
+def neighbor_lists(sim_matrix):
+    """{item id: [(neighbour id, sim), ...]} read off an ItemSimMatrix in
+    stored order, the shape build_item_knn_oracle returns."""
+    m = sim_matrix.matrix
+    items = sim_matrix.items
+    return {item: [(items[j], float(s)) for j, s in
+                   zip(m.indices[m.indptr[n]:m.indptr[n + 1]].tolist(),
+                       m.data[m.indptr[n]:m.indptr[n + 1]].tolist())]
+            for n, item in enumerate(items)}

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import interactions, make_catalog, write_corpus
+from knn_oracle import OracleKnnScorer, build_item_knn_oracle, neighbor_lists
 from rerankeval._kernels import _sgd_epoch_py, sgd_epoch, wave_levels
 from rerankeval.candgen import (ItemKnnRecommender, build_item_knn,
                                 export_slates, gen_model_slate,
@@ -205,8 +206,10 @@ class TestScoreItems:
     def test_knn_matches_per_item_score(self):
         catalog, train, _ = slate_corpus()
         rec = ItemKnnRecommender(build_item_knn(train, top_m=10, min_co_raters=2), train)
+        oracle = OracleKnnScorer(build_item_knn_oracle(train, top_m=10, min_co_raters=2),
+                                 train)
         items = sorted(catalog.items)
-        assert rec.score_items("u", items).tolist() == [rec.score("u", i) for i in items]
+        assert rec.score_items("u", items).tolist() == [oracle.score("u", i) for i in items]
 
     @pytest.mark.parametrize("inject", [0, 3])
     def test_batched_mf_slates_match_score_mf(self, tmp_path, inject):
@@ -231,6 +234,11 @@ class TestScoreItems:
             assert batched.items == per_item.items
 
 
+def sim_of(sim, a, b):
+    """Similarity of b in a's neighbour list; 0.0 when it is not there."""
+    return dict(neighbor_lists(sim)[a]).get(b, 0.0)
+
+
 class TestItemKnn:
     def test_identical_vectors_similarity_one(self):
         # A and B rated identically by 3 users; C breaks the centering
@@ -238,34 +246,34 @@ class TestItemKnn:
         for n, u in enumerate(["1", "2", "3"]):
             rows += [(u, "A", 2.0 + n, n), (u, "B", 2.0 + n, n), (u, "C", 5.0 - n, n)]
         sim = build_item_knn(interactions(rows), top_m=5, min_co_raters=3)
-        assert sim.sim("A", "B") == pytest.approx(1.0, abs=1e-9)
+        assert sim_of(sim, "A", "B") == pytest.approx(1.0, abs=1e-9)
 
     def test_no_common_rater_pair_absent(self):
         rows = [("1", "A", 4.0, 1), ("2", "B", 4.0, 1)]
         sim = build_item_knn(interactions(rows), top_m=5, min_co_raters=1)
-        assert all(n != "B" for n, _ in sim.neighbors["A"])
+        assert all(n != "B" for n, _ in neighbor_lists(sim)["A"])
 
     def test_opposed_centered_vectors(self):
         # users 1,2 rate A,B; centered vectors (1,-1) and (-1,1) -> cosine -1
         rows = [("1", "A", 5.0, 1), ("1", "B", 3.0, 2),
                 ("2", "A", 3.0, 3), ("2", "B", 5.0, 4)]
         sim = build_item_knn(interactions(rows), top_m=5, min_co_raters=2)
-        assert sim.sim("A", "B") == pytest.approx(-1.0)
+        assert sim_of(sim, "A", "B") == pytest.approx(-1.0)
 
     def test_symmetry(self):
         rng = np.random.default_rng(5)
         rows = [(f"u{u}", f"i{i}", float(rng.integers(1, 11)) / 2.0, u * 20 + i)
                 for u in range(10) for i in range(8) if rng.random() < 0.7]
         sim = build_item_knn(interactions(rows), top_m=10, min_co_raters=2)
-        for a, neigh in sim.neighbors.items():
+        for a, neigh in neighbor_lists(sim).items():
             for b, s in neigh:
-                assert abs(sim.sim(b, a) - s) < 1e-12
+                assert abs(sim_of(sim, b, a) - s) < 1e-12
 
     def test_scores_bounded(self):
         rows = [("1", "A", 5.0, 1), ("1", "B", 3.0, 2),
                 ("2", "A", 3.0, 3), ("2", "B", 5.0, 4)]
         sim = build_item_knn(interactions(rows), top_m=5, min_co_raters=2)
-        for neigh in sim.neighbors.values():
+        for neigh in neighbor_lists(sim).values():
             for _, s in neigh:
                 assert -1.0 <= s <= 1.0
 

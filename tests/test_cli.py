@@ -5,7 +5,7 @@ import pytest
 
 from conftest import write_corpus
 from rerankeval import cli
-from rerankeval.cli import EXIT_CONFIG, EXIT_OK, load_config, main
+from rerankeval.cli import EXIT_CONFIG, EXIT_OK, EXIT_PARTIAL, load_config, main
 from rerankeval.llm_client import ScriptedBackend
 
 
@@ -57,6 +57,26 @@ class TestConfig:
     def test_cutoffs_above_slate_size_rejected(self):
         with pytest.raises(ValueError):
             load_config(None, {"slate_size": "5", "cutoffs": "3,10"})
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("generator", "bogus", "unknown generator"),
+        ("mode", "bogus", "unknown mode"),
+        ("knn_top_m", "0", "knn_top_m"),
+        ("mf_k", "0", "mf_k"),
+    ])
+    def test_bad_value_rejected_before_any_work(self, corpus, monkeypatch, capsys,
+                                                key, value, message):
+        main(ingest_args(corpus))
+
+        def no_work(*args):
+            raise AssertionError("work started before the config was checked")
+
+        monkeypatch.setattr(cli, "_read_split", no_work)
+        monkeypatch.setattr(cli.ingest, "load_interactions", no_work)
+        assert main(run_args(corpus, **{key: value})) == EXIT_CONFIG
+        assert main(ingest_args(corpus, **{key: value})) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count(f"error: {message}") == 2
 
 
 class TestIngest:
@@ -163,6 +183,33 @@ class TestRun:
         assert code == EXIT_OK
         report = json.loads((run_dir / "report.json").read_text())
         assert report["users_evaluated"] == 10
+
+    @pytest.mark.parametrize("bad_item", ["catalog", "train"])
+    def test_bad_external_slate_skips_its_user(self, corpus, tmp_path, caplog,
+                                               bad_item):
+        _, _, run_dir = corpus
+        main(ingest_args(corpus))
+        out = tmp_path / "slates.jsonl"
+        main(["export-slates", "--run-dir", str(run_dir), "--sample-count", "10",
+              "--out", str(out)])
+        lines = [json.loads(l) for l in out.read_text().splitlines()]
+        victim = lines[3]
+        if bad_item == "catalog":
+            victim["items"][5] = "999999"
+        else:
+            split = json.loads((run_dir / "split.json").read_text())
+            victim["items"][5] = next(i for u, i, _, _ in split["train"]
+                                      if u == victim["user"])
+        out.write_text("".join(json.dumps(l) + "\n" for l in lines))
+        code = main(["run", "--run-dir", str(run_dir), "--sample-count", "10",
+                     "--generator", "external", "--slates", str(out),
+                     "--mode", "zero_shot"])
+        assert code == EXIT_PARTIAL
+        report = json.loads((run_dir / "report.json").read_text())
+        assert (report["users_evaluated"], report["users_skipped"]) == (9, 1)
+        assert victim["user"] not in report["zero_shot"][0]["per_user"]
+        reason = "not in the catalog" if bad_item == "catalog" else "rated in train"
+        assert f"skipped user {victim['user']}: slate items {reason}" in caplog.text
 
 
 class TestBuildDataset:

@@ -1,0 +1,150 @@
+"""The sparse top-m item-kNN against the per-item reference in knn_oracle:
+neighbour lists, scores and slates must be bit-identical."""
+
+import numpy as np
+import pytest
+
+from conftest import interactions, write_corpus
+from knn_oracle import OracleKnnScorer, build_item_knn_oracle, neighbor_lists
+from rerankeval import candgen
+from rerankeval.candgen import ItemKnnRecommender, build_item_knn, gen_model_slate
+from rerankeval.errors import UnknownUser
+from rerankeval.ingest import (Catalog, ItemCard, load_interactions, load_items,
+                               split_leave_n_out, train_by_user)
+
+
+def conftest_train(tmp_path):
+    ratings_path, items_path = write_corpus(tmp_path)
+    split = split_leave_n_out(load_interactions(ratings_path))
+    return split, load_items(items_path)
+
+
+def zipf_train(n_users=50, n_items=40, n_ratings=900, seed=3):
+    """Zipf-popular items on a 1-5 star scale, plus exact copies of three
+    items' columns under other ids, so many similarities tie."""
+    rng = np.random.default_rng(seed)
+    popularity = np.arange(1, n_items + 1, dtype=np.float64) ** -1.1
+    users = rng.integers(0, n_users, n_ratings)
+    items = rng.choice(n_items, n_ratings, p=popularity / popularity.sum())
+    stars = rng.integers(1, 6, n_ratings)
+    rows = [(f"u{u}", f"i{i:02d}", float(s), t)
+            for t, (u, i, s) in enumerate(zip(users, items, stars))]
+    rows += [(u, f"copy_{i}", r, t) for u, i, r, t in rows
+             if i in ("i00", "i01", "i02")]
+    return interactions(rows)
+
+
+def assert_parity(train, top_m, min_co_raters, items, users):
+    sim = build_item_knn(train, top_m=top_m, min_co_raters=min_co_raters)
+    expected = build_item_knn_oracle(train, top_m=top_m, min_co_raters=min_co_raters)
+    assert neighbor_lists(sim) == expected
+    rec = ItemKnnRecommender(sim, train)
+    oracle = OracleKnnScorer(expected, train)
+    for user in users:
+        assert np.array_equal(rec.score_items(user, items),
+                              oracle.score_items(user, items))
+    return expected
+
+
+@pytest.fixture(params=[1, 7, candgen.KNN_BLOCK_ROWS], ids=lambda b: f"block{b}")
+def block_rows(request, monkeypatch):
+    monkeypatch.setattr(candgen, "KNN_BLOCK_ROWS", request.param)
+    return request.param
+
+
+class TestNeighboursAndScores:
+    @pytest.mark.parametrize("min_co_raters", [0, 1, 3])
+    def test_conftest_corpus(self, tmp_path, block_rows, min_co_raters):
+        split, catalog = conftest_train(tmp_path)
+        users = sorted({r.user for r in split.train})
+        assert_parity(split.train, 10, min_co_raters, sorted(catalog.items), users)
+
+    @pytest.mark.parametrize("min_co_raters", [0, 1, 3])
+    def test_zipf_with_tied_sims(self, block_rows, min_co_raters):
+        train = zipf_train()
+        items = sorted({r.item for r in train})
+        users = sorted({r.user for r in train})
+        expected = assert_parity(train, 8, min_co_raters, items, users)
+        ties = sum(a[1] == b[1] for neigh in expected.values()
+                   for a, b in zip(neigh, neigh[1:]))
+        assert ties >= 10
+        # rows where the item id alone decides who makes the top 8
+        full = build_item_knn_oracle(train, top_m=len(items),
+                                     min_co_raters=min_co_raters)
+        assert sum(len(n) > 8 and n[7][1] == n[8][1] for n in full.values()) >= 3
+
+    def test_top_m_at_least_item_count(self, block_rows):
+        train = zipf_train(n_users=20, n_items=12, n_ratings=150)
+        items = sorted({r.item for r in train})
+        expected = assert_parity(train, len(items) + 5, 0, items,
+                                 sorted({r.user for r in train}))
+        # min_co_raters=0 keeps every other item, so rows are full
+        assert all(len(neigh) == len(items) - 1 for neigh in expected.values())
+
+    def test_catalog_items_absent_from_train_score_zero(self, tmp_path):
+        split, catalog = conftest_train(tmp_path)
+        rec = ItemKnnRecommender(build_item_knn(split.train, top_m=10), split.train)
+        user = split.train[0].user
+        items = ["absent_a"] + sorted(catalog.items) + ["absent_b"]
+        scores = rec.score_items(user, items)
+        assert scores[0] == 0.0 and scores[-1] == 0.0
+        assert np.array_equal(scores[1:-1], rec.score_items(user, items[1:-1]))
+
+    def test_user_with_no_ratings(self, tmp_path):
+        split, catalog = conftest_train(tmp_path)
+        sim = build_item_knn(split.train, top_m=10)
+        for scorer in (ItemKnnRecommender(sim, split.train),
+                       OracleKnnScorer(neighbor_lists(sim), split.train)):
+            with pytest.raises(UnknownUser):
+                scorer.score_items("ghost", sorted(catalog.items))
+
+    def test_empty_train_rejected(self):
+        with pytest.raises(ValueError):
+            build_item_knn([], top_m=5)
+
+    def test_duplicate_ratings_last_one_scores(self):
+        rows = [(u, i, 1.0 + (u * 3 + i) % 5, u * 10 + i)
+                for u in range(6) for i in range(5)]
+        rows += [(0, 1, 5.0, 99), (0, 1, 2.5, 100)]  # user 0 re-rates item 1
+        train = interactions(rows)
+        assert_parity(train, 4, 1, [str(i) for i in range(5)],
+                      [str(u) for u in range(6)])
+
+
+class TestSlates:
+    @pytest.mark.parametrize("inject", [0, 3])
+    def test_every_eval_user_slate_matches_oracle(self, tmp_path, inject):
+        split, catalog = conftest_train(tmp_path)
+        sim = build_item_knn(split.train, top_m=10, min_co_raters=2)
+        rec = ItemKnnRecommender(sim, split.train)
+        oracle = OracleKnnScorer(
+            build_item_knn_oracle(split.train, top_m=10, min_co_raters=2), split.train)
+        by_user = train_by_user(split.train)
+        assert len(split.relevance) == 30
+        for user, rel in split.relevance.items():
+            exclusions = {r.item for r in by_user[user]}
+            ours = gen_model_slate(user, rec, catalog, exclusions, inject, rel,
+                                   seed=4, source="knn")
+            theirs = gen_model_slate(user, oracle, catalog, exclusions, inject, rel,
+                                     seed=4, source="knn")
+            assert ours.items == theirs.items
+
+    def test_zipf_slates_with_ties_match_oracle(self):
+        train = zipf_train()
+        items = sorted({r.item for r in train})
+        catalog = Catalog(items={i: ItemCard(id=i, title=i, genres=[], language="en",
+                                             overview_short="")
+                                 for i in items})
+        rec = ItemKnnRecommender(build_item_knn(train, top_m=8, min_co_raters=1), train)
+        oracle = OracleKnnScorer(
+            build_item_knn_oracle(train, top_m=8, min_co_raters=1), train)
+        by_user = train_by_user(train)
+        checked = 0
+        for user in sorted(by_user):
+            exclusions = {r.item for r in by_user[user]}
+            if len(items) - len(exclusions) < 15:
+                continue
+            assert gen_model_slate(user, rec, catalog, exclusions, 0, None, seed=1).items \
+                == gen_model_slate(user, oracle, catalog, exclusions, 0, None, seed=1).items
+            checked += 1
+        assert checked > 40
