@@ -36,15 +36,50 @@ def stable_seed(seed, *parts):
     return int.from_bytes(h.digest(), "big")
 
 
-def gen_random_slate(user, catalog, exclusions, seed, slate_size=SLATE_SIZE):
-    """Uniform sample without replacement from the eligible catalog,
-    deterministic per (seed, user)."""
+def _eligible(catalog, exclusions, slate_size):
+    """The catalog less exclusions, sorted; CatalogTooSmall unless it can
+    fill a slate."""
     eligible = sorted(i for i in catalog.items if i not in exclusions)
     if len(eligible) < slate_size:
         raise CatalogTooSmall(f"{len(eligible)} eligible items < slate size {slate_size}")
+    return eligible
+
+
+def _sample_positives(user, relevance, count, catalog, exclusions, seed, taken=()):
+    """A seeded sample, in draw order, of at most count of the user's
+    held-out positives that are in the catalog, not excluded and not in
+    taken; with the generator that drew it, or None when nothing is drawn."""
+    if count < 1 or relevance is None:
+        return [], None
+    pool = sorted(i for i in relevance.relevant
+                  if i in catalog and i not in exclusions and i not in taken)
+    rng = np.random.default_rng(stable_seed(seed, "inject", user))
+    picks = rng.choice(len(pool), size=min(count, len(pool)), replace=False)
+    return [pool[i] for i in picks], rng
+
+
+def gen_random_slate(user, catalog, exclusions, seed, slate_size=SLATE_SIZE,
+                     inject_positives=0, relevance=None):
+    """Uniform sample without replacement from the eligible catalog,
+    deterministic per (seed, user).
+
+    Up to inject_positives held-out positives not already in the slate then
+    replace items at seeded positions, never a positive, so the slate order
+    stays uninformative.
+    """
+    eligible = _eligible(catalog, exclusions, slate_size)
     rng = np.random.default_rng(stable_seed(seed, "random_slate", user))
     picks = rng.choice(len(eligible), size=slate_size, replace=False)
-    return Slate(user=user, items=[eligible[i] for i in picks], source="random")
+    items = [eligible[i] for i in picks]
+    injected, rng = _sample_positives(user, relevance, min(inject_positives, slate_size),
+                                      catalog, exclusions, seed, taken=set(items))
+    if injected:
+        replaceable = [p for p, item in enumerate(items) if item not in relevance.relevant]
+        positions = rng.choice(len(replaceable), size=min(len(injected), len(replaceable)),
+                               replace=False)
+        for p, item in zip(positions, injected):
+            items[replaceable[p]] = item
+    return Slate(user=user, items=items, source="random")
 
 
 # --------------------------------------------------------------------------
@@ -61,9 +96,6 @@ class MfModel:
     item_bias: np.ndarray
     global_mean: float
     train_rmse: list = field(default_factory=list)  # per epoch
-
-    def score(self, user, item):
-        return score_mf(self, user, item)
 
     def score_items(self, user, items):
         """score_mf for each of items, as one gemv. The terms are added in
@@ -260,18 +292,9 @@ def gen_model_slate(user, scorer, catalog, exclusions, inject_positives,
     pure score order over the selected set. Ties break by item id.
     `scorer.score_items(user, items)` gives the scores, aligned with items.
     """
-    eligible = sorted(i for i in catalog.items if i not in exclusions)
-    if len(eligible) < slate_size:
-        raise CatalogTooSmall(f"{len(eligible)} eligible items < slate size {slate_size}")
-
-    injected = []
-    if inject_positives > 0 and relevance is not None:
-        pool = sorted(i for i in relevance.relevant if i in catalog and i not in exclusions)
-        count = min(inject_positives, len(pool), slate_size)
-        rng = np.random.default_rng(stable_seed(seed, "inject", user))
-        picks = rng.choice(len(pool), size=count, replace=False)
-        injected = [pool[i] for i in picks]
-
+    eligible = _eligible(catalog, exclusions, slate_size)
+    injected, _ = _sample_positives(user, relevance, min(inject_positives, slate_size),
+                                    catalog, exclusions, seed)
     scores = dict(zip(eligible, scorer.score_items(user, eligible).tolist()))
     injected_set = set(injected)
 

@@ -1,12 +1,12 @@
-"""Command-line entry point: ingest, run, build-dataset, human-eval, and
-slate import/export, driven by an INI config plus same-named flag overrides."""
+"""Command-line entry point: ingest, run, build-dataset, human-eval and
+slate export, driven by an INI config plus same-named flag overrides."""
 
 import argparse
 import configparser
 import json
 import logging
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -75,15 +75,25 @@ class RunConfig:
             raise ValueError("knn_top_m must be >= 1")
         if self.mf_k < 1:
             raise ValueError("mf_k must be >= 1")
+        if self.ranking_size < 2:
+            raise ValueError("ranking_size must be >= 2 (a 1-item ranking has no "
+                             "rejected permutation)")
 
 
-_BOOL_KEYS = {"offline"}
-_INT_KEYS = {"slate_size", "history_limit", "bootstraps", "sample_count", "seed",
-             "n_test", "min_history", "inject_positives", "mf_k", "mf_epochs",
-             "knn_top_m", "knn_min_co_raters", "ranking_size"}
-_FLOAT_KEYS = {"relevance_threshold", "temperature", "mf_learn_rate", "mf_reg"}
-_BACKEND_INT = {"max_retries", "max_concurrent_requests"}
-_BACKEND_FLOAT = {"timeout", "backoff_base"}
+def _coerce(cls, key, value):
+    """A config string as the type of the dataclass cls's field key; a
+    nested config (RunConfig.backend) is a section, not a key."""
+    types = {f.name: f.type for f in fields(cls)}
+    if key not in types or is_dataclass(types[key]):
+        raise ValueError(f"unknown config key: {key}")
+    kind = types[key]
+    if kind is tuple:
+        return tuple(int(c) for c in str(value).replace(",", " ").split())
+    if kind is bool:
+        return str(value).lower() in ("1", "true", "yes")
+    if kind in (int, float):
+        return kind(value)
+    return value
 
 
 def load_config(path=None, overrides=None):
@@ -110,44 +120,13 @@ def load_config(path=None, overrides=None):
         else:
             values[key] = val
 
-    cfg = RunConfig()
-    known = {f.name for f in fields(RunConfig)}
-    for key, val in values.items():
-        if key not in known:
-            raise ValueError(f"unknown config key: {key}")
-        if key == "cutoffs":
-            val = tuple(int(c) for c in str(val).replace(",", " ").split())
-        elif key in _BOOL_KEYS:
-            val = str(val).lower() in ("1", "true", "yes")
-        elif key in _INT_KEYS:
-            val = int(val)
-        elif key in _FLOAT_KEYS:
-            val = float(val)
-        setattr(cfg, key, val)
-
-    bkw = {}
-    for key, val in backend_values.items():
-        if key in _BACKEND_INT:
-            val = int(val)
-        elif key in _BACKEND_FLOAT:
-            val = float(val)
-        bkw[key] = val
-    if bkw:
-        cfg.backend = BackendConfig(**bkw)
+    run = {key: _coerce(RunConfig, key, val) for key, val in values.items()}
+    if backend_values:
+        run["backend"] = BackendConfig(**{key: _coerce(BackendConfig, key, val)
+                                          for key, val in backend_values.items()})
+    cfg = RunConfig(**run)
     cfg.validate()
     return cfg
-
-
-def _config_snapshot(cfg):
-    snap = {}
-    for f in fields(RunConfig):
-        val = getattr(cfg, f.name)
-        if f.name == "backend":
-            val = {bf.name: getattr(val, bf.name) for bf in fields(BackendConfig)}
-        elif isinstance(val, tuple):
-            val = list(val)
-        snap[f.name] = val
-    return snap
 
 
 # --------------------------------------------------------------------------
@@ -182,10 +161,6 @@ def _write_catalog(run_dir, catalog):
                                  "overview": c.overview_short}) + "\n")
 
 
-def _read_catalog(run_dir):
-    return ingest.load_items(run_dir / "catalog.jsonl")
-
-
 # --------------------------------------------------------------------------
 # Subcommands
 # --------------------------------------------------------------------------
@@ -208,7 +183,7 @@ def cmd_ingest(cfg):
     _write_split(run_dir, split, test)
     _write_catalog(run_dir, catalog)
     (run_dir / "config.json").write_text(
-        json.dumps(_config_snapshot(cfg), indent=2) + "\n", encoding="utf-8")
+        json.dumps(asdict(cfg), indent=2) + "\n", encoding="utf-8")
 
     users = {r.user for r in interactions}
     print(f"interactions: {len(interactions)}")
@@ -275,11 +250,9 @@ def _build_slates(cfg, users, by_user, catalog, relevance, train):
     for user in users:
         exclusions = {r.item for r in by_user[user]}
         if cfg.generator == "random":
-            slate = candgen.gen_random_slate(user, catalog, exclusions, cfg.seed,
-                                             slate_size=cfg.slate_size)
-            if cfg.inject_positives > 0:
-                slate = _inject_into_random(slate, relevance.get(user), catalog,
-                                            exclusions, cfg)
+            slate = candgen.gen_random_slate(
+                user, catalog, exclusions, cfg.seed, slate_size=cfg.slate_size,
+                inject_positives=cfg.inject_positives, relevance=relevance.get(user))
         else:
             slate = candgen.gen_model_slate(
                 user, scorer, catalog, exclusions, cfg.inject_positives,
@@ -289,33 +262,10 @@ def _build_slates(cfg, users, by_user, catalog, relevance, train):
     return out
 
 
-def _inject_into_random(slate, rel, catalog, exclusions, cfg):
-    """Replace a seeded subset of a random slate with held-out positives,
-    keeping positions (so the slate stays order-uninformative)."""
-    if rel is None:
-        return slate
-    pool = sorted(i for i in rel.relevant if i in catalog and i not in exclusions
-                  and i not in slate.items)
-    count = min(cfg.inject_positives, len(pool), len(slate.items))
-    if count == 0:
-        return slate
-    rng = np.random.default_rng(candgen.stable_seed(cfg.seed, "inject", slate.user))
-    picks = rng.choice(len(pool), size=count, replace=False)
-    # never overwrite a positive already present in the slate
-    replaceable = [p for p, item in enumerate(slate.items)
-                   if item not in rel.relevant]
-    count = min(count, len(replaceable))
-    positions = rng.choice(len(replaceable), size=count, replace=False)
-    items = list(slate.items)
-    for p, pick in zip(positions, picks):
-        items[replaceable[int(p)]] = pool[int(pick)]
-    return candgen.Slate(user=slate.user, items=items, source=slate.source)
-
-
 def cmd_run(cfg):
     run_dir = Path(cfg.run_dir)
     train, _test, relevance = _read_split(run_dir)
-    catalog = _read_catalog(run_dir)
+    catalog = ingest.load_items(run_dir / "catalog.jsonl")
     by_user = ingest.train_by_user(train)
 
     users = _sample_eval_users(relevance, by_user, cfg)
@@ -360,7 +310,7 @@ def _write_report(run_dir, cfg, users, baseline_results, ranked_results,
                   comparison, skipped, fallbacks):
     mode_col = _MODE_COLUMN.get(cfg.mode)
     report = {
-        "config": _config_snapshot(cfg),
+        "config": asdict(cfg),
         "users_evaluated": len(users),
         "users_skipped": skipped,
         "bootstrap_fallbacks": fallbacks,
@@ -417,7 +367,7 @@ def _write_report(run_dir, cfg, users, baseline_results, ranked_results,
 def cmd_build_dataset(cfg):
     run_dir = Path(cfg.run_dir)
     train, test, relevance = _read_split(run_dir)
-    catalog = _read_catalog(run_dir)
+    catalog = ingest.load_items(run_dir / "catalog.jsonl")
     by_user = ingest.train_by_user(train)
     test_by_user = {}
     for r in test:
@@ -425,10 +375,6 @@ def cmd_build_dataset(cfg):
 
     backend = None if cfg.offline else make_backend(cfg.backend)
     users = _sample_eval_users(relevance, by_user, cfg)
-    if cfg.ranking_size < 2:
-        print("ranking_size must be >= 2 (a 1-item ranking has no rejected "
-              "permutation)", file=sys.stderr)
-        return EXIT_CONFIG
 
     strategy, hseed = _history_strategy(cfg)
     samples, pairs = [], []
@@ -495,21 +441,12 @@ def cmd_human_eval(ratings_a, ratings_b, paired=False):
 def cmd_export_slates(cfg, out_path):
     run_dir = Path(cfg.run_dir)
     train, _test, relevance = _read_split(run_dir)
-    catalog = _read_catalog(run_dir)
+    catalog = ingest.load_items(run_dir / "catalog.jsonl")
     by_user = ingest.train_by_user(train)
     users = _sample_eval_users(relevance, by_user, cfg)
     slates = _build_slates(cfg, users, by_user, catalog, relevance, train)
     candgen.export_slates([slates[u] for u in sorted(slates)], out_path)
     print(f"wrote {len(slates)} slates to {out_path}")
-    return EXIT_OK
-
-
-def cmd_import_slates(cfg, in_path):
-    slates = candgen.import_slates(in_path)
-    run_dir = Path(cfg.run_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    candgen.export_slates(slates, run_dir / "external_slates.jsonl")
-    print(f"imported {len(slates)} slates")
     return EXIT_OK
 
 
@@ -548,10 +485,6 @@ def build_parser():
     ex = subs.add_parser("export-slates")
     _add_common(ex)
     ex.add_argument("--out", required=True)
-
-    im = subs.add_parser("import-slates")
-    _add_common(im)
-    im.add_argument("--in", dest="in_path", required=True)
     return parser
 
 
@@ -574,10 +507,8 @@ def main(argv=None):
             return cmd_build_dataset(cfg)
         if args.command == "export-slates":
             return cmd_export_slates(cfg, args.out)
-        if args.command == "import-slates":
-            return cmd_import_slates(cfg, args.in_path)
         raise ValueError(args.command)
-    except (RerankEvalError, OSError, ValueError, FileNotFoundError) as e:
+    except (RerankEvalError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -1,5 +1,5 @@
-"""Training-data construction: overview summarization, SFT positive samples
-with per-item reasons, and DPO chosen/rejected pairs from shuffled rankings."""
+"""Training-data construction: SFT positive samples with per-item reasons,
+and DPO chosen/rejected pairs from shuffled rankings."""
 
 import hashlib
 import json
@@ -13,7 +13,6 @@ import numpy as np
 
 from .candgen import Slate, stable_seed
 from .errors import GenerationOrderDrift
-from .ingest import OVERVIEW_MAX_WORDS, build_item_description
 from .llm_client import ChatRequest
 from .rerank import build_prompt, parse_ranking
 
@@ -33,31 +32,6 @@ class DpoPair:
     prompt: str
     chosen: str
     rejected: str
-
-
-def summarize_overview(backend, full_overview, max_words=OVERVIEW_MAX_WORDS):
-    """Summarize an overview to at most max_words words.
-
-    Overviews already short enough pass through without a backend call; an
-    over-long answer is re-requested once, then truncated.
-    """
-    if not full_overview or not full_overview.strip():
-        raise ValueError("overview must be non-empty")
-    words = full_overview.split()
-    if len(words) <= max_words:
-        return full_overview.strip()
-    request = ChatRequest(
-        system_prompt=(f"Summarize the following movie overview in fewer than "
-                       f"{max_words + 1} words. Reply with the summary only."),
-        user_prompt=full_overview,
-        temperature=0.0,
-        max_tokens=64,
-    )
-    for _ in range(2):
-        text = backend.complete(request).text.strip()
-        if len(text.split()) <= max_words:
-            return text
-    return " ".join(text.split()[:max_words])
 
 
 def _completion_from_reasons(ranking, reasons):

@@ -81,10 +81,6 @@ class SlateMismatch(RerankEvalError):
     pass
 
 
-class AllBootstrapsFailed(RerankEvalError):
-    pass
-
-
 # --- dataset generation ---
 
 class GenerationOrderDrift(RerankEvalError):

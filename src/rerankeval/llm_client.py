@@ -5,10 +5,9 @@ import json
 import logging
 import os
 import re
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import requests
@@ -55,6 +54,10 @@ class BackendConfig:
             raise ValueError("http backend requires endpoint and model")
         if self.timeout <= 0:
             raise ValueError("timeout must be > 0")
+        if self.max_retries < 0:
+            raise ValueError("max_retries must be >= 0")
+        if self.max_concurrent_requests < 1:
+            raise ValueError("max_concurrent_requests must be >= 1")
 
 
 def make_backend(config):
@@ -92,12 +95,8 @@ class ScriptedBackend:
         self.handler = handler
         self.default = default
         self.max_concurrent_requests = 4
-        self.request_count = 0
-        self._lock = threading.Lock()
 
     def complete(self, request):
-        with self._lock:
-            self.request_count += 1
         for needle, response in self.fixtures:
             if needle in request.user_prompt or needle in request.system_prompt:
                 return ChatResponse(text=response, backend_id=self.backend_id)
@@ -128,8 +127,6 @@ class HttpBackend:
         self.config = config
         self.backend_id = f"http:{config.model}"
         self.max_concurrent_requests = config.max_concurrent_requests
-        self.request_count = 0
-        self._lock = threading.Lock()
         self._session = requests.Session()
 
     def _headers(self):
@@ -161,8 +158,6 @@ class HttpBackend:
         for attempt in range(self.config.max_retries + 1):
             if attempt:
                 time.sleep(self.config.backoff_base * 2 ** (attempt - 1))
-            with self._lock:
-                self.request_count += 1
             try:
                 resp = self._session.post(self.config.endpoint, json=body,
                                           headers=headers,

@@ -3,13 +3,12 @@ shuffles, and self-consistency aggregation by summed position index."""
 
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .candgen import Slate, stable_seed
-from .errors import (AllBootstrapsFailed, EmptyOutputs, SlateMismatch,
-                     UnknownItem, UnparseableOutput)
+from .errors import EmptyOutputs, SlateMismatch, UnknownItem, UnparseableOutput
 from .ingest import build_item_description
 from .llm_client import ChatRequest, complete_batch
 
@@ -207,10 +206,10 @@ def none_ranker(slate):
 
 
 def rerank_user(history, slate, catalog, backend, k=3, mode="zero_shot",
-                seed=0, strict=False, temperature=0.7):
-    """Full per-user pipeline: shuffle k times, prompt, complete, parse, and
-    aggregate. In lenient (default) mode a failed bootstrap degrades to an
-    all-missing output; if every bootstrap fails the original slate order is
+                seed=0, temperature=0.7):
+    """Full per-user pipeline: shuffle k times, prompt, complete, parse
+    leniently, and aggregate. A failed request degrades to an all-missing
+    output; if no bootstrap ranks any item the original slate order is
     returned with the fallback flag set."""
     shuffles = bootstrap_shuffles(slate, k, seed)
     requests = []
@@ -222,32 +221,15 @@ def rerank_user(history, slate, catalog, backend, k=3, mode="zero_shot",
     results = complete_batch(backend, requests)
 
     outputs = []
-    failures = 0
     for shuffled, result in zip(shuffles, results):
         if isinstance(result, Exception):
-            failures += 1
-            if not strict:
-                outputs.append(RankingOutput(user=slate.user, ranked=[],
-                                             raw_text="", missing=set(slate.items),
-                                             hallucinated=set()))
-            continue
-        try:
-            parsed = parse_ranking(result.text, shuffled, catalog=catalog,
-                                   lenient=not strict)
-            if not parsed.ranked:
-                failures += 1
-            outputs.append(parsed)
-        except UnparseableOutput:
-            failures += 1
-            if not strict:
-                outputs.append(RankingOutput(user=slate.user, ranked=[],
-                                             raw_text=result.text,
-                                             missing=set(slate.items),
-                                             hallucinated=set()))
+            outputs.append(RankingOutput(user=slate.user, ranked=[], raw_text="",
+                                         missing=set(slate.items), hallucinated=set()))
+        else:
+            outputs.append(parse_ranking(result.text, shuffled, catalog=catalog,
+                                         lenient=True))
 
-    if strict and not outputs:
-        raise AllBootstrapsFailed(f"all {k} bootstraps failed for user {slate.user}")
-    if failures == k:
+    if not any(out.ranked for out in outputs):
         log.warning("all %d bootstraps failed for user %s; using original slate order",
                     k, slate.user)
         consensus = none_ranker(slate)

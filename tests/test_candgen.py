@@ -40,6 +40,57 @@ class TestRandomSlate:
         assert len(set(slate.items)) == 15
 
 
+class TestRandomSlateInjection:
+    EXCLUDED = {str(i) for i in range(1, 6)}
+    # 12, 18 and 31 fall in the uninjected slate; 3 is excluded, 99 not in
+    # the catalog, so 7, 22, 25, 36 and 39 are the pool
+    RELEVANT = RelevanceSet(user="u", relevant={
+        str(i) for i in (3, 7, 12, 18, 22, 25, 31, 36, 39, 99)})
+
+    def slates(self, inject, relevance=RELEVANT, catalog=None, excluded=EXCLUDED):
+        catalog = catalog or make_catalog(40)
+        base = gen_random_slate("u", catalog, excluded, seed=3)
+        injected = gen_random_slate("u", catalog, excluded, seed=3,
+                                    inject_positives=inject, relevance=relevance)
+        return base.items, injected.items
+
+    @pytest.mark.parametrize("inject,expected", [
+        (0, ["23", "11", "37", "28", "17", "29", "24", "6", "20", "18", "15",
+             "19", "31", "12", "8"]),
+        (2, ["23", "22", "37", "28", "17", "7", "24", "6", "20", "18", "15",
+             "19", "31", "12", "8"]),
+        (5, ["22", "11", "7", "28", "36", "29", "24", "6", "20", "18", "15",
+             "39", "31", "12", "25"]),
+    ])
+    def test_pinned(self, inject, expected):
+        assert self.slates(inject)[1] == expected
+
+    @pytest.mark.parametrize("inject", [1, 3, 5, 20])
+    def test_only_non_positives_replaced(self, inject):
+        base, injected = self.slates(inject)
+        changed = [p for p, (a, b) in enumerate(zip(base, injected)) if a != b]
+        assert len(changed) == min(inject, 5)
+        for p in changed:
+            assert injected[p] in self.RELEVANT.relevant
+            assert base[p] not in self.RELEVANT.relevant
+        assert len(set(injected)) == 15
+
+    def test_count_capped_by_replaceable_positions(self):
+        # every item but two of the slate's is relevant: 2 replaceable
+        # positions, and the 5 items left out of the slate are the pool
+        catalog = make_catalog(20)
+        base = gen_random_slate("u", catalog, set(), seed=3).items
+        relevance = RelevanceSet(user="u", relevant=set(catalog.items) - set(base[:2]))
+        _, injected = self.slates(10, relevance, catalog, set())
+        changed = [p for p, (a, b) in enumerate(zip(base, injected)) if a != b]
+        assert changed == [0, 1]
+        assert set(injected) <= relevance.relevant
+
+    def test_no_relevance_keeps_slate(self):
+        base, injected = self.slates(5, relevance=None)
+        assert injected == base
+
+
 def synthetic_rank1(n_users=8, n_items=6, offset=3.0):
     """Fully observed rank-1 matrix r(u,i) = a_u * b_i + offset."""
     rng = np.random.default_rng(0)
@@ -284,7 +335,7 @@ class TestModelSlate:
         exclusions = {str(i) for i in range(1, 6)}
         slate = gen_model_slate("u", model, catalog, exclusions, 0, None, seed=1)
         eligible = [i for i in catalog.items if i not in exclusions]
-        expected = sorted(eligible, key=lambda i: (-model.score("u", i), i))[:15]
+        expected = sorted(eligible, key=lambda i: (-score_mf(model, "u", i), i))[:15]
         assert slate.items == expected
 
     def test_full_injection(self):

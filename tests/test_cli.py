@@ -43,10 +43,13 @@ class TestConfig:
     def test_ini_with_flag_override(self, tmp_path):
         ini = tmp_path / "cfg.ini"
         ini.write_text("[run]\nseed = 7\nslate_size = 15\ncutoffs = 3,5,10\n"
-                       "[backend]\nkind = scripted\nmax_retries = 1\n")
-        cfg = load_config(ini, {"seed": "9"})
+                       "offline = yes\nmf_reg = 1e-2\n"
+                       "[backend]\nkind = scripted\nmax_retries = 1\ntimeout = 2\n")
+        cfg = load_config(ini, {"seed": "9", "backend_model": "m"})
         assert cfg.seed == 9
         assert cfg.backend.max_retries == 1
+        assert (cfg.cutoffs, cfg.offline, cfg.mf_reg) == ((3, 5, 10), True, 0.01)
+        assert (cfg.backend.timeout, cfg.backend.model) == (2.0, "m")
 
     def test_unknown_key_rejected(self, tmp_path):
         ini = tmp_path / "cfg.ini"
@@ -58,11 +61,25 @@ class TestConfig:
         with pytest.raises(ValueError):
             load_config(None, {"slate_size": "5", "cutoffs": "3,10"})
 
+    @pytest.mark.parametrize("section,line,message", [
+        ("backend", "bogus = 1", "unknown config key: bogus"),
+        ("backend", "max_retries = -1", "max_retries must be >= 0"),
+        ("backend", "max_concurrent_requests = 0", "max_concurrent_requests must be >= 1"),
+        ("run", "backend = http", "unknown config key: backend"),
+    ])
+    def test_bad_config_line_exits_2(self, corpus, tmp_path, capsys, section, line,
+                                     message):
+        ini = tmp_path / "cfg.ini"
+        ini.write_text(f"[{section}]\n{line}\n")
+        assert main([*ingest_args(corpus), "--config", str(ini)]) == EXIT_CONFIG
+        assert f"error: {message}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key,value,message", [
         ("generator", "bogus", "unknown generator"),
         ("mode", "bogus", "unknown mode"),
         ("knn_top_m", "0", "knn_top_m"),
         ("mf_k", "0", "mf_k"),
+        ("ranking_size", "1", "ranking_size"),
     ])
     def test_bad_value_rejected_before_any_work(self, corpus, monkeypatch, capsys,
                                                 key, value, message):
@@ -264,15 +281,3 @@ class TestHumanEval:
         a = tmp_path / "a.txt"
         a.write_text("6\n")
         assert main(["human-eval", str(a), str(a)]) == EXIT_CONFIG
-
-
-class TestSlateCommands:
-    def test_export_import_round_trip(self, corpus, tmp_path):
-        _, _, run_dir = corpus
-        main(ingest_args(corpus))
-        out = tmp_path / "slates.jsonl"
-        assert main(["export-slates", "--run-dir", str(run_dir),
-                     "--sample-count", "5", "--out", str(out)]) == EXIT_OK
-        assert main(["import-slates", "--run-dir", str(run_dir),
-                     "--in", str(out)]) == EXIT_OK
-        assert (run_dir / "external_slates.jsonl").read_text() == out.read_text()

@@ -5,47 +5,10 @@ import pytest
 
 from conftest import make_catalog, make_history, make_slate
 from rerankeval.datasetgen import (DpoPair, SftSample, make_dpo_pair,
-                                   make_positive_sample, summarize_overview,
-                                   write_training_files)
+                                   make_positive_sample, write_training_files)
 from rerankeval.errors import GenerationOrderDrift
 from rerankeval.llm_client import ScriptedBackend
 from rerankeval.rerank import parse_ranking
-
-
-class CountingBackend(ScriptedBackend):
-    def __init__(self, *args, **kw):
-        super().__init__(*args, **kw)
-        self.calls = 0
-
-    def complete(self, request):
-        self.calls += 1
-        return super().complete(request)
-
-
-class TestSummarizeOverview:
-    def test_short_overview_passes_through_without_call(self):
-        backend = CountingBackend(default="unused")
-        text = "Five words is plenty here."
-        assert summarize_overview(backend, text) == text
-        assert backend.calls == 0
-
-    def test_persistently_long_answer_truncated(self):
-        long_answer = " ".join(f"w{i}" for i in range(20))
-        backend = CountingBackend(default=long_answer)
-        long_overview = " ".join(f"src{i}" for i in range(30))
-        result = summarize_overview(backend, long_overview)
-        assert result == " ".join(f"w{i}" for i in range(15))
-        assert backend.calls == 2
-
-    def test_good_answer_accepted_first_try(self):
-        backend = CountingBackend(default="A concise summary.")
-        long_overview = " ".join(f"src{i}" for i in range(30))
-        assert summarize_overview(backend, long_overview) == "A concise summary."
-        assert backend.calls == 1
-
-    def test_empty_overview_rejected(self):
-        with pytest.raises(ValueError):
-            summarize_overview(CountingBackend(), "  ")
 
 
 class TestMakePositiveSample:
