@@ -13,7 +13,7 @@ import numpy as np
 
 from . import candgen, datasetgen, ingest, metrics, rerank, stats
 from .errors import MalformedRow, RerankEvalError, ZeroVariance
-from .llm_client import BackendConfig, make_backend
+from .llm_client import BackendConfig, bounded_map, make_backend
 
 log = logging.getLogger(__name__)
 
@@ -275,6 +275,11 @@ def cmd_run(cfg):
     slates = _build_slates(cfg, users, by_user, catalog, relevance, train)
     skipped = len(users) - len(slates)
     users = sorted(slates)
+    if cfg.mode in _MODE_COLUMN and len(users) < 2:
+        # the paired t-test needs two users; stop before paying for requests
+        print(f"error: re-ranking needs at least 2 evaluable users, got "
+              f"{len(users)} (skipped {skipped})", file=sys.stderr)
+        return EXIT_CONFIG
 
     baseline_rankings = {u: rerank.none_ranker(slates[u]).items for u in users}
     baseline_results = metrics.evaluate_run(baseline_rankings, relevance, cfg.cutoffs)
@@ -285,16 +290,15 @@ def cmd_run(cfg):
     if cfg.mode in _MODE_COLUMN:
         backend = make_backend(cfg.backend)
         strategy, hseed = _history_strategy(cfg)
-        rankings = {}
-        for user in users:
-            history = ingest.sample_history(by_user[user], limit=cfg.history_limit,
-                                            strategy=strategy, seed=hseed)
-            consensus, _outputs = rerank.rerank_user(
-                history, slates[user], catalog, backend, k=cfg.bootstraps,
-                mode=cfg.mode, seed=cfg.seed, temperature=cfg.temperature)
-            if consensus.fallback:
-                fallbacks += 1
-            rankings[user] = consensus.items
+        jobs = [(ingest.sample_history(by_user[user], limit=cfg.history_limit,
+                                       strategy=strategy, seed=hseed), slates[user])
+                for user in users]
+        ranked = rerank.rerank_users(jobs, catalog, backend, k=cfg.bootstraps,
+                                     mode=cfg.mode, seed=cfg.seed,
+                                     temperature=cfg.temperature)
+        fallbacks = sum(consensus.fallback for consensus, _outputs in ranked)
+        rankings = {user: consensus.items
+                    for user, (consensus, _outputs) in zip(users, ranked)}
         ranked_results = metrics.evaluate_run(rankings, relevance, cfg.cutoffs)
         comparison = stats.compare_models(ranked_results, baseline_results)
 
@@ -377,8 +381,8 @@ def cmd_build_dataset(cfg):
     users = _sample_eval_users(relevance, by_user, cfg)
 
     strategy, hseed = _history_strategy(cfg)
-    samples, pairs = [], []
     dropped = 0
+    jobs = []
     for user in users:
         history = ingest.sample_history(by_user[user], limit=cfg.history_limit,
                                         strategy=strategy, seed=hseed)
@@ -387,16 +391,33 @@ def cmd_build_dataset(cfg):
             catalog.items, cfg.ranking_size, cfg.seed)
         if len(ranking) < 2:
             dropped += 1
-            continue
+        else:
+            jobs.append((history, ranking))
+
+    def sample_and_pair(job):
+        """A user's (sft sample, dpo pair), or the RerankEvalError that
+        drops the user."""
+        history, ranking = job
         try:
             sample = datasetgen.make_positive_sample(backend, history, ranking,
                                                      catalog)
         except RerankEvalError as e:
-            log.warning("dropped sample for user %s: %s", user, e)
+            return e
+        return sample, datasetgen.make_dpo_pair(sample, cfg.seed, backend=backend)
+
+    if backend is None:
+        built = [sample_and_pair(job) for job in jobs]
+    else:
+        # each user's requests run in sequence; users share one bounded pool
+        built = bounded_map(sample_and_pair, jobs, backend.max_concurrent_requests)
+    samples, pairs = [], []
+    for (history, _ranking), result in zip(jobs, built):
+        if isinstance(result, RerankEvalError):
+            log.warning("dropped sample for user %s: %s", history.user, result)
             dropped += 1
-            continue
-        samples.append(sample)
-        pairs.append(datasetgen.make_dpo_pair(sample, cfg.seed, backend=backend))
+        else:
+            samples.append(result[0])
+            pairs.append(result[1])
 
     out_dir = Path(cfg.out_dir) if cfg.out_dir else run_dir
     manifest = datasetgen.write_training_files(samples, pairs, out_dir)

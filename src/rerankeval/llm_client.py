@@ -1,16 +1,18 @@
 """Chat-model backends: a deterministic scripted backend for tests/CI and an
 HTTP backend speaking the standard chat-completions JSON protocol."""
 
+import email.utils
 import json
 import logging
 import os
 import re
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
 
 import requests
+from requests.adapters import HTTPAdapter
 
 from .errors import (BackendError, ExhaustedRetries, HttpStatus,
                      MissingApiKey, Timeout)
@@ -18,6 +20,7 @@ from .errors import (BackendError, ExhaustedRetries, HttpStatus,
 log = logging.getLogger(__name__)
 
 RETRYABLE_STATUS = {429, 500, 502, 503, 504}
+RETRY_AFTER_STATUS = {429, 503}
 
 
 @dataclass
@@ -119,15 +122,39 @@ def _echo_candidates(user_prompt):
     return "\n".join(f"Rank {k}: {i} - scripted echo" for k, i in enumerate(ids, start=1))
 
 
+def _retry_after(value, limit):
+    """Seconds to wait from a Retry-After header value (delta-seconds or an
+    HTTP-date), at most limit; None when the value is missing, negative or
+    unparseable."""
+    if value is None:
+        return None
+    try:
+        delay = float(value)
+    except ValueError:
+        try:
+            delay = email.utils.parsedate_to_datetime(value).timestamp() - time.time()
+        except (TypeError, ValueError):
+            return None
+    if not delay >= 0:  # negative or NaN
+        return None
+    return min(delay, limit)
+
+
 class HttpBackend:
     """POSTs chat-completions JSON and retries transient failures (timeouts,
-    429, 5xx) with exponential backoff."""
+    429, 5xx, malformed 200 payloads) with exponential backoff, or after the
+    server's Retry-After on 429 and 503."""
 
     def __init__(self, config):
         self.config = config
         self.backend_id = f"http:{config.model}"
         self.max_concurrent_requests = config.max_concurrent_requests
         self._session = requests.Session()
+        # one kept-alive connection per request in flight; urllib3's default
+        # of 10 would discard and reopen connections above a cap of 10
+        adapter = HTTPAdapter(pool_maxsize=config.max_concurrent_requests)
+        self._session.mount("http://", adapter)
+        self._session.mount("https://", adapter)
 
     def _headers(self):
         headers = {"Content-Type": "application/json"}
@@ -155,9 +182,12 @@ class HttpBackend:
 
         start = time.monotonic()
         last_error = None
+        delay = None   # the server's Retry-After for the next attempt
         for attempt in range(self.config.max_retries + 1):
             if attempt:
-                time.sleep(self.config.backoff_base * 2 ** (attempt - 1))
+                time.sleep(self.config.backoff_base * 2 ** (attempt - 1)
+                           if delay is None else delay)
+            delay = None
             try:
                 resp = self._session.post(self.config.endpoint, json=body,
                                           headers=headers,
@@ -171,8 +201,11 @@ class HttpBackend:
             if resp.status_code == 200:
                 try:
                     text = resp.json()["choices"][0]["message"]["content"]
-                except (KeyError, IndexError, ValueError) as e:
-                    raise BackendError(f"malformed completion payload: {e}") from None
+                    if not isinstance(text, str):
+                        raise TypeError(f"content is {type(text).__name__}")
+                except (KeyError, IndexError, TypeError, ValueError) as e:
+                    last_error = BackendError(f"malformed completion payload: {e}")
+                    continue
                 return ChatResponse(text=text,
                                     latency=time.monotonic() - start,
                                     backend_id=self.backend_id,
@@ -180,9 +213,35 @@ class HttpBackend:
             last_error = HttpStatus(resp.status_code, resp.text[:200])
             if resp.status_code not in RETRYABLE_STATUS:
                 raise last_error
+            if resp.status_code in RETRY_AFTER_STATUS:
+                delay = _retry_after(resp.headers.get("Retry-After"),
+                                     self.config.timeout)
         if self.config.max_retries == 0:
             raise last_error
         raise ExhaustedRetries(str(last_error))
+
+
+def bounded_map(fn, items, cap, carry=()):
+    """fn over items on a pool of at most cap threads, so at most cap calls
+    are in flight. Results align with input order. An exception of a type in
+    carry comes back in its item's place; any other cancels the items not yet
+    started and is raised once the running ones have finished."""
+    def run_one(item):
+        try:
+            return fn(item)
+        except carry as e:
+            return e
+
+    pool = ThreadPoolExecutor(max_workers=cap)
+    try:
+        futures = [pool.submit(run_one, item) for item in items]
+        wait(futures, return_when=FIRST_EXCEPTION)
+    finally:
+        pool.shutdown(cancel_futures=True)
+    for fut in futures:
+        if not fut.cancelled() and fut.exception() is not None:
+            raise fut.exception()
+    return [fut.result() for fut in futures]
 
 
 def complete_batch(backend, requests_list):
@@ -191,17 +250,5 @@ def complete_batch(backend, requests_list):
     exception objects rather than aborting the batch."""
     if not requests_list:
         raise ValueError("empty request batch")
-    cap = max(1, getattr(backend, "max_concurrent_requests", 1))
-    results = [None] * len(requests_list)
-
-    def run_one(idx_req):
-        idx, req = idx_req
-        try:
-            return idx, backend.complete(req)
-        except Exception as e:  # carried in results, re-raised by callers
-            return idx, e
-
-    with ThreadPoolExecutor(max_workers=cap) as pool:
-        for idx, result in pool.map(run_one, enumerate(requests_list)):
-            results[idx] = result
-    return results
+    return bounded_map(backend.complete, requests_list,
+                       backend.max_concurrent_requests, carry=Exception)

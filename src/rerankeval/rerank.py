@@ -207,32 +207,48 @@ def none_ranker(slate):
 
 def rerank_user(history, slate, catalog, backend, k=3, mode="zero_shot",
                 seed=0, temperature=0.7):
-    """Full per-user pipeline: shuffle k times, prompt, complete, parse
-    leniently, and aggregate. A failed request degrades to an all-missing
-    output; if no bootstrap ranks any item the original slate order is
-    returned with the fallback flag set."""
-    shuffles = bootstrap_shuffles(slate, k, seed)
+    """Full per-user pipeline: rerank_users for one (history, slate) job."""
+    return rerank_users([(history, slate)], catalog, backend, k=k, mode=mode,
+                        seed=seed, temperature=temperature)[0]
+
+
+def rerank_users(jobs, catalog, backend, k=3, mode="zero_shot", seed=0,
+                 temperature=0.7):
+    """Re-rank each (history, slate) job: shuffle k times, prompt, complete,
+    parse leniently, and aggregate. Every job's requests go through one
+    complete_batch, so up to the backend's max_concurrent_requests are in
+    flight across users; results are keyed by (job, bootstrap), so the
+    output does not depend on completion order. A failed request degrades
+    to an all-missing output; if no bootstrap ranks any item the original
+    slate order is returned with the fallback flag set. Returns one
+    (consensus, outputs) pair per job, in job order."""
+    shuffles = [bootstrap_shuffles(slate, k, seed) for _, slate in jobs]
     requests = []
-    for n, shuffled in enumerate(shuffles):
-        system, user = build_prompt(history, shuffled, catalog, mode=mode)
-        requests.append(ChatRequest(system_prompt=system, user_prompt=user,
-                                    temperature=temperature,
-                                    seed=stable_seed(seed, "req", slate.user, n) % 2**31))
+    for (history, slate), user_shuffles in zip(jobs, shuffles):
+        for n, shuffled in enumerate(user_shuffles):
+            system, user = build_prompt(history, shuffled, catalog, mode=mode)
+            requests.append(ChatRequest(
+                system_prompt=system, user_prompt=user, temperature=temperature,
+                seed=stable_seed(seed, "req", slate.user, n) % 2**31))
     results = complete_batch(backend, requests)
 
-    outputs = []
-    for shuffled, result in zip(shuffles, results):
-        if isinstance(result, Exception):
-            outputs.append(RankingOutput(user=slate.user, ranked=[], raw_text="",
-                                         missing=set(slate.items), hallucinated=set()))
+    ranked = []
+    for j, ((_history, slate), user_shuffles) in enumerate(zip(jobs, shuffles)):
+        outputs = []
+        for shuffled, result in zip(user_shuffles, results[j * k:(j + 1) * k]):
+            if isinstance(result, Exception):
+                outputs.append(RankingOutput(user=slate.user, ranked=[], raw_text="",
+                                             missing=set(slate.items),
+                                             hallucinated=set()))
+            else:
+                outputs.append(parse_ranking(result.text, shuffled, catalog=catalog,
+                                             lenient=True))
+        if any(out.ranked for out in outputs):
+            ranked.append((aggregate_self_consistency(outputs, slate), outputs))
         else:
-            outputs.append(parse_ranking(result.text, shuffled, catalog=catalog,
-                                         lenient=True))
-
-    if not any(out.ranked for out in outputs):
-        log.warning("all %d bootstraps failed for user %s; using original slate order",
-                    k, slate.user)
-        consensus = none_ranker(slate)
-        consensus.fallback = True
-        return consensus, outputs
-    return aggregate_self_consistency(outputs, slate), outputs
+            log.warning("all %d bootstraps failed for user %s; using original "
+                        "slate order", k, slate.user)
+            consensus = none_ranker(slate)
+            consensus.fallback = True
+            ranked.append((consensus, outputs))
+    return ranked

@@ -1,7 +1,12 @@
+import hashlib
+import threading
+import time
+
 import pytest
 
 from rerankeval.candgen import Slate
 from rerankeval.ingest import Catalog, History, Interaction, ItemCard
+from rerankeval.llm_client import ScriptedBackend
 
 
 def make_catalog(n, title_prefix="Movie"):
@@ -58,3 +63,40 @@ def write_corpus(dir_path, n_users=30, n_items=60, n_high=20, n_low=5):
 def interactions(rows):
     return [Interaction(user=str(u), item=str(i), rating=float(r), timestamp=int(t))
             for u, i, r, t in rows]
+
+
+def candidate_ids(prompt):
+    """Item ids of a prompt's candidate lines, in prompt order."""
+    return [line.split("[", 1)[1].split("]", 1)[0]
+            for line in prompt.splitlines()
+            if line.split(".")[0].isdigit() and "[" in line]
+
+
+class PeakBackend(ScriptedBackend):
+    """Scripted backend whose handler sleeps for delay(request) seconds and
+    records the peak number of requests in flight."""
+
+    def __init__(self, cap, delay, handler):
+        super().__init__(handler=self._timed)
+        self.max_concurrent_requests = cap
+        self._delay = delay
+        self._answer = handler
+        self._lock = threading.Lock()
+        self.in_flight = 0
+        self.peak = 0
+
+    def _timed(self, request):
+        with self._lock:
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+        try:
+            time.sleep(self._delay(request))
+            return self._answer(request)
+        finally:
+            with self._lock:
+                self.in_flight -= 1
+
+
+def prompt_hash(request):
+    """A stable number from a request's user prompt."""
+    return int(hashlib.blake2b(request.user_prompt.encode(), digest_size=4).hexdigest(), 16)

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from conftest import write_corpus
+from conftest import PeakBackend, candidate_ids, prompt_hash, write_corpus
 from rerankeval import cli
 from rerankeval.cli import EXIT_CONFIG, EXIT_OK, EXIT_PARTIAL, load_config, main
 from rerankeval.llm_client import ScriptedBackend
@@ -228,6 +228,44 @@ class TestRun:
         reason = "not in the catalog" if bad_item == "catalog" else "rated in train"
         assert f"skipped user {victim['user']}: slate items {reason}" in caplog.text
 
+    @pytest.mark.parametrize("case", ["one_user", "one_slate_left"])
+    def test_fewer_than_two_users_fails_before_any_request(self, corpus, tmp_path,
+                                                           monkeypatch, capsys, case):
+        _, _, run_dir = corpus
+        main(ingest_args(corpus))
+        if case == "one_user":
+            args = run_args(corpus, mode="zero_shot", sample_count=1)
+        else:
+            out = tmp_path / "slates.jsonl"
+            main(["export-slates", "--run-dir", str(run_dir), "--sample-count", "2",
+                  "--out", str(out)])
+            lines = [json.loads(l) for l in out.read_text().splitlines()]
+            lines[0]["items"][0] = "999999"
+            out.write_text("".join(json.dumps(l) + "\n" for l in lines))
+            args = run_args(corpus, mode="zero_shot", sample_count=2,
+                            generator="external", slates=out)
+        requests = []
+        monkeypatch.setattr(cli, "make_backend", lambda cfg: ScriptedBackend(
+            handler=lambda r: requests.append(r) or ""))
+        assert main(args) == EXIT_CONFIG
+        assert requests == []
+        assert "error: re-ranking needs at least 2 evaluable users, got 1" in \
+            capsys.readouterr().err
+
+
+def dataset_answer(request):
+    """Positive samples echo the candidate order, except that a quarter of
+    the prompts (by hash) come back reversed on every attempt and drift; a
+    DPO reason rewrite keeps each rank line's rank and id."""
+    ids = candidate_ids(request.user_prompt)
+    if not ids:
+        return "\n".join(line.split(" - ")[0] + " - rewritten"
+                         for line in request.user_prompt.splitlines())
+    if prompt_hash(request) % 4 == 0:
+        ids.reverse()
+    return "\n".join(f"Rank {k}: {i} - reason {prompt_hash(request) % 97}"
+                     for k, i in enumerate(ids, start=1))
+
 
 class TestBuildDataset:
     def test_offline_build_hash_stable(self, corpus):
@@ -243,6 +281,58 @@ class TestBuildDataset:
         main(args)
         m2 = json.loads((run_dir / "manifest.json").read_text())
         assert m1 == m2
+
+    def test_pooled_build_matches_serial(self, corpus, tmp_path, monkeypatch, caplog):
+        _, _, run_dir = corpus
+        main(ingest_args(corpus))
+        backends = []
+
+        def make(cfg):
+            # sleeping by a hash of the prompt scrambles the completion order
+            backends.append(PeakBackend(cfg.max_concurrent_requests,
+                                        lambda r: 0.005 + prompt_hash(r) % 10 / 1000,
+                                        dataset_answer))
+            return backends[-1]
+
+        monkeypatch.setattr(cli, "make_backend", make)
+        built = {}
+        for cap in (4, 1):
+            out = tmp_path / f"cap{cap}"
+            caplog.clear()
+            code = main(["build-dataset", "--run-dir", str(run_dir),
+                         "--sample-count", "12", "--ranking-size", "10",
+                         "--out-dir", str(out),
+                         "--backend-max-concurrent-requests", str(cap)])
+            dropped = [r.getMessage().split()[4].rstrip(":") for r in caplog.records
+                       if r.getMessage().startswith("dropped sample for user")]
+            built[cap] = (code, dropped, [(out / name).read_bytes() for name in
+                                          ("sft.jsonl", "dpo.jsonl", "manifest.json")])
+        assert [b.peak for b in backends] == [4, 1]
+        assert built[4] == built[1]
+        code, dropped, _ = built[4]
+        assert code == EXIT_PARTIAL
+        assert dropped and dropped == sorted(dropped)
+
+    def test_unexpected_error_exits_2_and_cancels_pending(self, corpus, monkeypatch,
+                                                          capsys):
+        _, _, run_dir = corpus
+        main(ingest_args(corpus))
+        calls = []
+
+        def answer(request):
+            calls.append(request)
+            if len(calls) == 1:
+                raise ValueError("backend bug")
+            return dataset_answer(request)
+
+        monkeypatch.setattr(cli, "make_backend",
+                            lambda cfg: PeakBackend(2, lambda r: 0.02, answer))
+        code = main(["build-dataset", "--run-dir", str(run_dir), "--sample-count",
+                     "20", "--ranking-size", "10"])
+        assert code == EXIT_CONFIG
+        assert "error: backend bug" in capsys.readouterr().err
+        assert len(calls) < 10
+        assert not (run_dir / "manifest.json").exists()
 
     def test_ranking_size_one_fails_cleanly(self, corpus, capsys):
         _, _, run_dir = corpus

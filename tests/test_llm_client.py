@@ -1,13 +1,18 @@
+import email.utils
 import json
+import logging
 import sys
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from rerankeval.errors import ExhaustedRetries, HttpStatus, MissingApiKey, Timeout
+from rerankeval import llm_client
+from rerankeval.errors import (BackendError, ExhaustedRetries, HttpStatus,
+                               MissingApiKey, Timeout)
 from rerankeval.llm_client import (BackendConfig, ChatRequest, HttpBackend,
-                                   ScriptedBackend, complete_batch,
+                                   ScriptedBackend, bounded_map, complete_batch,
                                    load_fixtures, make_backend)
 
 
@@ -16,16 +21,19 @@ def req(text="hello", **kw):
 
 
 class StubState:
-    """Scriptable chat-completions stub: per-request status codes, fixture
-    responses, and in-flight concurrency tracking."""
+    """Scriptable chat-completions stub: per-request replies, fixture
+    responses, in-flight concurrency and client-port tracking."""
 
     def __init__(self):
-        self.status_script = []   # consumed per request; empty -> 200
+        # consumed per request; empty -> 200 with a fixture answer. An entry
+        # is a status code, or (status, headers) or (200, raw body bytes).
+        self.status_script = []
         self.fixtures = []        # (prompt_contains, response)
         self.lock = threading.Lock()
         self.in_flight = 0
         self.max_in_flight = 0
         self.requests_seen = 0
+        self.client_ports = set()
         self.hold = threading.Event()
         self.hold.set()
 
@@ -40,31 +48,40 @@ def make_stub():
     state = StubState()
 
     class Handler(BaseHTTPRequestHandler):
+        protocol_version = "HTTP/1.1"   # keep-alive, so connection reuse shows
+
         def log_message(self, *args):
             pass
+
+        def reply(self, status, data=b"", headers=()):
+            self.send_response(status)
+            for key, value in headers:
+                self.send_header(key, value)
+            self.send_header("Content-Length", str(len(data)))
+            self.end_headers()
+            self.wfile.write(data)
 
         def do_POST(self):
             with state.lock:
                 state.requests_seen += 1
+                state.client_ports.add(self.client_address[1])
                 state.in_flight += 1
                 state.max_in_flight = max(state.max_in_flight, state.in_flight)
-                status = state.status_script.pop(0) if state.status_script else 200
+                entry = state.status_script.pop(0) if state.status_script else 200
+            status, extra = entry if isinstance(entry, tuple) else (entry, None)
             try:
                 state.hold.wait(timeout=5)
                 body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
                 if status != 200:
-                    self.send_response(status)
-                    self.end_headers()
-                    return
-                prompt = body["messages"][-1]["content"]
-                payload = {"choices": [{"message": {
-                    "content": state.respond_for(prompt)}}]}
-                data = json.dumps(payload).encode()
-                self.send_response(200)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(data)))
-                self.end_headers()
-                self.wfile.write(data)
+                    self.reply(status, headers=(extra or {}).items())
+                elif extra is not None:
+                    self.reply(200, extra, [("Content-Type", "application/json")])
+                else:
+                    prompt = body["messages"][-1]["content"]
+                    payload = {"choices": [{"message": {
+                        "content": state.respond_for(prompt)}}]}
+                    self.reply(200, json.dumps(payload).encode(),
+                               [("Content-Type", "application/json")])
             finally:
                 with state.lock:
                     state.in_flight -= 1
@@ -77,7 +94,7 @@ def make_stub():
                 super().handle_error(request, client_address)
 
     server = Server(("127.0.0.1", 0), Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
     thread.start()
     return server, state
 
@@ -89,6 +106,14 @@ def stub():
     yield url, state
     server.shutdown()
     server.server_close()
+
+
+@pytest.fixture
+def sleeps(monkeypatch):
+    """Seconds HttpBackend asked to sleep between attempts; nothing sleeps."""
+    recorded = []
+    monkeypatch.setattr(llm_client.time, "sleep", recorded.append)
+    return recorded
 
 
 def http_config(url, **kw):
@@ -168,6 +193,63 @@ class TestHttpBackend:
         finally:
             state.hold.set()
 
+    @pytest.mark.parametrize("status,retry_after,slept", [
+        (429, "0", 0.0),
+        (429, "2", 2.0),
+        (503, "2.5", 2.5),
+        (429, "600", 5.0),        # never longer than the timeout
+        (429, "-1", 5.0),         # falls back to backoff_base
+        (503, "soon", 5.0),
+        (429, None, 5.0),
+        (500, "2", 5.0),          # Retry-After is only read on 429 and 503
+    ])
+    def test_retry_after(self, stub, sleeps, status, retry_after, slept):
+        url, state = stub
+        headers = {} if retry_after is None else {"Retry-After": retry_after}
+        state.status_script = [(status, headers)]
+        backend = HttpBackend(http_config(url, backoff_base=5.0))
+        assert backend.complete(req()).retry_count == 1
+        assert sleeps == [slept]
+
+    def test_retry_after_http_date(self, stub, sleeps):
+        url, state = stub
+        when = email.utils.formatdate(time.time() + 3, usegmt=True)
+        state.status_script = [(503, {"Retry-After": when})]
+        backend = HttpBackend(http_config(url, backoff_base=5.0))
+        backend.complete(req())
+        [slept] = sleeps
+        assert 1.0 <= slept <= 3.0
+
+    def test_malformed_payload_retried(self, stub, sleeps):
+        url, state = stub
+        state.fixtures.append(("hello", "Rank 1: 5 - great"))
+        state.status_script = [(200, b"not json")]
+        resp = HttpBackend(http_config(url)).complete(req("hello"))
+        assert (resp.text, resp.retry_count) == ("Rank 1: 5 - great", 1)
+
+    @pytest.mark.parametrize("body", [
+        b"not json", b"{}", b'{"choices": []}', b'{"choices": null}',
+        b'{"choices": [{"message": {"content": null}}]}'])
+    @pytest.mark.parametrize("max_retries,error", [(2, ExhaustedRetries),
+                                                   (0, BackendError)])
+    def test_always_malformed(self, stub, sleeps, body, max_retries, error):
+        url, state = stub
+        state.status_script = [(200, body)] * 3
+        backend = HttpBackend(http_config(url, max_retries=max_retries))
+        with pytest.raises(error, match="malformed completion payload") as exc:
+            backend.complete(req())
+        assert type(exc.value) is error
+        assert state.requests_seen == max_retries + 1
+
+    def test_connection_pool_sized_to_cap(self, stub, caplog):
+        url, state = stub
+        backend = make_backend(http_config(url, max_concurrent_requests=16))
+        with caplog.at_level(logging.WARNING, logger="urllib3"):
+            results = complete_batch(backend, [req(str(i)) for i in range(160)])
+        assert not any(isinstance(r, Exception) for r in results)
+        assert "Connection pool is full" not in caplog.text
+        assert len(state.client_ports) <= 16
+
     def test_missing_api_key(self, stub, monkeypatch):
         url, _ = stub
         monkeypatch.delenv("RERANKEVAL_TEST_KEY", raising=False)
@@ -211,6 +293,32 @@ class TestCompleteBatch:
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
             complete_batch(ScriptedBackend(), [])
+
+
+class TestBoundedMap:
+    def test_carried_exception_in_place(self):
+        def fn(x):
+            if x == 2:
+                raise KeyError(x)
+            return x * 10
+
+        results = bounded_map(fn, range(5), 3, carry=KeyError)
+        assert [r if not isinstance(r, Exception) else "err" for r in results] == \
+            [0, 10, "err", 30, 40]
+
+    def test_other_exception_cancels_pending(self):
+        started = []
+
+        def fn(x):
+            started.append(x)
+            if x == 0:
+                raise RuntimeError("boom")
+            time.sleep(0.02)
+            return x
+
+        with pytest.raises(RuntimeError, match="boom"):
+            bounded_map(fn, range(50), 2, carry=KeyError)
+        assert len(started) < 10
 
 
 class TestBackendConfig:

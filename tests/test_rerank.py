@@ -2,14 +2,15 @@ import itertools
 
 import pytest
 
-from conftest import make_catalog, make_history, make_slate
-from rerankeval.errors import (EmptyOutputs, SlateMismatch, UnknownItem,
-                               UnparseableOutput)
+from conftest import (PeakBackend, candidate_ids, make_catalog, make_history,
+                      make_slate, prompt_hash)
+from rerankeval.errors import (EmptyOutputs, HttpStatus, SlateMismatch,
+                               UnknownItem, UnparseableOutput)
 from rerankeval.llm_client import ScriptedBackend
 from rerankeval.rerank import (RankedItem, RankingOutput,
                                aggregate_self_consistency, bootstrap_shuffles,
                                build_prompt, none_ranker, parse_ranking,
-                               rerank_user)
+                               rerank_user, rerank_users)
 
 
 def output(user, items, slate):
@@ -239,3 +240,42 @@ class TestRerankUser:
         a = rerank_user(history, slate, catalog, ScriptedBackend(), k=3, seed=11)
         b = rerank_user(history, slate, catalog, ScriptedBackend(), k=3, seed=11)
         assert a[0].ordered == b[0].ordered
+
+
+def hashed_answer(request):
+    """Candidates in prompt order or reversed, by a hash of the prompt; the
+    user whose history starts with item 3 gets HTTP 500 on every bootstrap."""
+    if "- [3] " in request.user_prompt:
+        raise HttpStatus(500)
+    ids = candidate_ids(request.user_prompt)
+    if prompt_hash(request) % 2:
+        ids.reverse()
+    return "\n".join(f"Rank {k}: {i} - hashed" for k, i in enumerate(ids, start=1))
+
+
+def user_jobs(n):
+    return [(make_history(f"u{j}", [j + 1]), make_slate(f"u{j}", range(10, 25)))
+            for j in range(n)]
+
+
+class TestRerankUsers:
+    def test_cap_reached_across_users(self, catalog):
+        # k=3 requests per user; the pool keeps 6 in flight, never more
+        backend = PeakBackend(6, lambda r: 0.03, hashed_answer)
+        rerank_users(user_jobs(5), catalog, backend, k=3, seed=2)
+        assert backend.peak == 6
+
+    def test_matches_per_user_serial_results(self, catalog):
+        jobs = user_jobs(6)
+        # sleeping by a hash of the prompt scrambles the completion order
+        pooled = PeakBackend(6, lambda r: prompt_hash(r) % 20 / 1000, hashed_answer)
+        got = rerank_users(jobs, catalog, pooled, k=3, seed=9)
+        serial = PeakBackend(1, lambda r: 0.0, hashed_answer)
+        want = [rerank_user(history, slate, catalog, serial, k=3, seed=9)
+                for history, slate in jobs]
+        assert got == want
+        assert [consensus.fallback for consensus, _ in got] == \
+            [False, False, True, False, False, False]
+        failed_consensus, failed_outputs = got[2]
+        assert failed_consensus.items == jobs[2][1].items
+        assert all(not out.ranked for out in failed_outputs)
