@@ -1,41 +1,16 @@
 """Hot numeric kernels.
 
 The SGD epoch dominates matrix-factorization training time. `sgd_epoch` runs
-the sequential SGD pass of `_sgd_epoch_py` in dependency waves (the
-stratification idea of DSGD, Gemulla et al., KDD 2011): a step touches only
-the rows of its user and its item, so steps whose rows are disjoint from every
-not-yet-run earlier step can run together as one numpy update. Every row gets
-the same updates in the same order with the same arithmetic, so the results
-are bit-identical to the scalar loop, which stays here as the test oracle.
-benchmarks/bench_mf.py times the two.
+the sequential SGD pass in dependency waves (the stratification idea of DSGD,
+Gemulla et al., KDD 2011): a step touches only the rows of its user and its
+item, so steps whose rows are disjoint from every not-yet-run earlier step can
+run together as one numpy update. Every row gets the same updates in the same
+order with the same arithmetic, so the results are bit-identical to the
+scalar loop, `sgd_epoch_py` in tests/mf_oracle.py, which the tests compare
+against.
 """
 
 import numpy as np
-
-
-def _sgd_epoch_py(u_idx, i_idx, ratings, order, user_f, item_f,
-                  user_b, item_b, global_mean, lr, reg):
-    """One SGD pass over the given interaction order. Returns sum of squared
-    pre-update residuals."""
-    sse = 0.0
-    k = user_f.shape[1]
-    for t in range(order.shape[0]):
-        n = order[t]
-        u = u_idx[n]
-        i = i_idx[n]
-        pred = global_mean + user_b[u] + item_b[i]
-        for f in range(k):
-            pred += user_f[u, f] * item_f[i, f]
-        err = ratings[n] - pred
-        sse += err * err
-        user_b[u] += lr * (err - reg * user_b[u])
-        item_b[i] += lr * (err - reg * item_b[i])
-        for f in range(k):
-            puf = user_f[u, f]
-            qif = item_f[i, f]
-            user_f[u, f] += lr * (err * qif - reg * puf)
-            item_f[i, f] += lr * (err * puf - reg * qif)
-    return sse
 
 
 def wave_levels(users, items, n_users, n_items):
@@ -58,7 +33,8 @@ def wave_levels(users, items, n_users, n_items):
 
 def sgd_epoch(u_idx, i_idx, ratings, order, user_f, item_f,
               user_b, item_b, global_mean, lr, reg):
-    """`_sgd_epoch_py` run level by level; bit-identical results."""
+    """One SGD pass over the given interaction order, run level by level.
+    Returns the sum of squared pre-update residuals."""
     if order.shape[0] == 0:
         return 0.0
     users = u_idx[order]

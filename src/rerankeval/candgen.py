@@ -39,7 +39,7 @@ def stable_seed(seed, *parts):
 def _eligible(catalog, exclusions, slate_size):
     """The catalog less exclusions, sorted; CatalogTooSmall unless it can
     fill a slate."""
-    eligible = sorted(i for i in catalog.items if i not in exclusions)
+    eligible = [i for i in catalog.sorted_ids if i not in exclusions]
     if len(eligible) < slate_size:
         raise CatalogTooSmall(f"{len(eligible)} eligible items < slate size {slate_size}")
     return eligible
@@ -82,6 +82,21 @@ def gen_random_slate(user, catalog, exclusions, seed, slate_size=SLATE_SIZE,
     return Slate(user=user, items=items, source="random")
 
 
+def _encode(train):
+    """Train interactions as rows: the sorted user and item ids, maps from id
+    to row, and one user row, item row and rating per interaction."""
+    if not train:
+        raise ValueError("no training interactions")
+    users = sorted({r.user for r in train})
+    items = sorted({r.item for r in train})
+    user_index = {u: n for n, u in enumerate(users)}
+    item_index = {i: n for n, i in enumerate(items)}
+    u_idx = np.array([user_index[r.user] for r in train], dtype=np.int64)
+    i_idx = np.array([item_index[r.item] for r in train], dtype=np.int64)
+    ratings = np.array([r.rating for r in train], dtype=np.float64)
+    return users, items, user_index, item_index, u_idx, i_idx, ratings
+
+
 # --------------------------------------------------------------------------
 # Matrix factorization (SGD-trained biased MF)
 # --------------------------------------------------------------------------
@@ -98,9 +113,10 @@ class MfModel:
     train_rmse: list = field(default_factory=list)  # per epoch
 
     def score_items(self, user, items):
-        """score_mf for each of items, as one gemv. The terms are added in
-        score_mf's order; the dot product may differ from it in the last
-        ulp."""
+        """Prediction for each of items, as one gemv: global_mean, plus
+        b_u, plus b_i, plus p_u.q_i, added in that order. An unknown user or
+        item adds zero bias and zero factors. The dot product may differ in
+        the last ulp from one computed per item."""
         rows = np.array([self.item_index.get(i, -1) for i in items], dtype=np.int64)
         known = rows >= 0
         rows = rows[known]
@@ -120,19 +136,9 @@ def train_mf(train, k=32, epochs=30, learn_rate=0.005, reg=0.02, seed=0):
     Prediction is global_mean + b_u + b_i + p_u.q_i. Per-epoch train RMSE is
     recorded on the model.
     """
-    if not train:
-        raise ValueError("no training interactions")
+    users, items, user_index, item_index, u_idx, i_idx, ratings = _encode(train)
     if k < 1:
         raise ValueError("k must be >= 1")
-
-    users = sorted({r.user for r in train})
-    items = sorted({r.item for r in train})
-    user_index = {u: n for n, u in enumerate(users)}
-    item_index = {i: n for n, i in enumerate(items)}
-
-    u_idx = np.array([user_index[r.user] for r in train], dtype=np.int64)
-    i_idx = np.array([item_index[r.item] for r in train], dtype=np.int64)
-    ratings = np.array([r.rating for r in train], dtype=np.float64)
     global_mean = float(ratings.mean())
 
     rng = np.random.default_rng(seed)
@@ -153,21 +159,6 @@ def train_mf(train, k=32, epochs=30, learn_rate=0.005, reg=0.02, seed=0):
         model.train_rmse.append(rmse)
         log.debug("mf epoch %d/%d rmse=%.4f", epoch + 1, epochs, rmse)
     return model
-
-
-def score_mf(model, user, item):
-    """MF prediction with graceful fallback: unknown users/items contribute
-    zero bias and zero factors."""
-    pred = model.global_mean
-    u = model.user_index.get(user, -1)
-    i = model.item_index.get(item, -1)
-    if u >= 0:
-        pred += model.user_bias[u]
-    if i >= 0:
-        pred += model.item_bias[i]
-    if u >= 0 and i >= 0:
-        pred += float(model.user_factors[u] @ model.item_factors[i])
-    return float(pred)
 
 
 # --------------------------------------------------------------------------
@@ -202,19 +193,9 @@ def build_item_knn(train, top_m=50, min_co_raters=3):
     computed by the same sparse kernel, and the norms come from diagonal
     blocks of it, so every sum runs in the order of the full product.
     """
-    if not train:
-        raise ValueError("no training interactions")
+    users, items, _, iix, rows, cols, vals = _encode(train)
     if top_m < 1:
         raise ValueError("top_m must be >= 1")
-    users = sorted({r.user for r in train})
-    items = sorted({r.item for r in train})
-    uix = {u: n for n, u in enumerate(users)}
-    iix = {i: n for n, i in enumerate(items)}
-
-    rows = np.array([uix[r.user] for r in train])
-    cols = np.array([iix[r.item] for r in train])
-    vals = np.array([r.rating for r in train], dtype=np.float64)
-
     mat = sp.csr_matrix((vals, (rows, cols)), shape=(len(users), len(items)))
     mask = sp.csr_matrix((np.ones_like(vals), (rows, cols)), shape=mat.shape)
     user_means = np.asarray(mat.sum(axis=1)).ravel() / np.maximum(

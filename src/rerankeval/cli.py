@@ -12,7 +12,8 @@ from pathlib import Path
 import numpy as np
 
 from . import candgen, datasetgen, ingest, metrics, rerank, stats
-from .errors import MalformedRow, RerankEvalError, ZeroVariance
+from .errors import (EmptyTitle, MalformedRow, RerankEvalError, UnknownItem,
+                     ZeroVariance)
 from .llm_client import BackendConfig, bounded_map, make_backend
 
 log = logging.getLogger(__name__)
@@ -152,6 +153,18 @@ def _read_split(run_dir):
     return train, test, relevance
 
 
+def _load_run_dir(cfg):
+    """What run, build-dataset and export-slates read from cfg.run_dir:
+    train, test and relevance from the split, the catalog, train grouped by
+    user, and the sampled eval users."""
+    run_dir = Path(cfg.run_dir)
+    train, test, relevance = _read_split(run_dir)
+    catalog = ingest.load_items(run_dir / "catalog.jsonl")
+    by_user = ingest.train_by_user(train)
+    users = _sample_eval_users(relevance, by_user, cfg)
+    return train, test, relevance, catalog, by_user, users
+
+
 def _write_catalog(run_dir, catalog):
     with (run_dir / "catalog.jsonl").open("w", encoding="utf-8") as fh:
         for item_id in sorted(catalog.items):
@@ -193,11 +206,14 @@ def cmd_ingest(cfg):
     return EXIT_OK
 
 
-def _history_strategy(cfg):
+def _sample_history(cfg, user_train):
+    """The user's history as cfg.history_sample and cfg.history_limit say."""
+    strategy, seed = "recent", None
     if cfg.history_sample.startswith("random"):
         _, _, s = cfg.history_sample.partition(":")
-        return "random", int(s) if s else cfg.seed
-    return "recent", None
+        strategy, seed = "random", int(s) if s else cfg.seed
+    return ingest.sample_history(user_train, limit=cfg.history_limit,
+                                 strategy=strategy, seed=seed)
 
 
 def _sample_eval_users(relevance, by_user, cfg):
@@ -233,6 +249,23 @@ def _external_slates(cfg, users, by_user, catalog):
     return out
 
 
+def _promptable_histories(cfg, slates, by_user, catalog):
+    """The sampled history of each user with a slate, less the users whose
+    history or slate names an item missing from the catalog or one with an
+    empty title, which no prompt can show; each of those users is skipped
+    with a logged reason."""
+    out = {}
+    for user, slate in slates.items():
+        history = _sample_history(cfg, by_user[user])
+        try:
+            rerank.build_prompt(history, slate, catalog)
+        except (EmptyTitle, UnknownItem) as e:
+            log.warning("skipped user %s: %s", user, e)
+            continue
+        out[user] = history
+    return out
+
+
 def _build_slates(cfg, users, by_user, catalog, relevance, train):
     if cfg.generator == "external":
         return _external_slates(cfg, users, by_user, catalog)
@@ -264,15 +297,14 @@ def _build_slates(cfg, users, by_user, catalog, relevance, train):
 
 def cmd_run(cfg):
     run_dir = Path(cfg.run_dir)
-    train, _test, relevance = _read_split(run_dir)
-    catalog = ingest.load_items(run_dir / "catalog.jsonl")
-    by_user = ingest.train_by_user(train)
-
-    users = _sample_eval_users(relevance, by_user, cfg)
+    train, _test, relevance, catalog, by_user, users = _load_run_dir(cfg)
     if not users:
         print("no eligible evaluation users", file=sys.stderr)
         return EXIT_CONFIG
     slates = _build_slates(cfg, users, by_user, catalog, relevance, train)
+    if cfg.mode in _MODE_COLUMN:
+        histories = _promptable_histories(cfg, slates, by_user, catalog)
+        slates = {user: slates[user] for user in histories}
     skipped = len(users) - len(slates)
     users = sorted(slates)
     if cfg.mode in _MODE_COLUMN and len(users) < 2:
@@ -289,10 +321,7 @@ def cmd_run(cfg):
     fallbacks = 0
     if cfg.mode in _MODE_COLUMN:
         backend = make_backend(cfg.backend)
-        strategy, hseed = _history_strategy(cfg)
-        jobs = [(ingest.sample_history(by_user[user], limit=cfg.history_limit,
-                                       strategy=strategy, seed=hseed), slates[user])
-                for user in users]
+        jobs = [(histories[user], slates[user]) for user in users]
         ranked = rerank.rerank_users(jobs, catalog, backend, k=cfg.bootstraps,
                                      mode=cfg.mode, seed=cfg.seed,
                                      temperature=cfg.temperature)
@@ -369,26 +398,20 @@ def _write_report(run_dir, cfg, users, baseline_results, ranked_results,
 
 
 def cmd_build_dataset(cfg):
-    run_dir = Path(cfg.run_dir)
-    train, test, relevance = _read_split(run_dir)
-    catalog = ingest.load_items(run_dir / "catalog.jsonl")
-    by_user = ingest.train_by_user(train)
+    _train, test, relevance, catalog, by_user, users = _load_run_dir(cfg)
     test_by_user = {}
     for r in test:
         test_by_user.setdefault(r.user, []).append(r)
 
     backend = None if cfg.offline else make_backend(cfg.backend)
-    users = _sample_eval_users(relevance, by_user, cfg)
 
-    strategy, hseed = _history_strategy(cfg)
     dropped = 0
     jobs = []
     for user in users:
-        history = ingest.sample_history(by_user[user], limit=cfg.history_limit,
-                                        strategy=strategy, seed=hseed)
+        history = _sample_history(cfg, by_user[user])
         ranking = datasetgen.correct_ranking_for_user(
             relevance[user], test_by_user.get(user, []), catalog,
-            catalog.items, cfg.ranking_size, cfg.seed)
+            cfg.ranking_size, cfg.seed)
         if len(ranking) < 2:
             dropped += 1
         else:
@@ -401,9 +424,9 @@ def cmd_build_dataset(cfg):
         try:
             sample = datasetgen.make_positive_sample(backend, history, ranking,
                                                      catalog)
+            return sample, datasetgen.make_dpo_pair(sample, cfg.seed, backend=backend)
         except RerankEvalError as e:
             return e
-        return sample, datasetgen.make_dpo_pair(sample, cfg.seed, backend=backend)
 
     if backend is None:
         built = [sample_and_pair(job) for job in jobs]
@@ -419,7 +442,7 @@ def cmd_build_dataset(cfg):
             samples.append(result[0])
             pairs.append(result[1])
 
-    out_dir = Path(cfg.out_dir) if cfg.out_dir else run_dir
+    out_dir = Path(cfg.out_dir or cfg.run_dir)
     manifest = datasetgen.write_training_files(samples, pairs, out_dir)
     print(f"sft samples: {manifest['sft']['count']}")
     print(f"dpo pairs: {manifest['dpo']['count']}")
@@ -460,11 +483,7 @@ def cmd_human_eval(ratings_a, ratings_b, paired=False):
 
 
 def cmd_export_slates(cfg, out_path):
-    run_dir = Path(cfg.run_dir)
-    train, _test, relevance = _read_split(run_dir)
-    catalog = ingest.load_items(run_dir / "catalog.jsonl")
-    by_user = ingest.train_by_user(train)
-    users = _sample_eval_users(relevance, by_user, cfg)
+    train, _test, relevance, catalog, by_user, users = _load_run_dir(cfg)
     slates = _build_slates(cfg, users, by_user, catalog, relevance, train)
     candgen.export_slates([slates[u] for u in sorted(slates)], out_path)
     print(f"wrote {len(slates)} slates to {out_path}")

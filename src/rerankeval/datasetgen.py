@@ -150,10 +150,9 @@ def write_training_files(samples, pairs, out_dir):
     return manifest
 
 
-def correct_ranking_for_user(relevance, test_interactions, catalog, filler_pool,
-                             size, seed):
+def correct_ranking_for_user(relevance, test_interactions, catalog, size, seed):
     """Ground-truth training order: held-out relevant items by rating then
-    recency, padded with sampled irrelevant items."""
+    recency, padded with a seeded sample of the catalog's other items."""
     by_item = {r.item: r for r in test_interactions if r.item in relevance.relevant}
     ranked_relevant = sorted(
         relevance.relevant,
@@ -161,8 +160,7 @@ def correct_ranking_for_user(relevance, test_interactions, catalog, filler_pool,
                        -(by_item[i].timestamp if i in by_item else 0), i))
     ranking = [i for i in ranked_relevant if i in catalog][:size]
     if len(ranking) < size:
-        pool = sorted(i for i in filler_pool
-                      if i in catalog and i not in relevance.relevant)
+        pool = [i for i in catalog.sorted_ids if i not in relevance.relevant]
         rng = np.random.default_rng(stable_seed(seed, "filler", relevance.user))
         need = min(size - len(ranking), len(pool))
         picks = rng.choice(len(pool), size=need, replace=False) if need else []

@@ -9,6 +9,7 @@ import json
 import logging
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from .errors import EmptyTitle, MalformedRow, MissingFile, NoHistory
@@ -55,6 +56,12 @@ class Catalog:
     def get(self, item_id):
         return self.items.get(item_id)
 
+    @cached_property
+    def sorted_ids(self):
+        """Item ids in sorted order, sorted on first use; items must not be
+        added or removed after that."""
+        return sorted(self.items)
+
 
 @dataclass
 class RelevanceSet:
@@ -75,31 +82,22 @@ class SplitResult:
     excluded_users: int    # users with too little data to evaluate
 
 
-def load_interactions(path, lenient=False):
+def load_interactions(path):
     """Read a 4-column ratings CSV (userId,itemId,rating,timestamp).
 
-    A header row is auto-detected. Malformed rows raise MalformedRow unless
-    `lenient`, in which case they are skipped and counted.
+    A header row is auto-detected. A malformed row raises MalformedRow.
     """
     path = Path(path)
     if not path.is_file():
         raise MissingFile(str(path))
     out = []
-    skipped = 0
     with path.open(newline="", encoding="utf-8") as fh:
         for line_no, row in enumerate(csv.reader(fh), start=1):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if line_no == 1 and _looks_like_header(row):
                 continue
-            try:
-                out.append(_parse_row(row, line_no))
-            except MalformedRow:
-                if not lenient:
-                    raise
-                skipped += 1
-    if skipped:
-        log.warning("skipped %d malformed rows in %s", skipped, path)
+            out.append(_parse_row(row, line_no))
     return out
 
 
@@ -191,7 +189,7 @@ def _load_items_csv(path):
 def build_item_description(card):
     """One-line natural-language description: id, title, genres, language, overview."""
     if not card.title:
-        raise EmptyTitle(card.id)
+        raise EmptyTitle(f"empty title for item {card.id}")
     genres = "|".join(card.genres) if card.genres else "-"
     language = card.language or "-"
     overview = card.overview_short or "-"

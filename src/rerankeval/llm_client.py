@@ -36,7 +36,6 @@ class ChatRequest:
 class ChatResponse:
     text: str
     latency: float = 0.0
-    backend_id: str = ""
     retry_count: int = 0
 
 
@@ -91,8 +90,6 @@ class ScriptedBackend:
     """Deterministic backend: answers from fixtures, a handler callable, or a
     default that echoes the prompt's candidate lines back in order."""
 
-    backend_id = "scripted"
-
     def __init__(self, fixtures=None, handler=None, default=None):
         self.fixtures = list(fixtures or [])
         self.handler = handler
@@ -102,13 +99,12 @@ class ScriptedBackend:
     def complete(self, request):
         for needle, response in self.fixtures:
             if needle in request.user_prompt or needle in request.system_prompt:
-                return ChatResponse(text=response, backend_id=self.backend_id)
+                return ChatResponse(text=response)
         if self.handler is not None:
-            return ChatResponse(text=self.handler(request), backend_id=self.backend_id)
+            return ChatResponse(text=self.handler(request))
         if self.default is not None:
-            return ChatResponse(text=self.default, backend_id=self.backend_id)
-        return ChatResponse(text=_echo_candidates(request.user_prompt),
-                            backend_id=self.backend_id)
+            return ChatResponse(text=self.default)
+        return ChatResponse(text=_echo_candidates(request.user_prompt))
 
 
 _CANDIDATE_LINE = re.compile(r"^\s*\d+\.\s*\[([^\]]+)\]", re.MULTILINE)
@@ -147,7 +143,6 @@ class HttpBackend:
 
     def __init__(self, config):
         self.config = config
-        self.backend_id = f"http:{config.model}"
         self.max_concurrent_requests = config.max_concurrent_requests
         self._session = requests.Session()
         # one kept-alive connection per request in flight; urllib3's default
@@ -206,9 +201,7 @@ class HttpBackend:
                 except (KeyError, IndexError, TypeError, ValueError) as e:
                     last_error = BackendError(f"malformed completion payload: {e}")
                     continue
-                return ChatResponse(text=text,
-                                    latency=time.monotonic() - start,
-                                    backend_id=self.backend_id,
+                return ChatResponse(text=text, latency=time.monotonic() - start,
                                     retry_count=attempt)
             last_error = HttpStatus(resp.status_code, resp.text[:200])
             if resp.status_code not in RETRYABLE_STATUS:

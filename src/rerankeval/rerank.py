@@ -60,22 +60,24 @@ class ConsensusRanking:
         return [item for item, _ in self.ordered]
 
 
+def _describe(item, catalog):
+    card = catalog.get(item)
+    if card is None:
+        raise UnknownItem(f"item {item} not in the catalog")
+    return build_item_description(card)
+
+
 def build_prompt(history, slate, catalog, mode="zero_shot"):
     """Deterministic (system, user) prompt pair: a rated history block plus
-    the candidate list in slate order."""
+    the candidate list in slate order. UnknownItem or EmptyTitle when an
+    item has no card or no title to show."""
     lines = ["User history:"]
     for item, rating, _ts in history.entries:
-        card = catalog.get(item)
-        if card is None:
-            raise UnknownItem(item)
-        lines.append(f"- {build_item_description(card)} (rated {rating:g})")
+        lines.append(f"- {_describe(item, catalog)} (rated {rating:g})")
     lines.append("")
     lines.append("Candidates:")
     for pos, item in enumerate(slate.items, start=1):
-        card = catalog.get(item)
-        if card is None:
-            raise UnknownItem(item)
-        lines.append(f"{pos}. {build_item_description(card)}")
+        lines.append(f"{pos}. {_describe(item, catalog)}")
     system = SYSTEM_PROMPT_TRAINED if mode == "trained" else SYSTEM_PROMPT_ZERO_SHOT
     return system, "\n".join(lines)
 

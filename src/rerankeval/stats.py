@@ -118,8 +118,8 @@ def paired_t_test(a, b):
                        p_value=p, significant=stars(p))
 
 
-def two_sample_t_test(a, b, equal_variance=False):
-    """Unpaired two-sided t-test; Welch by default, pooled Student on request."""
+def two_sample_t_test(a, b):
+    """Unpaired two-sided Welch t-test."""
     if len(a) < 2 or len(b) < 2:
         raise ValueError("each sample needs at least 2 observations")
     na, nb = len(a), len(b)
@@ -127,14 +127,9 @@ def two_sample_t_test(a, b, equal_variance=False):
     va, vb = _sample_var(a), _sample_var(b)
     if va == 0.0 and vb == 0.0:
         raise ZeroVariance("both samples are constant")
-    if equal_variance:
-        df = float(na + nb - 2)
-        pooled = ((na - 1) * va + (nb - 1) * vb) / df
-        se = math.sqrt(pooled * (1.0 / na + 1.0 / nb))
-    else:
-        se = math.sqrt(va / na + vb / nb)
-        df = (va / na + vb / nb) ** 2 / (
-            (va / na) ** 2 / (na - 1) + (vb / nb) ** 2 / (nb - 1))
+    se = math.sqrt(va / na + vb / nb)
+    df = (va / na + vb / nb) ** 2 / (
+        (va / na) ** 2 / (na - 1) + (vb / nb) ** 2 / (nb - 1))
     t = (ma - mb) / se
     p = t_two_sided_p(t, df)
     return TTestResult(t_value=t, degrees_of_freedom=df, p_value=p,

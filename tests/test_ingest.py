@@ -36,11 +36,6 @@ class TestLoadInteractions:
         with pytest.raises(MissingFile):
             load_interactions(tmp_path / "nope.csv")
 
-    def test_lenient_skips_bad_rows(self, tmp_path):
-        p = write(tmp_path, "r.csv", "1,42,4.5,100\n1,43,banana,100\n1,44,3.0,90\n")
-        rows = load_interactions(p, lenient=True)
-        assert [r.item for r in rows] == ["42", "44"]
-
     def test_wrong_field_count_reports_line(self, tmp_path):
         p = write(tmp_path, "r.csv", "1,42,4.5,100\n1,43,2.0\n")
         with pytest.raises(MalformedRow) as exc:
