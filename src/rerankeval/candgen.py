@@ -12,7 +12,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from ._kernels import sgd_epoch
-from .errors import CatalogTooSmall, NonFiniteLoss, UnknownUser
+from .errors import CatalogTooSmall, MalformedRow, NonFiniteLoss, UnknownUser
+from .ingest import jsonl_objects
 
 log = logging.getLogger(__name__)
 
@@ -82,29 +83,13 @@ def gen_random_slate(user, catalog, exclusions, seed, slate_size=SLATE_SIZE,
     return Slate(user=user, items=items, source="random")
 
 
-def _encode(train):
-    """Train interactions as rows: the sorted user and item ids, maps from id
-    to row, and one user row, item row and rating per interaction."""
-    if not train:
-        raise ValueError("no training interactions")
-    users = sorted({r.user for r in train})
-    items = sorted({r.item for r in train})
-    user_index = {u: n for n, u in enumerate(users)}
-    item_index = {i: n for n, i in enumerate(items)}
-    u_idx = np.array([user_index[r.user] for r in train], dtype=np.int64)
-    i_idx = np.array([item_index[r.item] for r in train], dtype=np.int64)
-    ratings = np.array([r.rating for r in train], dtype=np.float64)
-    return users, items, user_index, item_index, u_idx, i_idx, ratings
-
-
 # --------------------------------------------------------------------------
 # Matrix factorization (SGD-trained biased MF)
 # --------------------------------------------------------------------------
 
 @dataclass
 class MfModel:
-    user_index: dict       # user id -> row
-    item_index: dict       # item id -> row
+    train: object          # ingest.Interactions; its codes are the rows
     user_factors: np.ndarray
     item_factors: np.ndarray
     user_bias: np.ndarray
@@ -117,10 +102,10 @@ class MfModel:
         b_u, plus b_i, plus p_u.q_i, added in that order. An unknown user or
         item adds zero bias and zero factors. The dot product may differ in
         the last ulp from one computed per item."""
-        rows = np.array([self.item_index.get(i, -1) for i in items], dtype=np.int64)
+        rows = self.train.item_codes(items)
         known = rows >= 0
         rows = rows[known]
-        u = self.user_index.get(user, -1)
+        u = self.train.user_codes([user])[0]
         pred = np.full(len(items), self.global_mean)
         if u >= 0:
             pred += self.user_bias[u]
@@ -131,28 +116,32 @@ class MfModel:
 
 
 def train_mf(train, k=32, epochs=30, learn_rate=0.005, reg=0.02, seed=0):
-    """Biased MF trained by SGD on squared error with L2 regularization.
+    """Biased MF trained by SGD on squared error with L2 regularization, one
+    factor row per user and per item of the train table, in code order.
 
     Prediction is global_mean + b_u + b_i + p_u.q_i. Per-epoch train RMSE is
     recorded on the model.
     """
-    users, items, user_index, item_index, u_idx, i_idx, ratings = _encode(train)
+    if not len(train):
+        raise ValueError("no training interactions")
     if k < 1:
         raise ValueError("k must be >= 1")
-    global_mean = float(ratings.mean())
+    global_mean = float(train.rating.mean())
 
     rng = np.random.default_rng(seed)
-    user_f = rng.normal(0.0, 0.1, size=(len(users), k))
-    item_f = rng.normal(0.0, 0.1, size=(len(items), k))
-    user_b = np.zeros(len(users))
-    item_b = np.zeros(len(items))
+    user_f = rng.normal(0.0, 0.1, size=(len(train.users), k))
+    item_f = rng.normal(0.0, 0.1, size=(len(train.items), k))
+    user_b = np.zeros(len(train.users))
+    item_b = np.zeros(len(train.items))
 
-    model = MfModel(user_index, item_index, user_f, item_f, user_b, item_b, global_mean)
+    model = MfModel(train, user_f, item_f, user_b, item_b, global_mean)
     n = len(train)
     for epoch in range(epochs):
         order = rng.permutation(n)
-        sse = sgd_epoch(u_idx, i_idx, ratings, order, user_f, item_f,
-                        user_b, item_b, global_mean, learn_rate, reg)
+        # a diverging epoch overflows; the check after it reports that
+        with np.errstate(over="ignore", invalid="ignore"):
+            sse = sgd_epoch(train.user, train.item, train.rating, order, user_f, item_f,
+                            user_b, item_b, global_mean, learn_rate, reg)
         if not np.isfinite(sse):
             raise NonFiniteLoss(f"diverged at epoch {epoch + 1}; lower learn_rate")
         rmse = float(np.sqrt(sse / n))
@@ -168,35 +157,27 @@ def train_mf(train, k=32, epochs=30, learn_rate=0.005, reg=0.02, seed=0):
 KNN_BLOCK_ROWS = 64  # similarity rows computed densely at a time
 
 
-@dataclass
-class ItemSimMatrix:
-    """Each item's top_m neighbours as a CSR matrix over the train items.
-
-    Row and column n stand for items[n] (item ids in sorted order). A row
-    stores its neighbours in neighbour order, sim descending with ties by
-    item id, not in column order; scoring adds them up in that order, so
-    the indices must never be sorted.
-    """
-    items: list            # item ids, sorted
-    index: dict            # item id -> row / column
-    matrix: sp.csr_matrix  # items x items, top_m nonzeros per row at most
-
-
 def build_item_knn(train, top_m=50, min_co_raters=3):
-    """Cosine similarity over mean-centered user rating vectors.
+    """Cosine similarity over mean-centered user rating vectors, as a CSR
+    items x items matrix whose row and column n stand for train item code n.
 
     Pairs with fewer than min_co_raters common raters are dropped; each item
-    keeps its top_m neighbors. Self-similarity is excluded.
+    keeps its top_m neighbors. Self-similarity is excluded. A row stores its
+    neighbours in neighbour order, sim descending with ties by item id, not
+    in column order; scoring adds them up in that order, so the indices must
+    never be sorted.
 
     The items x items products run KNN_BLOCK_ROWS rows at a time, so only
     one block is ever dense. Each block is a row slice of the full product
     computed by the same sparse kernel, and the norms come from diagonal
     blocks of it, so every sum runs in the order of the full product.
     """
-    users, items, _, iix, rows, cols, vals = _encode(train)
+    if not len(train):
+        raise ValueError("no training interactions")
     if top_m < 1:
         raise ValueError("top_m must be >= 1")
-    mat = sp.csr_matrix((vals, (rows, cols)), shape=(len(users), len(items)))
+    rows, cols, vals = train.user, train.item, train.rating
+    mat = sp.csr_matrix((vals, (rows, cols)), shape=(len(train.users), len(train.items)))
     mask = sp.csr_matrix((np.ones_like(vals), (rows, cols)), shape=mat.shape)
     user_means = np.asarray(mat.sum(axis=1)).ravel() / np.maximum(
         np.asarray(mask.sum(axis=1)).ravel(), 1)
@@ -204,7 +185,7 @@ def build_item_knn(train, top_m=50, min_co_raters=3):
     centered_t = centered.T.tocsr()
     mask_t = mask.T.tocsr()
 
-    n = len(items)
+    n = len(train.items)
     blocks = [(a, min(a + KNN_BLOCK_ROWS, n)) for a in range(0, n, KNN_BLOCK_ROWS)]
     norms = np.sqrt(np.maximum(np.concatenate(
         [(centered_t[a:b] @ centered[:, a:b]).diagonal() for a, b in blocks]), 0.0))
@@ -226,38 +207,32 @@ def build_item_knn(train, top_m=50, min_co_raters=3):
         indices.append(order[keep])
         counts.append(keep.sum(axis=1))
     indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
-    matrix = sp.csr_matrix((np.concatenate(data), np.concatenate(indices), indptr),
-                           shape=(n, n))
-    return ItemSimMatrix(items=items, index=iix, matrix=matrix)
+    return sp.csr_matrix((np.concatenate(data), np.concatenate(indices), indptr),
+                         shape=(n, n))
 
 
 class ItemKnnRecommender:
     """Scores items for a user as the similarity-weighted sum over the user's
-    rated items."""
+    rated items; sim_matrix is build_item_knn's matrix of the same train."""
 
     def __init__(self, sim_matrix, train):
         self.sim_matrix = sim_matrix
-        self.ratings_by_user = {}
-        for r in train:
-            self.ratings_by_user.setdefault(r.user, {})[r.item] = r.rating
+        self.train = train
 
     def score_items(self, user, items):
         """Score of each of items, as an array: one product of the similarity
-        matrix with the user's dense rating vector. Each row's terms are
-        added in neighbour order; unrated neighbours add a zero. Items absent
-        from train score 0.0."""
-        rated = self.ratings_by_user.get(user)
-        if not rated:
+        matrix with the user's dense rating vector (an item rated twice holds
+        its later rating). Each row's terms are added in neighbour order;
+        unrated neighbours add a zero. Items absent from train score 0.0."""
+        rows = self.train.rows_of(user)[::-1]
+        if not len(rows):
             raise UnknownUser(user)
-        index = self.sim_matrix.index
-        ratings = np.zeros(len(index))
-        for item, rating in rated.items():
-            col = index.get(item)
-            if col is not None:
-                ratings[col] = rating
-        scores = self.sim_matrix.matrix @ ratings
-        rows = np.array([index.get(i, -1) for i in items], dtype=np.int64)
-        return np.where(rows >= 0, scores[rows], 0.0)
+        rated, last = np.unique(self.train.item[rows], return_index=True)
+        ratings = np.zeros(len(self.train.items))
+        ratings[rated] = self.train.rating[rows[last]]
+        scores = self.sim_matrix @ ratings
+        cols = self.train.item_codes(items)
+        return np.where(cols >= 0, scores[cols], 0.0)
 
 
 # --------------------------------------------------------------------------
@@ -295,26 +270,20 @@ def gen_model_slate(user, scorer, catalog, exclusions, inject_positives,
 
 def export_slates(slates, path):
     """Write slates as JSONL {user, items, source}."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
+    with Path(path).open("w", encoding="utf-8") as fh:
         for s in slates:
             fh.write(json.dumps({"user": s.user, "items": list(s.items),
                                  "source": s.source}) + "\n")
 
 
 def import_slates(path):
-    """Read slates from JSONL; duplicate items within a slate are rejected."""
-    path = Path(path)
+    """Read slates from JSONL; MalformedRow for a line that is no JSON object
+    with a user and a list of distinct items."""
     slates = []
-    with path.open(encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            items = [str(i) for i in obj["items"]]
-            if len(set(items)) != len(items):
-                raise ValueError(f"line {line_no}: duplicate items in slate")
-            slates.append(Slate(user=str(obj["user"]), items=items,
-                                source=str(obj.get("source", "external"))))
+    for line_no, obj in jsonl_objects(path, ("user", "items")):
+        items = obj["items"]
+        if not isinstance(items, list) or len(set(map(str, items))) != len(items):
+            raise MalformedRow(line_no, "items is not a list of distinct ids")
+        slates.append(Slate(user=str(obj["user"]), items=[str(i) for i in items],
+                            source=str(obj.get("source", "external"))))
     return slates

@@ -104,22 +104,15 @@ def load_config(path=None, overrides=None):
     backend_values = {}
     if path:
         parser = configparser.ConfigParser()
-        read = parser.read(path)
-        if not read:
+        if not parser.read(path):
             raise FileNotFoundError(path)
         for section in parser.sections():
-            for key, val in parser.items(section):
-                if section == "backend":
-                    backend_values[key] = val
-                else:
-                    values[key] = val
+            (backend_values if section == "backend" else values).update(
+                parser.items(section))
     for key, val in (overrides or {}).items():
-        if val is None:
-            continue
-        if key.startswith("backend_"):
-            backend_values[key[len("backend_"):]] = val
-        else:
-            values[key] = val
+        if val is not None:
+            target = backend_values if key.startswith("backend_") else values
+            target[key.removeprefix("backend_")] = val
 
     run = {key: _coerce(RunConfig, key, val) for key, val in values.items()}
     if backend_values:
@@ -134,35 +127,13 @@ def load_config(path=None, overrides=None):
 # Artifact IO
 # --------------------------------------------------------------------------
 
-def _write_split(run_dir, split, test_interactions):
-    payload = {
-        "train": [[r.user, r.item, r.rating, r.timestamp] for r in split.train],
-        "test": [[r.user, r.item, r.rating, r.timestamp] for r in test_interactions],
-        "relevance": {u: sorted(rs.relevant) for u, rs in sorted(split.relevance.items())},
-        "excluded_users": split.excluded_users,
-    }
-    (run_dir / "split.json").write_text(json.dumps(payload) + "\n", encoding="utf-8")
-
-
-def _read_split(run_dir):
-    payload = json.loads((run_dir / "split.json").read_text(encoding="utf-8"))
-    train = [ingest.Interaction(u, i, r, t) for u, i, r, t in payload["train"]]
-    test = [ingest.Interaction(u, i, r, t) for u, i, r, t in payload["test"]]
-    relevance = {u: ingest.RelevanceSet(user=u, relevant=set(items))
-                 for u, items in payload["relevance"].items()}
-    return train, test, relevance
-
-
 def _load_run_dir(cfg):
-    """What run, build-dataset and export-slates read from cfg.run_dir:
-    train, test and relevance from the split, the catalog, train grouped by
-    user, and the sampled eval users."""
+    """What run, build-dataset and export-slates read from cfg.run_dir: the
+    split, the catalog and the sampled eval users."""
     run_dir = Path(cfg.run_dir)
-    train, test, relevance = _read_split(run_dir)
+    split = ingest.read_split(run_dir / "split.json")
     catalog = ingest.load_items(run_dir / "catalog.jsonl")
-    by_user = ingest.train_by_user(train)
-    users = _sample_eval_users(relevance, by_user, cfg)
-    return train, test, relevance, catalog, by_user, users
+    return split, catalog, _sample_eval_users(split, cfg)
 
 
 def _write_catalog(run_dir, catalog):
@@ -190,34 +161,30 @@ def cmd_ingest(cfg):
     split = ingest.split_leave_n_out(interactions, n_test=cfg.n_test,
                                      min_history=cfg.min_history,
                                      threshold=cfg.relevance_threshold)
-    test = [r for r in interactions
-            if r.user in split.relevance
-            and r.item in split.relevance[r.user].relevant]
-    _write_split(run_dir, split, test)
+    ingest.write_split(run_dir / "split.json", split)
     _write_catalog(run_dir, catalog)
     (run_dir / "config.json").write_text(
         json.dumps(asdict(cfg), indent=2) + "\n", encoding="utf-8")
 
-    users = {r.user for r in interactions}
     print(f"interactions: {len(interactions)}")
-    print(f"users: {len(users)}")
+    print(f"users: {len(interactions.users)}")
     print(f"items: {len(catalog)}")
     print(f"eval users: {len(split.relevance)} (excluded: {split.excluded_users})")
     return EXIT_OK
 
 
-def _sample_history(cfg, user_train):
+def _sample_history(cfg, train, user):
     """The user's history as cfg.history_sample and cfg.history_limit say."""
     strategy, seed = "recent", None
     if cfg.history_sample.startswith("random"):
         _, _, s = cfg.history_sample.partition(":")
         strategy, seed = "random", int(s) if s else cfg.seed
-    return ingest.sample_history(user_train, limit=cfg.history_limit,
-                                 strategy=strategy, seed=seed)
+    return ingest.user_history(train, user, limit=cfg.history_limit,
+                               strategy=strategy, seed=seed)
 
 
-def _sample_eval_users(relevance, by_user, cfg):
-    eligible = sorted(u for u in relevance if u in by_user)
+def _sample_eval_users(split, cfg):
+    eligible = sorted(set(split.relevance).intersection(split.train.users.tolist()))
     if len(eligible) > cfg.sample_count:
         rng = np.random.default_rng(candgen.stable_seed(cfg.seed, "eval_users"))
         picks = rng.choice(len(eligible), size=cfg.sample_count, replace=False)
@@ -225,7 +192,7 @@ def _sample_eval_users(relevance, by_user, cfg):
     return eligible
 
 
-def _external_slates(cfg, users, by_user, catalog):
+def _external_slates(cfg, users, train, catalog):
     """Imported slates of users, less those of users whose slate is missing,
     names an item outside the catalog or one the user rated in train; each
     of those users is skipped with a logged reason."""
@@ -236,7 +203,7 @@ def _external_slates(cfg, users, by_user, catalog):
         if slate is None:
             log.warning("skipped user %s: no external slate", user)
             continue
-        rated = {r.item for r in by_user[user]}
+        rated = {item for item, _, _ in train.entries(user)}
         unknown = [i for i in slate.items if i not in catalog]
         seen = [i for i in slate.items if i in rated]
         if unknown:
@@ -249,14 +216,14 @@ def _external_slates(cfg, users, by_user, catalog):
     return out
 
 
-def _promptable_histories(cfg, slates, by_user, catalog):
+def _promptable_histories(cfg, slates, train, catalog):
     """The sampled history of each user with a slate, less the users whose
     history or slate names an item missing from the catalog or one with an
     empty title, which no prompt can show; each of those users is skipped
     with a logged reason."""
     out = {}
     for user, slate in slates.items():
-        history = _sample_history(cfg, by_user[user])
+        history = _sample_history(cfg, train, user)
         try:
             rerank.build_prompt(history, slate, catalog)
         except (EmptyTitle, UnknownItem) as e:
@@ -266,9 +233,10 @@ def _promptable_histories(cfg, slates, by_user, catalog):
     return out
 
 
-def _build_slates(cfg, users, by_user, catalog, relevance, train):
+def _build_slates(cfg, users, split, catalog):
+    train, relevance = split.train, split.relevance
     if cfg.generator == "external":
-        return _external_slates(cfg, users, by_user, catalog)
+        return _external_slates(cfg, users, train, catalog)
     out = {}
     scorer = None
     if cfg.generator == "mf":
@@ -281,7 +249,7 @@ def _build_slates(cfg, users, by_user, catalog, relevance, train):
         scorer = candgen.ItemKnnRecommender(sim, train)
 
     for user in users:
-        exclusions = {r.item for r in by_user[user]}
+        exclusions = {item for item, _, _ in train.entries(user)}
         if cfg.generator == "random":
             slate = candgen.gen_random_slate(
                 user, catalog, exclusions, cfg.seed, slate_size=cfg.slate_size,
@@ -297,13 +265,13 @@ def _build_slates(cfg, users, by_user, catalog, relevance, train):
 
 def cmd_run(cfg):
     run_dir = Path(cfg.run_dir)
-    train, _test, relevance, catalog, by_user, users = _load_run_dir(cfg)
+    split, catalog, users = _load_run_dir(cfg)
     if not users:
         print("no eligible evaluation users", file=sys.stderr)
         return EXIT_CONFIG
-    slates = _build_slates(cfg, users, by_user, catalog, relevance, train)
+    slates = _build_slates(cfg, users, split, catalog)
     if cfg.mode in _MODE_COLUMN:
-        histories = _promptable_histories(cfg, slates, by_user, catalog)
+        histories = _promptable_histories(cfg, slates, split.train, catalog)
         slates = {user: slates[user] for user in histories}
     skipped = len(users) - len(slates)
     users = sorted(slates)
@@ -314,7 +282,8 @@ def cmd_run(cfg):
         return EXIT_CONFIG
 
     baseline_rankings = {u: rerank.none_ranker(slates[u]).items for u in users}
-    baseline_results = metrics.evaluate_run(baseline_rankings, relevance, cfg.cutoffs)
+    baseline_results = metrics.evaluate_run(baseline_rankings, split.relevance,
+                                            cfg.cutoffs)
 
     ranked_results = None
     comparison = None
@@ -328,7 +297,7 @@ def cmd_run(cfg):
         fallbacks = sum(consensus.fallback for consensus, _outputs in ranked)
         rankings = {user: consensus.items
                     for user, (consensus, _outputs) in zip(users, ranked)}
-        ranked_results = metrics.evaluate_run(rankings, relevance, cfg.cutoffs)
+        ranked_results = metrics.evaluate_run(rankings, split.relevance, cfg.cutoffs)
         comparison = stats.compare_models(ranked_results, baseline_results)
 
     _write_report(run_dir, cfg, users, baseline_results, ranked_results,
@@ -363,54 +332,40 @@ def _write_report(run_dir, cfg, users, baseline_results, ranked_results,
 
     base = {(r.metric, r.n): r.mean for r in baseline_results}
     ranked = {(r.metric, r.n): r.mean for r in (ranked_results or [])}
-    rows = []
+    header = ["metric", "n", "non_ranker", "zero_shot", "sft_dpo",
+              "p_zero_vs_non", "p_sft_vs_non"]
+    csv_lines = [",".join(header)]
+    txt_lines = [" | ".join(h.ljust(13) for h in header)]
     for metric in metrics.METRIC_NAMES:
         for n in cfg.cutoffs:
             key = (metric, n)
-            row = {"metric": metric, "n": n,
-                   "non_ranker": f"{base[key]:.4f}",
-                   "zero_shot": "", "sft_dpo": "",
-                   "p_zero_vs_non": "", "p_sft_vs_non": ""}
+            row = dict.fromkeys(header, "")
+            row.update(metric=metric, n=n, non_ranker=f"{base[key]:.4f}")
+            best = "non_ranker", base[key]  # the text table bolds the higher mean
             if key in ranked:
                 row[mode_col] = f"{ranked[key]:.4f}"
-                p_col = ("p_zero_vs_non" if mode_col == "zero_shot"
-                         else "p_sft_vs_non")
+                p_col = "p_zero_vs_non" if mode_col == "zero_shot" else "p_sft_vs_non"
                 row[p_col] = stats.render_p(comparison[key])
-            rows.append(row)
-
-    header = ["metric", "n", "non_ranker", "zero_shot", "sft_dpo",
-              "p_zero_vs_non", "p_sft_vs_non"]
-    with (run_dir / "report.csv").open("w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(str(row[h]) for h in header) + "\n")
-
-    lines = [" | ".join(h.ljust(13) for h in header)]
-    for row in rows:
-        cells = dict(row)
-        values = {c: base[(row["metric"], row["n"])] for c in ("non_ranker",)}
-        if (row["metric"], row["n"]) in ranked:
-            values[mode_col] = ranked[(row["metric"], row["n"])]
-        best = max(values, key=values.get)
-        cells[best] = f"**{values[best]:.4f}**"
-        lines.append(" | ".join(str(cells[h]).ljust(13) for h in header))
-    (run_dir / "report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+                if ranked[key] > base[key]:
+                    best = mode_col, ranked[key]
+            csv_lines.append(",".join(str(row[h]) for h in header))
+            row[best[0]] = f"**{best[1]:.4f}**"
+            txt_lines.append(" | ".join(str(row[h]).ljust(13) for h in header))
+    (run_dir / "report.csv").write_text("\n".join(csv_lines) + "\n", encoding="utf-8",
+                                        newline="")
+    (run_dir / "report.txt").write_text("\n".join(txt_lines) + "\n", encoding="utf-8")
 
 
 def cmd_build_dataset(cfg):
-    _train, test, relevance, catalog, by_user, users = _load_run_dir(cfg)
-    test_by_user = {}
-    for r in test:
-        test_by_user.setdefault(r.user, []).append(r)
-
+    split, catalog, users = _load_run_dir(cfg)
     backend = None if cfg.offline else make_backend(cfg.backend)
 
     dropped = 0
     jobs = []
     for user in users:
-        history = _sample_history(cfg, by_user[user])
+        history = _sample_history(cfg, split.train, user)
         ranking = datasetgen.correct_ranking_for_user(
-            relevance[user], test_by_user.get(user, []), catalog,
+            split.relevance[user], split.test.entries(user), catalog,
             cfg.ranking_size, cfg.seed)
         if len(ranking) < 2:
             dropped += 1
@@ -483,8 +438,8 @@ def cmd_human_eval(ratings_a, ratings_b, paired=False):
 
 
 def cmd_export_slates(cfg, out_path):
-    train, _test, relevance, catalog, by_user, users = _load_run_dir(cfg)
-    slates = _build_slates(cfg, users, by_user, catalog, relevance, train)
+    split, catalog, users = _load_run_dir(cfg)
+    slates = _build_slates(cfg, users, split, catalog)
     candgen.export_slates([slates[u] for u in sorted(slates)], out_path)
     print(f"wrote {len(slates)} slates to {out_path}")
     return EXIT_OK
@@ -539,15 +494,10 @@ def main(argv=None):
         overrides.update({f"backend_{k}": getattr(args, f"backend_{k}", None)
                           for k in _BACKEND_KEYS})
         cfg = load_config(args.config, overrides)
-        if args.command == "ingest":
-            return cmd_ingest(cfg)
-        if args.command == "run":
-            return cmd_run(cfg)
-        if args.command == "build-dataset":
-            return cmd_build_dataset(cfg)
         if args.command == "export-slates":
             return cmd_export_slates(cfg, args.out)
-        raise ValueError(args.command)
+        return {"ingest": cmd_ingest, "run": cmd_run,
+                "build-dataset": cmd_build_dataset}[args.command](cfg)
     except (RerankEvalError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG

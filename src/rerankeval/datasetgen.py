@@ -150,14 +150,16 @@ def write_training_files(samples, pairs, out_dir):
     return manifest
 
 
-def correct_ranking_for_user(relevance, test_interactions, catalog, size, seed):
+def correct_ranking_for_user(relevance, test_entries, catalog, size, seed):
     """Ground-truth training order: held-out relevant items by rating then
-    recency, padded with a seeded sample of the catalog's other items."""
-    by_item = {r.item: r for r in test_interactions if r.item in relevance.relevant}
-    ranked_relevant = sorted(
-        relevance.relevant,
-        key=lambda i: (-(by_item[i].rating if i in by_item else 0.0),
-                       -(by_item[i].timestamp if i in by_item else 0), i))
+    recency, padded with a seeded sample of the catalog's other items.
+
+    test_entries are the user's held-out (item, rating, timestamp) rows in
+    file order, one or more for each relevant item; the last one counts.
+    """
+    last = {item: (rating, ts) for item, rating, ts in test_entries}
+    ranked_relevant = sorted(relevance.relevant,
+                             key=lambda i: (-last[i][0], -last[i][1], i))
     ranking = [i for i in ranked_relevant if i in catalog][:size]
     if len(ranking) < size:
         pool = [i for i in catalog.sorted_ids if i not in relevance.relevant]

@@ -25,6 +25,10 @@ class NoHistory(RerankEvalError):
     pass
 
 
+class StaleSplit(RerankEvalError):
+    pass
+
+
 # --- candidate generation ---
 
 class CatalogTooSmall(RerankEvalError):

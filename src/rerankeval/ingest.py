@@ -1,7 +1,7 @@
 """Corpus loading, item descriptions, train/test splitting and history sampling.
 
-User and item ids are kept as opaque strings throughout; numeric ids from CSV
-files are not converted.
+Ratings live in one columnar table, `Interactions`, from the CSV to the
+slates. User and item ids are opaque strings; numeric ids are not converted.
 """
 
 import csv
@@ -12,7 +12,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
-from .errors import EmptyTitle, MalformedRow, MissingFile, NoHistory
+import numpy as np
+
+from .errors import EmptyTitle, MalformedRow, MissingFile, NoHistory, StaleSplit
 
 log = logging.getLogger(__name__)
 
@@ -26,12 +28,68 @@ HISTORY_LIMIT = 10
 OVERVIEW_MAX_WORDS = 15
 
 
-@dataclass(frozen=True)
-class Interaction:
-    user: str
-    item: str
-    rating: float
-    timestamp: int
+@dataclass(eq=False)
+class Interactions:
+    """Ratings as columns: row n is user users[user[n]] rating item
+    items[item[n]] at rating[n] and timestamp[n]. users and items are the
+    sorted distinct ids of the rows, so code order is id order."""
+    users: np.ndarray      # str
+    items: np.ndarray      # str
+    user: np.ndarray       # int64 code per row
+    item: np.ndarray       # int64 code per row
+    rating: np.ndarray     # float64
+    timestamp: np.ndarray  # int64
+
+    @classmethod
+    def from_columns(cls, users, items, ratings, timestamps):
+        """The table of parallel id, rating and timestamp columns, in row order."""
+        users, user = np.unique(np.array(users, dtype=str), return_inverse=True)
+        items, item = np.unique(np.array(items, dtype=str), return_inverse=True)
+        return cls(users, items, user, item, np.array(ratings, dtype=np.float64),
+                   np.array(timestamps, dtype=np.int64))
+
+    def __len__(self):
+        return len(self.user)
+
+    def take(self, rows):
+        """The table of rows (indices or a mask), over just the ids they use."""
+        users, user = np.unique(self.user[rows], return_inverse=True)
+        items, item = np.unique(self.item[rows], return_inverse=True)
+        return Interactions(self.users[users], self.items[items], user, item,
+                            self.rating[rows], self.timestamp[rows])
+
+    def user_codes(self, ids):
+        return _codes(self.users, ids)
+
+    def item_codes(self, ids):
+        return _codes(self.items, ids)
+
+    @cached_property
+    def _by_user(self):
+        """Rows by user code, table order within a user; where each user starts."""
+        order = np.argsort(self.user, kind="stable")
+        return order, np.searchsorted(self.user[order], np.arange(len(self.users) + 1))
+
+    def rows_of(self, user):
+        """Indices of user's rows, in table order; none for an unknown user."""
+        order, starts = self._by_user
+        code = self.user_codes([user])[0]
+        return order[starts[code]:starts[code + 1]] if code >= 0 else order[:0]
+
+    def entries(self, user):
+        """(item id, rating, timestamp) of each of user's rows, in table order."""
+        rows = self.rows_of(user)
+        return list(zip(self.items[self.item[rows]].tolist(),
+                        self.rating[rows].tolist(), self.timestamp[rows].tolist()))
+
+
+def _codes(table, ids):
+    """Position of each of ids in the sorted id table; -1 for an id not in it."""
+    ids = np.array(ids, dtype=str)
+    if not len(table):
+        return np.full(len(ids), -1)
+    pos = np.minimum(np.searchsorted(table, ids), len(table) - 1)
+    return np.where(table[pos] == ids, pos, -1)
 
 
 @dataclass
@@ -75,11 +133,28 @@ class History:
     entries: list  # of (item, rating, timestamp), timestamp-descending
 
 
-@dataclass
+@dataclass(eq=False)
 class SplitResult:
-    train: list            # Interactions
-    relevance: dict        # user -> RelevanceSet
+    """Every rating with the held-out ones marked; train and test are the two
+    parts as tables, relevance is derived from test."""
+    rows: Interactions     # users in order of first appearance, file order within
+    held: np.ndarray       # bool per row: held out for evaluation
     excluded_users: int    # users with too little data to evaluate
+
+    @cached_property
+    def train(self):
+        return self.rows.take(~self.held)
+
+    @cached_property
+    def test(self):
+        return self.rows.take(self.held)
+
+    @cached_property
+    def relevance(self):
+        """Eval user -> RelevanceSet of the items of their test rows."""
+        test = self.test
+        return {u: RelevanceSet(u, {i for i, _, _ in test.entries(u)})
+                for u in test.users.tolist()}
 
 
 def load_interactions(path):
@@ -90,15 +165,19 @@ def load_interactions(path):
     path = Path(path)
     if not path.is_file():
         raise MissingFile(str(path))
-    out = []
+    users, items, ratings, timestamps = [], [], [], []
     with path.open(newline="", encoding="utf-8") as fh:
         for line_no, row in enumerate(csv.reader(fh), start=1):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if line_no == 1 and _looks_like_header(row):
                 continue
-            out.append(_parse_row(row, line_no))
-    return out
+            user, item, rating, ts = _parse_row(row, line_no)
+            users.append(user)
+            items.append(item)
+            ratings.append(rating)
+            timestamps.append(ts)
+    return Interactions.from_columns(users, items, ratings, timestamps)
 
 
 def _looks_like_header(row):
@@ -115,8 +194,8 @@ def _parse_row(row, line_no):
     if len(row) != 4:
         raise MalformedRow(line_no, f"expected 4 fields, got {len(row)}")
     user, item, rating_s, ts_s = (f.strip() for f in row)
-    if not user or not item:
-        raise MalformedRow(line_no, "empty user or item id")
+    if not user or not item or "\x00" in user + item:
+        raise MalformedRow(line_no, "empty user or item id, or one with a NUL")
     try:
         rating = float(rating_s)
         ts = int(ts_s)
@@ -124,9 +203,9 @@ def _parse_row(row, line_no):
         raise MalformedRow(line_no, str(e)) from None
     if not (RATING_MIN <= rating <= RATING_MAX):
         raise MalformedRow(line_no, f"rating {rating} outside [{RATING_MIN}, {RATING_MAX}]")
-    if ts < 0:
-        raise MalformedRow(line_no, f"negative timestamp {ts}")
-    return Interaction(user=user, item=item, rating=rating, timestamp=ts)
+    if not 0 <= ts < 2**63:
+        raise MalformedRow(line_no, f"timestamp {ts} outside [0, 2**63)")
+    return user, item, rating, ts
 
 
 def load_items(path):
@@ -140,15 +219,32 @@ def load_items(path):
     if not path.is_file():
         raise MissingFile(str(path))
     if path.suffix.lower() in (".jsonl", ".ndjson", ".json"):
-        cards = _load_items_jsonl(path)
+        rows = (obj for _, obj in jsonl_objects(path, ("id",)))
     else:
-        cards = _load_items_csv(path)
+        rows = _csv_rows(path)
+    cards = [_card(row) for row in rows]
     return Catalog(items={c.id: c for c in cards})
 
 
-def _load_items_jsonl(path):
-    cards = []
-    with path.open(encoding="utf-8") as fh:
+def _csv_rows(path):
+    with path.open(newline="", encoding="utf-8") as fh:
+        yield from csv.DictReader(fh)
+
+
+def _card(row):
+    """An ItemCard from a catalog row; genres are a list or pipe-joined."""
+    genres = row.get("genres") or []
+    if isinstance(genres, str):
+        genres = [g for g in genres.split("|") if g]
+    return ItemCard(id=str(row["id"]).strip(), title=str(row.get("title") or "").strip(),
+                    genres=list(genres), language=str(row.get("language") or "").strip(),
+                    overview_short=str(row.get("overview") or "").strip())
+
+
+def jsonl_objects(path, keys):
+    """(line number, object) of each non-blank line of a JSON-lines file;
+    MalformedRow for a line that is not a JSON object with all of keys."""
+    with Path(path).open(encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -157,33 +253,9 @@ def _load_items_jsonl(path):
                 obj = json.loads(line)
             except json.JSONDecodeError as e:
                 raise MalformedRow(line_no, str(e)) from None
-            genres = obj.get("genres") or []
-            if isinstance(genres, str):
-                genres = [g for g in genres.split("|") if g]
-            cards.append(ItemCard(
-                id=str(obj["id"]),
-                title=str(obj.get("title", "")),
-                genres=list(genres),
-                language=str(obj.get("language", "")),
-                overview_short=str(obj.get("overview", "")),
-            ))
-    return cards
-
-
-def _load_items_csv(path):
-    cards = []
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            genres = [g for g in (row.get("genres") or "").split("|") if g]
-            cards.append(ItemCard(
-                id=str(row["id"]).strip(),
-                title=(row.get("title") or "").strip(),
-                genres=genres,
-                language=(row.get("language") or "").strip(),
-                overview_short=(row.get("overview") or "").strip(),
-            ))
-    return cards
+            if not isinstance(obj, dict) or not all(key in obj for key in keys):
+                raise MalformedRow(line_no, f"not a JSON object with {' and '.join(keys)}")
+            yield line_no, obj
 
 
 def build_item_description(card):
@@ -201,62 +273,82 @@ def split_leave_n_out(interactions, n_test=10, min_history=5,
     """Leave-n-out split on the relevance-qualifying interactions of each user.
 
     Users with at least min_history + n_test interactions rated >= threshold
-    contribute their n_test most recent qualifying interactions as the held-out
-    relevance set; everything else goes to train. Users below the bar stay in
-    train but are excluded from evaluation.
+    hold out the items of their n_test most recent qualifying interactions
+    (ties by item id): every row of those items is test, everything else
+    train. Users below the bar stay in train but are excluded from
+    evaluation.
     """
     if n_test < 1:
         raise ValueError("n_test must be >= 1")
     if min_history < 1:
         raise ValueError("min_history must be >= 1")
 
-    by_user = {}
-    for inter in interactions:
-        by_user.setdefault(inter.user, []).append(inter)
-
-    train = []
-    relevance = {}
-    excluded = 0
-    for user, rows in by_user.items():
-        qualifying = [r for r in rows if r.rating >= threshold]
-        if len(qualifying) >= min_history + n_test:
-            qualifying.sort(key=lambda r: (-r.timestamp, r.item))
-            held = {r.item for r in qualifying[:n_test]}
-            relevance[user] = RelevanceSet(user=user, relevant=held)
-            train.extend(r for r in rows if r.item not in held)
-        else:
-            excluded += 1
-            train.extend(rows)
-    log.info("split: %d eval users, %d excluded", len(relevance), excluded)
-    return SplitResult(train=train, relevance=relevance, excluded_users=excluded)
+    _, first = np.unique(interactions.user, return_index=True)
+    rows = interactions.take(np.argsort(first[interactions.user], kind="stable"))
+    qualifying = np.flatnonzero(rows.rating >= threshold)
+    counts = np.bincount(rows.user[qualifying], minlength=len(rows.users))
+    evaluated = counts >= min_history + n_test
+    q = qualifying[evaluated[rows.user[qualifying]]]
+    # each eval user's qualifying rows, most recent first, ties by item id
+    q = q[np.lexsort((rows.item[q], -rows.timestamp[q], rows.user[q]))]
+    rank = np.arange(len(q)) - np.searchsorted(rows.user[q], rows.user[q])
+    pair = rows.user * len(rows.items) + rows.item
+    held = np.isin(pair, pair[q[rank < n_test]])
+    excluded = len(rows.users) - int(np.count_nonzero(evaluated))
+    log.info("split: %d eval users, %d excluded", len(rows.users) - excluded, excluded)
+    return SplitResult(rows=rows, held=held, excluded_users=excluded)
 
 
-def sample_history(user_train, limit=HISTORY_LIMIT, strategy="recent", seed=None):
-    """Sample a user's history from their train interactions.
+# split.json: the columns of SplitResult.rows, the indices of the held rows
+# and excluded_users
+_SPLIT_COLUMNS = (("users", str), ("items", str), ("user", np.int64),
+                  ("item", np.int64), ("rating", np.float64), ("timestamp", np.int64))
+
+
+def write_split(path, split):
+    payload = {name: getattr(split.rows, name).tolist() for name, _ in _SPLIT_COLUMNS}
+    payload["held"] = np.flatnonzero(split.held).tolist()
+    payload["excluded_users"] = split.excluded_users
+    Path(path).write_text(json.dumps(payload) + "\n", encoding="utf-8")
+
+
+def read_split(path):
+    """The split write_split wrote to path; StaleSplit for any other file."""
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        rows = Interactions(*(np.array(payload[name], dtype=dtype)
+                              for name, dtype in _SPLIT_COLUMNS))
+        held = np.zeros(len(rows), dtype=bool)
+        held[np.array(payload["held"], dtype=np.int64)] = True
+        valid = (isinstance(payload["excluded_users"], int)
+                 and {c.shape for c in (rows.user, rows.item, rows.rating,
+                                        rows.timestamp)} == {held.shape}
+                 and all(((0 <= c) & (c < len(ids))).all()
+                         for c, ids in ((rows.user, rows.users), (rows.item, rows.items))))
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError):
+        valid = False
+    if not valid:
+        raise StaleSplit(f"{path}: not a split written by this version; re-run ingest")
+    return SplitResult(rows=rows, held=held, excluded_users=payload["excluded_users"])
+
+
+def user_history(train, user, limit=HISTORY_LIMIT, strategy="recent", seed=None):
+    """Sample user's history from their rows in the train table.
 
     strategy "recent" keeps the `limit` most recent interactions; "random"
     draws uniformly without replacement (needs `seed`). Entries come back
     timestamp-descending, ties broken by item id ascending.
     """
-    if not user_train:
-        raise NoHistory("user has no train interactions")
-    user = user_train[0].user
-    rows = sorted(user_train, key=lambda r: (-r.timestamp, r.item))
+    def by_recency(entries):
+        return sorted(entries, key=lambda e: (-e[2], e[0]))
+
+    entries = by_recency(train.entries(user))
+    if not entries:
+        raise NoHistory(f"user {user} has no train interactions")
     if strategy == "recent":
-        rows = rows[:limit]
-    elif strategy == "random":
-        if len(rows) > limit:
-            rng = random.Random(seed)
-            rows = rng.sample(rows, limit)
-            rows.sort(key=lambda r: (-r.timestamp, r.item))
-    else:
+        entries = entries[:limit]
+    elif strategy != "random":
         raise ValueError(f"unknown history strategy: {strategy}")
-    return History(user=user, entries=[(r.item, r.rating, r.timestamp) for r in rows])
-
-
-def train_by_user(train):
-    """Group train interactions by user."""
-    out = {}
-    for inter in train:
-        out.setdefault(inter.user, []).append(inter)
-    return out
+    elif len(entries) > limit:
+        entries = by_recency(random.Random(seed).sample(entries, limit))
+    return History(user=user, entries=entries)

@@ -2,20 +2,19 @@
 HTTP backend speaking the standard chat-completions JSON protocol."""
 
 import email.utils
-import json
 import logging
 import os
 import re
 import time
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from pathlib import Path
 
 import requests
 from requests.adapters import HTTPAdapter
 
 from .errors import (BackendError, ExhaustedRetries, HttpStatus,
                      MissingApiKey, Timeout)
+from .ingest import jsonl_objects
 
 log = logging.getLogger(__name__)
 
@@ -76,14 +75,8 @@ def make_backend(config):
 
 def load_fixtures(path):
     """Fixture JSONL: one {prompt_contains, response} object per line."""
-    fixtures = []
-    with Path(path).open(encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                obj = json.loads(line)
-                fixtures.append((obj["prompt_contains"], obj["response"]))
-    return fixtures
+    return [(obj["prompt_contains"], obj["response"])
+            for _, obj in jsonl_objects(path, ("prompt_contains", "response"))]
 
 
 class ScriptedBackend:

@@ -169,13 +169,9 @@ def bootstrap_shuffles(slate, k, seed):
     if k < 1:
         raise ValueError("k must be >= 1")
     rng = np.random.default_rng(stable_seed(seed, "shuffle", slate.user, k))
-    shuffles = []
-    for _ in range(k):
-        perm = rng.permutation(len(slate.items))
-        shuffles.append(Slate(user=slate.user,
-                              items=[slate.items[i] for i in perm],
-                              source=slate.source))
-    return shuffles
+    return [Slate(user=slate.user, source=slate.source,
+                  items=[slate.items[i] for i in rng.permutation(len(slate.items))])
+            for _ in range(k)]
 
 
 def aggregate_self_consistency(outputs, slate):

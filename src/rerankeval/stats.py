@@ -29,36 +29,28 @@ def stars(p):
     return ""
 
 
+def _nonzero(v):
+    """v, or _TINY when |v| is below it: Lentz's guard against division by 0."""
+    return _TINY if abs(v) < _TINY else v
+
+
 def _betacf(a, b, x):
     """Continued fraction for the incomplete beta function (modified Lentz)."""
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
     c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _TINY:
-        d = _TINY
-    d = 1.0 / d
+    d = 1.0 / _nonzero(1.0 - qab * x / qap)
     h = d
     for m in range(1, _MAX_ITER + 1):
         m2 = 2 * m
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
+        d = 1.0 / _nonzero(1.0 + aa * d)
+        c = _nonzero(1.0 + aa / c)
         h *= d * c
         aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
+        d = 1.0 / _nonzero(1.0 + aa * d)
+        c = _nonzero(1.0 + aa / c)
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < _EPS:

@@ -5,7 +5,7 @@ import time
 import pytest
 
 from rerankeval.candgen import Slate
-from rerankeval.ingest import Catalog, History, Interaction, ItemCard
+from rerankeval.ingest import Catalog, History, Interactions, ItemCard
 from rerankeval.llm_client import ScriptedBackend
 
 
@@ -61,8 +61,15 @@ def write_corpus(dir_path, n_users=30, n_items=60, n_high=20, n_low=5):
 
 
 def interactions(rows):
-    return [Interaction(user=str(u), item=str(i), rating=float(r), timestamp=int(t))
-            for u, i, r, t in rows]
+    """A ratings table of (user, item, rating, timestamp) rows, in order."""
+    return Interactions.from_columns([str(r[0]) for r in rows], [str(r[1]) for r in rows],
+                                     [float(r[2]) for r in rows], [int(r[3]) for r in rows])
+
+
+def table_rows(table):
+    """A ratings table as (user, item, rating, timestamp) rows, in order."""
+    return list(zip(table.users[table.user].tolist(), table.items[table.item].tolist(),
+                    table.rating.tolist(), table.timestamp.tolist()))
 
 
 def candidate_ids(prompt):

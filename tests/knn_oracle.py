@@ -9,20 +9,22 @@ Python sum over that list.
 import numpy as np
 import scipy.sparse as sp
 
+from conftest import table_rows
 from rerankeval.errors import UnknownUser
 
 
 def build_item_knn_oracle(train, top_m=50, min_co_raters=3):
     if top_m < 1:
         raise ValueError("top_m must be >= 1")
-    users = sorted({r.user for r in train})
-    items = sorted({r.item for r in train})
+    train = table_rows(train)
+    users = sorted({u for u, _, _, _ in train})
+    items = sorted({i for _, i, _, _ in train})
     uix = {u: n for n, u in enumerate(users)}
     iix = {i: n for n, i in enumerate(items)}
 
-    rows = np.array([uix[r.user] for r in train])
-    cols = np.array([iix[r.item] for r in train])
-    vals = np.array([r.rating for r in train], dtype=np.float64)
+    rows = np.array([uix[u] for u, _, _, _ in train])
+    cols = np.array([iix[i] for _, i, _, _ in train])
+    vals = np.array([r for _, _, r, _ in train], dtype=np.float64)
 
     mat = sp.csr_matrix((vals, (rows, cols)), shape=(len(users), len(items)))
     mask = sp.csr_matrix((np.ones_like(vals), (rows, cols)), shape=mat.shape)
@@ -52,8 +54,8 @@ def build_item_knn_oracle(train, top_m=50, min_co_raters=3):
 class OracleKnnScorer:
     def __init__(self, neighbors, train):
         self.ratings_by_user = {}
-        for r in train:
-            self.ratings_by_user.setdefault(r.user, {})[r.item] = r.rating
+        for user, item, rating, _ in table_rows(train):
+            self.ratings_by_user.setdefault(user, {})[item] = rating
         self._neighbor_sims = {item: dict(neigh) for item, neigh in neighbors.items()}
 
     def score(self, user, item):
@@ -69,11 +71,10 @@ class OracleKnnScorer:
         return np.array([self.score(user, i) for i in items], dtype=np.float64)
 
 
-def neighbor_lists(sim_matrix):
-    """{item id: [(neighbour id, sim), ...]} read off an ItemSimMatrix in
-    stored order, the shape build_item_knn_oracle returns."""
-    m = sim_matrix.matrix
-    items = sim_matrix.items
+def neighbor_lists(m, items):
+    """{item id: [(neighbour id, sim), ...]} read off build_item_knn's matrix
+    over the train table's item ids, in stored order: the shape
+    build_item_knn_oracle returns."""
     return {item: [(items[j], float(s)) for j, s in
                    zip(m.indices[m.indptr[n]:m.indptr[n + 1]].tolist(),
                        m.data[m.indptr[n]:m.indptr[n + 1]].tolist())]

@@ -33,8 +33,8 @@ def score_mf(model, user, item):
     """MF prediction with graceful fallback: unknown users/items contribute
     zero bias and zero factors."""
     pred = model.global_mean
-    u = model.user_index.get(user, -1)
-    i = model.item_index.get(item, -1)
+    u = model.train.user_codes([user])[0]
+    i = model.train.item_codes([item])[0]
     if u >= 0:
         pred += model.user_bias[u]
     if i >= 0:

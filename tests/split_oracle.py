@@ -1,0 +1,43 @@
+"""Reference leave-n-out split and history sampling on (user, item, rating,
+timestamp) row tuples: the per-user loops that ingest's columnar
+split_leave_n_out and user_history replace. Kept only to check them against.
+"""
+
+import random
+
+
+def split_rows(rows, n_test=10, min_history=5, threshold=4.0):
+    """(train rows, test rows, {eval user: held-out item set}, excluded user
+    count) of rows in file order. Train groups users in order of first
+    appearance, file order within a user; test rows keep file order."""
+    by_user = {}
+    for row in rows:
+        by_user.setdefault(row[0], []).append(row)
+
+    train = []
+    relevance = {}
+    excluded = 0
+    for user, user_rows in by_user.items():
+        qualifying = [r for r in user_rows if r[2] >= threshold]
+        if len(qualifying) >= min_history + n_test:
+            qualifying.sort(key=lambda r: (-r[3], r[1]))
+            held = {r[1] for r in qualifying[:n_test]}
+            relevance[user] = held
+            train.extend(r for r in user_rows if r[1] not in held)
+        else:
+            excluded += 1
+            train.extend(user_rows)
+    test = [r for r in rows if r[0] in relevance and r[1] in relevance[r[0]]]
+    return train, test, relevance, excluded
+
+
+def history_entries(user_rows, limit=10, strategy="recent", seed=None):
+    """(item, rating, timestamp) of a user's sampled train rows,
+    timestamp-descending with ties by item id."""
+    rows = sorted(user_rows, key=lambda r: (-r[3], r[1]))
+    if strategy == "recent":
+        rows = rows[:limit]
+    elif len(rows) > limit:
+        rows = random.Random(seed).sample(rows, limit)
+        rows.sort(key=lambda r: (-r[3], r[1]))
+    return [(item, rating, ts) for _, item, rating, ts in rows]

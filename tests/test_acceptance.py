@@ -10,7 +10,8 @@ import time
 
 import pytest
 
-from conftest import make_catalog, make_history, make_slate, write_corpus
+from conftest import (interactions, make_catalog, make_history, make_slate,
+                      write_corpus)
 from mf_oracle import score_mf
 from rerankeval import candgen, ingest, metrics, rerank, stats
 from rerankeval.cli import main as cli_main
@@ -243,14 +244,13 @@ def test_criterion_6_mf_convergence():
             r = 3.0 + sum(a * b for a, b in zip(pu[u], qi[i])) + rng.gauss(0, 0.05)
             r = min(5.0, max(0.5, r))
             ts += 1
-            row = ingest.Interaction(user=f"u{u}", item=f"i{i}", rating=r,
-                                     timestamp=ts)
+            row = (f"u{u}", f"i{i}", r, ts)
             (held_rows if rng.random() < 0.1 else train_rows).append(row)
 
-    model = candgen.train_mf(train_rows, k=8, epochs=100, learn_rate=0.03,
-                             reg=0.02, seed=6)
-    sse = sum((score_mf(model, r.user, r.item) - r.rating) ** 2
-              for r in held_rows)
+    model = candgen.train_mf(interactions(train_rows), k=8, epochs=100,
+                             learn_rate=0.03, reg=0.02, seed=6)
+    sse = sum((score_mf(model, user, item) - rating) ** 2
+              for user, item, rating, _ in held_rows)
     held_rmse = math.sqrt(sse / len(held_rows))
     drop = (model.train_rmse[0] - model.train_rmse[-1]) / model.train_rmse[0]
     report(6, held_rmse <= 0.15 and drop >= 0.5,

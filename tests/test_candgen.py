@@ -10,9 +10,9 @@ from rerankeval._kernels import sgd_epoch, wave_levels
 from rerankeval.candgen import (ItemKnnRecommender, build_item_knn,
                                 export_slates, gen_model_slate,
                                 gen_random_slate, import_slates, train_mf)
-from rerankeval.errors import CatalogTooSmall, UnknownUser
+from rerankeval.errors import CatalogTooSmall, MalformedRow, UnknownUser
 from rerankeval.ingest import (RelevanceSet, load_interactions, load_items,
-                               split_leave_n_out, train_by_user)
+                               split_leave_n_out)
 
 
 class TestRandomSlate:
@@ -222,8 +222,8 @@ class TestScoreMf:
     def test_four_term_formula(self):
         model = train_mf(synthetic_rank1(2, 2), k=1, epochs=1, seed=0)
         model.global_mean = 3.5
-        u = model.user_index["u0"]
-        i = model.item_index["i0"]
+        u = model.train.user_codes(["u0"])[0]
+        i = model.train.item_codes(["i0"])[0]
         model.user_bias[u] = 0.5
         model.item_bias[i] = -0.2
         model.user_factors[u, 0] = 0.5
@@ -275,19 +275,24 @@ class TestScoreItems:
         catalog = load_items(items_path)
         split = split_leave_n_out(load_interactions(ratings_path))
         model = train_mf(split.train, k=8, epochs=5, seed=2)
-        by_user = train_by_user(split.train)
         assert len(split.relevance) == 30
         for user, rel in split.relevance.items():
-            exclusions = {r.item for r in by_user[user]}
+            exclusions = {item for item, _, _ in split.train.entries(user)}
             batched = gen_model_slate(user, model, catalog, exclusions, inject, rel, seed=4)
             per_item = gen_model_slate(user, PerItemMf(model), catalog, exclusions,
                                        inject, rel, seed=4)
             assert batched.items == per_item.items
 
 
-def sim_of(sim, a, b):
+def knn_lists(rows, **kwargs):
+    """build_item_knn's neighbour lists of rows, by item id."""
+    train = interactions(rows)
+    return neighbor_lists(build_item_knn(train, **kwargs), train.items)
+
+
+def sim_of(lists, a, b):
     """Similarity of b in a's neighbour list; 0.0 when it is not there."""
-    return dict(neighbor_lists(sim)[a]).get(b, 0.0)
+    return dict(lists[a]).get(b, 0.0)
 
 
 class TestItemKnn:
@@ -296,35 +301,35 @@ class TestItemKnn:
         rows = []
         for n, u in enumerate(["1", "2", "3"]):
             rows += [(u, "A", 2.0 + n, n), (u, "B", 2.0 + n, n), (u, "C", 5.0 - n, n)]
-        sim = build_item_knn(interactions(rows), top_m=5, min_co_raters=3)
+        sim = knn_lists(rows, top_m=5, min_co_raters=3)
         assert sim_of(sim, "A", "B") == pytest.approx(1.0, abs=1e-9)
 
     def test_no_common_rater_pair_absent(self):
         rows = [("1", "A", 4.0, 1), ("2", "B", 4.0, 1)]
-        sim = build_item_knn(interactions(rows), top_m=5, min_co_raters=1)
-        assert all(n != "B" for n, _ in neighbor_lists(sim)["A"])
+        sim = knn_lists(rows, top_m=5, min_co_raters=1)
+        assert all(n != "B" for n, _ in sim["A"])
 
     def test_opposed_centered_vectors(self):
         # users 1,2 rate A,B; centered vectors (1,-1) and (-1,1) -> cosine -1
         rows = [("1", "A", 5.0, 1), ("1", "B", 3.0, 2),
                 ("2", "A", 3.0, 3), ("2", "B", 5.0, 4)]
-        sim = build_item_knn(interactions(rows), top_m=5, min_co_raters=2)
+        sim = knn_lists(rows, top_m=5, min_co_raters=2)
         assert sim_of(sim, "A", "B") == pytest.approx(-1.0)
 
     def test_symmetry(self):
         rng = np.random.default_rng(5)
         rows = [(f"u{u}", f"i{i}", float(rng.integers(1, 11)) / 2.0, u * 20 + i)
                 for u in range(10) for i in range(8) if rng.random() < 0.7]
-        sim = build_item_knn(interactions(rows), top_m=10, min_co_raters=2)
-        for a, neigh in neighbor_lists(sim).items():
+        sim = knn_lists(rows, top_m=10, min_co_raters=2)
+        for a, neigh in sim.items():
             for b, s in neigh:
                 assert abs(sim_of(sim, b, a) - s) < 1e-12
 
     def test_scores_bounded(self):
         rows = [("1", "A", 5.0, 1), ("1", "B", 3.0, 2),
                 ("2", "A", 3.0, 3), ("2", "B", 5.0, 4)]
-        sim = build_item_knn(interactions(rows), top_m=5, min_co_raters=2)
-        for neigh in neighbor_lists(sim).values():
+        sim = knn_lists(rows, top_m=5, min_co_raters=2)
+        for neigh in sim.values():
             for _, s in neigh:
                 assert -1.0 <= s <= 1.0
 
@@ -384,5 +389,5 @@ class TestSlateIo:
     def test_duplicate_items_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"user": "u", "items": ["1", "1"], "source": "x"}\n')
-        with pytest.raises(ValueError):
+        with pytest.raises(MalformedRow, match="line 1: items is not a list of distinct"):
             import_slates(path)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 from collections import Counter
 
 import pytest
@@ -53,10 +54,9 @@ def prompt_items(run_dir, tmp_path, sample_count):
     out = tmp_path / "prompt_slates.jsonl"
     main(["export-slates", "--run-dir", str(run_dir), "--sample-count",
           str(sample_count), "--out", str(out)])
-    split = json.loads((run_dir / "split.json").read_text())
-    by_user = ingest.train_by_user([ingest.Interaction(*row) for row in split["train"]])
+    train = ingest.read_split(run_dir / "split.json").train
     return {s["user"]: set(s["items"]) | {
-                e[0] for e in ingest.sample_history(by_user[s["user"]]).entries}
+                e[0] for e in ingest.user_history(train, s["user"]).entries}
             for s in map(json.loads, out.read_text().splitlines())}
 
 
@@ -109,7 +109,7 @@ class TestConfig:
         def no_work(*args):
             raise AssertionError("work started before the config was checked")
 
-        monkeypatch.setattr(cli, "_read_split", no_work)
+        monkeypatch.setattr(cli.ingest, "read_split", no_work)
         monkeypatch.setattr(cli.ingest, "load_interactions", no_work)
         assert main(run_args(corpus, **{key: value})) == EXIT_CONFIG
         assert main(ingest_args(corpus, **{key: value})) == EXIT_CONFIG
@@ -179,14 +179,12 @@ class TestRun:
     def test_oracle_backend_perfect_ndcg(self, corpus, monkeypatch):
         _, _, run_dir = corpus
         main(ingest_args(corpus))
-        split = json.loads((run_dir / "split.json").read_text())
-        relevance = {u: set(items) for u, items in split["relevance"].items()}
+        split = ingest.read_split(run_dir / "split.json")
+        relevance = {u: rs.relevant for u, rs in split.relevance.items()}
         # identify the user inside the prompt by their history item set
-        by_user = ingest.train_by_user(
-            [ingest.Interaction(*row) for row in split["train"]])
         history_key = {
-            frozenset(e[0] for e in ingest.sample_history(rows).entries): u
-            for u, rows in by_user.items()}
+            frozenset(e[0] for e in ingest.user_history(split.train, u).entries): u
+            for u in split.train.users.tolist()}
 
         def handler(request):
             lines = request.user_prompt.splitlines()
@@ -234,9 +232,8 @@ class TestRun:
         if bad_item == "catalog":
             victim["items"][5] = "999999"
         else:
-            split = json.loads((run_dir / "split.json").read_text())
-            victim["items"][5] = next(i for u, i, _, _ in split["train"]
-                                      if u == victim["user"])
+            train = ingest.read_split(run_dir / "split.json").train
+            victim["items"][5] = train.entries(victim["user"])[0][0]
         out.write_text("".join(json.dumps(l) + "\n" for l in lines))
         code = main(["run", "--run-dir", str(run_dir), "--sample-count", "10",
                      "--generator", "external", "--slates", str(out),
@@ -290,10 +287,11 @@ class TestRun:
         report = json.loads((run_dir / "report.json").read_text())
         assert (report["users_evaluated"], report["users_skipped"]) == (8, 0)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverging_mf_exits_2(self, corpus, capsys):
         main(ingest_args(corpus))
-        assert main(run_args(corpus, generator="mf", mf_learn_rate=50)) == EXIT_CONFIG
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(run_args(corpus, generator="mf", mf_learn_rate=50)) == EXIT_CONFIG
         assert "error: diverged at epoch 1; lower learn_rate" in capsys.readouterr().err
 
     @pytest.mark.parametrize("case", ["one_user", "one_slate_left"])
@@ -319,6 +317,70 @@ class TestRun:
         assert requests == []
         assert "error: re-ranking needs at least 2 evaluable users, got 1" in \
             capsys.readouterr().err
+
+
+class TestBadInputFileExits2:
+    PARENT_FORMAT = {"train": [["u1", "1", 4.0, 1]], "test": [["u1", "2", 5.0, 2]],
+                     "relevance": {"u1": ["2"]}, "excluded_users": 0}
+
+    @pytest.mark.parametrize("split", [
+        PARENT_FORMAT,
+        [["u1", "1", 4.0, 1]],
+        "columns with unequal lengths",
+        "not json",
+    ], ids=["row_format", "json_list", "unequal_columns", "not_json"])
+    @pytest.mark.parametrize("command", [
+        ["run"], ["build-dataset", "--offline", "1"], ["export-slates", "--out", "s.jsonl"]])
+    def test_stale_split_exits_2_before_any_work(self, corpus, monkeypatch, capsys,
+                                                  split, command):
+        _, _, run_dir = corpus
+        main(ingest_args(corpus))
+        path = run_dir / "split.json"
+        if split == "columns with unequal lengths":
+            payload = json.loads(path.read_text())
+            payload["rating"].pop()
+            split = payload
+        path.write_text(split if split == "not json" else json.dumps(split))
+
+        def no_work(*args):
+            raise AssertionError("work started on a stale split")
+
+        monkeypatch.setattr(cli.ingest, "load_items", no_work)
+        capsys.readouterr()
+        assert main([command[0], "--run-dir", str(run_dir), *command[1:]]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: {path}: not a split written by this version; re-run ingest\n")
+
+    @pytest.mark.parametrize("line,message", [
+        ('{"user": "u1"}', "not a JSON object with user and items"),
+        ('["u1", ["1", "2"]]', "not a JSON object with user and items"),
+        ('{"user": "u1", "items": "12"}', "items is not a list of distinct ids"),
+        ('{"user": "u1", "items": ["1", 1]}', "items is not a list of distinct ids"),
+        ('{"user": "u1", "items": 5}', "items is not a list of distinct ids"),
+        ('{"user": "u1", "items": [', "Expecting value"),
+    ])
+    def test_malformed_slates_line_exits_2(self, corpus, tmp_path, capsys, line,
+                                           message):
+        _, _, run_dir = corpus
+        main(ingest_args(corpus))
+        slates = tmp_path / "slates.jsonl"
+        slates.write_text('{"user": "u2", "items": ["1"]}\n\n' + line + "\n")
+        assert main(run_args(corpus, generator="external", slates=slates)) == EXIT_CONFIG
+        assert f"error: line 3: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line,message", [
+        ('{"title": "No id"}', "not a JSON object with id"),
+        ('[1, "List"]', "not a JSON object with id"),
+    ])
+    def test_malformed_catalog_line_exits_2(self, corpus, tmp_path, capsys, line,
+                                            message):
+        ratings, _, run_dir = corpus
+        items = tmp_path / "items.jsonl"
+        items.write_text('{"id": 1, "title": "One"}\n' + line + "\n")
+        code = main(["ingest", "--ratings", str(ratings), "--items", str(items),
+                     "--run-dir", str(run_dir)])
+        assert code == EXIT_CONFIG
+        assert f"error: line 2: {message}" in capsys.readouterr().err
 
 
 def dataset_answer(request):

@@ -1,0 +1,57 @@
+"""Byte-identity of the program's outputs: sha256 of report.json, exported
+slates and the offline manifest on the conftest corpus, pinned to the values
+the code gave before ratings became one columnar table. A change that moves
+any of them must say why and update the digest."""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from conftest import write_corpus
+from rerankeval.cli import main
+
+REPORTS = {
+    ("random", "none"):
+        "4818b5dd299473910c8b9f4513e40100fddc5e6c71ccfe0f0b385f2b7f84b88b",
+    ("mf", "none"):
+        "c43c8f90edf0bafb4e7afa57ae3e6c5ea66c121e8914174648192b6a45a37693",
+    ("knn", "none"):
+        "58b562b3ff7844fa86e95dc8298e8cfc86e0f34700a4b26699a69055b109b651",
+    ("random", "zero_shot"):
+        "ac59ed29477f579c990d012234a936671f43e1b59aea96c5ba0a1c38ed2612a6",
+}
+SLATES = "3513602ac7586850d6dee84bcc4a2c92cede1b3ec3fd10488f15907bb66eb17b"
+MANIFEST = "8b77cda04e2e73d3e6b3f3d9daae9b7960651d0faf5f8cda10d787d82d907499"
+
+
+def sha(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+@pytest.fixture
+def ingested(tmp_path, monkeypatch):
+    """An ingested run directory "run", with the working directory set so
+    every path in the outputs is relative."""
+    monkeypatch.chdir(tmp_path)
+    write_corpus(tmp_path)
+    assert main(["ingest", "--ratings", "ratings.csv", "--items", "items.csv",
+                 "--run-dir", "run"]) == 0
+
+
+@pytest.mark.parametrize("generator,mode", list(REPORTS))
+def test_report(ingested, generator, mode):
+    assert main(["run", "--run-dir", "run", "--generator", generator,
+                 "--mode", mode]) == 0
+    assert sha("run/report.json") == REPORTS[generator, mode]
+
+
+def test_exported_slates(ingested):
+    assert main(["export-slates", "--run-dir", "run", "--out", "slates.jsonl"]) == 0
+    assert sha("slates.jsonl") == SLATES
+
+
+def test_offline_manifest(ingested):
+    assert main(["build-dataset", "--run-dir", "run", "--offline", "1",
+                 "--ranking-size", "10"]) == 0
+    assert sha("run/manifest.json") == MANIFEST

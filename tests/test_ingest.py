@@ -1,10 +1,16 @@
+import random
+import re
+from collections import Counter
+
+import numpy as np
 import pytest
 
-from conftest import interactions
+from conftest import interactions, table_rows
+from split_oracle import history_entries, split_rows
 from rerankeval.errors import EmptyTitle, MalformedRow, MissingFile, NoHistory
 from rerankeval.ingest import (ItemCard, build_item_description,
-                               load_interactions, load_items, sample_history,
-                               split_leave_n_out)
+                               load_interactions, load_items, read_split,
+                               split_leave_n_out, user_history, write_split)
 
 
 def write(tmp_path, name, text):
@@ -16,9 +22,7 @@ def write(tmp_path, name, text):
 class TestLoadInteractions:
     def test_direct_field_mapping(self, tmp_path):
         p = write(tmp_path, "r.csv", "1,42,4.5,964982703\n")
-        [inter] = load_interactions(p)
-        assert (inter.user, inter.item, inter.rating, inter.timestamp) == \
-            ("1", "42", 4.5, 964982703)
+        assert table_rows(load_interactions(p)) == [("1", "42", 4.5, 964982703)]
 
     def test_header_autodetected(self, tmp_path):
         p = write(tmp_path, "r.csv", "userId,itemId,rating,timestamp\n1,2,3.0,10\n")
@@ -29,8 +33,17 @@ class TestLoadInteractions:
         with pytest.raises(MalformedRow):
             load_interactions(p)
 
+    @pytest.mark.parametrize("row,message", [
+        ("1,42,4.5,-1", "timestamp -1 outside"),
+        (f"1,42,4.5,{2**63}", "outside [0, 2**63)"),
+        ("1,4\x002,4.5,1", "one with a NUL"),
+    ])
+    def test_ids_and_timestamps_fit_the_table(self, tmp_path, row, message):
+        with pytest.raises(MalformedRow, match=re.escape(message)):
+            load_interactions(write(tmp_path, "r.csv", row + "\n"))
+
     def test_empty_file(self, tmp_path):
-        assert load_interactions(write(tmp_path, "r.csv", "")) == []
+        assert len(load_interactions(write(tmp_path, "r.csv", ""))) == 0
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(MissingFile):
@@ -92,7 +105,7 @@ class TestSplit:
         rel = split.relevance["u"]
         assert len(rel.relevant) == 10
         # train keeps the 2 oldest qualifying + both sub-threshold rows
-        assert len([r for r in split.train if r.user == "u"]) == 4
+        assert len(split.train.rows_of("u")) == 4
 
     def test_small_user_excluded(self):
         rows = [("u", i, 4.5, i) for i in range(3)]
@@ -108,34 +121,91 @@ class TestSplit:
     def test_no_leakage(self):
         rows = [("u", i, 4.5, i) for i in range(20)]
         split = split_leave_n_out(interactions(rows), n_test=5, min_history=5)
-        train_items = {r.item for r in split.train if r.user == "u"}
+        train_items = {item for item, _, _ in split.train.entries("u")}
         assert not (train_items & split.relevance["u"].relevant)
+
+
+def fuzz_corpus(rng):
+    """Rows in a shuffled file order, with few items and timestamps (so
+    duplicate pairs and timestamp ties are common), and users at, just
+    under and just over min_history + n_test qualifying rows."""
+    n_test, min_history = rng.randint(1, 4), rng.randint(1, 3)
+    bar = n_test + min_history
+    rows = []
+    for u in range(rng.randint(1, 12)):
+        n_qualifying = rng.choice([bar - 1, bar, bar, bar + 1, rng.randint(0, 3 * bar)])
+        for k in range(n_qualifying + rng.randint(0, 4)):
+            rating = rng.choice([4.0, 4.5, 5.0] if k < n_qualifying else [0.5, 2.0, 3.5])
+            rows.append((f"u{u}", f"i{rng.randint(0, 14)}", rating, rng.randint(0, 8)))
+    rng.shuffle(rows)
+    return rows, n_test, min_history
+
+
+class TestSplitMatchesRowOracle:
+    def test_fuzz(self, tmp_path):
+        rng = random.Random(7)
+        seen = Counter()
+        for case in range(300):
+            rows, n_test, min_history = fuzz_corpus(rng)
+            split = split_leave_n_out(interactions(rows), n_test=n_test,
+                                      min_history=min_history)
+            if case % 10 == 0:
+                write_split(tmp_path / "split.json", split)
+                split = read_split(tmp_path / "split.json")
+            train, test, relevance, excluded = split_rows(rows, n_test, min_history)
+            assert table_rows(split.train) == train
+            test_by_user = {}
+            for row in test:
+                test_by_user.setdefault(row[0], []).append(row[1:])
+            assert {u: split.test.entries(u) for u in split.test.users.tolist()} == \
+                test_by_user
+            assert {u: rs.relevant for u, rs in split.relevance.items()} == relevance
+            assert split.excluded_users == excluded
+            for user in {r[0] for r in train}:
+                user_rows = [r for r in train if r[0] == user]
+                for strategy, seed in (("recent", None), ("random", case)):
+                    assert user_history(split.train, user, limit=4, strategy=strategy,
+                                        seed=seed).entries == \
+                        history_entries(user_rows, 4, strategy, seed)
+            qualifying = Counter(r[0] for r in rows if r[2] >= 4.0)
+            seen["at_bar"] += sum(n == n_test + min_history for n in qualifying.values())
+            seen["duplicate_pairs"] += len(rows) - len({r[:2] for r in rows})
+            seen["timestamp_ties"] += len(rows) - len({(r[0], r[3]) for r in rows})
+            seen["held_duplicates"] += len(test) - len({r[:2] for r in test})
+        assert min(seen.values()) > 100, seen
+
+    def test_item_only_in_test_gets_no_train_code(self):
+        rows = [("u", i, 4.5, i) for i in range(6)] + [("v", 0, 3.0, 1)]
+        split = split_leave_n_out(interactions(rows), n_test=2, min_history=2)
+        assert split.test.items.tolist() == ["4", "5"]
+        assert split.train.items.tolist() == ["0", "1", "2", "3"]
+        assert np.array_equal(split.train.item_codes(["3", "5", "x"]), [3, -1, -1])
 
 
 class TestSampleHistory:
     def test_keeps_ten_latest(self):
         rows = interactions([("u", i, 3.0, i) for i in range(25)])
-        hist = sample_history(rows)
+        hist = user_history(rows, "u")
         assert len(hist.entries) == 10
         assert [e[2] for e in hist.entries] == list(range(24, 14, -1))
 
     def test_under_limit(self):
         rows = interactions([("u", i, 3.0, i) for i in range(4)])
-        assert len(sample_history(rows).entries) == 4
+        assert len(user_history(rows, "u").entries) == 4
 
     def test_timestamp_tie_breaks_by_item(self):
         rows = interactions([("u", 9, 3.0, 100), ("u", 2, 3.0, 100)])
-        hist = sample_history(rows)
+        hist = user_history(rows, "u")
         assert [e[0] for e in hist.entries] == ["2", "9"]
 
     def test_empty_history(self):
         with pytest.raises(NoHistory):
-            sample_history([])
+            user_history(interactions([("v", 1, 3.0, 1)]), "u")
 
     def test_random_strategy_deterministic(self):
         rows = interactions([("u", i, 3.0, i) for i in range(30)])
-        a = sample_history(rows, strategy="random", seed=7)
-        b = sample_history(rows, strategy="random", seed=7)
+        a = user_history(rows, "u", strategy="random", seed=7)
+        b = user_history(rows, "u", strategy="random", seed=7)
         assert a == b
         assert len(a.entries) == 10
         # still timestamp-descending

@@ -10,7 +10,7 @@ from rerankeval import candgen
 from rerankeval.candgen import ItemKnnRecommender, build_item_knn, gen_model_slate
 from rerankeval.errors import UnknownUser
 from rerankeval.ingest import (Catalog, ItemCard, load_interactions, load_items,
-                               split_leave_n_out, train_by_user)
+                               split_leave_n_out)
 
 
 def conftest_train(tmp_path):
@@ -37,7 +37,7 @@ def zipf_train(n_users=50, n_items=40, n_ratings=900, seed=3):
 def assert_parity(train, top_m, min_co_raters, items, users):
     sim = build_item_knn(train, top_m=top_m, min_co_raters=min_co_raters)
     expected = build_item_knn_oracle(train, top_m=top_m, min_co_raters=min_co_raters)
-    assert neighbor_lists(sim) == expected
+    assert neighbor_lists(sim, train.items) == expected
     rec = ItemKnnRecommender(sim, train)
     oracle = OracleKnnScorer(expected, train)
     for user in users:
@@ -56,14 +56,14 @@ class TestNeighboursAndScores:
     @pytest.mark.parametrize("min_co_raters", [0, 1, 3])
     def test_conftest_corpus(self, tmp_path, block_rows, min_co_raters):
         split, catalog = conftest_train(tmp_path)
-        users = sorted({r.user for r in split.train})
+        users = split.train.users.tolist()
         assert_parity(split.train, 10, min_co_raters, sorted(catalog.items), users)
 
     @pytest.mark.parametrize("min_co_raters", [0, 1, 3])
     def test_zipf_with_tied_sims(self, block_rows, min_co_raters):
         train = zipf_train()
-        items = sorted({r.item for r in train})
-        users = sorted({r.user for r in train})
+        items = train.items.tolist()
+        users = train.users.tolist()
         expected = assert_parity(train, 8, min_co_raters, items, users)
         ties = sum(a[1] == b[1] for neigh in expected.values()
                    for a, b in zip(neigh, neigh[1:]))
@@ -75,16 +75,15 @@ class TestNeighboursAndScores:
 
     def test_top_m_at_least_item_count(self, block_rows):
         train = zipf_train(n_users=20, n_items=12, n_ratings=150)
-        items = sorted({r.item for r in train})
-        expected = assert_parity(train, len(items) + 5, 0, items,
-                                 sorted({r.user for r in train}))
+        items = train.items.tolist()
+        expected = assert_parity(train, len(items) + 5, 0, items, train.users.tolist())
         # min_co_raters=0 keeps every other item, so rows are full
         assert all(len(neigh) == len(items) - 1 for neigh in expected.values())
 
     def test_catalog_items_absent_from_train_score_zero(self, tmp_path):
         split, catalog = conftest_train(tmp_path)
         rec = ItemKnnRecommender(build_item_knn(split.train, top_m=10), split.train)
-        user = split.train[0].user
+        user = split.train.users[0]
         items = ["absent_a"] + sorted(catalog.items) + ["absent_b"]
         scores = rec.score_items(user, items)
         assert scores[0] == 0.0 and scores[-1] == 0.0
@@ -94,7 +93,7 @@ class TestNeighboursAndScores:
         split, catalog = conftest_train(tmp_path)
         sim = build_item_knn(split.train, top_m=10)
         for scorer in (ItemKnnRecommender(sim, split.train),
-                       OracleKnnScorer(neighbor_lists(sim), split.train)):
+                       OracleKnnScorer(neighbor_lists(sim, split.train.items), split.train)):
             with pytest.raises(UnknownUser):
                 scorer.score_items("ghost", sorted(catalog.items))
 
@@ -119,10 +118,9 @@ class TestSlates:
         rec = ItemKnnRecommender(sim, split.train)
         oracle = OracleKnnScorer(
             build_item_knn_oracle(split.train, top_m=10, min_co_raters=2), split.train)
-        by_user = train_by_user(split.train)
         assert len(split.relevance) == 30
         for user, rel in split.relevance.items():
-            exclusions = {r.item for r in by_user[user]}
+            exclusions = {item for item, _, _ in split.train.entries(user)}
             ours = gen_model_slate(user, rec, catalog, exclusions, inject, rel,
                                    seed=4, source="knn")
             theirs = gen_model_slate(user, oracle, catalog, exclusions, inject, rel,
@@ -131,17 +129,16 @@ class TestSlates:
 
     def test_zipf_slates_with_ties_match_oracle(self):
         train = zipf_train()
-        items = sorted({r.item for r in train})
+        items = train.items.tolist()
         catalog = Catalog(items={i: ItemCard(id=i, title=i, genres=[], language="en",
                                              overview_short="")
                                  for i in items})
         rec = ItemKnnRecommender(build_item_knn(train, top_m=8, min_co_raters=1), train)
         oracle = OracleKnnScorer(
             build_item_knn_oracle(train, top_m=8, min_co_raters=1), train)
-        by_user = train_by_user(train)
         checked = 0
-        for user in sorted(by_user):
-            exclusions = {r.item for r in by_user[user]}
+        for user in train.users.tolist():
+            exclusions = {item for item, _, _ in train.entries(user)}
             if len(items) - len(exclusions) < 15:
                 continue
             assert gen_model_slate(user, rec, catalog, exclusions, 0, None, seed=1).items \
