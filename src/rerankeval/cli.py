@@ -5,6 +5,7 @@ import argparse
 import configparser
 import json
 import logging
+import re
 import sys
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
@@ -12,8 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import candgen, datasetgen, ingest, metrics, rerank, stats
-from .errors import (EmptyTitle, MalformedRow, RerankEvalError, UnknownItem,
-                     ZeroVariance)
+from .errors import BadSlate, MalformedRow, RerankEvalError, ZeroVariance
 from .llm_client import BackendConfig, bounded_map, make_backend
 
 log = logging.getLogger(__name__)
@@ -44,7 +44,7 @@ class RunConfig:
     n_test: int = 10
     min_history: int = 5
     relevance_threshold: float = 4.0
-    history_sample: str = "recent"  # or "random:<seed>"
+    history_sample: str = "recent"  # recent | random | random:<seed>
 
     generator: str = "random"     # random | mf | knn | external
     inject_positives: int = 5
@@ -63,19 +63,20 @@ class RunConfig:
 
     backend: BackendConfig = field(default_factory=BackendConfig)
 
-    def validate(self):
-        if self.slate_size < 1 or self.bootstraps < 1 or self.sample_count < 1:
-            raise ValueError("counts must be >= 1")
+    def __post_init__(self):
+        for name in ("slate_size", "bootstraps", "sample_count", "n_test",
+                     "min_history", "history_limit", "knn_top_m", "mf_k"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if any(c < 1 or c > self.slate_size for c in self.cutoffs):
             raise ValueError("cutoffs must be within [1, slate_size]")
+        if not re.fullmatch(r"recent|random(:-?\d+)?", self.history_sample):
+            raise ValueError("history_sample must be recent, random or "
+                             "random:<integer>")
         if self.generator not in GENERATORS:
             raise ValueError(f"unknown generator: {self.generator}")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode: {self.mode}")
-        if self.knn_top_m < 1:
-            raise ValueError("knn_top_m must be >= 1")
-        if self.mf_k < 1:
-            raise ValueError("mf_k must be >= 1")
         if self.ranking_size < 2:
             raise ValueError("ranking_size must be >= 2 (a 1-item ranking has no "
                              "rejected permutation)")
@@ -118,9 +119,7 @@ def load_config(path=None, overrides=None):
     if backend_values:
         run["backend"] = BackendConfig(**{key: _coerce(BackendConfig, key, val)
                                           for key, val in backend_values.items()})
-    cfg = RunConfig(**run)
-    cfg.validate()
-    return cfg
+    return RunConfig(**run)
 
 
 # --------------------------------------------------------------------------
@@ -136,15 +135,6 @@ def _load_run_dir(cfg):
     return split, catalog, _sample_eval_users(split, cfg)
 
 
-def _write_catalog(run_dir, catalog):
-    with (run_dir / "catalog.jsonl").open("w", encoding="utf-8") as fh:
-        for item_id in sorted(catalog.items):
-            c = catalog.items[item_id]
-            fh.write(json.dumps({"id": c.id, "title": c.title, "genres": c.genres,
-                                 "language": c.language,
-                                 "overview": c.overview_short}) + "\n")
-
-
 # --------------------------------------------------------------------------
 # Subcommands
 # --------------------------------------------------------------------------
@@ -154,15 +144,11 @@ def cmd_ingest(cfg):
     run_dir.mkdir(parents=True, exist_ok=True)
     interactions = ingest.load_interactions(cfg.ratings)
     catalog = ingest.load_items(cfg.items)
-    for card in catalog.items.values():
-        words = card.overview_short.split()
-        if len(words) > ingest.OVERVIEW_MAX_WORDS:
-            card.overview_short = " ".join(words[:ingest.OVERVIEW_MAX_WORDS])
     split = ingest.split_leave_n_out(interactions, n_test=cfg.n_test,
                                      min_history=cfg.min_history,
                                      threshold=cfg.relevance_threshold)
     ingest.write_split(run_dir / "split.json", split)
-    _write_catalog(run_dir, catalog)
+    ingest.write_catalog(run_dir / "catalog.jsonl", catalog)
     (run_dir / "config.json").write_text(
         json.dumps(asdict(cfg), indent=2) + "\n", encoding="utf-8")
 
@@ -175,12 +161,9 @@ def cmd_ingest(cfg):
 
 def _sample_history(cfg, train, user):
     """The user's history as cfg.history_sample and cfg.history_limit say."""
-    strategy, seed = "recent", None
-    if cfg.history_sample.startswith("random"):
-        _, _, s = cfg.history_sample.partition(":")
-        strategy, seed = "random", int(s) if s else cfg.seed
-    return ingest.user_history(train, user, limit=cfg.history_limit,
-                               strategy=strategy, seed=seed)
+    strategy, _, seed = cfg.history_sample.partition(":")
+    return ingest.user_history(train, user, limit=cfg.history_limit, strategy=strategy,
+                               seed=int(seed) if seed else cfg.seed)
 
 
 def _sample_eval_users(split, cfg):
@@ -192,54 +175,30 @@ def _sample_eval_users(split, cfg):
     return eligible
 
 
-def _external_slates(cfg, users, train, catalog):
-    """Imported slates of users, less those of users whose slate is missing,
-    names an item outside the catalog or one the user rated in train; each
-    of those users is skipped with a logged reason."""
-    slates = {s.user: s for s in candgen.import_slates(cfg.slates)}
-    out = {}
-    for user in users:
-        slate = slates.get(user)
-        if slate is None:
-            log.warning("skipped user %s: no external slate", user)
-            continue
-        rated = {item for item, _, _ in train.entries(user)}
-        unknown = [i for i in slate.items if i not in catalog]
-        seen = [i for i in slate.items if i in rated]
-        if unknown:
-            log.warning("skipped user %s: slate items not in the catalog: %s",
-                        user, unknown)
-        elif seen:
-            log.warning("skipped user %s: slate items rated in train: %s", user, seen)
-        else:
-            out[user] = slate
-    return out
+def _external_slate(slates, user, rated, catalog):
+    """user's slate among the imported slates; BadSlate when there is none
+    or it names an item outside the catalog or one the user rated in train."""
+    slate = slates.get(user)
+    if slate is None:
+        raise BadSlate("no external slate")
+    unknown = [i for i in slate.items if i not in catalog]
+    if unknown:
+        raise BadSlate(f"slate items not in the catalog: {unknown}")
+    seen = [i for i in slate.items if i in rated]
+    if seen:
+        raise BadSlate(f"slate items rated in train: {seen}")
+    return slate
 
 
-def _promptable_histories(cfg, slates, train, catalog):
-    """The sampled history of each user with a slate, less the users whose
-    history or slate names an item missing from the catalog or one with an
-    empty title, which no prompt can show; each of those users is skipped
-    with a logged reason."""
-    out = {}
-    for user, slate in slates.items():
-        history = _sample_history(cfg, train, user)
-        try:
-            rerank.build_prompt(history, slate, catalog)
-        except (EmptyTitle, UnknownItem) as e:
-            log.warning("skipped user %s: %s", user, e)
-            continue
-        out[user] = history
-    return out
-
-
-def _build_slates(cfg, users, split, catalog):
+def _user_inputs(cfg, users, split, catalog):
+    """The slates and, when cfg.mode re-ranks, the sampled histories of the
+    users whose inputs hold up, as two dicts by user; each re-ranked user's
+    prompt is built once as a check. A user whose slate, history or prompt
+    raises a RerankEvalError is skipped, with the reason logged."""
     train, relevance = split.train, split.relevance
     if cfg.generator == "external":
-        return _external_slates(cfg, users, train, catalog)
-    out = {}
-    scorer = None
-    if cfg.generator == "mf":
+        external = {s.user: s for s in candgen.import_slates(cfg.slates)}
+    elif cfg.generator == "mf":
         scorer = candgen.train_mf(train, k=cfg.mf_k, epochs=cfg.mf_epochs,
                                   learn_rate=cfg.mf_learn_rate, reg=cfg.mf_reg,
                                   seed=cfg.seed)
@@ -248,19 +207,31 @@ def _build_slates(cfg, users, split, catalog):
                                      min_co_raters=cfg.knn_min_co_raters)
         scorer = candgen.ItemKnnRecommender(sim, train)
 
+    slates, histories = {}, {}
     for user in users:
         exclusions = {item for item, _, _ in train.entries(user)}
-        if cfg.generator == "random":
-            slate = candgen.gen_random_slate(
-                user, catalog, exclusions, cfg.seed, slate_size=cfg.slate_size,
-                inject_positives=cfg.inject_positives, relevance=relevance.get(user))
-        else:
-            slate = candgen.gen_model_slate(
-                user, scorer, catalog, exclusions, cfg.inject_positives,
-                relevance.get(user), cfg.seed, slate_size=cfg.slate_size,
-                source=cfg.generator)
-        out[user] = slate
-    return out
+        try:
+            if cfg.generator == "external":
+                slate = _external_slate(external, user, exclusions, catalog)
+            elif cfg.generator == "random":
+                slate = candgen.gen_random_slate(
+                    user, catalog, exclusions, cfg.seed, slate_size=cfg.slate_size,
+                    inject_positives=cfg.inject_positives,
+                    relevance=relevance.get(user))
+            else:
+                slate = candgen.gen_model_slate(
+                    user, scorer, catalog, exclusions, cfg.inject_positives,
+                    relevance.get(user), cfg.seed, slate_size=cfg.slate_size,
+                    source=cfg.generator)
+            if cfg.mode in _MODE_COLUMN:
+                history = _sample_history(cfg, train, user)
+                rerank.build_prompt(history, slate, catalog)
+                histories[user] = history
+        except RerankEvalError as e:
+            log.warning("skipped user %s: %s", user, e)
+            continue
+        slates[user] = slate
+    return slates, histories
 
 
 def cmd_run(cfg):
@@ -269,10 +240,7 @@ def cmd_run(cfg):
     if not users:
         print("no eligible evaluation users", file=sys.stderr)
         return EXIT_CONFIG
-    slates = _build_slates(cfg, users, split, catalog)
-    if cfg.mode in _MODE_COLUMN:
-        histories = _promptable_histories(cfg, slates, split.train, catalog)
-        slates = {user: slates[user] for user in histories}
+    slates, histories = _user_inputs(cfg, users, split, catalog)
     skipped = len(users) - len(slates)
     users = sorted(slates)
     if cfg.mode in _MODE_COLUMN and len(users) < 2:
@@ -439,10 +407,10 @@ def cmd_human_eval(ratings_a, ratings_b, paired=False):
 
 def cmd_export_slates(cfg, out_path):
     split, catalog, users = _load_run_dir(cfg)
-    slates = _build_slates(cfg, users, split, catalog)
+    slates, _ = _user_inputs(cfg, users, split, catalog)
     candgen.export_slates([slates[u] for u in sorted(slates)], out_path)
     print(f"wrote {len(slates)} slates to {out_path}")
-    return EXIT_OK
+    return EXIT_PARTIAL if len(slates) < len(users) else EXIT_OK
 
 
 # --------------------------------------------------------------------------

@@ -43,6 +43,10 @@ class NonFiniteLoss(RerankEvalError):
     pass
 
 
+class BadSlate(RerankEvalError):
+    pass
+
+
 # --- llm client ---
 
 class BackendError(RerankEvalError):

@@ -212,8 +212,8 @@ def load_items(path):
     """Read an item catalog from CSV or JSON-lines.
 
     Expected fields: id, title, genres (pipe-joined in CSV, list in JSONL),
-    language, overview. Overviews longer than 15 words are kept in full here;
-    summarization happens downstream.
+    language, overview. Overviews are kept in full here; write_catalog cuts
+    them. A row without an id raises MalformedRow.
     """
     path = Path(path)
     if not path.is_file():
@@ -228,7 +228,11 @@ def load_items(path):
 
 def _csv_rows(path):
     with path.open(newline="", encoding="utf-8") as fh:
-        yield from csv.DictReader(fh)
+        reader = csv.DictReader(fh)
+        for row in reader:
+            if row.get("id") is None:
+                raise MalformedRow(reader.line_num, "no id field")
+            yield row
 
 
 def _card(row):
@@ -239,6 +243,19 @@ def _card(row):
     return ItemCard(id=str(row["id"]).strip(), title=str(row.get("title") or "").strip(),
                     genres=list(genres), language=str(row.get("language") or "").strip(),
                     overview_short=str(row.get("overview") or "").strip())
+
+
+def write_catalog(path, catalog):
+    """Write catalog as JSON lines, one card per line in id order, with
+    overviews longer than OVERVIEW_MAX_WORDS words cut to that many."""
+    with Path(path).open("w", encoding="utf-8") as fh:
+        for item_id in catalog.sorted_ids:
+            c = catalog.items[item_id]
+            words = c.overview_short.split()
+            overview = (" ".join(words[:OVERVIEW_MAX_WORDS])
+                        if len(words) > OVERVIEW_MAX_WORDS else c.overview_short)
+            fh.write(json.dumps({"id": c.id, "title": c.title, "genres": c.genres,
+                                 "language": c.language, "overview": overview}) + "\n")
 
 
 def jsonl_objects(path, keys):

@@ -51,6 +51,8 @@ class BackendConfig:
     fixtures_path: str = ""         # scripted backend fixture JSONL
 
     def __post_init__(self):
+        if self.kind not in ("scripted", "http"):
+            raise ValueError(f"unknown backend kind: {self.kind}")
         if self.kind == "http" and (not self.endpoint or not self.model):
             raise ValueError("http backend requires endpoint and model")
         if self.timeout <= 0:
@@ -62,15 +64,10 @@ class BackendConfig:
 
 
 def make_backend(config):
-    if config.kind == "scripted":
-        fixtures = load_fixtures(config.fixtures_path) if config.fixtures_path else []
-        backend = ScriptedBackend(fixtures=fixtures)
-    elif config.kind == "http":
-        backend = HttpBackend(config)
-    else:
-        raise ValueError(f"unknown backend kind: {config.kind}")
-    backend.max_concurrent_requests = config.max_concurrent_requests
-    return backend
+    if config.kind == "http":
+        return HttpBackend(config)
+    fixtures = load_fixtures(config.fixtures_path) if config.fixtures_path else []
+    return ScriptedBackend(fixtures, max_concurrent_requests=config.max_concurrent_requests)
 
 
 def load_fixtures(path):
@@ -80,14 +77,13 @@ def load_fixtures(path):
 
 
 class ScriptedBackend:
-    """Deterministic backend: answers from fixtures, a handler callable, or a
-    default that echoes the prompt's candidate lines back in order."""
+    """Deterministic backend: answers from fixtures, a handler callable, or
+    by echoing the prompt's candidate lines back in order."""
 
-    def __init__(self, fixtures=None, handler=None, default=None):
+    def __init__(self, fixtures=None, handler=None, max_concurrent_requests=4):
         self.fixtures = list(fixtures or [])
         self.handler = handler
-        self.default = default
-        self.max_concurrent_requests = 4
+        self.max_concurrent_requests = max_concurrent_requests
 
     def complete(self, request):
         for needle, response in self.fixtures:
@@ -95,8 +91,6 @@ class ScriptedBackend:
                 return ChatResponse(text=response)
         if self.handler is not None:
             return ChatResponse(text=self.handler(request))
-        if self.default is not None:
-            return ChatResponse(text=self.default)
         return ChatResponse(text=_echo_candidates(request.user_prompt))
 
 

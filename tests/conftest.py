@@ -84,8 +84,7 @@ class PeakBackend(ScriptedBackend):
     records the peak number of requests in flight."""
 
     def __init__(self, cap, delay, handler):
-        super().__init__(handler=self._timed)
-        self.max_concurrent_requests = cap
+        super().__init__(handler=self._timed, max_concurrent_requests=cap)
         self._delay = delay
         self._answer = handler
         self._lock = threading.Lock()

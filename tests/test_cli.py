@@ -101,6 +101,13 @@ class TestConfig:
         ("knn_top_m", "0", "knn_top_m"),
         ("mf_k", "0", "mf_k"),
         ("ranking_size", "1", "ranking_size"),
+        ("n_test", "0", "n_test must be >= 1"),
+        ("min_history", "0", "min_history must be >= 1"),
+        ("history_limit", "0", "history_limit must be >= 1"),
+        ("history_limit", "-1", "history_limit must be >= 1"),
+        ("history_sample", "oldest", "history_sample must be"),
+        ("history_sample", "random:x", "history_sample must be"),
+        ("backend_kind", "bogus", "unknown backend kind: bogus"),
     ])
     def test_bad_value_rejected_before_any_work(self, corpus, monkeypatch, capsys,
                                                 key, value, message):
@@ -287,6 +294,33 @@ class TestRun:
         report = json.loads((run_dir / "report.json").read_text())
         assert (report["users_evaluated"], report["users_skipped"]) == (8, 0)
 
+    def test_too_few_eligible_items_skips_its_user(self, corpus, tmp_path, caplog):
+        ratings, _, run_dir = corpus
+        # the victim rates five more items, below the relevance threshold, so
+        # 60 - 20 train items are eligible for their slate; every other
+        # user has 60 - 15
+        victim = "u3"
+        text = ratings.read_text()
+        rated = {l.split(",")[1] for l in text.splitlines() if l.startswith(victim + ",")}
+        extra = [i for i in map(str, range(1, 61)) if i not in rated][:5]
+        ratings.write_text(text + "".join(f"{victim},{i},1.0,{99000 + k}\n"
+                                          for k, i in enumerate(extra)))
+        main(ingest_args(corpus))
+        out = tmp_path / "slates.jsonl"
+        for args in (run_args(corpus, sample_count=30, slate_size=45, mode="zero_shot"),
+                     ["export-slates", "--run-dir", str(run_dir), "--sample-count",
+                      "30", "--slate-size", "45", "--out", str(out)]):
+            caplog.clear()
+            assert main(args) == EXIT_PARTIAL
+            assert caplog.text.count("skipped user") == 1
+            assert f"skipped user {victim}: 40 eligible items < slate size 45" in \
+                caplog.text
+        report = json.loads((run_dir / "report.json").read_text())
+        assert (report["users_evaluated"], report["users_skipped"]) == (29, 1)
+        assert victim not in report["zero_shot"][0]["per_user"]
+        exported = [json.loads(l)["user"] for l in out.read_text().splitlines()]
+        assert len(exported) == 29 and victim not in exported
+
     def test_diverging_mf_exits_2(self, corpus, capsys):
         main(ingest_args(corpus))
         with warnings.catch_warnings():
@@ -371,12 +405,18 @@ class TestBadInputFileExits2:
     @pytest.mark.parametrize("line,message", [
         ('{"title": "No id"}', "not a JSON object with id"),
         ('[1, "List"]', "not a JSON object with id"),
+        ("title,genres\nA,B", "no id field"),
+        ("title,id\nA", "no id field"),
     ])
     def test_malformed_catalog_line_exits_2(self, corpus, tmp_path, capsys, line,
                                             message):
         ratings, _, run_dir = corpus
-        items = tmp_path / "items.jsonl"
-        items.write_text('{"id": 1, "title": "One"}\n' + line + "\n")
+        if line.startswith(("{", "[")):
+            items = tmp_path / "items.jsonl"
+            items.write_text('{"id": 1, "title": "One"}\n' + line + "\n")
+        else:  # a CSV header and row
+            items = tmp_path / "items.csv"
+            items.write_text(line + "\n")
         code = main(["ingest", "--ratings", str(ratings), "--items", str(items),
                      "--run-dir", str(run_dir)])
         assert code == EXIT_CONFIG

@@ -33,7 +33,8 @@ class TestMakePositiveSample:
     def test_reordering_backend_raises_drift(self, catalog):
         history = make_history("u", [1])
         ranking = ["3", "4", "5"]
-        backend = ScriptedBackend(default="Rank 1: 5 - x\nRank 2: 4 - y\nRank 3: 3 - z")
+        backend = ScriptedBackend(
+            handler=lambda r: "Rank 1: 5 - x\nRank 2: 4 - y\nRank 3: 3 - z")
         with pytest.raises(GenerationOrderDrift):
             make_positive_sample(backend, history, ranking, catalog)
 

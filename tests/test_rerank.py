@@ -229,7 +229,7 @@ class TestRerankUser:
     def test_all_failures_fall_back_to_slate_order(self, catalog):
         history = make_history("u", [1])
         slate = make_slate("u", range(2, 17))
-        backend = ScriptedBackend(default="complete gibberish")
+        backend = ScriptedBackend(handler=lambda r: "complete gibberish")
         consensus, _ = rerank_user(history, slate, catalog, backend, k=3, seed=1)
         assert consensus.fallback
         assert consensus.items == slate.items
