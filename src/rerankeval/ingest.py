@@ -161,12 +161,103 @@ def load_interactions(path):
     """Read a 4-column ratings CSV (userId,itemId,rating,timestamp).
 
     A header row is auto-detected. A malformed row raises MalformedRow.
+    A file in the plain shape _load_plain accepts is read in one vectorized
+    pass; any other file row by row, with the same result.
     """
     path = Path(path)
     if not path.is_file():
         raise MissingFile(str(path))
+    table = _load_plain(path)
+    return _load_rows(path) if table is None else table
+
+
+# bytes a plain ratings file may hold: printable ASCII without space or quote,
+# and LF
+_PLAIN_BYTES = np.zeros(256, dtype=bool)
+_PLAIN_BYTES[0x21:0x7f] = True
+_PLAIN_BYTES[ord('"')] = False
+_PLAIN_BYTES[ord("\n")] = True
+# rows cut per block, so that no temporary grows with rows x field width
+_BLOCK_ROWS = 32768
+# The plain path pads each column to its longest field. A file whose padded
+# columns would take more than this many times its own bytes has an outsized
+# field, and is read row by row instead.
+_MAX_PADDING = 4
+
+
+def _load_plain(path):
+    """The table of a ratings file in the plain shape, or None for any other.
+
+    Plain: ASCII bytes with no quote, whitespace or control byte but LF;
+    every line, the last too, ends in LF and holds 4 non-empty fields; a
+    rating is digits with at most one point, within [RATING_MIN, RATING_MAX];
+    a timestamp is at most 18 digits; the columns, padded to their longest
+    fields, fit in _MAX_PADDING times the file's bytes. csv.reader and
+    _parse_row read such a file to the same values without error, so only
+    _load_rows raises MalformedRow.
+    """
+    buf = np.fromfile(path, dtype=np.uint8)
+    if not len(buf) or buf[-1] != ord("\n") or not _PLAIN_BYTES[buf].all():
+        return None
+    ends = np.flatnonzero(buf == ord("\n"))
+    commas = np.flatnonzero(buf == ord(","))
+    if len(commas) != 3 * len(ends):
+        return None
+    # field k of line n is buf[cuts[n, k] + 1:cuts[n, k + 1]]
+    cuts = np.column_stack((np.concatenate(([-1], ends[:-1])), commas.reshape(-1, 3), ends))
+    del commas, ends
+    lengths = np.diff(cuts, axis=1) - 1
+    if not (lengths > 0).all():  # each field in its line, not empty
+        return None
+    header = int(_looks_like_header(buf[:cuts[0, 4]].tobytes().decode().split(",")))
+    cuts, widths = cuts[header:], lengths[header:].max(axis=0, initial=0)
+    del lengths
+    if (not len(cuts) or len(cuts) * widths.sum() > _MAX_PADDING * len(buf)
+            or widths[3] > 18):
+        return None
+    user, item, rating, ts = (_field(buf, cuts[:, k] + 1, cuts[:, k + 1], widths[k])
+                              for k in range(4))
+    if not (_is_number(rating, points=1) and _is_number(ts, points=0)):
+        return None
+    rating = rating.astype(np.float64)
+    if not ((RATING_MIN <= rating) & (rating <= RATING_MAX)).all():
+        return None
+    users, user = np.unique(user, return_inverse=True)
+    items, item = np.unique(item, return_inverse=True)
+    # ASCII byte order is code point order, so the id tables are from_columns's
+    return Interactions(users.astype(str), items.astype(str), user, item, rating,
+                        ts.astype(np.int64))
+
+
+def _field(buf, starts, stops, width):
+    """buf[starts[n]:stops[n]] of each row n, as a bytes column `width` wide
+    (at least the longest)."""
+    out = np.empty((len(starts), width), dtype=np.uint8)
+    offsets = np.arange(width)
+    for lo in range(0, len(starts), _BLOCK_ROWS):
+        start, stop = starts[lo:lo + _BLOCK_ROWS, None], stops[lo:lo + _BLOCK_ROWS, None]
+        at = start + offsets
+        block = buf.take(at, mode="clip")
+        block[at >= stop] = 0
+        out[lo:lo + _BLOCK_ROWS] = block
+    return out.view(f"S{width}").ravel()
+
+
+def _is_number(column, points):
+    """Whether each entry of a bytes column is digits with at most `points`
+    decimal points."""
+    field = column.view(np.uint8).reshape(len(column), -1)
+    digit = (field >= ord("0")) & (field <= ord("9"))
+    point = field == ord(".")
+    return bool((digit | point | (field == 0)).all() and digit.any(axis=1).all()
+                and (np.count_nonzero(point, axis=1) <= points).all())
+
+
+def _load_rows(path):
+    """The table of a ratings file, read row by row by csv.reader and
+    _parse_row; a leading UTF-8 byte order mark is skipped."""
     users, items, ratings, timestamps = [], [], [], []
-    with path.open(newline="", encoding="utf-8") as fh:
+    with Path(path).open(newline="", encoding="utf-8-sig") as fh:
         for line_no, row in enumerate(csv.reader(fh), start=1):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
@@ -227,7 +318,7 @@ def load_items(path):
 
 
 def _csv_rows(path):
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         for row in reader:
             if row.get("id") is None:
@@ -323,10 +414,16 @@ _SPLIT_COLUMNS = (("users", str), ("items", str), ("user", np.int64),
 
 
 def write_split(path, split):
-    payload = {name: getattr(split.rows, name).tolist() for name, _ in _SPLIT_COLUMNS}
-    payload["held"] = np.flatnonzero(split.held).tolist()
-    payload["excluded_users"] = split.excluded_users
-    Path(path).write_text(json.dumps(payload) + "\n", encoding="utf-8")
+    """Write split as one JSON object, column by column, so that only one
+    column is ever held as Python objects and text."""
+    columns = {name: getattr(split.rows, name) for name, _ in _SPLIT_COLUMNS}
+    columns["held"] = np.flatnonzero(split.held)
+    with Path(path).open("w", encoding="utf-8") as fh:
+        sep = "{"
+        for name, column in columns.items():
+            fh.write(f"{sep}{json.dumps(name)}: {json.dumps(column.tolist())}")
+            sep = ", "
+        fh.write(f', "excluded_users": {json.dumps(split.excluded_users)}}}\n')
 
 
 def read_split(path):

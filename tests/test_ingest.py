@@ -1,3 +1,4 @@
+import json
 import random
 import re
 from collections import Counter
@@ -5,12 +6,13 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import interactions, table_rows
+from conftest import interactions, table_rows, write_corpus
 from split_oracle import history_entries, split_rows
 from rerankeval.errors import EmptyTitle, MalformedRow, MissingFile, NoHistory
-from rerankeval.ingest import (ItemCard, build_item_description,
-                               load_interactions, load_items, read_split,
-                               split_leave_n_out, user_history, write_split)
+from rerankeval.ingest import (ItemCard, _load_plain, _load_rows,
+                               build_item_description, load_interactions,
+                               load_items, read_split, split_leave_n_out,
+                               user_history, write_split)
 
 
 def write(tmp_path, name, text):
@@ -55,6 +57,131 @@ class TestLoadInteractions:
             load_interactions(p)
         assert exc.value.line_no == 2
 
+    def test_byte_order_mark_is_not_part_of_the_first_id(self, tmp_path):
+        p = tmp_path / "r.csv"
+        p.write_bytes(b"\xef\xbb\xbfu1,i1,4.0,1\nu2,i1,3.0,2\nu1,i2,5.0,3\n")
+        table = load_interactions(p)
+        assert table.users.tolist() == ["u1", "u2"]
+        assert table_rows(table)[0] == ("u1", "i1", 4.0, 1)
+
+
+COLUMNS = ("users", "items", "user", "item", "rating", "timestamp")
+
+
+def assert_same_table(a, b):
+    for name in COLUMNS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
+
+
+# Files outside the plain shape, each with what the row loop makes of it:
+# its rows, or the line and message of its MalformedRow.
+FALLBACK_CASES = [
+    (b"1,42,6.0,100\n", (1, "rating 6.0 outside [0.5, 5.0]")),
+    (b"1,42,4.5,-1\n", (1, "timestamp -1 outside [0, 2**63)")),
+    (b"1,42,4.5,9223372036854775808\n",
+     (1, "timestamp 9223372036854775808 outside [0, 2**63)")),
+    (b"1,4\x002,4.5,1\n", (1, "empty user or item id, or one with a NUL")),
+    (b"1,42,4.5,100\n1,43,2.0\n", (2, "expected 4 fields, got 3")),
+    (b"1,42,4.5,100,7\n", (1, "expected 4 fields, got 5")),
+    (b"1,,4.5,100\n", (1, "empty user or item id, or one with a NUL")),
+    (b"1,42,nan,100\n", (1, "rating nan outside [0.5, 5.0]")),
+    (b"1,42,4_5,100\n", (1, "rating 45.0 outside [0.5, 5.0]")),
+    (b"1,42,4.5,1e0\n", (1, "invalid literal for int() with base 10: '1e0'")),
+    (b"1,42,4.5,10.0\n", (1, "invalid literal for int() with base 10: '10.0'")),
+    (b"1,42,4.5,100\n1,42,4.5.0,100\n", (2, "could not convert string to float: '4.5.0'")),
+    (b"1,42,4.5,100\nabc", (2, "expected 4 fields, got 1")),
+    (b"1,42,4.5,100\r\n1,43,2.0,101\r\n", [("1", "42", 4.5, 100), ("1", "43", 2.0, 101)]),
+    (b'1,"4,2",4.5,100\n', [("1", "4,2", 4.5, 100)]),
+    (b'"1",42,4.5,100\n', [("1", "42", 4.5, 100)]),
+    (b"1,42,4.5,100\n\n1,43,2.0,101\n", [("1", "42", 4.5, 100), ("1", "43", 2.0, 101)]),
+    (b"1,42,4.5,100\n   \n", [("1", "42", 4.5, 100)]),
+    (b"1 , 42,4.5 ,100\n", [("1", "42", 4.5, 100)]),
+    (b"1 , 42,4.5,100\n", [("1", "42", 4.5, 100)]),
+    (b"1,42,4.5\t,100\n", [("1", "42", 4.5, 100)]),
+    (b"1,42,4.5,100\n1,43,2.0,101", [("1", "42", 4.5, 100), ("1", "43", 2.0, 101)]),
+    (b"1,42,4.5,1234567890123456789\n", [("1", "42", 4.5, 1234567890123456789)]),
+    (b"1,42,1e0,100\n", [("1", "42", 1.0, 100)]),
+    (b"1,42,+4.5,+100\n", [("1", "42", 4.5, 100)]),
+    (b"\xc3\xa9,42,4.5,100\n", [("\u00e9", "42", 4.5, 100)]),
+    (b"1,42,4.5,100\n" * 20 + b"1," + b"9" * 200 + b",4.5,100\n",
+     [("1", "42", 4.5, 100)] * 20 + [("1", "9" * 200, 4.5, 100)]),
+    (b"h\n1,42,4.5,100\n", [("1", "42", 4.5, 100)]),
+    (b"userId,itemId,rating,timestamp\n", []),
+    (b"", []),
+]
+
+
+class TestPlainPath:
+    @pytest.mark.parametrize("data,expected", FALLBACK_CASES,
+                             ids=[repr(data)[2:-1] for data, _ in FALLBACK_CASES])
+    def test_other_shapes_fall_back_to_the_row_loop(self, tmp_path, data, expected):
+        p = tmp_path / "r.csv"
+        p.write_bytes(data)
+        assert _load_plain(p) is None
+        if isinstance(expected, tuple):
+            with pytest.raises(MalformedRow) as exc:
+                load_interactions(p)
+            assert (exc.value.line_no, str(exc.value)) == \
+                (expected[0], f"line {expected[0]}: {expected[1]}")
+        else:
+            assert table_rows(load_interactions(p)) == expected
+
+    def test_fuzz_matches_the_row_loop(self, tmp_path):
+        rng = random.Random(11)
+        alphabet = "aZz09_-.:'~#"
+        ratings = ["4.", ".5", "05.0", "0.5", "1", "2.5", "3.25", "4.0", "4.5", "5", "5.000"]
+        breaks = [("rating", "nan"), ("rating", "1e0"), ("rating", " 4.0"), ("rating", "6"),
+                  ("rating", "4.5.0"), ("user", " u"),
+                  ("item", '"x"'), ("item", ""), ("item", "\u00e9"), ("ts", "-1"),
+                  ("ts", "1" * 19), ("ts", "4\r"), ("line", ""), ("end", "")]
+        p = tmp_path / "r.csv"
+        seen = Counter()
+        for case in range(400):
+            ids = ["".join(rng.choices(alphabet, k=rng.randint(1, 9)))
+                   for _ in range(rng.randint(1, 30))]
+            rows = []
+            for _ in range(rng.randint(1, 60)):
+                digits = rng.choice([1, 3, 10, 18])
+                rows.append({"user": rng.choice(ids), "item": rng.choice(ids[:8]),
+                             "rating": rng.choice(ratings),
+                             "ts": str(rng.randrange(10 ** digits)).zfill(rng.choice([1, digits]))})
+            broken = case % 3 == 0
+            if broken:
+                kind, value = rng.choice(breaks)
+                row = rng.choice(rows[1:] or rows)  # a break may make line 1 a header
+                if kind == "line":
+                    rows.insert(rng.randint(0, len(rows)), None)
+                elif kind != "end":
+                    row[kind] = value
+            lines = [",".join((r["user"], r["item"], r["rating"], r["ts"])) if r else ""
+                     for r in rows]
+            if case % 2:
+                lines.insert(0, "userId,itemId,rating,timestamp")
+            text = "\n".join(lines) + ("" if broken and kind == "end" else "\n")
+            p.write_text(text, encoding="utf-8", newline="")
+            plain = _load_plain(p)
+            if broken:
+                assert plain is None, text
+                continue
+            assert plain is not None, text
+            assert_same_table(plain, _load_rows(p))
+            seen["duplicate_pairs"] += len(rows) - len({(r["user"], r["item"]) for r in rows})
+            seen["long_timestamps"] += sum(len(r["ts"]) == 18 for r in rows)
+            seen["leading_zeros"] += sum(r["ts"][0] == "0" and len(r["ts"]) > 1 for r in rows)
+        assert min(seen.values()) > 50, seen
+
+    def test_benchmark_corpus_shape_takes_the_plain_path(self, tmp_path):
+        # perfbench/corpus.py writes a header, then u{n},{i},{r:g},{ts} lines
+        lines = ["userId,itemId,rating,timestamp"]
+        lines += [f"u{n},{i},{r:g},{1_000_000_000 + n * 7 + i}"
+                  for n in range(1, 40) for i, r in ((n % 13, 0.5 + n % 10 / 2), (n + 5, 4.0))]
+        p = tmp_path / "ratings.csv"
+        p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        table = _load_plain(p)
+        assert table is not None and len(table) == 78
+        assert_same_table(table, _load_rows(p))
+
 
 class TestLoadItems:
     def test_csv(self, tmp_path):
@@ -71,6 +198,11 @@ class TestLoadItems:
                   '{"id": 1, "title": "Toy Story", "genres": ["Animation"], '
                   '"language": "en", "overview": "Toys come alive."}\n')
         assert load_items(p).get("1").genres == ["Animation"]
+
+    def test_csv_header_with_byte_order_mark(self, tmp_path):
+        p = tmp_path / "items.csv"
+        p.write_bytes("\ufeffid,title\n1,Toy Story\n".encode("utf-8"))
+        assert load_items(p).get("1").title == "Toy Story"
 
 
 class TestBuildItemDescription:
@@ -173,6 +305,15 @@ class TestSplitMatchesRowOracle:
             seen["timestamp_ties"] += len(rows) - len({(r[0], r[3]) for r in rows})
             seen["held_duplicates"] += len(test) - len({r[:2] for r in test})
         assert min(seen.values()) > 100, seen
+
+    def test_written_split_is_one_json_dump(self, tmp_path):
+        split = split_leave_n_out(load_interactions(write_corpus(tmp_path)[0]))
+        write_split(tmp_path / "split.json", split)
+        payload = {name: getattr(split.rows, name).tolist() for name in COLUMNS}
+        payload["held"] = np.flatnonzero(split.held).tolist()
+        payload["excluded_users"] = split.excluded_users
+        assert (tmp_path / "split.json").read_text(encoding="utf-8") == \
+            json.dumps(payload) + "\n"
 
     def test_item_only_in_test_gets_no_train_code(self):
         rows = [("u", i, 4.5, i) for i in range(6)] + [("v", 0, 3.0, 1)]
