@@ -92,7 +92,10 @@ def _coerce(cls, key, value):
     if kind is tuple:
         return tuple(int(c) for c in str(value).replace(",", " ").split())
     if kind is bool:
-        return str(value).lower() in ("1", "true", "yes")
+        states = configparser.ConfigParser.BOOLEAN_STATES
+        if str(value).lower() not in states:
+            raise ValueError(f"{key} must be one of {', '.join(states)}, got {value!r}")
+        return states[str(value).lower()]
     if kind in (int, float):
         return kind(value)
     return value
@@ -236,6 +239,7 @@ def _user_inputs(cfg, users, split, catalog):
 
 def cmd_run(cfg):
     run_dir = Path(cfg.run_dir)
+    backend = make_backend(cfg.backend) if cfg.mode in _MODE_COLUMN else None
     split, catalog, users = _load_run_dir(cfg)
     if not users:
         print("no eligible evaluation users", file=sys.stderr)
@@ -256,8 +260,7 @@ def cmd_run(cfg):
     ranked_results = None
     comparison = None
     fallbacks = 0
-    if cfg.mode in _MODE_COLUMN:
-        backend = make_backend(cfg.backend)
+    if backend is not None:
         jobs = [(histories[user], slates[user]) for user in users]
         ranked = rerank.rerank_users(jobs, catalog, backend, k=cfg.bootstraps,
                                      mode=cfg.mode, seed=cfg.seed,
@@ -273,7 +276,7 @@ def cmd_run(cfg):
     print(f"evaluated {len(users)} users "
           f"(skipped {skipped}, bootstrap fallbacks {fallbacks})")
     print(f"report written to {run_dir / 'report.json'}")
-    return EXIT_PARTIAL if skipped else EXIT_OK
+    return EXIT_PARTIAL if skipped or fallbacks else EXIT_OK
 
 
 def _write_report(run_dir, cfg, users, baseline_results, ranked_results,
@@ -325,8 +328,8 @@ def _write_report(run_dir, cfg, users, baseline_results, ranked_results,
 
 
 def cmd_build_dataset(cfg):
-    split, catalog, users = _load_run_dir(cfg)
     backend = None if cfg.offline else make_backend(cfg.backend)
+    split, catalog, users = _load_run_dir(cfg)
 
     dropped = 0
     jobs = []
@@ -387,6 +390,8 @@ def _read_likert(path):
         if not 1.0 <= score <= 5.0:
             raise MalformedRow(line_no, f"score {score} outside [1, 5]")
         scores.append(score)
+    if not scores:
+        raise ValueError(f"{path}: no scores")
     return scores
 
 

@@ -67,7 +67,7 @@ def make_positive_sample(backend, history, correct_ranking, catalog):
                           temperature=0.0, max_tokens=2048)
     for attempt in range(2):
         text = backend.complete(request).text
-        parsed = parse_ranking(text, slate, catalog=catalog, lenient=True)
+        parsed = parse_ranking(text, slate, catalog=catalog)
         if [r.item for r in parsed.ranked] == list(correct_ranking):
             reasons = {r.item: r.reason or OFFLINE_REASON for r in parsed.ranked}
             return SftSample(prompt=prompt,
@@ -81,7 +81,9 @@ def make_dpo_pair(positive, seed, backend=None):
     seeded non-identity permutation of its lines with ranks renumbered.
 
     Reasons are carried over verbatim (deterministic offline mode) unless a
-    backend is supplied to regenerate them for the shuffled order.
+    backend is supplied to regenerate them for the shuffled order. A rewrite
+    is kept only when it has one line per item and parses as the shuffled
+    items in the shuffled order; otherwise the verbatim lines stay.
     """
     lines = positive.completion.splitlines()
     n = len(lines)
@@ -92,11 +94,8 @@ def make_dpo_pair(positive, seed, backend=None):
     while all(int(p) == i for i, p in enumerate(perm)):
         perm = rng.permutation(n)
 
-    rejected_lines = []
-    for new_rank, src in enumerate(perm, start=1):
-        body = lines[src].split(":", 1)[1].strip()
-        rejected_lines.append(f"Rank {new_rank}: {body}")
-    rejected = "\n".join(rejected_lines)
+    bodies = [lines[src].split(":", 1)[1].strip() for src in perm]
+    rejected = "\n".join(f"Rank {k}: {body}" for k, body in enumerate(bodies, start=1))
 
     if backend is not None:
         request = ChatRequest(
@@ -105,7 +104,9 @@ def make_dpo_pair(positive, seed, backend=None):
                            "order. Output the same number of lines."),
             user_prompt=rejected, temperature=0.0, max_tokens=2048)
         text = backend.complete(request).text.strip()
-        if len(text.splitlines()) == n:
+        order = [body.partition(" - ")[0] for body in bodies]
+        parsed = parse_ranking(text, Slate(user="", items=order, source="training"))
+        if len(text.splitlines()) == n and [r.item for r in parsed.ranked] == order:
             rejected = text
     return DpoPair(prompt=positive.prompt, chosen=positive.completion,
                    rejected=rejected)

@@ -77,10 +77,6 @@ class UnknownItem(RerankEvalError):
     pass
 
 
-class UnparseableOutput(RerankEvalError):
-    pass
-
-
 class EmptyOutputs(RerankEvalError):
     pass
 

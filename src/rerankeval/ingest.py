@@ -352,7 +352,7 @@ def write_catalog(path, catalog):
 def jsonl_objects(path, keys):
     """(line number, object) of each non-blank line of a JSON-lines file;
     MalformedRow for a line that is not a JSON object with all of keys."""
-    with Path(path).open(encoding="utf-8") as fh:
+    with Path(path).open(encoding="utf-8-sig") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

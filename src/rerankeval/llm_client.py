@@ -61,6 +61,8 @@ class BackendConfig:
             raise ValueError("max_retries must be >= 0")
         if self.max_concurrent_requests < 1:
             raise ValueError("max_concurrent_requests must be >= 1")
+        if self.backoff_base < 0:
+            raise ValueError("backoff_base must be >= 0")
 
 
 def make_backend(config):
@@ -126,10 +128,18 @@ def _retry_after(value, limit):
 class HttpBackend:
     """POSTs chat-completions JSON and retries transient failures (timeouts,
     429, 5xx, malformed 200 payloads) with exponential backoff, or after the
-    server's Retry-After on 429 and 503."""
+    server's Retry-After on 429 and 503. The API key is read once, here;
+    MissingApiKey when config.api_key_env names an unset variable."""
 
     def __init__(self, config):
         self.config = config
+        self._headers = {"Content-Type": "application/json"}
+        if config.api_key_env:
+            key = os.environ.get(config.api_key_env, "")
+            if not key:
+                raise MissingApiKey(f"environment variable {config.api_key_env} "
+                                    "is not set")
+            self._headers["Authorization"] = f"Bearer {key}"
         self.max_concurrent_requests = config.max_concurrent_requests
         self._session = requests.Session()
         # one kept-alive connection per request in flight; urllib3's default
@@ -138,18 +148,7 @@ class HttpBackend:
         self._session.mount("http://", adapter)
         self._session.mount("https://", adapter)
 
-    def _headers(self):
-        headers = {"Content-Type": "application/json"}
-        env = self.config.api_key_env
-        if env:
-            key = os.environ.get(env, "")
-            if not key:
-                raise MissingApiKey(f"environment variable {env} is not set")
-            headers["Authorization"] = f"Bearer {key}"
-        return headers
-
     def complete(self, request):
-        headers = self._headers()
         body = {
             "model": self.config.model,
             "messages": [
@@ -172,7 +171,7 @@ class HttpBackend:
             delay = None
             try:
                 resp = self._session.post(self.config.endpoint, json=body,
-                                          headers=headers,
+                                          headers=self._headers,
                                           timeout=self.config.timeout)
             except requests.Timeout:
                 last_error = Timeout(f"no response within {self.config.timeout}s")
@@ -226,9 +225,9 @@ def bounded_map(fn, items, cap, carry=()):
 
 def complete_batch(backend, requests_list):
     """Run requests through the backend with at most max_concurrent_requests
-    in flight. Results align with input order; per-item failures come back as
-    exception objects rather than aborting the batch."""
+    in flight. Results align with input order; a BackendError comes back in
+    its request's place, and any other exception is raised (bounded_map)."""
     if not requests_list:
         raise ValueError("empty request batch")
     return bounded_map(backend.complete, requests_list,
-                       backend.max_concurrent_requests, carry=Exception)
+                       backend.max_concurrent_requests, carry=BackendError)

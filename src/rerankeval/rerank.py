@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .candgen import Slate, stable_seed
-from .errors import EmptyOutputs, SlateMismatch, UnknownItem, UnparseableOutput
+from .errors import BackendError, EmptyOutputs, SlateMismatch, UnknownItem
 from .ingest import build_item_description
 from .llm_client import ChatRequest, complete_batch
 
@@ -109,13 +109,13 @@ def _resolve_item(token, slate_set, title_map):
     return None
 
 
-def parse_ranking(raw, slate, catalog=None, lenient=False):
+def parse_ranking(raw, slate, catalog=None):
     """Parse model output lines of the form "Rank k: <item> - <reason>".
 
-    Items are matched by id first, then by normalized title against the
-    slate's catalog cards. Duplicates keep the first occurrence; unresolvable
-    tokens are recorded as hallucinated (error in strict mode); ranks are
-    renumbered contiguously by order of appearance.
+    Lines outside that grammar are skipped. Items are matched by id first,
+    then by normalized title against the slate's catalog cards. Duplicates
+    keep the first occurrence; unresolvable tokens are recorded as
+    hallucinated; ranks are renumbered contiguously by order of appearance.
     """
     slate_set = set(slate.items)
     title_map = {}
@@ -129,31 +129,19 @@ def parse_ranking(raw, slate, catalog=None, lenient=False):
     seen = set()
     hallucinated = set()
     for line in raw.splitlines():
-        if not line.strip():
-            continue
         m = _RANK_LINE.match(line)
         if not m:
-            if lenient:
-                continue
-            raise UnparseableOutput(f"line fails grammar: {line!r}")
-        body = m.group(2)
-        token, _, reason = body.partition(" - ")
+            continue
+        token, _, reason = m.group(2).partition(" - ")
         item = _resolve_item(token, slate_set, title_map)
         if item is None:
-            if not lenient:
-                raise UnparseableOutput(f"unknown item token: {token!r}")
             hallucinated.add(token.strip())
             continue
         if item in seen:
             continue
         seen.add(item)
-        reason = reason.strip()
-        if not reason and not lenient:
-            raise UnparseableOutput(f"missing reason: {line!r}")
-        ranked.append(RankedItem(item=item, rank=len(ranked) + 1, reason=reason))
+        ranked.append(RankedItem(item=item, rank=len(ranked) + 1, reason=reason.strip()))
 
-    if not ranked and not lenient:
-        raise UnparseableOutput("no slate items recovered")
     return RankingOutput(
         user=slate.user,
         ranked=ranked,
@@ -203,17 +191,10 @@ def none_ranker(slate):
     )
 
 
-def rerank_user(history, slate, catalog, backend, k=3, mode="zero_shot",
-                seed=0, temperature=0.7):
-    """Full per-user pipeline: rerank_users for one (history, slate) job."""
-    return rerank_users([(history, slate)], catalog, backend, k=k, mode=mode,
-                        seed=seed, temperature=temperature)[0]
-
-
 def rerank_users(jobs, catalog, backend, k=3, mode="zero_shot", seed=0,
                  temperature=0.7):
     """Re-rank each (history, slate) job: shuffle k times, prompt, complete,
-    parse leniently, and aggregate. Every job's requests go through one
+    parse, and aggregate. Every job's requests go through one
     complete_batch, so up to the backend's max_concurrent_requests are in
     flight across users; results are keyed by (job, bootstrap), so the
     output does not depend on completion order. A failed request degrades
@@ -234,13 +215,8 @@ def rerank_users(jobs, catalog, backend, k=3, mode="zero_shot", seed=0,
     for j, ((_history, slate), user_shuffles) in enumerate(zip(jobs, shuffles)):
         outputs = []
         for shuffled, result in zip(user_shuffles, results[j * k:(j + 1) * k]):
-            if isinstance(result, Exception):
-                outputs.append(RankingOutput(user=slate.user, ranked=[], raw_text="",
-                                             missing=set(slate.items),
-                                             hallucinated=set()))
-            else:
-                outputs.append(parse_ranking(result.text, shuffled, catalog=catalog,
-                                             lenient=True))
+            text = "" if isinstance(result, BackendError) else result.text
+            outputs.append(parse_ranking(text, shuffled, catalog=catalog))
         if any(out.ranked for out in outputs):
             ranked.append((aggregate_self_consistency(outputs, slate), outputs))
         else:

@@ -6,9 +6,10 @@ from collections import Counter
 import pytest
 
 from conftest import PeakBackend, candidate_ids, prompt_hash, write_corpus
-from rerankeval import cli, ingest
+from rerankeval import cli, ingest, rerank
+from rerankeval.candgen import Slate
 from rerankeval.cli import EXIT_CONFIG, EXIT_OK, EXIT_PARTIAL, load_config, main
-from rerankeval.errors import ExhaustedRetries
+from rerankeval.errors import ExhaustedRetries, HttpStatus
 from rerankeval.llm_client import ScriptedBackend
 
 
@@ -108,6 +109,9 @@ class TestConfig:
         ("history_sample", "oldest", "history_sample must be"),
         ("history_sample", "random:x", "history_sample must be"),
         ("backend_kind", "bogus", "unknown backend kind: bogus"),
+        ("backend_backoff_base", "-1", "backoff_base must be >= 0"),
+        ("offline", "maybe", "offline must be one of 1, yes, true, on, 0, no, false, "
+                             "off, got 'maybe'"),
     ])
     def test_bad_value_rejected_before_any_work(self, corpus, monkeypatch, capsys,
                                                 key, value, message):
@@ -122,6 +126,31 @@ class TestConfig:
         assert main(ingest_args(corpus, **{key: value})) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.count(f"error: {message}") == 2
+
+    @pytest.mark.parametrize("command", [["run", "--mode", "zero_shot"],
+                                         ["build-dataset"]])
+    def test_missing_api_key_exits_2_before_any_work(self, corpus, monkeypatch, capsys,
+                                                     command):
+        _, _, run_dir = corpus
+        main(ingest_args(corpus))
+        main(run_args(corpus))
+        main(["build-dataset", "--run-dir", str(run_dir), "--offline", "1"])
+        before = {path.name: path.read_bytes() for path in run_dir.iterdir()}
+
+        def no_work(*args):
+            raise AssertionError("work started before the backend was checked")
+
+        monkeypatch.setattr(cli.ingest, "read_split", no_work)
+        monkeypatch.delenv("RERANKEVAL_TEST_KEY", raising=False)
+        capsys.readouterr()
+        code = main([command[0], "--run-dir", str(run_dir), *command[1:],
+                     "--backend-kind", "http", "--backend-model", "m",
+                     "--backend-endpoint", "http://127.0.0.1:9/v1/chat/completions",
+                     "--backend-api-key-env", "RERANKEVAL_TEST_KEY"])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == \
+            "error: environment variable RERANKEVAL_TEST_KEY is not set\n"
+        assert {path.name: path.read_bytes() for path in run_dir.iterdir()} == before
 
 
 class TestIngest:
@@ -211,6 +240,43 @@ class TestRun:
         report = json.loads((run_dir / "report.json").read_text())
         means = {(r["metric"], r["n"]): r["mean"] for r in report["sft_dpo"]}
         assert means[("ndcg", 10)] == pytest.approx(1.0, abs=1e-9)
+
+    def test_fallback_user_exits_1(self, corpus, monkeypatch):
+        _, _, run_dir = corpus
+        main(ingest_args(corpus))
+        main(run_args(corpus))
+        report = json.loads((run_dir / "report.json").read_text())
+        victim = min(report["non_ranker"][0]["per_user"])
+        train = ingest.read_split(run_dir / "split.json").train
+        catalog = ingest.load_items(run_dir / "catalog.jsonl")
+        _, prompt = rerank.build_prompt(ingest.user_history(train, victim),
+                                        Slate(user=victim, items=[], source="x"), catalog)
+        history_block = prompt.split("Candidates:")[0]
+
+        def answer(request):
+            if request.user_prompt.startswith(history_block):
+                raise HttpStatus(500)
+            return dataset_answer(request)
+
+        monkeypatch.setattr(cli, "make_backend",
+                            lambda cfg: ScriptedBackend(handler=answer))
+        assert main(run_args(corpus, mode="zero_shot")) == EXIT_PARTIAL
+        report = json.loads((run_dir / "report.json").read_text())
+        assert (report["users_evaluated"], report["users_skipped"],
+                report["bootstrap_fallbacks"]) == (25, 0, 1)
+
+    def test_unexpected_backend_error_exits_2(self, corpus, monkeypatch, capsys):
+        _, _, run_dir = corpus
+        main(ingest_args(corpus))
+
+        def answer(request):
+            raise ValueError("backend bug")
+
+        monkeypatch.setattr(cli, "make_backend",
+                            lambda cfg: ScriptedBackend(handler=answer))
+        assert main(run_args(corpus, mode="zero_shot")) == EXIT_CONFIG
+        assert "error: backend bug" in capsys.readouterr().err
+        assert not (run_dir / "report.json").exists()
 
     def test_external_slates(self, corpus, tmp_path):
         _, _, run_dir = corpus
@@ -577,6 +643,14 @@ class TestHumanEval:
         a.write_text("4\n4\n4\n")
         b.write_text("3\n3\n")
         assert main(["human-eval", str(a), str(b), "--paired"]) == EXIT_CONFIG
+
+    def test_file_without_scores_exits_2(self, tmp_path, capsys):
+        a = tmp_path / "a.txt"
+        b = tmp_path / "b.txt"
+        a.write_text("\n \n")
+        b.write_text("4\n3\n")
+        assert main(["human-eval", str(a), str(b)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {a}: no scores\n"
 
     def test_score_out_of_range(self, tmp_path):
         a = tmp_path / "a.txt"

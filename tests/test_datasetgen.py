@@ -17,7 +17,7 @@ class TestMakePositiveSample:
         ranking = [str(i) for i in range(3, 18)]
         sample = make_positive_sample(None, history, ranking, catalog)
         parsed = parse_ranking(sample.completion, make_slate("u", ranking),
-                               catalog=catalog, lenient=True)
+                               catalog=catalog)
         assert [r.item for r in parsed.ranked] == ranking
         assert len(sample.completion.splitlines()) == 15
 
@@ -27,7 +27,7 @@ class TestMakePositiveSample:
         backend = ScriptedBackend()  # echoes candidates in given order
         sample = make_positive_sample(backend, history, ranking, catalog)
         parsed = parse_ranking(sample.completion, make_slate("u", ranking),
-                               catalog=catalog, lenient=True)
+                               catalog=catalog)
         assert [r.item for r in parsed.ranked] == ranking
 
     def test_reordering_backend_raises_drift(self, catalog):
@@ -66,6 +66,29 @@ class TestMakeDpoPair:
         positive = SftSample(prompt="p", completion="\n".join(
             f"Rank {k}: i{k} - r{k}" for k in range(1, 8)))
         assert make_dpo_pair(positive, seed=2) == make_dpo_pair(positive, seed=2)
+
+    @pytest.mark.parametrize("reply", ["shuffled_order", "chosen_order", "unknown_id",
+                                       "one_line_short"])
+    def test_rewrite_kept_only_in_the_shuffled_order(self, reply):
+        positive = SftSample(prompt="p", completion="\n".join(
+            f"Rank {k}: i{k} - r{k}" for k in range(1, 8)))
+
+        def rewrite(text):
+            return [line.split(" - ")[0] + " - rewritten" for line in text.splitlines()]
+
+        def answer(request):
+            lines = rewrite(positive.completion if reply == "chosen_order"
+                            else request.user_prompt)
+            if reply == "unknown_id":
+                lines[3] = "Rank 4: i99 - rewritten"
+            elif reply == "one_line_short":
+                lines.pop()
+            return "\n".join(lines)
+
+        pair = make_dpo_pair(positive, seed=2, backend=ScriptedBackend(handler=answer))
+        verbatim = make_dpo_pair(positive, seed=2).rejected
+        assert pair.rejected == ("\n".join(rewrite(verbatim)) if reply == "shuffled_order"
+                                 else verbatim)
 
 
 class TestWriteTrainingFiles:

@@ -204,6 +204,11 @@ class TestLoadItems:
         p.write_bytes("\ufeffid,title\n1,Toy Story\n".encode("utf-8"))
         assert load_items(p).get("1").title == "Toy Story"
 
+    def test_jsonl_with_byte_order_mark(self, tmp_path):
+        p = tmp_path / "items.jsonl"
+        p.write_bytes('\ufeff{"id": 1, "title": "Toy Story"}\n'.encode("utf-8"))
+        assert load_items(p).get("1").title == "Toy Story"
+
 
 class TestBuildItemDescription:
     def test_template(self):

@@ -253,9 +253,8 @@ class TestHttpBackend:
     def test_missing_api_key(self, stub, monkeypatch):
         url, _ = stub
         monkeypatch.delenv("RERANKEVAL_TEST_KEY", raising=False)
-        backend = HttpBackend(http_config(url, api_key_env="RERANKEVAL_TEST_KEY"))
         with pytest.raises(MissingApiKey):
-            backend.complete(req())
+            HttpBackend(http_config(url, api_key_env="RERANKEVAL_TEST_KEY"))
 
     def test_api_key_sent_as_bearer(self, stub, monkeypatch):
         url, state = stub

@@ -4,13 +4,12 @@ import pytest
 
 from conftest import (PeakBackend, candidate_ids, make_catalog, make_history,
                       make_slate, prompt_hash)
-from rerankeval.errors import (EmptyOutputs, HttpStatus, SlateMismatch,
-                               UnknownItem, UnparseableOutput)
+from rerankeval.errors import EmptyOutputs, HttpStatus, SlateMismatch, UnknownItem
 from rerankeval.llm_client import ScriptedBackend
 from rerankeval.rerank import (RankedItem, RankingOutput,
                                aggregate_self_consistency, bootstrap_shuffles,
                                build_prompt, none_ranker, parse_ranking,
-                               rerank_user, rerank_users)
+                               rerank_users)
 
 
 def output(user, items, slate):
@@ -52,20 +51,18 @@ class TestParseRanking:
     def test_two_line_grammar(self, catalog):
         slate = make_slate("u", [42, 7, 9], source="x")
         out = parse_ranking("Rank 1: 42 - loves sci-fi\nRank 2: 7 - matches drama",
-                            slate, lenient=True)
+                            slate)
         assert [(r.item, r.rank) for r in out.ranked] == [("42", 1), ("7", 2)]
         assert out.missing == {"9"}
 
     def test_duplicate_keeps_first(self):
         slate = make_slate("u", [42, 7])
-        out = parse_ranking("rank 1: 42 - x\nRank 1: 42 - y", slate, lenient=True)
+        out = parse_ranking("rank 1: 42 - x\nRank 1: 42 - y", slate)
         assert [(r.item, r.rank, r.reason) for r in out.ranked] == [("42", 1, "x")]
 
-    def test_hallucination_strict_vs_lenient(self):
+    def test_hallucinated_token_recorded(self):
         slate = make_slate("u", [1, 2])
-        with pytest.raises(UnparseableOutput):
-            parse_ranking("Rank 1: 999 - nope", slate)
-        out = parse_ranking("Rank 1: 999 - nope", slate, lenient=True)
+        out = parse_ranking("Rank 1: 999 - nope", slate)
         assert out.hallucinated == {"999"}
         assert out.ranked == []
         assert out.missing == {"1", "2"}
@@ -73,25 +70,26 @@ class TestParseRanking:
     def test_title_matching(self, catalog):
         slate = make_slate("u", [1, 2, 3])
         out = parse_ranking("Rank 1: Movie 2 - good\nRank 2: movie 3! - ok",
-                            slate, catalog=catalog, lenient=True)
+                            slate, catalog=catalog)
         assert [r.item for r in out.ranked] == ["2", "3"]
 
     def test_bracketed_id(self):
         slate = make_slate("u", [5, 6])
-        out = parse_ranking("Rank 1: [6] Whatever - fine", slate, lenient=True)
+        out = parse_ranking("Rank 1: [6] Whatever - fine", slate)
         assert out.ranked[0].item == "6"
 
     def test_rank_renumbering(self):
         slate = make_slate("u", [1, 2, 3])
         out = parse_ranking("Rank 1: 3 - a\nRank 7: 1 - b\nRank 9: 2 - c",
-                            slate, lenient=True)
+                            slate)
         assert [(r.item, r.rank) for r in out.ranked] == \
             [("3", 1), ("1", 2), ("2", 3)]
 
-    def test_strict_rejects_garbage_line(self):
+    def test_line_outside_grammar_skipped(self):
         slate = make_slate("u", [1])
-        with pytest.raises(UnparseableOutput):
-            parse_ranking("Sure! Here is the ranking:\nRank 1: 1 - ok", slate)
+        out = parse_ranking("Sure! Here is the ranking:\nRank 1: 1 - ok", slate)
+        assert [(r.item, r.rank, r.reason) for r in out.ranked] == [("1", 1, "ok")]
+        assert out.hallucinated == set()
 
 
 class TestBootstrapShuffles:
@@ -197,8 +195,8 @@ class TestRerankUser:
         history = make_history("u", [1, 2])
         slate = make_slate("u", range(3, 18))
         backend = ScriptedBackend()  # echoes candidates in prompt order
-        consensus, outputs = rerank_user(history, slate, catalog, backend,
-                                         k=3, seed=7)
+        consensus, outputs = rerank_users([(history, slate)], catalog, backend,
+                                          k=3, seed=7)[0]
         # brute-force: sum positions over the three seeded shuffles
         shuffles = bootstrap_shuffles(slate, 3, seed=7)
         scores = {i: 0 for i in slate.items}
@@ -213,16 +211,16 @@ class TestRerankUser:
         relevant = {"3", "4", "5"}
         history = make_history("u", [1, 2])
         slate = make_slate("u", range(3, 18))
-        consensus, _ = rerank_user(history, slate, catalog,
-                                   oracle_backend(relevant), k=3, seed=1)
+        consensus, _ = rerank_users([(history, slate)], catalog,
+                                    oracle_backend(relevant), k=3, seed=1)[0]
         assert set(consensus.items[:3]) == relevant
 
     def test_k_equals_one(self, catalog):
         history = make_history("u", [1])
         slate = make_slate("u", range(2, 17))
         backend = ScriptedBackend()
-        consensus, outputs = rerank_user(history, slate, catalog, backend,
-                                         k=1, seed=3)
+        consensus, outputs = rerank_users([(history, slate)], catalog, backend,
+                                          k=1, seed=3)[0]
         [out] = outputs
         assert consensus.items == [r.item for r in out.ranked]
 
@@ -230,15 +228,18 @@ class TestRerankUser:
         history = make_history("u", [1])
         slate = make_slate("u", range(2, 17))
         backend = ScriptedBackend(handler=lambda r: "complete gibberish")
-        consensus, _ = rerank_user(history, slate, catalog, backend, k=3, seed=1)
+        consensus, _ = rerank_users([(history, slate)], catalog, backend, k=3,
+                                    seed=1)[0]
         assert consensus.fallback
         assert consensus.items == slate.items
 
     def test_deterministic(self, catalog):
         history = make_history("u", [1, 2])
         slate = make_slate("u", range(3, 18))
-        a = rerank_user(history, slate, catalog, ScriptedBackend(), k=3, seed=11)
-        b = rerank_user(history, slate, catalog, ScriptedBackend(), k=3, seed=11)
+        a = rerank_users([(history, slate)], catalog, ScriptedBackend(), k=3,
+                         seed=11)[0]
+        b = rerank_users([(history, slate)], catalog, ScriptedBackend(), k=3,
+                         seed=11)[0]
         assert a[0].ordered == b[0].ordered
 
 
@@ -271,7 +272,7 @@ class TestRerankUsers:
         pooled = PeakBackend(6, lambda r: prompt_hash(r) % 20 / 1000, hashed_answer)
         got = rerank_users(jobs, catalog, pooled, k=3, seed=9)
         serial = PeakBackend(1, lambda r: 0.0, hashed_answer)
-        want = [rerank_user(history, slate, catalog, serial, k=3, seed=9)
+        want = [rerank_users([(history, slate)], catalog, serial, k=3, seed=9)[0]
                 for history, slate in jobs]
         assert got == want
         assert [consensus.fallback for consensus, _ in got] == \
