@@ -24,7 +24,7 @@ SLATE_SIZE = 15
 class Slate:
     user: str
     items: list  # ordered item ids, no duplicates
-    source: str  # "random" | "item_knn" | "mf" | "external"
+    source: str  # "random" | "mf" | "knn" | "external" | "training"
 
 
 def stable_seed(seed, *parts):

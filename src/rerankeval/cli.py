@@ -13,7 +13,8 @@ from pathlib import Path
 import numpy as np
 
 from . import candgen, datasetgen, ingest, metrics, rerank, stats
-from .errors import BadSlate, MalformedRow, RerankEvalError, ZeroVariance
+from .errors import (BadSlate, CatalogTooSmall, MalformedRow, RerankEvalError,
+                     ZeroVariance)
 from .llm_client import BackendConfig, bounded_map, make_backend
 
 log = logging.getLogger(__name__)
@@ -65,9 +66,13 @@ class RunConfig:
 
     def __post_init__(self):
         for name in ("slate_size", "bootstraps", "sample_count", "n_test",
-                     "min_history", "history_limit", "knn_top_m", "mf_k"):
+                     "min_history", "history_limit", "knn_top_m", "mf_k", "mf_epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.inject_positives < 0:
+            raise ValueError("inject_positives must be >= 0")
+        if not self.cutoffs:
+            raise ValueError("cutoffs must name at least one cutoff")
         if any(c < 1 or c > self.slate_size for c in self.cutoffs):
             raise ValueError("cutoffs must be within [1, slate_size]")
         if not re.fullmatch(r"recent|random(:-?\d+)?", self.history_sample):
@@ -131,11 +136,15 @@ def load_config(path=None, overrides=None):
 
 def _load_run_dir(cfg):
     """What run, build-dataset and export-slates read from cfg.run_dir: the
-    split, the catalog and the sampled eval users."""
+    split, the catalog and the sampled eval users; ValueError when there are
+    no eval users."""
     run_dir = Path(cfg.run_dir)
     split = ingest.read_split(run_dir / "split.json")
     catalog = ingest.load_items(run_dir / "catalog.jsonl")
-    return split, catalog, _sample_eval_users(split, cfg)
+    users = _sample_eval_users(split, cfg)
+    if not users:
+        raise ValueError("no eligible evaluation users")
+    return split, catalog, users
 
 
 # --------------------------------------------------------------------------
@@ -193,11 +202,24 @@ def _external_slate(slates, user, rated, catalog):
     return slate
 
 
+def _each_user(fn, users, cap):
+    """{user: fn(user)} for the users fn accepts, with at most cap calls in
+    flight. A user whose fn raises a RerankEvalError is skipped, with
+    `skipped user <user>: <reason>` logged in user order; any other
+    exception is raised (bounded_map)."""
+    accepted = {}
+    for user, result in zip(users, bounded_map(fn, users, cap, carry=RerankEvalError)):
+        if isinstance(result, RerankEvalError):
+            log.warning("skipped user %s: %s", user, result)
+        else:
+            accepted[user] = result
+    return accepted
+
+
 def _user_inputs(cfg, users, split, catalog):
-    """The slates and, when cfg.mode re-ranks, the sampled histories of the
-    users whose inputs hold up, as two dicts by user; each re-ranked user's
-    prompt is built once as a check. A user whose slate, history or prompt
-    raises a RerankEvalError is skipped, with the reason logged."""
+    """{user: (history, slate)} for the users whose inputs hold up; history
+    is None unless cfg.mode re-ranks, and then the user's prompt is built
+    once as a check. A bad slate, history or prompt skips its user."""
     train, relevance = split.train, split.relevance
     if cfg.generator == "external":
         external = {s.user: s for s in candgen.import_slates(cfg.slates)}
@@ -210,50 +232,42 @@ def _user_inputs(cfg, users, split, catalog):
                                      min_co_raters=cfg.knn_min_co_raters)
         scorer = candgen.ItemKnnRecommender(sim, train)
 
-    slates, histories = {}, {}
-    for user in users:
+    def inputs(user):
         exclusions = {item for item, _, _ in train.entries(user)}
-        try:
-            if cfg.generator == "external":
-                slate = _external_slate(external, user, exclusions, catalog)
-            elif cfg.generator == "random":
-                slate = candgen.gen_random_slate(
-                    user, catalog, exclusions, cfg.seed, slate_size=cfg.slate_size,
-                    inject_positives=cfg.inject_positives,
-                    relevance=relevance.get(user))
-            else:
-                slate = candgen.gen_model_slate(
-                    user, scorer, catalog, exclusions, cfg.inject_positives,
-                    relevance.get(user), cfg.seed, slate_size=cfg.slate_size,
-                    source=cfg.generator)
-            if cfg.mode in _MODE_COLUMN:
-                history = _sample_history(cfg, train, user)
-                rerank.build_prompt(history, slate, catalog)
-                histories[user] = history
-        except RerankEvalError as e:
-            log.warning("skipped user %s: %s", user, e)
-            continue
-        slates[user] = slate
-    return slates, histories
+        if cfg.generator == "external":
+            slate = _external_slate(external, user, exclusions, catalog)
+        elif cfg.generator == "random":
+            slate = candgen.gen_random_slate(
+                user, catalog, exclusions, cfg.seed, slate_size=cfg.slate_size,
+                inject_positives=cfg.inject_positives, relevance=relevance.get(user))
+        else:
+            slate = candgen.gen_model_slate(
+                user, scorer, catalog, exclusions, cfg.inject_positives,
+                relevance.get(user), cfg.seed, slate_size=cfg.slate_size,
+                source=cfg.generator)
+        if cfg.mode not in _MODE_COLUMN:
+            return None, slate
+        history = _sample_history(cfg, train, user)
+        rerank.build_prompt(history, slate, catalog)
+        return history, slate
+
+    return _each_user(inputs, users, 1)
 
 
 def cmd_run(cfg):
     run_dir = Path(cfg.run_dir)
     backend = make_backend(cfg.backend) if cfg.mode in _MODE_COLUMN else None
     split, catalog, users = _load_run_dir(cfg)
-    if not users:
-        print("no eligible evaluation users", file=sys.stderr)
-        return EXIT_CONFIG
-    slates, histories = _user_inputs(cfg, users, split, catalog)
-    skipped = len(users) - len(slates)
-    users = sorted(slates)
+    inputs = _user_inputs(cfg, users, split, catalog)
+    skipped = len(users) - len(inputs)
+    users = sorted(inputs)
     if cfg.mode in _MODE_COLUMN and len(users) < 2:
         # the paired t-test needs two users; stop before paying for requests
         print(f"error: re-ranking needs at least 2 evaluable users, got "
               f"{len(users)} (skipped {skipped})", file=sys.stderr)
         return EXIT_CONFIG
 
-    baseline_rankings = {u: rerank.none_ranker(slates[u]).items for u in users}
+    baseline_rankings = {u: rerank.none_ranker(inputs[u][1]).items for u in users}
     baseline_results = metrics.evaluate_run(baseline_rankings, split.relevance,
                                             cfg.cutoffs)
 
@@ -261,9 +275,8 @@ def cmd_run(cfg):
     comparison = None
     fallbacks = 0
     if backend is not None:
-        jobs = [(histories[user], slates[user]) for user in users]
-        ranked = rerank.rerank_users(jobs, catalog, backend, k=cfg.bootstraps,
-                                     mode=cfg.mode, seed=cfg.seed,
+        ranked = rerank.rerank_users([inputs[u] for u in users], catalog, backend,
+                                     k=cfg.bootstraps, mode=cfg.mode, seed=cfg.seed,
                                      temperature=cfg.temperature)
         fallbacks = sum(consensus.fallback for consensus, _outputs in ranked)
         rankings = {user: consensus.items
@@ -331,49 +344,29 @@ def cmd_build_dataset(cfg):
     backend = None if cfg.offline else make_backend(cfg.backend)
     split, catalog, users = _load_run_dir(cfg)
 
-    dropped = 0
-    jobs = []
-    for user in users:
-        history = _sample_history(cfg, split.train, user)
+    def sample_and_pair(user):
+        """The user's (sft sample, dpo pair); its requests run in sequence."""
         ranking = datasetgen.correct_ranking_for_user(
             split.relevance[user], split.test.entries(user), catalog,
             cfg.ranking_size, cfg.seed)
         if len(ranking) < 2:
-            dropped += 1
-        else:
-            jobs.append((history, ranking))
+            raise CatalogTooSmall(f"ranking of {len(ranking)} items < 2")
+        history = _sample_history(cfg, split.train, user)
+        sample = datasetgen.make_positive_sample(backend, history, ranking, catalog)
+        return sample, datasetgen.make_dpo_pair(sample, cfg.seed, backend=backend)
 
-    def sample_and_pair(job):
-        """A user's (sft sample, dpo pair), or the RerankEvalError that
-        drops the user."""
-        history, ranking = job
-        try:
-            sample = datasetgen.make_positive_sample(backend, history, ranking,
-                                                     catalog)
-            return sample, datasetgen.make_dpo_pair(sample, cfg.seed, backend=backend)
-        except RerankEvalError as e:
-            return e
-
-    if backend is None:
-        built = [sample_and_pair(job) for job in jobs]
-    else:
-        # each user's requests run in sequence; users share one bounded pool
-        built = bounded_map(sample_and_pair, jobs, backend.max_concurrent_requests)
-    samples, pairs = [], []
-    for (history, _ranking), result in zip(jobs, built):
-        if isinstance(result, RerankEvalError):
-            log.warning("dropped sample for user %s: %s", history.user, result)
-            dropped += 1
-        else:
-            samples.append(result[0])
-            pairs.append(result[1])
-
-    out_dir = Path(cfg.out_dir or cfg.run_dir)
-    manifest = datasetgen.write_training_files(samples, pairs, out_dir)
-    print(f"sft samples: {manifest['sft']['count']}")
-    print(f"dpo pairs: {manifest['dpo']['count']}")
-    print(f"dropped: {dropped}")
-    return EXIT_PARTIAL if dropped else EXIT_OK
+    # users share one pool bounded by the backend's cap
+    built = _each_user(sample_and_pair, users,
+                       1 if cfg.offline else backend.max_concurrent_requests)
+    if built:
+        samples, pairs = zip(*built.values())
+        datasetgen.write_training_files(samples, pairs, Path(cfg.out_dir or cfg.run_dir))
+    else:  # keep an earlier dataset rather than replace it with empty files
+        print("no sample was built; wrote nothing", file=sys.stderr)
+    print(f"sft samples: {len(built)}")
+    print(f"dpo pairs: {len(built)}")
+    print(f"dropped: {len(users) - len(built)}")
+    return EXIT_OK if len(built) == len(users) else EXIT_PARTIAL
 
 
 def _read_likert(path):
@@ -412,10 +405,10 @@ def cmd_human_eval(ratings_a, ratings_b, paired=False):
 
 def cmd_export_slates(cfg, out_path):
     split, catalog, users = _load_run_dir(cfg)
-    slates, _ = _user_inputs(cfg, users, split, catalog)
-    candgen.export_slates([slates[u] for u in sorted(slates)], out_path)
-    print(f"wrote {len(slates)} slates to {out_path}")
-    return EXIT_PARTIAL if len(slates) < len(users) else EXIT_OK
+    inputs = _user_inputs(cfg, users, split, catalog)
+    candgen.export_slates([inputs[u][1] for u in sorted(inputs)], out_path)
+    print(f"wrote {len(inputs)} slates to {out_path}")
+    return EXIT_PARTIAL if len(inputs) < len(users) else EXIT_OK
 
 
 # --------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import json
 import logging
 import os
 import tempfile
+from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -163,9 +164,19 @@ def correct_ranking_for_user(relevance, test_entries, catalog, size, seed):
                              key=lambda i: (-last[i][0], -last[i][1], i))
     ranking = [i for i in ranked_relevant if i in catalog][:size]
     if len(ranking) < size:
-        pool = [i for i in catalog.sorted_ids if i not in relevance.relevant]
+        # the pool is the sorted ids without the relevant ones; its p-th id is
+        # found by stepping p past each relevant position, so a user costs
+        # O(relevant), not a pass over the catalog
+        ids = catalog.sorted_ids
+        skip = sorted(bisect_left(ids, i) for i in relevance.relevant if i in catalog)
         rng = np.random.default_rng(stable_seed(seed, "filler", relevance.user))
-        need = min(size - len(ranking), len(pool))
-        picks = rng.choice(len(pool), size=need, replace=False) if need else []
-        ranking.extend(pool[int(p)] for p in picks)
+        pool_size = len(ids) - len(skip)
+        need = min(size - len(ranking), pool_size)
+        picks = rng.choice(pool_size, size=need, replace=False) if need else []
+        for p in map(int, picks):
+            for position in skip:
+                if position > p:
+                    break
+                p += 1
+            ranking.append(ids[p])
     return ranking

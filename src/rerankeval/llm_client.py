@@ -5,9 +5,10 @@ import email.utils
 import logging
 import os
 import re
+import threading
 import time
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from urllib.parse import urlsplit
 
 import requests
 from requests.adapters import HTTPAdapter
@@ -55,6 +56,10 @@ class BackendConfig:
             raise ValueError(f"unknown backend kind: {self.kind}")
         if self.kind == "http" and (not self.endpoint or not self.model):
             raise ValueError("http backend requires endpoint and model")
+        url = urlsplit(self.endpoint)
+        if self.endpoint and (url.scheme not in ("http", "https") or not url.hostname):
+            raise ValueError(f"endpoint must be an http or https URL with a host, "
+                             f"got {self.endpoint!r}")
         if self.timeout <= 0:
             raise ValueError("timeout must be > 0")
         if self.max_retries < 0:
@@ -201,26 +206,46 @@ class HttpBackend:
 
 
 def bounded_map(fn, items, cap, carry=()):
-    """fn over items on a pool of at most cap threads, so at most cap calls
-    are in flight. Results align with input order. An exception of a type in
-    carry comes back in its item's place; any other cancels the items not yet
+    """fn over items with at most cap calls in flight: the calling thread and
+    up to cap - 1 more take the items in order, so at cap 1 every call runs
+    in the caller. Results align with input order. An exception of a type in
+    carry comes back in its item's place; any other stops the items not yet
     started and is raised once the running ones have finished."""
-    def run_one(item):
-        try:
-            return fn(item)
-        except carry as e:
-            return e
+    items = list(items)
+    results = [None] * len(items)
+    errors = {}  # item index -> exception outside carry
+    pending = iter(range(len(items)))
+    lock = threading.Lock()
+    stop = threading.Event()
 
-    pool = ThreadPoolExecutor(max_workers=cap)
+    def work():
+        while not stop.is_set():
+            with lock:
+                i = next(pending, None)
+            if i is None:
+                return
+            try:
+                results[i] = fn(items[i])
+            except carry as e:
+                results[i] = e
+            except BaseException as e:  # raised below, once every call has returned
+                errors[i] = e
+                stop.set()
+
+    threads = []
     try:
-        futures = [pool.submit(run_one, item) for item in items]
-        wait(futures, return_when=FIRST_EXCEPTION)
+        for _ in range(min(cap, len(items)) - 1):
+            thread = threading.Thread(target=work)
+            thread.start()
+            threads.append(thread)
+        work()
     finally:
-        pool.shutdown(cancel_futures=True)
-    for fut in futures:
-        if not fut.cancelled() and fut.exception() is not None:
-            raise fut.exception()
-    return [fut.result() for fut in futures]
+        stop.set()
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def complete_batch(backend, requests_list):

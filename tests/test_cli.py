@@ -112,6 +112,13 @@ class TestConfig:
         ("backend_backoff_base", "-1", "backoff_base must be >= 0"),
         ("offline", "maybe", "offline must be one of 1, yes, true, on, 0, no, false, "
                              "off, got 'maybe'"),
+        ("cutoffs", "", "cutoffs must name at least one cutoff"),
+        ("mf_epochs", "0", "mf_epochs must be >= 1"),
+        ("mf_epochs", "-2", "mf_epochs must be >= 1"),
+        ("inject_positives", "-3", "inject_positives must be >= 0"),
+        ("backend_endpoint", "localhost:9/v1", "endpoint must be an http or https URL "
+                                               "with a host, got 'localhost:9/v1'"),
+        ("backend_endpoint", "http:///v1", "endpoint must be an http or https URL"),
     ])
     def test_bad_value_rejected_before_any_work(self, corpus, monkeypatch, capsys,
                                                 key, value, message):
@@ -544,8 +551,8 @@ class TestBuildDataset:
                          "--sample-count", "12", "--ranking-size", "10",
                          "--out-dir", str(out),
                          "--backend-max-concurrent-requests", str(cap)])
-            dropped = [r.getMessage().split()[4].rstrip(":") for r in caplog.records
-                       if r.getMessage().startswith("dropped sample for user")]
+            dropped = [r.getMessage().split()[2].rstrip(":") for r in caplog.records
+                       if r.getMessage().startswith("skipped user")]
             built[cap] = (code, dropped, [(out / name).read_bytes() for name in
                                           ("sft.jsonl", "dpo.jsonl", "manifest.json")])
         assert [b.peak for b in backends] == [4, 1]
@@ -618,6 +625,60 @@ class TestBuildDataset:
                      "--offline", "1", "--ranking-size", "1"])
         assert code == EXIT_CONFIG
         assert "ranking_size" in capsys.readouterr().err
+
+    def test_failed_build_keeps_the_dataset(self, corpus, monkeypatch, capsys):
+        _, _, run_dir = corpus
+        main(ingest_args(corpus))
+        args = ["build-dataset", "--run-dir", str(run_dir), "--sample-count", "5"]
+        assert main([*args, "--offline", "1"]) == EXIT_OK
+        names = ("sft.jsonl", "dpo.jsonl", "manifest.json")
+        before = [(run_dir / name).read_bytes() for name in names]
+
+        def fail(request):
+            raise ExhaustedRetries("HTTP 503")
+
+        monkeypatch.setattr(cli, "make_backend",
+                            lambda cfg: ScriptedBackend(handler=fail))
+        capsys.readouterr()
+        assert main(args) == EXIT_PARTIAL
+        out, err = capsys.readouterr()
+        assert "dropped: 5" in out
+        assert "no sample was built; wrote nothing" in err
+        assert [(run_dir / name).read_bytes() for name in names] == before
+
+    @pytest.mark.parametrize("command", [["run"], ["build-dataset", "--offline", "1"],
+                                         ["export-slates", "--out", "slates.jsonl"]])
+    def test_no_eligible_users_exits_2(self, corpus, tmp_path, monkeypatch, capsys,
+                                       command):
+        _, _, run_dir = corpus
+        monkeypatch.chdir(tmp_path)
+        main(ingest_args(corpus, min_history=100))
+        before = sorted(path.name for path in run_dir.iterdir())
+        capsys.readouterr()
+        code = main([command[0], "--run-dir", str(run_dir), *command[1:]])
+        assert code == EXIT_CONFIG
+        assert "error: no eligible evaluation users" in capsys.readouterr().err
+        assert sorted(path.name for path in run_dir.iterdir()) == before
+
+    def test_short_ranking_skips_its_user(self, corpus, monkeypatch, caplog, capsys):
+        _, _, run_dir = corpus
+        main(ingest_args(corpus))
+        victim = "u3"
+        correct_ranking = cli.datasetgen.correct_ranking_for_user
+
+        def short_for_victim(relevance, *args):
+            ranking = correct_ranking(relevance, *args)
+            return ranking[:1] if relevance.user == victim else ranking
+
+        monkeypatch.setattr(cli.datasetgen, "correct_ranking_for_user", short_for_victim)
+        code = main(["build-dataset", "--run-dir", str(run_dir), "--offline", "1",
+                     "--ranking-size", "10"])
+        assert code == EXIT_PARTIAL
+        assert caplog.text.count("skipped user") == 1
+        assert f"skipped user {victim}: ranking of 1 items < 2" in caplog.text
+        assert "dropped: 1" in capsys.readouterr().out
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert (manifest["sft"]["count"], manifest["dpo"]["count"]) == (29, 29)
 
 
 class TestHumanEval:

@@ -1,12 +1,17 @@
 import json
+import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from conftest import make_catalog, make_history, make_slate
-from rerankeval.datasetgen import (DpoPair, SftSample, make_dpo_pair,
-                                   make_positive_sample, write_training_files)
+from rerankeval.candgen import stable_seed
+from rerankeval.datasetgen import (DpoPair, SftSample, correct_ranking_for_user,
+                                   make_dpo_pair, make_positive_sample,
+                                   write_training_files)
 from rerankeval.errors import GenerationOrderDrift
+from rerankeval.ingest import RelevanceSet
 from rerankeval.llm_client import ScriptedBackend
 from rerankeval.rerank import parse_ranking
 
@@ -120,3 +125,27 @@ class TestWriteTrainingFiles:
         m1 = write_training_files(samples, [], tmp_path / "a")
         m2 = write_training_files(samples, [], tmp_path / "b")
         assert m1["sft"]["sha256"] == m2["sft"]["sha256"]
+
+
+def filler_oracle(relevance, catalog, ranking, size, seed):
+    """The filler as a pass over the catalog: a seeded sample of the sorted
+    ids that are not relevant."""
+    pool = [i for i in catalog.sorted_ids if i not in relevance.relevant]
+    rng = np.random.default_rng(stable_seed(seed, "filler", relevance.user))
+    need = min(size - len(ranking), len(pool))
+    picks = rng.choice(len(pool), size=need, replace=False) if need else []
+    return ranking + [pool[int(p)] for p in picks]
+
+
+def test_correct_ranking_matches_the_catalog_pass_oracle():
+    rng = random.Random(7)
+    for case in range(500):
+        catalog = make_catalog(rng.randrange(0, 40))
+        relevant = {str(rng.randrange(1, 50)) for _ in range(rng.randrange(0, 20))}
+        relevance = RelevanceSet(user=f"u{case}", relevant=relevant)
+        entries = [(item, rng.choice([4.0, 4.5, 5.0]), rng.randrange(100))
+                   for item in sorted(relevant)]
+        size = rng.randrange(2, 50)
+        ranking = correct_ranking_for_user(relevance, entries, catalog, size, case)
+        head = ranking[:min(size, sum(i in catalog for i in relevant))]
+        assert ranking == filler_oracle(relevance, catalog, head, size, case)

@@ -21,7 +21,11 @@ REPORTS = {
     ("random", "zero_shot"):
         "ac59ed29477f579c990d012234a936671f43e1b59aea96c5ba0a1c38ed2612a6",
 }
-SLATES = "3513602ac7586850d6dee84bcc4a2c92cede1b3ec3fd10488f15907bb66eb17b"
+SLATES = {
+    "random": "3513602ac7586850d6dee84bcc4a2c92cede1b3ec3fd10488f15907bb66eb17b",
+    "mf": "c190500c377b23c19b68cc69993e851b2515f6d9f0143ab2d092a665cde4436a",
+    "knn": "aa016688038c48f89155c701db01f7ab2bb1f91a04aaae7fe68bf022ed23505d",
+}
 MANIFEST = "8b77cda04e2e73d3e6b3f3d9daae9b7960651d0faf5f8cda10d787d82d907499"
 
 
@@ -47,8 +51,11 @@ def test_report(ingested, generator, mode):
 
 
 def test_exported_slates(ingested):
-    assert main(["export-slates", "--run-dir", "run", "--out", "slates.jsonl"]) == 0
-    assert sha("slates.jsonl") == SLATES
+    for generator, digest in SLATES.items():
+        out = f"{generator}.jsonl"
+        assert main(["export-slates", "--run-dir", "run", "--generator", generator,
+                     "--out", out]) == 0
+        assert (generator, sha(out)) == (generator, digest)
 
 
 def test_offline_manifest(ingested):

@@ -4,6 +4,7 @@ import logging
 import sys
 import threading
 import time
+from collections import Counter
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -318,6 +319,28 @@ class TestBoundedMap:
         with pytest.raises(RuntimeError, match="boom"):
             bounded_map(fn, range(50), 2, carry=KeyError)
         assert len(started) < 10
+
+    def test_cap_one_runs_in_the_caller(self):
+        caller = threading.get_ident()
+        assert bounded_map(lambda x: threading.get_ident(), range(5), 1) == [caller] * 5
+
+    def test_each_item_taken_once_under_contention(self):
+        calls = Counter()
+        lock = threading.Lock()
+
+        def fn(x):
+            with lock:
+                calls[x] += 1
+            return x * 2
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = bounded_map(fn, range(20000), 12)
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [x * 2 for x in range(20000)]
+        assert calls == Counter(range(20000))
 
 
 class TestBackendConfig:
