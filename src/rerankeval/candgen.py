@@ -2,7 +2,6 @@
 factorization, plus JSONL import/export for externally produced slates."""
 
 import hashlib
-import heapq
 import json
 import logging
 from dataclasses import dataclass, field
@@ -38,9 +37,9 @@ def stable_seed(seed, *parts):
 
 
 def _eligible(catalog, exclusions, slate_size):
-    """The catalog less exclusions, sorted; CatalogTooSmall unless it can
-    fill a slate."""
-    eligible = [i for i in catalog.sorted_ids if i not in exclusions]
+    """Catalog positions, ascending, of the items not in exclusions;
+    CatalogTooSmall unless they can fill a slate."""
+    eligible = catalog.positions_without(exclusions)
     if len(eligible) < slate_size:
         raise CatalogTooSmall(f"{len(eligible)} eligible items < slate size {slate_size}")
     return eligible
@@ -71,7 +70,7 @@ def gen_random_slate(user, catalog, exclusions, seed, slate_size=SLATE_SIZE,
     eligible = _eligible(catalog, exclusions, slate_size)
     rng = np.random.default_rng(stable_seed(seed, "random_slate", user))
     picks = rng.choice(len(eligible), size=slate_size, replace=False)
-    items = [eligible[i] for i in picks]
+    items = catalog.ids[eligible[picks]].tolist()
     injected, rng = _sample_positives(user, relevance, min(inject_positives, slate_size),
                                       catalog, exclusions, seed, taken=set(items))
     if injected:
@@ -97,16 +96,15 @@ class MfModel:
     global_mean: float
     train_rmse: list = field(default_factory=list)  # per epoch
 
-    def score_items(self, user, items):
-        """Prediction for each of items, as one gemv: global_mean, plus
-        b_u, plus b_i, plus p_u.q_i, added in that order. An unknown user or
-        item adds zero bias and zero factors. The dot product may differ in
-        the last ulp from one computed per item."""
-        rows = self.train.item_codes(items)
-        known = rows >= 0
-        rows = rows[known]
+    def score_items(self, user, cols):
+        """Prediction for each train item code of cols, as one gemv:
+        global_mean, plus b_u, plus b_i, plus p_u.q_i, added in that order. An
+        unknown user or item (code -1) adds zero bias and zero factors. The
+        dot product may differ in the last ulp from one computed per item."""
+        known = cols >= 0
+        rows = cols[known]
         u = self.train.user_codes([user])[0]
-        pred = np.full(len(items), self.global_mean)
+        pred = np.full(len(cols), self.global_mean)
         if u >= 0:
             pred += self.user_bias[u]
         pred[known] += self.item_bias[rows]
@@ -219,49 +217,45 @@ class ItemKnnRecommender:
         self.sim_matrix = sim_matrix
         self.train = train
 
-    def score_items(self, user, items):
-        """Score of each of items, as an array: one product of the similarity
-        matrix with the user's dense rating vector (an item rated twice holds
-        its later rating). Each row's terms are added in neighbour order;
-        unrated neighbours add a zero. Items absent from train score 0.0."""
+    def score_items(self, user, cols):
+        """Score of each train item code of cols, as an array: one product of
+        the similarity matrix with the user's dense rating vector (an item
+        rated twice holds its later rating). Each row's terms are added in
+        neighbour order; unrated neighbours add a zero. Code -1 scores 0.0."""
         rows = self.train.rows_of(user)[::-1]
         if not len(rows):
             raise UnknownUser(user)
         rated, last = np.unique(self.train.item[rows], return_index=True)
         ratings = np.zeros(len(self.train.items))
         ratings[rated] = self.train.rating[rows[last]]
-        scores = self.sim_matrix @ ratings
-        cols = self.train.item_codes(items)
-        return np.where(cols >= 0, scores[cols], 0.0)
+        scores = np.zeros(len(cols))
+        scores[cols >= 0] = (self.sim_matrix @ ratings)[cols[cols >= 0]]
+        return scores
 
 
 # --------------------------------------------------------------------------
 # Model slates with positive injection
 # --------------------------------------------------------------------------
 
-def gen_model_slate(user, scorer, catalog, exclusions, inject_positives,
+def gen_model_slate(user, scorer, catalog, train_codes, exclusions, inject_positives,
                     relevance, seed, slate_size=SLATE_SIZE, source="mf"):
     """Top-scored eligible items, with held-out positives injected.
 
     The injected positives are a seeded sample of the user's relevance set;
     they are merged at their model-scored positions, so the final order is
     pure score order over the selected set. Ties break by item id.
-    `scorer.score_items(user, items)` gives the scores, aligned with items.
+    train_codes[p] is catalog position p's code for `scorer.score_items(user, codes)`.
     """
     eligible = _eligible(catalog, exclusions, slate_size)
     injected, _ = _sample_positives(user, relevance, min(inject_positives, slate_size),
                                     catalog, exclusions, seed)
-    scores = dict(zip(eligible, scorer.score_items(user, eligible).tolist()))
-    injected_set = set(injected)
-
-    def by_score(i):
-        return -scores[i], i
-
-    selected = injected + heapq.nsmallest(
-        slate_size - len(injected),
-        (i for i in eligible if i not in injected_set), key=by_score)
-    selected.sort(key=by_score)
-    return Slate(user=user, items=selected, source=source)
+    # score order; a stable argsort over ascending positions breaks ties by id
+    order = np.argsort(-scorer.score_items(user, train_codes[eligible]), kind="stable")
+    picked = np.zeros(len(eligible), dtype=bool)
+    picked[np.searchsorted(catalog.ids[eligible], np.array(injected, dtype=str))] = True
+    picked = picked[order]
+    picked |= np.cumsum(~picked) <= slate_size - len(injected)  # and the best others
+    return Slate(user=user, items=catalog.ids[eligible[order[picked]]].tolist(), source=source)
 
 
 # --------------------------------------------------------------------------

@@ -69,8 +69,11 @@ class RunConfig:
                      "min_history", "history_limit", "knn_top_m", "mf_k", "mf_epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.inject_positives < 0:
-            raise ValueError("inject_positives must be >= 0")
+        for name in ("inject_positives", "mf_reg"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
+        if self.mf_learn_rate <= 0:
+            raise ValueError("mf_learn_rate must be > 0")
         if not self.cutoffs:
             raise ValueError("cutoffs must name at least one cutoff")
         if any(c < 1 or c > self.slate_size for c in self.cutoffs):
@@ -101,6 +104,8 @@ def _coerce(cls, key, value):
         if str(value).lower() not in states:
             raise ValueError(f"{key} must be one of {', '.join(states)}, got {value!r}")
         return states[str(value).lower()]
+    if kind is float and not np.isfinite(float(value)):
+        raise ValueError(f"{key} must be a finite number, got {value!r}")
     if kind in (int, float):
         return kind(value)
     return value
@@ -153,12 +158,14 @@ def _load_run_dir(cfg):
 
 def cmd_ingest(cfg):
     run_dir = Path(cfg.run_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
     interactions = ingest.load_interactions(cfg.ratings)
     catalog = ingest.load_items(cfg.items)
     split = ingest.split_leave_n_out(interactions, n_test=cfg.n_test,
                                      min_history=cfg.min_history,
                                      threshold=cfg.relevance_threshold)
+    if not split.held.any():
+        raise ValueError(f"no eligible evaluation users (excluded: {split.excluded_users})")
+    run_dir.mkdir(parents=True, exist_ok=True)
     ingest.write_split(run_dir / "split.json", split)
     ingest.write_catalog(run_dir / "catalog.jsonl", catalog)
     (run_dir / "config.json").write_text(
@@ -166,7 +173,7 @@ def cmd_ingest(cfg):
 
     print(f"interactions: {len(interactions)}")
     print(f"users: {len(interactions.users)}")
-    print(f"items: {len(catalog)}")
+    print(f"items: {len(catalog.items)}")
     print(f"eval users: {len(split.relevance)} (excluded: {split.excluded_users})")
     return EXIT_OK
 
@@ -231,6 +238,7 @@ def _user_inputs(cfg, users, split, catalog):
         sim = candgen.build_item_knn(train, top_m=cfg.knn_top_m,
                                      min_co_raters=cfg.knn_min_co_raters)
         scorer = candgen.ItemKnnRecommender(sim, train)
+    train_codes = train.item_codes(catalog.ids)  # of each catalog position
 
     def inputs(user):
         exclusions = {item for item, _, _ in train.entries(user)}
@@ -242,7 +250,7 @@ def _user_inputs(cfg, users, split, catalog):
                 inject_positives=cfg.inject_positives, relevance=relevance.get(user))
         else:
             slate = candgen.gen_model_slate(
-                user, scorer, catalog, exclusions, cfg.inject_positives,
+                user, scorer, catalog, train_codes, exclusions, cfg.inject_positives,
                 relevance.get(user), cfg.seed, slate_size=cfg.slate_size,
                 source=cfg.generator)
         if cfg.mode not in _MODE_COLUMN:

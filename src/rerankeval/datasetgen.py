@@ -6,7 +6,6 @@ import json
 import logging
 import os
 import tempfile
-from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -164,19 +163,8 @@ def correct_ranking_for_user(relevance, test_entries, catalog, size, seed):
                              key=lambda i: (-last[i][0], -last[i][1], i))
     ranking = [i for i in ranked_relevant if i in catalog][:size]
     if len(ranking) < size:
-        # the pool is the sorted ids without the relevant ones; its p-th id is
-        # found by stepping p past each relevant position, so a user costs
-        # O(relevant), not a pass over the catalog
-        ids = catalog.sorted_ids
-        skip = sorted(bisect_left(ids, i) for i in relevance.relevant if i in catalog)
+        pool = catalog.positions_without(relevance.relevant)
         rng = np.random.default_rng(stable_seed(seed, "filler", relevance.user))
-        pool_size = len(ids) - len(skip)
-        need = min(size - len(ranking), pool_size)
-        picks = rng.choice(pool_size, size=need, replace=False) if need else []
-        for p in map(int, picks):
-            for position in skip:
-                if position > p:
-                    break
-                p += 1
-            ranking.append(ids[p])
+        picks = rng.choice(len(pool), size=min(size - len(ranking), len(pool)), replace=False)
+        ranking += catalog.ids[pool[picks]].tolist()
     return ranking

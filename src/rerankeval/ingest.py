@@ -108,17 +108,21 @@ class Catalog:
     def __contains__(self, item_id):
         return item_id in self.items
 
-    def __len__(self):
-        return len(self.items)
-
     def get(self, item_id):
         return self.items.get(item_id)
 
     @cached_property
-    def sorted_ids(self):
-        """Item ids in sorted order, sorted on first use; items must not be
-        added or removed after that."""
-        return sorted(self.items)
+    def ids(self):
+        """Item ids as one sorted str array, built on first use; items must
+        not be added or removed after that."""
+        return np.array(sorted(self.items), dtype=str)
+
+    def positions_without(self, ids):
+        """Ascending positions of the items not among ids, which need not be in it."""
+        codes = _codes(self.ids, list(ids))
+        keep = np.ones(len(self.ids), dtype=bool)
+        keep[codes[codes >= 0]] = False
+        return np.flatnonzero(keep)
 
 
 @dataclass
@@ -304,16 +308,16 @@ def load_items(path):
 
     Expected fields: id, title, genres (pipe-joined in CSV, list in JSONL),
     language, overview. Overviews are kept in full here; write_catalog cuts
-    them. A row without an id raises MalformedRow.
+    them. A row without an id, or with a NUL in its id, raises MalformedRow.
     """
     path = Path(path)
     if not path.is_file():
         raise MissingFile(str(path))
     if path.suffix.lower() in (".jsonl", ".ndjson", ".json"):
-        rows = (obj for _, obj in jsonl_objects(path, ("id",)))
+        rows = jsonl_objects(path, ("id",))
     else:
         rows = _csv_rows(path)
-    cards = [_card(row) for row in rows]
+    cards = [_card(line_no, row) for line_no, row in rows]
     return Catalog(items={c.id: c for c in cards})
 
 
@@ -323,15 +327,19 @@ def _csv_rows(path):
         for row in reader:
             if row.get("id") is None:
                 raise MalformedRow(reader.line_num, "no id field")
-            yield row
+            yield reader.line_num, row
 
 
-def _card(row):
-    """An ItemCard from a catalog row; genres are a list or pipe-joined."""
+def _card(line_no, row):
+    """An ItemCard from the catalog row on line_no; genres are a list or
+    pipe-joined. No id may hold a NUL: a str array like Catalog.ids drops trailing ones."""
+    item_id = str(row["id"]).strip()
+    if "\x00" in item_id:
+        raise MalformedRow(line_no, "item id with a NUL")
     genres = row.get("genres") or []
     if isinstance(genres, str):
         genres = [g for g in genres.split("|") if g]
-    return ItemCard(id=str(row["id"]).strip(), title=str(row.get("title") or "").strip(),
+    return ItemCard(id=item_id, title=str(row.get("title") or "").strip(),
                     genres=list(genres), language=str(row.get("language") or "").strip(),
                     overview_short=str(row.get("overview") or "").strip())
 
@@ -340,7 +348,7 @@ def write_catalog(path, catalog):
     """Write catalog as JSON lines, one card per line in id order, with
     overviews longer than OVERVIEW_MAX_WORDS words cut to that many."""
     with Path(path).open("w", encoding="utf-8") as fh:
-        for item_id in catalog.sorted_ids:
+        for item_id in catalog.ids.tolist():
             c = catalog.items[item_id]
             words = c.overview_short.split()
             overview = (" ".join(words[:OVERVIEW_MAX_WORDS])

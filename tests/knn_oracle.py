@@ -3,7 +3,8 @@ that candgen's sparse top-m matrix replaces. Kept only to check it against.
 
 build_item_knn_oracle returns {item id: [(neighbour id, sim), ...]}, sim
 descending with ties by id; OracleKnnScorer scores one item at a time as a
-Python sum over that list.
+Python sum over that list, and score_items takes train item codes, as
+candgen's scorers do.
 """
 
 import numpy as np
@@ -57,6 +58,7 @@ class OracleKnnScorer:
         for user, item, rating, _ in table_rows(train):
             self.ratings_by_user.setdefault(user, {})[item] = rating
         self._neighbor_sims = {item: dict(neigh) for item, neigh in neighbors.items()}
+        self._items = train.items.tolist()
 
     def score(self, user, item):
         rated = self.ratings_by_user.get(user)
@@ -67,8 +69,11 @@ class OracleKnnScorer:
             return 0.0
         return sum(s * rated[j] for j, s in sims.items() if j in rated)
 
-    def score_items(self, user, items):
-        return np.array([self.score(user, i) for i in items], dtype=np.float64)
+    def score_items(self, user, cols):
+        """Score of each of cols (train item codes, -1 for an item not in
+        train, which scores as an item with no neighbours)."""
+        return np.array([self.score(user, self._items[c] if c >= 0 else None)
+                         for c in cols.tolist()], dtype=np.float64)
 
 
 def neighbor_lists(m, items):

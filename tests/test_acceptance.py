@@ -3,7 +3,6 @@ pass/fail line. Run with `pytest tests/test_acceptance.py -v -s`."""
 
 import hashlib
 import itertools
-import json
 import math
 import random
 import time

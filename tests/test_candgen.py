@@ -1,8 +1,11 @@
 import math
+import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import slate_oracle
 from conftest import interactions, make_catalog, write_corpus
 from knn_oracle import OracleKnnScorer, build_item_knn_oracle, neighbor_lists
 from mf_oracle import score_mf, sgd_epoch_py
@@ -11,8 +14,8 @@ from rerankeval.candgen import (ItemKnnRecommender, build_item_knn,
                                 export_slates, gen_model_slate,
                                 gen_random_slate, import_slates, train_mf)
 from rerankeval.errors import CatalogTooSmall, MalformedRow, UnknownUser
-from rerankeval.ingest import (RelevanceSet, load_interactions, load_items,
-                               split_leave_n_out)
+from rerankeval.ingest import (Catalog, ItemCard, RelevanceSet, load_interactions,
+                               load_items, split_leave_n_out)
 
 
 class TestRandomSlate:
@@ -251,7 +254,7 @@ class TestScoreItems:
         items = ["i0", "i3", "not_in_train", "i5", "i1", "also_absent"]
         for user in ("u0", "u7", "ghost"):
             expected = [score_mf(model, user, i) for i in items]
-            assert model.score_items(user, items).tolist() == \
+            assert model.score_items(user, model.train.item_codes(items)).tolist() == \
                 pytest.approx(expected, rel=1e-12)
 
     def test_knn_matches_per_item_score(self):
@@ -260,7 +263,8 @@ class TestScoreItems:
         oracle = OracleKnnScorer(build_item_knn_oracle(train, top_m=10, min_co_raters=2),
                                  train)
         items = sorted(catalog.items)
-        assert rec.score_items("u", items).tolist() == [oracle.score("u", i) for i in items]
+        assert rec.score_items("u", train.item_codes(items)).tolist() == \
+            [oracle.score("u", i) for i in items]
 
     @pytest.mark.parametrize("inject", [0, 3])
     def test_batched_mf_slates_match_score_mf(self, tmp_path, inject):
@@ -268,18 +272,22 @@ class TestScoreItems:
             def __init__(self, model):
                 self.model = model
 
-            def score_items(self, user, items):
-                return np.array([score_mf(self.model, user, i) for i in items])
+            def score_items(self, user, cols):
+                ids = self.model.train.items
+                return np.array([score_mf(self.model, user, ids[c] if c >= 0 else "absent")
+                                 for c in cols])
 
         ratings_path, items_path = write_corpus(tmp_path)
         catalog = load_items(items_path)
         split = split_leave_n_out(load_interactions(ratings_path))
         model = train_mf(split.train, k=8, epochs=5, seed=2)
+        codes = split.train.item_codes(catalog.ids)
         assert len(split.relevance) == 30
         for user, rel in split.relevance.items():
             exclusions = {item for item, _, _ in split.train.entries(user)}
-            batched = gen_model_slate(user, model, catalog, exclusions, inject, rel, seed=4)
-            per_item = gen_model_slate(user, PerItemMf(model), catalog, exclusions,
+            batched = gen_model_slate(user, model, catalog, codes, exclusions, inject, rel,
+                                      seed=4)
+            per_item = gen_model_slate(user, PerItemMf(model), catalog, codes, exclusions,
                                        inject, rel, seed=4)
             assert batched.items == per_item.items
 
@@ -338,7 +346,8 @@ class TestModelSlate:
     def test_no_injection_is_pure_top_15(self):
         catalog, train, model = slate_corpus()
         exclusions = {str(i) for i in range(1, 6)}
-        slate = gen_model_slate("u", model, catalog, exclusions, 0, None, seed=1)
+        slate = gen_model_slate("u", model, catalog, train.item_codes(catalog.ids),
+                                exclusions, 0, None, seed=1)
         eligible = [i for i in catalog.items if i not in exclusions]
         expected = sorted(eligible, key=lambda i: (-score_mf(model, "u", i), i))[:15]
         assert slate.items == expected
@@ -346,7 +355,8 @@ class TestModelSlate:
     def test_full_injection(self):
         catalog, train, model = slate_corpus()
         rel = RelevanceSet(user="u", relevant={str(i) for i in range(10, 25)})
-        slate = gen_model_slate("u", model, catalog, set(), 15, rel, seed=1)
+        slate = gen_model_slate("u", model, catalog, train.item_codes(catalog.ids), set(),
+                                15, rel, seed=1)
         assert set(slate.items) == rel.relevant
 
     def test_score_ties_break_by_item_id(self):
@@ -356,7 +366,8 @@ class TestModelSlate:
             def score_items(self, user, items):
                 return np.ones(len(items))
 
-        slate = gen_model_slate("u", ConstScorer(), catalog, set(), 0, None, seed=1)
+        slate = gen_model_slate("u", ConstScorer(), catalog, train.item_codes(catalog.ids),
+                                set(), 0, None, seed=1)
         assert slate.items == sorted(catalog.items)[:15]
 
     def test_knn_unknown_user(self):
@@ -364,16 +375,131 @@ class TestModelSlate:
         sim = build_item_knn(train, top_m=10, min_co_raters=2)
         rec = ItemKnnRecommender(sim, train)
         with pytest.raises(UnknownUser):
-            gen_model_slate("ghost", rec, catalog, set(), 0, None, seed=1)
+            gen_model_slate("ghost", rec, catalog, train.item_codes(catalog.ids), set(), 0,
+                            None, seed=1)
 
     def test_slate_invariants(self):
         catalog, train, model = slate_corpus()
         rel = RelevanceSet(user="u", relevant={"30", "31", "32"})
         exclusions = {str(i) for i in range(1, 6)}
-        slate = gen_model_slate("u", model, catalog, exclusions, 3, rel, seed=1)
+        slate = gen_model_slate("u", model, catalog, train.item_codes(catalog.ids),
+                                exclusions, 3, rel, seed=1)
         assert len(slate.items) == 15
         assert len(set(slate.items)) == 15
         assert not (set(slate.items) & exclusions)
+
+
+class CodeScorer:
+    """Scores train item codes off a table of values; -1 scores absent."""
+
+    def __init__(self, values, absent):
+        self.values, self.absent = np.array(values, dtype=np.float64), absent
+
+    def score_items(self, user, cols):
+        scores = np.full(len(cols), self.absent)
+        scores[cols >= 0] = self.values[cols[cols >= 0]]
+        return scores
+
+
+class IdScorer:
+    """The same scores looked up by item id, as slate_oracle asks."""
+
+    def __init__(self, by_id):
+        self.by_id = by_id
+
+    def score_items(self, user, ids):
+        return np.array([self.by_id[i] for i in ids], dtype=np.float64)
+
+
+SCORE_KINDS = {
+    "constant": lambda rng, n: [1.5] * n,
+    "few_values": lambda rng, n: [rng.choice([0.5, 1.0, 2.0]) for _ in range(n)],
+    "signed_zeros": lambda rng, n: [rng.choice([0.0, -0.0, 1.0]) for _ in range(n)],
+    "distinct": lambda rng, n: [rng.random() for _ in range(n)],
+}
+
+
+def fuzz_ids(rng, n):
+    """n distinct ids: "1".."n", whose string order is not numeric order
+    from 10 on, or short strings over 0, 9, a and z."""
+    if rng.random() < 0.5:
+        return [str(i) for i in range(1, n + 1)]
+    ids = set()
+    while len(ids) < n:
+        ids.add("".join(rng.choice("09az") for _ in range(rng.randint(1, 3))))
+    return sorted(ids, key=lambda _: rng.random())
+
+
+def slate_outcome(make, *args, **kwargs):
+    """The slate's items, or the CatalogTooSmall message."""
+    try:
+        items = make(*args, **kwargs).items
+    except CatalogTooSmall as e:
+        return str(e)
+    assert all(type(i) is str for i in items)
+    return items
+
+
+class TestAgainstIdOracle:
+    """Slates picked over catalog positions against slate_oracle's id-based
+    selection, item for item, on seeded random catalogs."""
+
+    def test_random_catalogs(self):
+        rng = random.Random(11)
+        seen = Counter()
+        for case in range(500):
+            ids = fuzz_ids(rng, rng.randint(0, 45))
+            catalog = Catalog(items={i: ItemCard(id=i, title=i) for i in ids})
+            slate_size = rng.randint(1, 15)
+            # ids not in the catalog, one of them after its last id
+            outside = ["ghost", "0000", max(ids, default="") + "z"]
+            excluded = set(rng.sample(ids, rng.randint(0, len(ids) // 2)))
+            if len(ids) >= slate_size and rng.random() < 0.25:
+                excluded = set(rng.sample(ids, len(ids) - slate_size))
+            excluded |= set(rng.sample(outside, rng.randint(0, 3)))
+            relevant = set(rng.sample(ids, rng.randint(0, len(ids))))
+            relevant |= set(rng.sample(outside, rng.randint(0, 3)))
+            relevance = RelevanceSet("u", relevant) if rng.random() < 0.9 else None
+            inject = rng.randint(0, slate_size + 3)
+            kind = rng.choice(list(SCORE_KINDS))
+            train = interactions([("v", i, 3.0, 0) for i in
+                                  rng.sample(ids, rng.randint(0, len(ids))) + ["t1", "t2"]])
+            values = SCORE_KINDS[kind](rng, len(train.items))
+            absent = rng.choice([0.0, -0.0, 1.5])
+            codes = train.item_codes(catalog.ids)
+            by_id = {i: values[c] if c >= 0 else absent
+                     for i, c in zip(catalog.ids.tolist(), codes.tolist())}
+
+            user, seed = f"u{case}", case
+            args = (excluded, inject, relevance, seed)
+            ours = slate_outcome(gen_model_slate, user, CodeScorer(values, absent), catalog,
+                                 codes, *args, slate_size=slate_size)
+            assert ours == slate_outcome(slate_oracle.gen_model_slate, user,
+                                         IdScorer(by_id), catalog, *args,
+                                         slate_size=slate_size)
+            random_args = (user, catalog, excluded, seed)
+            random_kwargs = dict(slate_size=slate_size, inject_positives=inject,
+                                 relevance=relevance)
+            assert slate_outcome(gen_random_slate, *random_args, **random_kwargs) == \
+                slate_outcome(slate_oracle.gen_random_slate, *random_args, **random_kwargs)
+
+            eligible = set(ids) - excluded
+            positives = len(eligible & relevant)
+            seen[kind] += isinstance(ours, list)
+            seen["slates"] += isinstance(ours, list)
+            seen["numeric_order_differs"] += "10" in ids and "9" in eligible
+            seen["exactly_full"] += len(eligible) == slate_size
+            seen["too_small"] += len(eligible) < slate_size
+            seen["after_last_outside"] += bool({outside[2]} & excluded & relevant)
+            seen["no_injection"] += inject == 0 and isinstance(ours, list)
+            seen["full_injection"] += inject == slate_size and isinstance(ours, list)
+            seen["more_injections_than_positives"] += (
+                relevance is not None and inject > positives > 0 and isinstance(ours, list))
+        assert min(seen[k] for k in [*SCORE_KINDS, "numeric_order_differs", "exactly_full",
+                                     "too_small", "after_last_outside", "no_injection",
+                                     "full_injection",
+                                     "more_injections_than_positives"]) >= 5, seen
+        assert seen["slates"] >= 300, seen
 
 
 class TestSlateIo:

@@ -119,6 +119,15 @@ class TestConfig:
         ("backend_endpoint", "localhost:9/v1", "endpoint must be an http or https URL "
                                                "with a host, got 'localhost:9/v1'"),
         ("backend_endpoint", "http:///v1", "endpoint must be an http or https URL"),
+        ("backend_backoff_base", "nan", "backoff_base must be a finite number, got 'nan'"),
+        ("backend_timeout", "nan", "timeout must be a finite number, got 'nan'"),
+        ("backend_timeout", "inf", "timeout must be a finite number, got 'inf'"),
+        ("temperature", "Infinity", "temperature must be a finite number, got 'Infinity'"),
+        ("relevance_threshold", "NaN", "relevance_threshold must be a finite number"),
+        ("mf_learn_rate", "nan", "mf_learn_rate must be a finite number"),
+        ("mf_learn_rate", "-1", "mf_learn_rate must be > 0"),
+        ("mf_learn_rate", "0", "mf_learn_rate must be > 0"),
+        ("mf_reg", "-5", "mf_reg must be >= 0"),
     ])
     def test_bad_value_rejected_before_any_work(self, corpus, monkeypatch, capsys,
                                                 key, value, message):
@@ -650,15 +659,34 @@ class TestBuildDataset:
                                          ["export-slates", "--out", "slates.jsonl"]])
     def test_no_eligible_users_exits_2(self, corpus, tmp_path, monkeypatch, capsys,
                                        command):
-        _, _, run_dir = corpus
+        ratings, _, run_dir = corpus
         monkeypatch.chdir(tmp_path)
-        main(ingest_args(corpus, min_history=100))
+        main(ingest_args(corpus))
+        # a split without eval users, which ingest itself refuses to write
+        ingest.write_split(run_dir / "split.json", ingest.split_leave_n_out(
+            ingest.load_interactions(ratings), min_history=100))
         before = sorted(path.name for path in run_dir.iterdir())
         capsys.readouterr()
         code = main([command[0], "--run-dir", str(run_dir), *command[1:]])
         assert code == EXIT_CONFIG
         assert "error: no eligible evaluation users" in capsys.readouterr().err
         assert sorted(path.name for path in run_dir.iterdir()) == before
+
+    def test_ingest_without_eval_users_exits_2_and_writes_nothing(self, corpus, tmp_path,
+                                                                  capsys):
+        _, _, run_dir = corpus
+        main(ingest_args(corpus))
+        before = {path.name: path.read_bytes() for path in run_dir.iterdir()}
+        capsys.readouterr()
+        assert main(ingest_args(corpus, min_history=100)) == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert "error: no eligible evaluation users (excluded: 30)\n" in err
+        assert out == ""
+        assert {path.name: path.read_bytes() for path in run_dir.iterdir()} == before
+        fresh = tmp_path / "fresh"
+        assert main([*ingest_args(corpus, min_history=100), "--run-dir", str(fresh)]) \
+            == EXIT_CONFIG
+        assert not fresh.exists()
 
     def test_short_ranking_skips_its_user(self, corpus, monkeypatch, caplog, capsys):
         _, _, run_dir = corpus

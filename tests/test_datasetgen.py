@@ -130,7 +130,7 @@ class TestWriteTrainingFiles:
 def filler_oracle(relevance, catalog, ranking, size, seed):
     """The filler as a pass over the catalog: a seeded sample of the sorted
     ids that are not relevant."""
-    pool = [i for i in catalog.sorted_ids if i not in relevance.relevant]
+    pool = [i for i in sorted(catalog.items) if i not in relevance.relevant]
     rng = np.random.default_rng(stable_seed(seed, "filler", relevance.user))
     need = min(size - len(ranking), len(pool))
     picks = rng.choice(len(pool), size=need, replace=False) if need else []

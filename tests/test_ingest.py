@@ -209,6 +209,15 @@ class TestLoadItems:
         p.write_bytes('\ufeff{"id": 1, "title": "Toy Story"}\n'.encode("utf-8"))
         assert load_items(p).get("1").title == "Toy Story"
 
+    @pytest.mark.parametrize("name,text", [
+        ("items.csv", "id,title\n1,Toy Story\n2\x00,Heat\n"),
+        ("items.jsonl", '{"id": "1", "title": "A"}\n\n{"id": "2\\u0000", "title": "B"}\n'),
+    ])
+    def test_nul_in_an_id_rejected_with_its_line(self, tmp_path, name, text):
+        # a str array drops trailing NULs, so "2\x00" would become "2"
+        with pytest.raises(MalformedRow, match="line 3: item id with a NUL"):
+            load_items(write(tmp_path, name, text))
+
 
 class TestBuildItemDescription:
     def test_template(self):

@@ -40,9 +40,10 @@ def assert_parity(train, top_m, min_co_raters, items, users):
     assert neighbor_lists(sim, train.items) == expected
     rec = ItemKnnRecommender(sim, train)
     oracle = OracleKnnScorer(expected, train)
+    cols = train.item_codes(items)
     for user in users:
-        assert np.array_equal(rec.score_items(user, items),
-                              oracle.score_items(user, items))
+        assert np.array_equal(rec.score_items(user, cols),
+                              oracle.score_items(user, cols))
     return expected
 
 
@@ -84,10 +85,10 @@ class TestNeighboursAndScores:
         split, catalog = conftest_train(tmp_path)
         rec = ItemKnnRecommender(build_item_knn(split.train, top_m=10), split.train)
         user = split.train.users[0]
-        items = ["absent_a"] + sorted(catalog.items) + ["absent_b"]
-        scores = rec.score_items(user, items)
+        cols = split.train.item_codes(["absent_a"] + sorted(catalog.items) + ["absent_b"])
+        scores = rec.score_items(user, cols)
         assert scores[0] == 0.0 and scores[-1] == 0.0
-        assert np.array_equal(scores[1:-1], rec.score_items(user, items[1:-1]))
+        assert np.array_equal(scores[1:-1], rec.score_items(user, cols[1:-1]))
 
     def test_user_with_no_ratings(self, tmp_path):
         split, catalog = conftest_train(tmp_path)
@@ -95,7 +96,7 @@ class TestNeighboursAndScores:
         for scorer in (ItemKnnRecommender(sim, split.train),
                        OracleKnnScorer(neighbor_lists(sim, split.train.items), split.train)):
             with pytest.raises(UnknownUser):
-                scorer.score_items("ghost", sorted(catalog.items))
+                scorer.score_items("ghost", split.train.item_codes(sorted(catalog.items)))
 
     def test_empty_train_rejected(self):
         with pytest.raises(ValueError):
@@ -118,12 +119,13 @@ class TestSlates:
         rec = ItemKnnRecommender(sim, split.train)
         oracle = OracleKnnScorer(
             build_item_knn_oracle(split.train, top_m=10, min_co_raters=2), split.train)
+        codes = split.train.item_codes(catalog.ids)
         assert len(split.relevance) == 30
         for user, rel in split.relevance.items():
             exclusions = {item for item, _, _ in split.train.entries(user)}
-            ours = gen_model_slate(user, rec, catalog, exclusions, inject, rel,
+            ours = gen_model_slate(user, rec, catalog, codes, exclusions, inject, rel,
                                    seed=4, source="knn")
-            theirs = gen_model_slate(user, oracle, catalog, exclusions, inject, rel,
+            theirs = gen_model_slate(user, oracle, catalog, codes, exclusions, inject, rel,
                                      seed=4, source="knn")
             assert ours.items == theirs.items
 
@@ -136,12 +138,15 @@ class TestSlates:
         rec = ItemKnnRecommender(build_item_knn(train, top_m=8, min_co_raters=1), train)
         oracle = OracleKnnScorer(
             build_item_knn_oracle(train, top_m=8, min_co_raters=1), train)
+        codes = train.item_codes(catalog.ids)
         checked = 0
         for user in train.users.tolist():
             exclusions = {item for item, _, _ in train.entries(user)}
             if len(items) - len(exclusions) < 15:
                 continue
-            assert gen_model_slate(user, rec, catalog, exclusions, 0, None, seed=1).items \
-                == gen_model_slate(user, oracle, catalog, exclusions, 0, None, seed=1).items
+            assert gen_model_slate(user, rec, catalog, codes, exclusions, 0, None,
+                                   seed=1).items \
+                == gen_model_slate(user, oracle, catalog, codes, exclusions, 0, None,
+                                   seed=1).items
             checked += 1
         assert checked > 40

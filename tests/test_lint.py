@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "rerankeval"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "rerankeval"
 
 # module-level names that nothing in the package reads, with the reason each
 # is kept
@@ -37,7 +38,8 @@ def test_checker_sees_unused_and_used_imports():
     assert unused_imports(source) == [(2, "osp"), (3, "a")]
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")),
+                         ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

@@ -2,8 +2,7 @@ import itertools
 
 import pytest
 
-from conftest import (PeakBackend, candidate_ids, make_catalog, make_history,
-                      make_slate, prompt_hash)
+from conftest import PeakBackend, candidate_ids, make_history, make_slate, prompt_hash
 from rerankeval.errors import EmptyOutputs, HttpStatus, SlateMismatch, UnknownItem
 from rerankeval.llm_client import ScriptedBackend
 from rerankeval.rerank import (RankedItem, RankingOutput,
