@@ -391,8 +391,8 @@ def split_leave_n_out(interactions, n_test=10, min_history=5,
     Users with at least min_history + n_test interactions rated >= threshold
     hold out the items of their n_test most recent qualifying interactions
     (ties by item id): every row of those items is test, everything else
-    train. Users below the bar stay in train but are excluded from
-    evaluation.
+    train. Users below the bar, and users whose held items would take all
+    of their rows, stay in train but are excluded from evaluation.
     """
     if n_test < 1:
         raise ValueError("n_test must be >= 1")
@@ -410,6 +410,9 @@ def split_leave_n_out(interactions, n_test=10, min_history=5,
     rank = np.arange(len(q)) - np.searchsorted(rows.user[q], rows.user[q])
     pair = rows.user * len(rows.items) + rows.item
     held = np.isin(pair, pair[q[rank < n_test]])
+    # a user whose held items take every row would have no train history
+    evaluated &= np.bincount(rows.user[~held], minlength=len(rows.users)) > 0
+    held &= evaluated[rows.user]
     excluded = len(rows.users) - int(np.count_nonzero(evaluated))
     log.info("split: %d eval users, %d excluded", len(rows.users) - excluded, excluded)
     return SplitResult(rows=rows, held=held, excluded_users=excluded)

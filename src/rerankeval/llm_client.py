@@ -2,16 +2,18 @@
 HTTP backend speaking the standard chat-completions JSON protocol."""
 
 import email.utils
+import functools
+import http.client
+import json
 import logging
 import os
 import re
+import select
 import threading
 import time
+import weakref
 from dataclasses import dataclass
 from urllib.parse import urlsplit
-
-import requests
-from requests.adapters import HTTPAdapter
 
 from .errors import (BackendError, ExhaustedRetries, HttpStatus,
                      MissingApiKey, Timeout)
@@ -130,11 +132,18 @@ def _retry_after(value, limit):
     return min(delay, limit)
 
 
+def _close_all(connections):
+    for conn in connections:
+        conn.close()
+
+
 class HttpBackend:
     """POSTs chat-completions JSON and retries transient failures (timeouts,
-    429, 5xx, malformed 200 payloads) with exponential backoff, or after the
-    server's Retry-After on 429 and 503. The API key is read once, here;
-    MissingApiKey when config.api_key_env names an unset variable."""
+    connection errors, 429, 5xx, malformed 200 payloads) with exponential
+    backoff, or after the server's Retry-After on 429 and 503. The API key is
+    read once, here; MissingApiKey when config.api_key_env names an unset
+    variable. Nothing else is read from the environment: no proxy, no netrc,
+    no CA bundle but the system's. Redirects are not followed."""
 
     def __init__(self, config):
         self.config = config
@@ -146,12 +155,37 @@ class HttpBackend:
                                     "is not set")
             self._headers["Authorization"] = f"Bearer {key}"
         self.max_concurrent_requests = config.max_concurrent_requests
-        self._session = requests.Session()
-        # one kept-alive connection per request in flight; urllib3's default
-        # of 10 would discard and reopen connections above a cap of 10
-        adapter = HTTPAdapter(pool_maxsize=config.max_concurrent_requests)
-        self._session.mount("http://", adapter)
-        self._session.mount("https://", adapter)
+        url = urlsplit(config.endpoint)
+        self._path = (url.path or "/") + (f"?{url.query}" if url.query else "")
+        connection = (http.client.HTTPSConnection if url.scheme == "https"
+                      else http.client.HTTPConnection)
+        port = connection.default_port if url.port is None else url.port
+        self._connect = functools.partial(connection, url.hostname, port,
+                                          timeout=config.timeout)
+        # kept-alive connections not in use: never more than were ever in
+        # flight at once, and they outlive the threads of one batch
+        self._idle = []
+        self._lock = threading.Lock()
+        weakref.finalize(self, _close_all, self._idle)
+
+    def _post(self, data):
+        """(status, headers, body) of one POST of data to the endpoint."""
+        with self._lock:
+            conn = self._idle.pop() if self._idle else None
+        if conn is None:
+            conn = self._connect()
+        elif conn.sock is not None and select.select([conn.sock], [], [], 0)[0]:
+            conn.close()  # the server closed it while idle; request() reopens it
+        try:
+            conn.request("POST", self._path, data, self._headers)
+            resp = conn.getresponse()
+            return resp.status, resp.headers, resp.read()
+        except BaseException:
+            conn.close()  # so a half-read reply never reaches the next request
+            raise
+        finally:
+            with self._lock:
+                self._idle.append(conn)
 
     def complete(self, request):
         body = {
@@ -165,6 +199,7 @@ class HttpBackend:
         }
         if request.seed is not None:
             body["seed"] = request.seed
+        data = json.dumps(body, allow_nan=False).encode()
 
         start = time.monotonic()
         last_error = None
@@ -175,18 +210,16 @@ class HttpBackend:
                            if delay is None else delay)
             delay = None
             try:
-                resp = self._session.post(self.config.endpoint, json=body,
-                                          headers=self._headers,
-                                          timeout=self.config.timeout)
-            except requests.Timeout:
+                status, headers, reply = self._post(data)
+            except TimeoutError:
                 last_error = Timeout(f"no response within {self.config.timeout}s")
                 continue
-            except requests.RequestException as e:
-                last_error = BackendError(str(e))
+            except (OSError, http.client.HTTPException) as e:
+                last_error = BackendError(f"{type(e).__name__}: {e}")
                 continue
-            if resp.status_code == 200:
+            if status == 200:
                 try:
-                    text = resp.json()["choices"][0]["message"]["content"]
+                    text = json.loads(reply)["choices"][0]["message"]["content"]
                     if not isinstance(text, str):
                         raise TypeError(f"content is {type(text).__name__}")
                 except (KeyError, IndexError, TypeError, ValueError) as e:
@@ -194,12 +227,11 @@ class HttpBackend:
                     continue
                 return ChatResponse(text=text, latency=time.monotonic() - start,
                                     retry_count=attempt)
-            last_error = HttpStatus(resp.status_code, resp.text[:200])
-            if resp.status_code not in RETRYABLE_STATUS:
+            last_error = HttpStatus(status, reply.decode("utf-8", "replace")[:200])
+            if status not in RETRYABLE_STATUS:
                 raise last_error
-            if resp.status_code in RETRY_AFTER_STATUS:
-                delay = _retry_after(resp.headers.get("Retry-After"),
-                                     self.config.timeout)
+            if status in RETRY_AFTER_STATUS:
+                delay = _retry_after(headers.get("Retry-After"), self.config.timeout)
         if self.config.max_retries == 0:
             raise last_error
         raise ExhaustedRetries(str(last_error))

@@ -19,11 +19,12 @@ def split_rows(rows, n_test=10, min_history=5, threshold=4.0):
     excluded = 0
     for user, user_rows in by_user.items():
         qualifying = [r for r in user_rows if r[2] >= threshold]
-        if len(qualifying) >= min_history + n_test:
-            qualifying.sort(key=lambda r: (-r[3], r[1]))
-            held = {r[1] for r in qualifying[:n_test]}
+        qualifying.sort(key=lambda r: (-r[3], r[1]))
+        held = {r[1] for r in qualifying[:n_test]}
+        kept = [r for r in user_rows if r[1] not in held]
+        if len(qualifying) >= min_history + n_test and kept:
             relevance[user] = held
-            train.extend(r for r in user_rows if r[1] not in held)
+            train.extend(kept)
         else:
             excluded += 1
             train.extend(user_rows)

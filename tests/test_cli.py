@@ -1,5 +1,6 @@
 import hashlib
 import json
+import socket
 import warnings
 from collections import Counter
 
@@ -179,6 +180,20 @@ class TestIngest:
         _, _, run_dir = corpus
         assert (run_dir / "split.json").is_file()
         assert (run_dir / "catalog.jsonl").is_file()
+
+    def test_user_whose_held_items_take_every_row_is_excluded(self, corpus, capsys):
+        ratings, _, run_dir = corpus
+        # u1 rated item 1 fifteen times; u2 and u3 rated 16 distinct items each
+        lines = ["userId,itemId,rating,timestamp"]
+        lines += [f"u1,1,5.0,{t}" for t in range(15)]
+        lines += [f"u{u},{i},4.5,{i}" for u in (2, 3) for i in range(1, 17)]
+        ratings.write_text("\n".join(lines) + "\n")
+        assert main(ingest_args(corpus)) == EXIT_OK
+        assert "eval users: 2 (excluded: 1)" in capsys.readouterr().out
+        assert main(run_args(corpus)) == EXIT_OK
+        report = json.loads((run_dir / "report.json").read_text())
+        assert report["users_evaluated"] == 2
+        assert report["users_skipped"] == 0
 
     def test_rerun_is_content_identical(self, corpus):
         _, _, run_dir = corpus
@@ -605,6 +620,24 @@ class TestBuildDataset:
         for cap in (1, 4):
             assert build(cap) == (EXIT_PARTIAL, "1",
                                   [sft[:2] + sft[3:], dpo[:2] + dpo[3:]])
+
+    def test_unreachable_endpoint_skips_each_user_with_a_short_reason(self, corpus,
+                                                                       caplog):
+        _, _, run_dir = corpus
+        main(ingest_args(corpus))
+        with socket.socket() as closed:
+            closed.bind(("127.0.0.1", 0))
+            port = closed.getsockname()[1]
+        code = main(["build-dataset", "--run-dir", str(run_dir), "--sample-count", "3",
+                     "--ranking-size", "10", "--backend-kind", "http",
+                     "--backend-model", "m", "--backend-backoff-base", "0",
+                     "--backend-endpoint", f"http://127.0.0.1:{port}/v1/chat/completions"])
+        assert code == EXIT_PARTIAL
+        skipped = [r.getMessage() for r in caplog.records
+                   if r.getMessage().startswith("skipped user")]
+        assert len(skipped) == 3
+        for line in skipped:
+            assert len(line) < 120 and "ConnectionRefusedError" in line, line
 
     def test_unexpected_error_exits_2_and_cancels_pending(self, corpus, monkeypatch,
                                                           capsys):

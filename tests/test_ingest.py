@@ -260,6 +260,17 @@ class TestSplit:
         assert split.excluded_users == 1
         assert len(split.train) == 3
 
+    def test_user_whose_held_items_take_every_row_excluded(self):
+        # "a" rated one item 15 times: the 10 most recent qualifying rows all
+        # hold that item, which would leave "a" no train history
+        rows = [("a", "x", 5.0, t) for t in range(15)]
+        rows += [(u, f"i{k}", 4.5, k) for u in ("b", "c") for k in range(16)]
+        split = split_leave_n_out(interactions(rows))
+        assert sorted(split.relevance) == ["b", "c"]
+        assert split.excluded_users == 1
+        assert split.test.users.tolist() == ["b", "c"]
+        assert len(split.train.rows_of("a")) == 15
+
     def test_n_test_zero_rejected(self):
         with pytest.raises(ValueError):
             split_leave_n_out([], n_test=0, min_history=1)
@@ -291,6 +302,7 @@ class TestSplitMatchesRowOracle:
     def test_fuzz(self, tmp_path):
         rng = random.Random(7)
         seen = Counter()
+        all_rows_held = 0   # users at the bar whose held items take every row
         for case in range(300):
             rows, n_test, min_history = fuzz_corpus(rng)
             split = split_leave_n_out(interactions(rows), n_test=n_test,
@@ -318,7 +330,10 @@ class TestSplitMatchesRowOracle:
             seen["duplicate_pairs"] += len(rows) - len({r[:2] for r in rows})
             seen["timestamp_ties"] += len(rows) - len({(r[0], r[3]) for r in rows})
             seen["held_duplicates"] += len(test) - len({r[:2] for r in test})
+            all_rows_held += sum(n >= n_test + min_history for u, n in qualifying.items()
+                                 if u not in relevance)
         assert min(seen.values()) > 100, seen
+        assert all_rows_held > 10
 
     def test_written_split_is_one_json_dump(self, tmp_path):
         split = split_leave_n_out(load_interactions(write_corpus(tmp_path)[0]))

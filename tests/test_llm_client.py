@@ -1,6 +1,8 @@
 import email.utils
 import json
-import logging
+import os
+import socket
+import subprocess
 import sys
 import threading
 import time
@@ -35,8 +37,12 @@ class StubState:
         self.max_in_flight = 0
         self.requests_seen = 0
         self.client_ports = set()
+        self.received = []        # (request target, Authorization) per request
         self.hold = threading.Event()
         self.hold.set()
+        self.release_at = None    # set hold once this many are in flight
+        self.close_next = False   # close the kept-alive connection after a reply
+        self.closed = threading.Event()  # set when the server closes a connection
 
     def respond_for(self, prompt):
         for needle, response in self.fixtures:
@@ -66,8 +72,11 @@ def make_stub():
             with state.lock:
                 state.requests_seen += 1
                 state.client_ports.add(self.client_address[1])
+                state.received.append((self.path, self.headers.get("Authorization")))
                 state.in_flight += 1
                 state.max_in_flight = max(state.max_in_flight, state.in_flight)
+                if state.in_flight == state.release_at:
+                    state.hold.set()
                 entry = state.status_script.pop(0) if state.status_script else 200
             status, extra = entry if isinstance(entry, tuple) else (entry, None)
             try:
@@ -83,6 +92,9 @@ def make_stub():
                         "content": state.respond_for(prompt)}}]}
                     self.reply(200, json.dumps(payload).encode(),
                                [("Content-Type", "application/json")])
+                if state.close_next:
+                    # no Connection: close header; the client sees a closed socket
+                    self.close_connection, state.close_next = True, False
             finally:
                 with state.lock:
                     state.in_flight -= 1
@@ -93,6 +105,10 @@ def make_stub():
             # reply to it is expected to fail
             if not isinstance(sys.exc_info()[1], ConnectionError):
                 super().handle_error(request, client_address)
+
+        def shutdown_request(self, request):
+            super().shutdown_request(request)
+            state.closed.set()
 
     server = Server(("127.0.0.1", 0), Handler)
     thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
@@ -242,14 +258,59 @@ class TestHttpBackend:
         assert type(exc.value) is error
         assert state.requests_seen == max_retries + 1
 
-    def test_connection_pool_sized_to_cap(self, stub, caplog):
+    def test_connection_pool_sized_to_cap(self, stub):
         url, state = stub
         backend = make_backend(http_config(url, max_concurrent_requests=16))
-        with caplog.at_level(logging.WARNING, logger="urllib3"):
-            results = complete_batch(backend, [req(str(i)) for i in range(160)])
+        batch = [req(str(i)) for i in range(160)]
+        state.hold.clear()
+        state.release_at = 16   # the first replies wait until all 16 are in flight
+        results = complete_batch(backend, batch)
+        ports = set(state.client_ports)
+        results += complete_batch(backend, batch)
         assert not any(isinstance(r, Exception) for r in results)
-        assert "Connection pool is full" not in caplog.text
-        assert len(state.client_ports) <= 16
+        assert state.max_in_flight == len(ports) == 16
+        assert state.client_ports == ports   # the second batch opened no connection
+
+    def test_connection_closed_while_idle_is_reopened(self, stub):
+        url, state = stub
+        backend = HttpBackend(http_config(url))
+        state.close_next = True
+        assert backend.complete(req()).retry_count == 0
+        assert state.closed.wait(timeout=5)
+        assert backend.complete(req()).retry_count == 0
+        assert state.requests_seen == len(state.client_ports) == 2
+
+    def test_timeout_on_a_reused_connection_then_a_fresh_one(self, stub):
+        url, state = stub
+        state.fixtures = [("slow", "S"), ("fast", "F")]
+        backend = HttpBackend(http_config(url, timeout=0.2, max_retries=0))
+        assert backend.complete(req("fast")).text == "F"
+        state.hold.clear()
+        try:
+            with pytest.raises(Timeout):
+                backend.complete(req("slow"))
+        finally:
+            state.hold.set()
+        assert len(state.client_ports) == 1
+        resp = backend.complete(req("fast"))
+        assert (resp.text, resp.retry_count) == ("F", 0)
+        assert len(state.client_ports) == 2
+
+    def test_redirect_not_followed(self, stub):
+        url, state = stub
+        state.status_script = [(307, {"Location": url})]
+        with pytest.raises(HttpStatus) as exc:
+            HttpBackend(http_config(url)).complete(req())
+        assert exc.value.code == 307
+        assert state.requests_seen == 1
+
+    def test_https_to_a_plain_http_server_is_a_backend_error(self, stub):
+        url, _ = stub
+        backend = HttpBackend(http_config(url.replace("http://", "https://", 1),
+                                          timeout=2.0, max_retries=0))
+        with pytest.raises(BackendError) as exc:
+            backend.complete(req())
+        assert type(exc.value) is BackendError
 
     def test_missing_api_key(self, stub, monkeypatch):
         url, _ = stub
@@ -262,6 +323,30 @@ class TestHttpBackend:
         monkeypatch.setenv("RERANKEVAL_TEST_KEY", "sk-test")
         backend = HttpBackend(http_config(url, api_key_env="RERANKEVAL_TEST_KEY"))
         assert backend.complete(req()).text
+        assert state.received == [("/v1/chat/completions", "Bearer sk-test")]
+
+    @pytest.mark.parametrize("setting", ["netrc", "proxy"])
+    def test_nothing_else_read_from_the_environment(self, stub, monkeypatch, tmp_path,
+                                                    setting):
+        url, state = stub
+        if setting == "netrc":
+            netrc = tmp_path / "netrc"
+            netrc.write_text("machine 127.0.0.1 login alice password secret\n")
+            netrc.chmod(0o600)
+            monkeypatch.setenv("NETRC", str(netrc))
+        else:
+            with socket.socket() as closed:
+                closed.bind(("127.0.0.1", 0))
+                proxy = f"http://127.0.0.1:{closed.getsockname()[1]}"
+            for name in ("HTTP_PROXY", "http_proxy"):
+                monkeypatch.setenv(name, proxy)
+            for name in ("NO_PROXY", "no_proxy"):
+                monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("RERANKEVAL_TEST_KEY", "sk-test")
+        backend = HttpBackend(http_config(url, api_key_env="RERANKEVAL_TEST_KEY",
+                                          max_retries=0))
+        assert backend.complete(req()).retry_count == 0
+        assert state.received == [("/v1/chat/completions", "Bearer sk-test")]
 
 
 class TestCompleteBatch:
@@ -351,3 +436,12 @@ class TestBackendConfig:
     def test_timeout_positive(self):
         with pytest.raises(ValueError):
             BackendConfig(kind="scripted", timeout=0)
+
+
+def test_cli_imports_neither_requests_nor_urllib3():
+    src = os.path.dirname(os.path.dirname(llm_client.__file__))
+    code = ("import sys, rerankeval.cli; "
+            "print(sorted({'requests', 'urllib3'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out == "[]\n"
