@@ -11,7 +11,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ._kernels import sgd_epoch
-from .errors import CatalogTooSmall, MalformedRow, NonFiniteLoss, UnknownUser
+from .errors import CatalogTooSmall, MalformedRow, RerankEvalError, UnknownUser
 from .ingest import jsonl_objects
 
 log = logging.getLogger(__name__)
@@ -122,8 +122,6 @@ def train_mf(train, k=32, epochs=30, learn_rate=0.005, reg=0.02, seed=0):
     """
     if not len(train):
         raise ValueError("no training interactions")
-    if k < 1:
-        raise ValueError("k must be >= 1")
     global_mean = float(train.rating.mean())
 
     rng = np.random.default_rng(seed)
@@ -141,7 +139,7 @@ def train_mf(train, k=32, epochs=30, learn_rate=0.005, reg=0.02, seed=0):
             sse = sgd_epoch(train.user, train.item, train.rating, order, user_f, item_f,
                             user_b, item_b, global_mean, learn_rate, reg)
         if not np.isfinite(sse):
-            raise NonFiniteLoss(f"diverged at epoch {epoch + 1}; lower learn_rate")
+            raise RerankEvalError(f"diverged at epoch {epoch + 1}; lower learn_rate")
         rmse = float(np.sqrt(sse / n))
         model.train_rmse.append(rmse)
         log.debug("mf epoch %d/%d rmse=%.4f", epoch + 1, epochs, rmse)
@@ -172,8 +170,6 @@ def build_item_knn(train, top_m=50, min_co_raters=3):
     """
     if not len(train):
         raise ValueError("no training interactions")
-    if top_m < 1:
-        raise ValueError("top_m must be >= 1")
     rows, cols, vals = train.user, train.item, train.rating
     mat = sp.csr_matrix((vals, (rows, cols)), shape=(len(train.users), len(train.items)))
     mask = sp.csr_matrix((np.ones_like(vals), (rows, cols)), shape=mat.shape)

@@ -78,6 +78,8 @@ class RunConfig:
             raise ValueError("cutoffs must name at least one cutoff")
         if any(c < 1 or c > self.slate_size for c in self.cutoffs):
             raise ValueError("cutoffs must be within [1, slate_size]")
+        if len(set(self.cutoffs)) < len(self.cutoffs):
+            raise ValueError("cutoffs must be distinct")
         if not re.fullmatch(r"recent|random(:-?\d+)?", self.history_sample):
             raise ValueError("history_sample must be recent, random or "
                              "random:<integer>")
@@ -90,25 +92,33 @@ class RunConfig:
                              "rejected permutation)")
 
 
+# what a config string must spell for a field of each parsed type
+_TYPE_NAMES = {int: "an integer", float: "a finite number", tuple: "a list of integers"}
+
+
 def _coerce(cls, key, value):
     """A config string as the type of the dataclass cls's field key; a
-    nested config (RunConfig.backend) is a section, not a key."""
+    nested config (RunConfig.backend) is a section, not a key. A string
+    that does not parse as that type is a ValueError naming key."""
     types = {f.name: f.type for f in fields(cls)}
     if key not in types or is_dataclass(types[key]):
         raise ValueError(f"unknown config key: {key}")
     kind = types[key]
-    if kind is tuple:
-        return tuple(int(c) for c in str(value).replace(",", " ").split())
     if kind is bool:
         states = configparser.ConfigParser.BOOLEAN_STATES
         if str(value).lower() not in states:
             raise ValueError(f"{key} must be one of {', '.join(states)}, got {value!r}")
         return states[str(value).lower()]
-    if kind is float and not np.isfinite(float(value)):
-        raise ValueError(f"{key} must be a finite number, got {value!r}")
-    if kind in (int, float):
-        return kind(value)
-    return value
+    if kind not in _TYPE_NAMES:
+        return value
+    try:
+        if kind is tuple:
+            return tuple(int(c) for c in str(value).replace(",", " ").split())
+        if kind is int or np.isfinite(float(value)):
+            return kind(value)
+    except ValueError:
+        pass
+    raise ValueError(f"{key} must be {_TYPE_NAMES[kind]}, got {value!r}")
 
 
 def load_config(path=None, overrides=None):

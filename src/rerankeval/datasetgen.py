@@ -50,7 +50,7 @@ def make_positive_sample(backend, history, correct_ranking, catalog):
     raised so the caller can drop the sample.
     """
     slate = Slate(user=history.user, items=list(correct_ranking), source="training")
-    system, prompt = build_prompt(history, slate, catalog, mode="trained")
+    _, prompt = build_prompt(history, slate, catalog, mode="trained")
 
     if backend is None:
         reasons = {item: OFFLINE_REASON for item in correct_ranking}

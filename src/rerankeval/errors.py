@@ -1,14 +1,13 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package.
+
+A type has its own class only when code tells it apart: some handler catches
+it by type or reads a field it carries, or it names a reason a single user
+is skipped. Every other error is a RerankEvalError with its message.
+"""
 
 
 class RerankEvalError(Exception):
     """Base class for all package errors."""
-
-
-# --- ingest ---
-
-class MissingFile(RerankEvalError):
-    pass
 
 
 class MalformedRow(RerankEvalError):
@@ -17,33 +16,7 @@ class MalformedRow(RerankEvalError):
         self.line_no = line_no
 
 
-class EmptyTitle(RerankEvalError):
-    pass
-
-
-class NoHistory(RerankEvalError):
-    pass
-
-
-class StaleSplit(RerankEvalError):
-    pass
-
-
-# --- candidate generation ---
-
-class CatalogTooSmall(RerankEvalError):
-    pass
-
-
-class UnknownUser(RerankEvalError):
-    pass
-
-
-class NonFiniteLoss(RerankEvalError):
-    pass
-
-
-class BadSlate(RerankEvalError):
+class ZeroVariance(RerankEvalError):
     pass
 
 
@@ -67,43 +40,31 @@ class ExhaustedRetries(BackendError):
     pass
 
 
-class MissingApiKey(BackendError):
+# --- reasons a single user is skipped ---
+
+class CatalogTooSmall(RerankEvalError):
     pass
 
 
-# --- rerank ---
+class BadSlate(RerankEvalError):
+    pass
+
 
 class UnknownItem(RerankEvalError):
     pass
 
 
-class EmptyOutputs(RerankEvalError):
+class EmptyTitle(RerankEvalError):
     pass
 
 
-class SlateMismatch(RerankEvalError):
+class NoHistory(RerankEvalError):
     pass
 
 
-# --- dataset generation ---
+class UnknownUser(RerankEvalError):
+    pass
+
 
 class GenerationOrderDrift(RerankEvalError):
-    pass
-
-
-# --- metrics / stats ---
-
-class MissingRelevance(RerankEvalError):
-    pass
-
-
-class ZeroVariance(RerankEvalError):
-    pass
-
-
-class LengthMismatch(RerankEvalError):
-    pass
-
-
-class UserSetMismatch(RerankEvalError):
     pass

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyTitle, MalformedRow, MissingFile, NoHistory, StaleSplit
+from .errors import EmptyTitle, MalformedRow, NoHistory, RerankEvalError
 
 log = logging.getLogger(__name__)
 
@@ -168,9 +168,6 @@ def load_interactions(path):
     A file in the plain shape _load_plain accepts is read in one vectorized
     pass; any other file row by row, with the same result.
     """
-    path = Path(path)
-    if not path.is_file():
-        raise MissingFile(str(path))
     table = _load_plain(path)
     return _load_rows(path) if table is None else table
 
@@ -311,8 +308,6 @@ def load_items(path):
     them. A row without an id, or with a NUL in its id, raises MalformedRow.
     """
     path = Path(path)
-    if not path.is_file():
-        raise MissingFile(str(path))
     if path.suffix.lower() in (".jsonl", ".ndjson", ".json"):
         rows = jsonl_objects(path, ("id",))
     else:
@@ -394,11 +389,6 @@ def split_leave_n_out(interactions, n_test=10, min_history=5,
     train. Users below the bar, and users whose held items would take all
     of their rows, stay in train but are excluded from evaluation.
     """
-    if n_test < 1:
-        raise ValueError("n_test must be >= 1")
-    if min_history < 1:
-        raise ValueError("min_history must be >= 1")
-
     _, first = np.unique(interactions.user, return_index=True)
     rows = interactions.take(np.argsort(first[interactions.user], kind="stable"))
     qualifying = np.flatnonzero(rows.rating >= threshold)
@@ -438,7 +428,7 @@ def write_split(path, split):
 
 
 def read_split(path):
-    """The split write_split wrote to path; StaleSplit for any other file."""
+    """The split write_split wrote to path; RerankEvalError for any other file."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
         rows = Interactions(*(np.array(payload[name], dtype=dtype)
@@ -453,15 +443,15 @@ def read_split(path):
     except (KeyError, TypeError, ValueError, IndexError, OverflowError):
         valid = False
     if not valid:
-        raise StaleSplit(f"{path}: not a split written by this version; re-run ingest")
+        raise RerankEvalError(f"{path}: not a split written by this version; re-run ingest")
     return SplitResult(rows=rows, held=held, excluded_users=payload["excluded_users"])
 
 
 def user_history(train, user, limit=HISTORY_LIMIT, strategy="recent", seed=None):
     """Sample user's history from their rows in the train table.
 
-    strategy "recent" keeps the `limit` most recent interactions; "random"
-    draws uniformly without replacement (needs `seed`). Entries come back
+    strategy "random" draws `limit` uniformly without replacement (needs
+    `seed`); any other keeps the `limit` most recent. Entries come back
     timestamp-descending, ties broken by item id ascending.
     """
     def by_recency(entries):
@@ -470,10 +460,8 @@ def user_history(train, user, limit=HISTORY_LIMIT, strategy="recent", seed=None)
     entries = by_recency(train.entries(user))
     if not entries:
         raise NoHistory(f"user {user} has no train interactions")
-    if strategy == "recent":
+    if strategy != "random":
         entries = entries[:limit]
-    elif strategy != "random":
-        raise ValueError(f"unknown history strategy: {strategy}")
     elif len(entries) > limit:
         entries = by_recency(random.Random(seed).sample(entries, limit))
     return History(user=user, entries=entries)

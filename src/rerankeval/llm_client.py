@@ -15,8 +15,8 @@ import weakref
 from dataclasses import dataclass
 from urllib.parse import urlsplit
 
-from .errors import (BackendError, ExhaustedRetries, HttpStatus,
-                     MissingApiKey, Timeout)
+from .errors import (BackendError, ExhaustedRetries, HttpStatus, RerankEvalError,
+                     Timeout)
 from .ingest import jsonl_objects
 
 log = logging.getLogger(__name__)
@@ -59,7 +59,8 @@ class BackendConfig:
         if self.kind == "http" and (not self.endpoint or not self.model):
             raise ValueError("http backend requires endpoint and model")
         url = urlsplit(self.endpoint)
-        if self.endpoint and (url.scheme not in ("http", "https") or not url.hostname):
+        if self.endpoint and (url.scheme not in ("http", "https")
+                              or not _encodable_host(url.hostname)):
             raise ValueError(f"endpoint must be an http or https URL with a host, "
                              f"got {self.endpoint!r}")
         if self.timeout <= 0:
@@ -70,6 +71,18 @@ class BackendConfig:
             raise ValueError("max_concurrent_requests must be >= 1")
         if self.backoff_base < 0:
             raise ValueError("backoff_base must be >= 0")
+
+
+def _encodable_host(host):
+    """Whether host is non-empty and IDNA-encodable, as socket.getaddrinfo
+    needs: no empty label and none over 63 characters."""
+    if not host:
+        return False
+    try:
+        host.encode("idna")
+    except UnicodeError:
+        return False
+    return True
 
 
 def make_backend(config):
@@ -141,7 +154,7 @@ class HttpBackend:
     """POSTs chat-completions JSON and retries transient failures (timeouts,
     connection errors, 429, 5xx, malformed 200 payloads) with exponential
     backoff, or after the server's Retry-After on 429 and 503. The API key is
-    read once, here; MissingApiKey when config.api_key_env names an unset
+    read once, here; RerankEvalError when config.api_key_env names an unset
     variable. Nothing else is read from the environment: no proxy, no netrc,
     no CA bundle but the system's. Redirects are not followed."""
 
@@ -151,8 +164,8 @@ class HttpBackend:
         if config.api_key_env:
             key = os.environ.get(config.api_key_env, "")
             if not key:
-                raise MissingApiKey(f"environment variable {config.api_key_env} "
-                                    "is not set")
+                raise RerankEvalError(f"environment variable {config.api_key_env} "
+                                      "is not set")
             self._headers["Authorization"] = f"Bearer {key}"
         self.max_concurrent_requests = config.max_concurrent_requests
         url = urlsplit(config.endpoint)
@@ -284,7 +297,5 @@ def complete_batch(backend, requests_list):
     """Run requests through the backend with at most max_concurrent_requests
     in flight. Results align with input order; a BackendError comes back in
     its request's place, and any other exception is raised (bounded_map)."""
-    if not requests_list:
-        raise ValueError("empty request batch")
     return bounded_map(backend.complete, requests_list,
                        backend.max_concurrent_requests, carry=BackendError)

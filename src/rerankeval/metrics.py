@@ -4,7 +4,7 @@ aggregation."""
 import math
 from dataclasses import dataclass
 
-from .errors import MissingRelevance
+from .errors import RerankEvalError
 
 DEFAULT_CUTOFFS = (3, 5, 10)
 
@@ -21,15 +21,11 @@ class MetricResult:
 
 def hit_ratio_at(ranking, relevant, n):
     """1.0 if any relevant item appears in the top n, else 0.0."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     return 1.0 if any(item in relevant for item in ranking[:n]) else 0.0
 
 
 def recall_at(ranking, relevant, n):
     """Fraction of the relevant set retrieved in the top n (0.0 if empty)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     if not relevant:
         return 0.0
     hits = sum(1 for item in ranking[:n] if item in relevant)
@@ -38,16 +34,12 @@ def recall_at(ranking, relevant, n):
 
 def precision_at(ranking, relevant, n):
     """Relevant fraction of the top n; denominator stays n for short rankings."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     hits = sum(1 for item in ranking[:n] if item in relevant)
     return hits / n
 
 
 def ndcg_at(ranking, relevant, n):
     """Binary-relevance NDCG with the ideal DCG capped at min(n, |relevant|)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     if not relevant:
         return 0.0
     dcg = sum(1.0 / math.log2(pos + 1)
@@ -76,7 +68,7 @@ def evaluate_run(rankings, relevance, cutoffs=DEFAULT_CUTOFFS):
     users = sorted(rankings)
     for user in users:
         if user not in relevance:
-            raise MissingRelevance(user)
+            raise RerankEvalError(user)
     for name, fn in _METRIC_FNS.items():
         for n in cutoffs:
             per_user = {u: fn(rankings[u], relevance[u].relevant, n) for u in users}

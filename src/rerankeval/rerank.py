@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .candgen import Slate, stable_seed
-from .errors import BackendError, EmptyOutputs, SlateMismatch, UnknownItem
+from .errors import BackendError, RerankEvalError, UnknownItem
 from .ingest import build_item_description
 from .llm_client import ChatRequest, complete_batch
 
@@ -154,8 +154,6 @@ def parse_ranking(raw, slate, catalog=None):
 def bootstrap_shuffles(slate, k, seed):
     """k independent uniform permutations of the slate, deterministic per
     (seed, user, k)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
     rng = np.random.default_rng(stable_seed(seed, "shuffle", slate.user, k))
     return [Slate(user=slate.user, source=slate.source,
                   items=[slate.items[i] for i in rng.permutation(len(slate.items))])
@@ -167,14 +165,14 @@ def aggregate_self_consistency(outputs, slate):
     a |slate|+1 penalty per output. Lower totals rank higher; ties break by
     item id ascending."""
     if not outputs:
-        raise EmptyOutputs("need at least one ranking output")
+        raise RerankEvalError("need at least one ranking output")
     slate_set = set(slate.items)
     penalty = len(slate.items) + 1
     scores = {item: 0 for item in slate.items}
     for out in outputs:
         mentioned = {r.item for r in out.ranked}
         if not mentioned <= slate_set:
-            raise SlateMismatch(f"output for user {out.user} ranks items outside the slate")
+            raise RerankEvalError(f"output for user {out.user} ranks items outside the slate")
         for r in out.ranked:
             scores[r.item] += r.rank
         for item in slate_set - mentioned:

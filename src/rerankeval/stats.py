@@ -4,7 +4,7 @@ Student's t CDF (regularized incomplete beta via Lentz's continued fraction)."""
 import math
 from dataclasses import dataclass
 
-from .errors import LengthMismatch, UserSetMismatch, ZeroVariance
+from .errors import RerankEvalError, ZeroVariance
 
 # significance stars, boundary-inclusive
 STAR_THRESHOLDS = ((0.001, "***"), (0.01, "**"), (0.05, "*"))
@@ -96,7 +96,7 @@ def _sample_var(xs):
 def paired_t_test(a, b):
     """Paired two-sided t-test on elementwise differences a - b."""
     if len(a) != len(b):
-        raise LengthMismatch(f"{len(a)} vs {len(b)}")
+        raise RerankEvalError(f"{len(a)} vs {len(b)}")
     n = len(a)
     if n < 2:
         raise ValueError("need at least 2 pairs")
@@ -137,12 +137,12 @@ def compare_models(results_a, results_b):
     by_key_a = {(r.metric, r.n): r for r in results_a}
     by_key_b = {(r.metric, r.n): r for r in results_b}
     if set(by_key_a) != set(by_key_b):
-        raise UserSetMismatch("metric/cutoff grids differ between runs")
+        raise RerankEvalError("metric/cutoff grids differ between runs")
     table = {}
     for key, ra in by_key_a.items():
         rb = by_key_b[key]
         if set(ra.per_user) != set(rb.per_user):
-            raise UserSetMismatch(f"user sets differ for {key}")
+            raise RerankEvalError(f"user sets differ for {key}")
         users = sorted(ra.per_user)
         a = [ra.per_user[u] for u in users]
         b = [rb.per_user[u] for u in users]

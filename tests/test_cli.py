@@ -129,6 +129,17 @@ class TestConfig:
         ("mf_learn_rate", "-1", "mf_learn_rate must be > 0"),
         ("mf_learn_rate", "0", "mf_learn_rate must be > 0"),
         ("mf_reg", "-5", "mf_reg must be >= 0"),
+        ("backend_endpoint", "http://a..b/v1", "endpoint must be an http or https URL "
+                                               "with a host, got 'http://a..b/v1'"),
+        ("slate_size", "abc", "slate_size must be an integer, got 'abc'"),
+        ("cutoffs", "3,x", "cutoffs must be a list of integers, got '3,x'"),
+        ("backend_timeout", "abc", "timeout must be a finite number, got 'abc'"),
+        ("seed", "1.5", "seed must be an integer, got '1.5'"),
+        ("cutoffs", "5,3,3", "cutoffs must be distinct"),
+        ("slate_size", "0", "slate_size must be >= 1"),
+        ("bootstraps", "0", "bootstraps must be >= 1"),
+        ("sample_count", "0", "sample_count must be >= 1"),
+        ("cutoffs", "0,3", "cutoffs must be within [1, slate_size]"),
     ])
     def test_bad_value_rejected_before_any_work(self, corpus, monkeypatch, capsys,
                                                 key, value, message):
@@ -217,7 +228,8 @@ class TestIngest:
         code = main(["ingest", "--ratings", str(ratings) + ".nope",
                      "--items", str(items), "--run-dir", str(run_dir)])
         assert code == EXIT_CONFIG
-        assert "error" in capsys.readouterr().err
+        assert capsys.readouterr().err == \
+            f"error: [Errno 2] No such file or directory: '{ratings}.nope'\n"
 
 
 class TestRun:

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import interactions, table_rows, write_corpus
 from split_oracle import history_entries, split_rows
-from rerankeval.errors import EmptyTitle, MalformedRow, MissingFile, NoHistory
+from rerankeval.errors import EmptyTitle, MalformedRow, NoHistory
 from rerankeval.ingest import (ItemCard, _load_plain, _load_rows,
                                build_item_description, load_interactions,
                                load_items, read_split, split_leave_n_out,
@@ -48,7 +48,7 @@ class TestLoadInteractions:
         assert len(load_interactions(write(tmp_path, "r.csv", ""))) == 0
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(MissingFile):
+        with pytest.raises(FileNotFoundError, match="No such file or directory"):
             load_interactions(tmp_path / "nope.csv")
 
     def test_wrong_field_count_reports_line(self, tmp_path):
@@ -270,10 +270,6 @@ class TestSplit:
         assert split.excluded_users == 1
         assert split.test.users.tolist() == ["b", "c"]
         assert len(split.train.rows_of("a")) == 15
-
-    def test_n_test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            split_leave_n_out([], n_test=0, min_history=1)
 
     def test_no_leakage(self):
         rows = [("u", i, 4.5, i) for i in range(20)]

@@ -13,7 +13,7 @@ import pytest
 
 from rerankeval import llm_client
 from rerankeval.errors import (BackendError, ExhaustedRetries, HttpStatus,
-                               MissingApiKey, Timeout)
+                               RerankEvalError, Timeout)
 from rerankeval.llm_client import (BackendConfig, ChatRequest, HttpBackend,
                                    ScriptedBackend, bounded_map, complete_batch,
                                    load_fixtures, make_backend)
@@ -315,7 +315,8 @@ class TestHttpBackend:
     def test_missing_api_key(self, stub, monkeypatch):
         url, _ = stub
         monkeypatch.delenv("RERANKEVAL_TEST_KEY", raising=False)
-        with pytest.raises(MissingApiKey):
+        with pytest.raises(RerankEvalError,
+                           match="environment variable RERANKEVAL_TEST_KEY is not set"):
             HttpBackend(http_config(url, api_key_env="RERANKEVAL_TEST_KEY"))
 
     def test_api_key_sent_as_bearer(self, stub, monkeypatch):
@@ -374,10 +375,6 @@ class TestCompleteBatch:
         backend.max_concurrent_requests = 1
         complete_batch(backend, [req(str(i)) for i in range(5)])
         assert state.max_in_flight == 1
-
-    def test_empty_batch_rejected(self):
-        with pytest.raises(ValueError):
-            complete_batch(ScriptedBackend(), [])
 
 
 class TestBoundedMap:

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from rerankeval.errors import MissingRelevance
+from rerankeval.errors import RerankEvalError
 from rerankeval.ingest import RelevanceSet
 from rerankeval.metrics import (evaluate_run, hit_ratio_at, ndcg_at,
                                 precision_at, recall_at)
@@ -114,7 +114,7 @@ class TestEvaluateRun:
             assert res.mean == res.per_user["u"]
 
     def test_missing_relevance(self):
-        with pytest.raises(MissingRelevance):
+        with pytest.raises(RerankEvalError, match="^u$"):
             evaluate_run({"u": ["a"]}, {}, cutoffs=(1,))
 
     def test_matches_brute_force_on_random_instances(self):

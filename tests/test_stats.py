@@ -4,7 +4,7 @@ import random
 import pytest
 import scipy.stats as scipy_stats
 
-from rerankeval.errors import LengthMismatch, UserSetMismatch, ZeroVariance
+from rerankeval.errors import RerankEvalError, ZeroVariance
 from rerankeval.metrics import MetricResult
 from rerankeval.stats import (compare_models, paired_t_test,
                               reg_incomplete_beta, render_p, stars,
@@ -55,7 +55,7 @@ class TestPaired:
             pytest.approx(paired_t_test(b, a).p_value, abs=1e-15)
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(RerankEvalError, match="2 vs 1"):
             paired_t_test([1.0, 2.0], [1.0])
 
     def test_matches_scipy(self):
@@ -136,5 +136,5 @@ class TestCompareModels:
     def test_user_set_mismatch(self):
         a = result_grid({"u1": 0.2, "u2": 0.3})
         b = result_grid({"u1": 0.2, "u3": 0.3})
-        with pytest.raises(UserSetMismatch):
+        with pytest.raises(RerankEvalError, match="user sets differ"):
             compare_models(a, b)
