@@ -257,19 +257,15 @@ def _is_number(column, points):
 def _load_rows(path):
     """The table of a ratings file, read row by row by csv.reader and
     _parse_row; a leading UTF-8 byte order mark is skipped."""
-    users, items, ratings, timestamps = [], [], [], []
+    parsed = []
     with Path(path).open(newline="", encoding="utf-8-sig") as fh:
         for line_no, row in enumerate(csv.reader(fh), start=1):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if line_no == 1 and _looks_like_header(row):
                 continue
-            user, item, rating, ts = _parse_row(row, line_no)
-            users.append(user)
-            items.append(item)
-            ratings.append(rating)
-            timestamps.append(ts)
-    return Interactions.from_columns(users, items, ratings, timestamps)
+            parsed.append(_parse_row(row, line_no))
+    return Interactions.from_columns(*(zip(*parsed) if parsed else ([],) * 4))
 
 
 def _looks_like_header(row):
@@ -408,43 +404,47 @@ def split_leave_n_out(interactions, n_test=10, min_history=5,
     return SplitResult(rows=rows, held=held, excluded_users=excluded)
 
 
-# split.json: the columns of SplitResult.rows, the indices of the held rows
-# and excluded_users
-_SPLIT_COLUMNS = (("users", str), ("items", str), ("user", np.int64),
-                  ("item", np.int64), ("rating", np.float64), ("timestamp", np.int64))
+# split.npz members: the Interactions fields of SplitResult.rows, and held row indices
+_SPLIT_COLUMNS = {"user": np.int64, "item": np.int64, "rating": np.float64,
+                  "timestamp": np.int64, "held": np.int64}
 
 
 def write_split(path, split):
-    """Write split as one JSON object, column by column, so that only one
-    column is ever held as Python objects and text."""
-    columns = {name: getattr(split.rows, name) for name, _ in _SPLIT_COLUMNS}
-    columns["held"] = np.flatnonzero(split.held)
-    with Path(path).open("w", encoding="utf-8") as fh:
-        sep = "{"
-        for name, column in columns.items():
-            fh.write(f"{sep}{json.dumps(name)}: {json.dumps(column.tolist())}")
-            sep = ", "
-        fh.write(f', "excluded_users": {json.dumps(split.excluded_users)}}}\n')
+    """Write split's row columns and held row indices (_SPLIT_COLUMNS) to
+    path.with_suffix(".npz"), then its id tables, row count and excluded_users
+    to path as JSON: a json written in full stands for a whole pair."""
+    path, rows = Path(path), split.rows
+    columns = dict(user=rows.user, item=rows.item, rating=rows.rating,
+                   timestamp=rows.timestamp, held=np.flatnonzero(split.held))
+    np.savez(path.with_suffix(".npz"), **{name: np.asarray(column, _SPLIT_COLUMNS[name])
+                                          for name, column in columns.items()})
+    path.write_text(json.dumps({"users": rows.users.tolist(), "items": rows.items.tolist(),
+                                "rows": len(rows), "excluded_users": split.excluded_users})
+                    + "\n", encoding="utf-8")
 
 
 def read_split(path):
-    """The split write_split wrote to path; RerankEvalError for any other file."""
+    """The split write_split wrote to path; RerankEvalError for any other pair."""
+    text = Path(path).read_bytes()  # a missing split.json fails with the OS text
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        rows = Interactions(*(np.array(payload[name], dtype=dtype)
-                              for name, dtype in _SPLIT_COLUMNS))
-        held = np.zeros(len(rows), dtype=bool)
-        held[np.array(payload["held"], dtype=np.int64)] = True
-        valid = (isinstance(payload["excluded_users"], int)
-                 and {c.shape for c in (rows.user, rows.item, rows.rating,
-                                        rows.timestamp)} == {held.shape}
-                 and all(((0 <= c) & (c < len(ids))).all()
-                         for c, ids in ((rows.user, rows.users), (rows.item, rows.items))))
-    except (KeyError, TypeError, ValueError, IndexError, OverflowError):
+        meta = json.loads(text)
+        n, tables = meta["rows"], {k: np.array(meta[k], dtype=str) for k in ("users", "items")}
+        with np.load(Path(path).with_suffix(".npz"), allow_pickle=False) as npz:
+            c = {name: npz[name] for name in _SPLIT_COLUMNS}
+        valid = (type(n) is int and type(meta["excluded_users"]) is int
+                 # lists of str, strictly increasing as _codes needs
+                 and all(t.tolist() == meta[k] and (t[1:] > t[:-1]).all()
+                         for k, t in tables.items())
+                 and all(col.ndim == 1 and col.dtype == _SPLIT_COLUMNS[name]
+                         and (name == "held" or len(col) == n) for name, col in c.items())
+                 and all(((0 <= c[name]) & (c[name] < bound)).all() for name, bound in (
+                     ("user", len(tables["users"])), ("item", len(tables["items"])), ("held", n))))
+    except Exception:  # zipfile and numpy's header parser raise many types on damage
         valid = False
     if not valid:
         raise RerankEvalError(f"{path}: not a split written by this version; re-run ingest")
-    return SplitResult(rows=rows, held=held, excluded_users=payload["excluded_users"])
+    held = np.bincount(c.pop("held"), minlength=n) > 0
+    return SplitResult(Interactions(**tables, **c), held, meta["excluded_users"])
 
 
 def user_history(train, user, limit=HISTORY_LIMIT, strategy="recent", seed=None):

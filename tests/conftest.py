@@ -1,7 +1,9 @@
 import hashlib
+import json
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from rerankeval.candgen import Slate
@@ -58,6 +60,19 @@ def write_corpus(dir_path, n_users=30, n_items=60, n_high=20, n_low=5):
         items_lines.append(f"{i},Movie {i},Drama|Comedy,en,Overview of movie {i}.")
     (dir_path / "items.csv").write_text("\n".join(items_lines) + "\n")
     return dir_path / "ratings.csv", dir_path / "items.csv"
+
+
+def damage_split(path, damage):
+    """Rewrite the split pair at path (split.json) and beside it (split.npz)
+    after damage(meta, columns) changed the JSON object and the npz members
+    in place."""
+    npz = path.with_suffix(".npz")
+    meta = json.loads(path.read_text(encoding="utf-8"))
+    with np.load(npz) as members:
+        columns = dict(members)
+    damage(meta, columns)
+    np.savez(npz, **columns)
+    path.write_text(json.dumps(meta), encoding="utf-8")
 
 
 def interactions(rows):

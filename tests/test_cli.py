@@ -4,9 +4,10 @@ import socket
 import warnings
 from collections import Counter
 
+import numpy as np
 import pytest
 
-from conftest import PeakBackend, candidate_ids, prompt_hash, write_corpus
+from conftest import PeakBackend, candidate_ids, damage_split, prompt_hash, write_corpus
 from rerankeval import cli, ingest, rerank
 from rerankeval.candgen import Slate
 from rerankeval.cli import EXIT_CONFIG, EXIT_OK, EXIT_PARTIAL, load_config, main
@@ -189,8 +190,8 @@ class TestIngest:
         assert "items: 60" in out
         assert "eval users: 30" in out
         _, _, run_dir = corpus
-        assert (run_dir / "split.json").is_file()
-        assert (run_dir / "catalog.jsonl").is_file()
+        assert sorted(path.name for path in run_dir.iterdir()) == [
+            "catalog.jsonl", "config.json", "split.json", "split.npz"]
 
     def test_user_whose_held_items_take_every_row_is_excluded(self, corpus, capsys):
         ratings, _, run_dir = corpus
@@ -209,9 +210,10 @@ class TestIngest:
     def test_rerun_is_content_identical(self, corpus):
         _, _, run_dir = corpus
         main(ingest_args(corpus))
-        h1 = (sha(run_dir / "split.json"), sha(run_dir / "catalog.jsonl"))
+        names = ("split.json", "split.npz", "catalog.jsonl")
+        h1 = [sha(run_dir / name) for name in names]
         main(ingest_args(corpus))
-        assert (sha(run_dir / "split.json"), sha(run_dir / "catalog.jsonl")) == h1
+        assert [sha(run_dir / name) for name in names] == h1
 
     def test_long_overviews_capped_at_15_words(self, corpus):
         ratings, items, run_dir = corpus
@@ -462,28 +464,52 @@ class TestRun:
             capsys.readouterr().err
 
 
-class TestBadInputFileExits2:
-    PARENT_FORMAT = {"train": [["u1", "1", 4.0, 1]], "test": [["u1", "2", 5.0, 2]],
-                     "relevance": {"u1": ["2"]}, "excluded_users": 0}
+def previous_version_split(path):
+    """Overwrite split.json at path with the all-JSON split the previous
+    version wrote, of the same split; split.npz stays beside it."""
+    split = ingest.read_split(path)
+    payload = {name: getattr(split.rows, name).tolist()
+               for name in ("users", "items", "user", "item", "rating", "timestamp")}
+    payload.update(held=np.flatnonzero(split.held).tolist(),
+                   excluded_users=split.excluded_users)
+    path.write_text(json.dumps(payload))
 
-    @pytest.mark.parametrize("split", [
-        PARENT_FORMAT,
-        [["u1", "1", 4.0, 1]],
-        "columns with unequal lengths",
-        "not json",
-    ], ids=["row_format", "json_list", "unequal_columns", "not_json"])
+
+def truncate(path):
+    data = path.read_bytes()
+    path.write_bytes(data[:len(data) // 2])
+
+
+class TestBadInputFileExits2:
+    # each rewrites the split pair at the path of its split.json
+    STALE_SPLITS = {
+        "row_format": lambda path: path.write_text(json.dumps(
+            {"train": [["u1", "1", 4.0, 1]], "test": [["u1", "2", 5.0, 2]],
+             "relevance": {"u1": ["2"]}, "excluded_users": 0})),
+        "json_list": lambda path: path.write_text(json.dumps([["u1", "1", 4.0, 1]])),
+        "not_json": lambda path: path.write_text("not json"),
+        "previous_version": previous_version_split,
+        "npz_missing": lambda path: path.with_suffix(".npz").unlink(),
+        "npz_truncated": lambda path: truncate(path.with_suffix(".npz")),
+        "unequal_columns": lambda path: damage_split(
+            path, lambda m, c: c.__setitem__("rating", c["rating"][:-1])),
+        "float_user": lambda path: damage_split(
+            path, lambda m, c: c.__setitem__("user", c["user"].astype(np.float64))),
+        "rows_mismatch": lambda path: damage_split(
+            path, lambda m, c: m.__setitem__("rows", m["rows"] + 1)),
+        "negative_held": lambda path: damage_split(
+            path, lambda m, c: c["held"].__setitem__(0, -1)),
+    }
+
+    @pytest.mark.parametrize("damage", STALE_SPLITS.values(), ids=STALE_SPLITS.keys())
     @pytest.mark.parametrize("command", [
         ["run"], ["build-dataset", "--offline", "1"], ["export-slates", "--out", "s.jsonl"]])
     def test_stale_split_exits_2_before_any_work(self, corpus, monkeypatch, capsys,
-                                                  split, command):
+                                                  damage, command):
         _, _, run_dir = corpus
         main(ingest_args(corpus))
         path = run_dir / "split.json"
-        if split == "columns with unequal lengths":
-            payload = json.loads(path.read_text())
-            payload["rating"].pop()
-            split = payload
-        path.write_text(split if split == "not json" else json.dumps(split))
+        damage(path)
 
         def no_work(*args):
             raise AssertionError("work started on a stale split")

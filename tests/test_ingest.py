@@ -1,14 +1,15 @@
 import json
 import random
 import re
+import zipfile
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from conftest import interactions, table_rows, write_corpus
+from conftest import damage_split, interactions, table_rows, write_corpus
 from split_oracle import history_entries, split_rows
-from rerankeval.errors import EmptyTitle, MalformedRow, NoHistory
+from rerankeval.errors import EmptyTitle, MalformedRow, NoHistory, RerankEvalError
 from rerankeval.ingest import (ItemCard, _load_plain, _load_rows,
                                build_item_description, load_interactions,
                                load_items, read_split, split_leave_n_out,
@@ -294,6 +295,28 @@ def fuzz_corpus(rng):
     return rows, n_test, min_history
 
 
+# each changes a written split's JSON object m or npz members c in place
+DAMAGED_SPLITS = {
+    "unsorted_users": lambda m, c: m["users"].reverse(),
+    "duplicate_item": lambda m, c: m["items"].__setitem__(1, m["items"][0]),
+    "int_item_id": lambda m, c: m["items"].__setitem__(0, int(m["items"][0])),
+    "id_with_nul": lambda m, c: m["users"].__setitem__(-1, m["users"][-1] + "\x00"),
+    "users_not_a_list": lambda m, c: m.__setitem__("users", dict.fromkeys(m["users"], 0)),
+    "float_rows": lambda m, c: m.__setitem__("rows", float(m["rows"])),
+    "str_excluded_users": lambda m, c: m.__setitem__("excluded_users", "0"),
+    "item_code_past_table": lambda m, c: c["item"].__setitem__(0, len(m["items"])),
+    "negative_user_code": lambda m, c: c["user"].__setitem__(0, -1),
+    "held_index_at_rows": lambda m, c: c.__setitem__("held", np.append(c["held"], m["rows"])),
+    "negative_held_index": lambda m, c: c["held"].__setitem__(0, -1),
+    "two_dimensional_column": lambda m, c: c.__setitem__(
+        "timestamp", c["timestamp"].reshape(-1, 1)),
+    "big_endian_column": lambda m, c: c.__setitem__("rating", c["rating"].astype(">f8")),
+    "int32_held": lambda m, c: c.__setitem__("held", c["held"].astype(np.int32)),
+    "pickled_column": lambda m, c: c.__setitem__("item", c["item"].astype(object)),
+    "no_held_member": lambda m, c: c.pop("held"),
+}
+
+
 class TestSplitMatchesRowOracle:
     def test_fuzz(self, tmp_path):
         rng = random.Random(7)
@@ -331,14 +354,30 @@ class TestSplitMatchesRowOracle:
         assert min(seen.values()) > 100, seen
         assert all_rows_held > 10
 
-    def test_written_split_is_one_json_dump(self, tmp_path):
+    def test_written_split_is_a_json_and_an_npz(self, tmp_path):
         split = split_leave_n_out(load_interactions(write_corpus(tmp_path)[0]))
         write_split(tmp_path / "split.json", split)
-        payload = {name: getattr(split.rows, name).tolist() for name in COLUMNS}
-        payload["held"] = np.flatnonzero(split.held).tolist()
-        payload["excluded_users"] = split.excluded_users
-        assert (tmp_path / "split.json").read_text(encoding="utf-8") == \
-            json.dumps(payload) + "\n"
+        assert json.loads((tmp_path / "split.json").read_text(encoding="utf-8")) == {
+            "users": split.rows.users.tolist(), "items": split.rows.items.tolist(),
+            "rows": len(split.rows), "excluded_users": split.excluded_users}
+        with np.load(tmp_path / "split.npz", allow_pickle=False) as npz:
+            columns = dict(npz)
+        assert {name: column.dtype.str for name, column in columns.items()} == {
+            "user": "<i8", "item": "<i8", "rating": "<f8", "timestamp": "<i8", "held": "<i8"}
+        for name in ("user", "item", "rating", "timestamp"):
+            assert np.array_equal(columns[name], getattr(split.rows, name)), name
+        assert np.array_equal(columns["held"], np.flatnonzero(split.held))
+        # no member is stamped with the write time, so a rewrite is byte-identical
+        with zipfile.ZipFile(tmp_path / "split.npz") as archive:
+            assert {info.date_time for info in archive.infolist()} == {(1980, 1, 1, 0, 0, 0)}
+
+    @pytest.mark.parametrize("damage", DAMAGED_SPLITS.values(), ids=DAMAGED_SPLITS.keys())
+    def test_damaged_split_rejected(self, tmp_path, damage):
+        split = split_leave_n_out(load_interactions(write_corpus(tmp_path)[0]))
+        write_split(tmp_path / "split.json", split)
+        damage_split(tmp_path / "split.json", damage)
+        with pytest.raises(RerankEvalError, match="not a split written by this version"):
+            read_split(tmp_path / "split.json")
 
     def test_item_only_in_test_gets_no_train_code(self):
         rows = [("u", i, 4.5, i) for i in range(6)] + [("v", 0, 3.0, 1)]

@@ -75,3 +75,28 @@ def test_every_definition_is_referenced_from_the_package():
     sources = {path.stem: path.read_text(encoding="utf-8")
                for path in sorted(SRC.glob("*.py"))}
     assert unreferenced_definitions(sources) == sorted(UNREFERENCED_OK)
+
+
+def loads_that_may_unpickle(source):
+    """Line of each np.load or numpy.load call in source that does not pass
+    allow_pickle=False as a literal keyword."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "load" and isinstance(node.func.value, ast.Name)
+                  and node.func.value.id in ("np", "numpy")
+                  and not any(k.arg == "allow_pickle" and isinstance(k.value, ast.Constant)
+                              and k.value.value is False for k in node.keywords))
+
+
+def test_checker_sees_np_load_that_may_unpickle():
+    source = ("np.load(p)\nnp.load(p, allow_pickle=False)\nnp.load(p, allow_pickle=flag)\n"
+              "numpy.load(p, allow_pickle=True)\nnp.load(p, allow_pickle=0)\n"
+              "np.load(p, **options)\njson.load(f)\n")
+    assert loads_that_may_unpickle(source) == [1, 3, 4, 5, 6]
+
+
+def test_np_load_never_unpickles():
+    # a run directory may come from elsewhere; loading it must not run its code
+    found = [(path.name, line) for path in sorted(SRC.glob("*.py"))
+             for line in loads_that_may_unpickle(path.read_text(encoding="utf-8"))]
+    assert found == []
