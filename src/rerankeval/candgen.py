@@ -151,6 +151,53 @@ def train_mf(train, k=32, epochs=30, learn_rate=0.005, reg=0.02, seed=0):
 # --------------------------------------------------------------------------
 
 KNN_BLOCK_ROWS = 64  # similarity rows computed densely at a time
+KNN_PAIR_BYTES = 1 << 18  # rater bitset bytes gathered per co-rater count step
+
+_POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
+
+
+def _row_ids(m):
+    """The row of each stored entry of CSR matrix m, in storage order."""
+    return np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+
+
+def _top(sims, m):
+    """Row and column of each row's m highest finite sims, rows ascending and
+    each row sim descending with ties by column: the finite entries of
+    np.argsort(-sims, axis=1, kind="stable")[:, :m]."""
+    k = min(m, sims.shape[1])
+    # each row's k-th highest sim: the picks are among the entries at or above it
+    threshold = np.partition(sims, sims.shape[1] - k, axis=1)[:, -k, None]
+    pick = (sims >= threshold) & (sims > -np.inf)
+    over = np.flatnonzero(np.count_nonzero(pick, axis=1) > m)
+    if len(over):  # ties at the threshold: the first in column order fill the row
+        sub, cut = sims[over], threshold[over]
+        tied = sub == cut
+        room = m - np.count_nonzero(sub > cut, axis=1, keepdims=True)
+        pick[over] &= ~tied | (np.cumsum(tied, axis=1, dtype=np.int32) <= room)
+    row, col = np.nonzero(pick)
+    order = np.lexsort((col, -sims[row, col], row))
+    return row[order], col[order]
+
+
+def _rater_bits(mask_t):
+    """Row i packs item i's raters of CSR items x users matrix mask_t: bit
+    u % 8 of byte u // 8 is set when user u rated item i."""
+    bits = np.zeros((mask_t.shape[0], -(-mask_t.shape[1] // 8)), dtype=np.uint8)
+    np.bitwise_or.at(bits, (_row_ids(mask_t), mask_t.indices >> 3),
+                     (1 << (mask_t.indices & 7)).astype(np.uint8))
+    return bits
+
+
+def _co_raters(bits, i, j):
+    """Number of distinct users who rated both item i[n] and item j[n]."""
+    counts = np.zeros(len(i), dtype=np.int64)
+    step = max(1, KNN_PAIR_BYTES // bits.shape[1])
+    for s in range(0, len(i), step):
+        both = bits[i[s:s + step]]
+        both &= bits[j[s:s + step]]
+        counts[s:s + step] = np.take(_POPCOUNT, both).sum(axis=1)
+    return counts
 
 
 def build_item_knn(train, top_m=50, min_co_raters=3):
@@ -163,43 +210,61 @@ def build_item_knn(train, top_m=50, min_co_raters=3):
     in column order; scoring adds them up in that order, so the indices must
     never be sorted.
 
-    The items x items products run KNN_BLOCK_ROWS rows at a time, so only
-    one block is ever dense. Each block is a row slice of the full product
-    computed by the same sparse kernel, and the norms come from diagonal
-    blocks of it, so every sum runs in the order of the full product.
+    The similarity product runs KNN_BLOCK_ROWS rows at a time, so only one
+    block is ever dense; each block is a row slice of the full product
+    computed by the same sparse kernel. The norms are one bincount of the
+    squared centered ratings in storage order, the order in which the full
+    product sums its diagonal. Each row's top_m come from a partition
+    threshold, not a full sort. Co-raters are counted only for those picks,
+    from a table of each item's raters packed one bit per user (items x
+    users / 8 bytes). The table counts a user who rated an item twice once,
+    where the rule counts the product of the user's rating counts of the two
+    items; so a row where some pick falls below min_co_raters is counted
+    again by the exact sparse product, loses the pairs that fail it, and is
+    picked again.
     """
     if not len(train):
         raise ValueError("no training interactions")
     rows, cols, vals = train.user, train.item, train.rating
     mat = sp.csr_matrix((vals, (rows, cols)), shape=(len(train.users), len(train.items)))
-    mask = sp.csr_matrix((np.ones_like(vals), (rows, cols)), shape=mat.shape)
+    mask = sp.csr_matrix((np.ones(len(vals), dtype=np.int32), (rows, cols)), shape=mat.shape)
     user_means = np.asarray(mat.sum(axis=1)).ravel() / np.maximum(
         np.asarray(mask.sum(axis=1)).ravel(), 1)
     centered = mat - sp.diags(user_means) @ mask
+    del mat
     centered_t = centered.T.tocsr()
     mask_t = mask.T.tocsr()
+    bits = _rater_bits(mask_t)
 
     n = len(train.items)
-    blocks = [(a, min(a + KNN_BLOCK_ROWS, n)) for a in range(0, n, KNN_BLOCK_ROWS)]
-    norms = np.sqrt(np.maximum(np.concatenate(
-        [(centered_t[a:b] @ centered[:, a:b]).diagonal() for a, b in blocks]), 0.0))
+    norms = np.sqrt(np.maximum(np.bincount(
+        _row_ids(centered_t), weights=centered_t.data ** 2, minlength=n), 0.0))
 
     data, indices, counts = [], [], []
-    for a, b in blocks:
-        dots = (centered_t[a:b] @ centered).toarray()
+    for a in range(0, n, KNN_BLOCK_ROWS):
+        b = min(a + KNN_BLOCK_ROWS, n)
+        sims = (centered_t[a:b] @ centered).toarray()
         denom = np.outer(norms[a:b], norms)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sims = np.where(denom > 0, dots / denom, 0.0)
+        np.divide(sims, denom, out=sims, where=denom > 0)
+        sims[denom <= 0] = 0.0
+        del denom  # each dense block is freed once used
         np.clip(sims, -1.0, 1.0, out=sims)
         sims[np.arange(b - a), np.arange(a, b)] = -np.inf  # exclude self
-        sims[(mask_t[a:b] @ mask).toarray() < min_co_raters] = -np.inf
-        # stable, so equal sims keep column order, which is item-id order
-        order = np.argsort(-sims, axis=1, kind="stable")[:, :top_m]
-        top = np.take_along_axis(sims, order, axis=1)
-        keep = np.isfinite(top)  # a prefix of each row
-        data.append(top[keep])
-        indices.append(order[keep])
-        counts.append(keep.sum(axis=1))
+        row, col = _top(sims, top_m)
+        short = np.unique(row[_co_raters(bits, a + row, col) < min_co_raters])
+        if len(short):  # the bit count is a lower bound: count these rows exactly
+            again = sims[short]
+            again[(mask_t[a + short] @ mask).toarray() < min_co_raters] = -np.inf
+            redo_row, redo_col = _top(again, top_m)
+            keep = ~np.isin(row, short)
+            row = np.concatenate([row[keep], short[redo_row]])
+            col = np.concatenate([col[keep], redo_col])
+            order = np.argsort(row, kind="stable")
+            row, col = row[order], col[order]
+        data.append(sims[row, col])
+        indices.append(col)
+        counts.append(np.bincount(row, minlength=b - a))
+        del sims
     indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
     return sp.csr_matrix((np.concatenate(data), np.concatenate(indices), indptr),
                          shape=(n, n))

@@ -112,42 +112,42 @@ def make_dpo_pair(positive, seed, backend=None):
                    rejected=rejected)
 
 
-def _atomic_write(path, text):
+def _atomic_write(path, lines):
+    """Write the str lines to path as UTF-8 through a temp file beside it and
+    return the sha256 of the bytes written. If a line cannot be made or
+    written, the temp file is removed and path is left as it was."""
+    digest = hashlib.sha256()
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            for line in lines:
+                data = line.encode("utf-8")
+                digest.update(data)
+                fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    return digest.hexdigest()
 
 
 def write_training_files(samples, pairs, out_dir):
-    """Emit sft.jsonl, dpo.jsonl and a manifest with counts and sha256 hashes."""
+    """Emit sft.jsonl, dpo.jsonl and a manifest with counts and sha256 hashes.
+    The two JSONL files are written line by line, hashed as they are written."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    sft_text = "".join(
+    sft_sha = _atomic_write(out_dir / "sft.jsonl", (
         json.dumps({"prompt": s.prompt, "completion": s.completion}) + "\n"
-        for s in samples)
-    dpo_text = "".join(
+        for s in samples))
+    dpo_sha = _atomic_write(out_dir / "dpo.jsonl", (
         json.dumps({"prompt": p.prompt, "chosen": p.chosen, "rejected": p.rejected}) + "\n"
-        for p in pairs)
-
-    sft_path = out_dir / "sft.jsonl"
-    dpo_path = out_dir / "dpo.jsonl"
-    _atomic_write(sft_path, sft_text)
-    _atomic_write(dpo_path, dpo_text)
-
+        for p in pairs))
     manifest = {
-        "sft": {"path": sft_path.name, "count": len(samples),
-                "sha256": hashlib.sha256(sft_text.encode()).hexdigest()},
-        "dpo": {"path": dpo_path.name, "count": len(pairs),
-                "sha256": hashlib.sha256(dpo_text.encode()).hexdigest()},
+        "sft": {"path": "sft.jsonl", "count": len(samples), "sha256": sft_sha},
+        "dpo": {"path": "dpo.jsonl", "count": len(pairs), "sha256": dpo_sha},
     }
-    _atomic_write(out_dir / "manifest.json", json.dumps(manifest, indent=2) + "\n")
+    _atomic_write(out_dir / "manifest.json", [json.dumps(manifest, indent=2) + "\n"])
     return manifest
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from collections import Counter
@@ -125,6 +126,31 @@ class TestWriteTrainingFiles:
         m1 = write_training_files(samples, [], tmp_path / "a")
         m2 = write_training_files(samples, [], tmp_path / "b")
         assert m1["sft"]["sha256"] == m2["sft"]["sha256"]
+
+    def test_manifest_hashes_are_the_files_bytes(self, tmp_path):
+        samples = [SftSample(prompt=f"p{i} caf\u00e9",
+                             completion=f"Rank 1: a - {i}\nRank 2: b - x")
+                   for i in range(4)]
+        pairs = [make_dpo_pair(s, seed=i) for i, s in enumerate(samples)]
+        manifest = write_training_files(samples, pairs, tmp_path)
+        for key in ("sft", "dpo"):
+            data = (tmp_path / manifest[key]["path"]).read_bytes()
+            assert manifest[key]["sha256"] == hashlib.sha256(data).hexdigest()
+            assert data.count(b"\n") == manifest[key]["count"] == 4
+
+    def test_failing_line_source_leaves_no_file(self, tmp_path):
+        good = SftSample(prompt="p", completion="Rank 1: a - x")
+        with pytest.raises(AttributeError):
+            write_training_files([good, good, None], [], tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == []
+
+    def test_failing_line_source_keeps_the_previous_file(self, tmp_path):
+        good = SftSample(prompt="p", completion="Rank 1: a - x")
+        write_training_files([good], [], tmp_path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        with pytest.raises(AttributeError):
+            write_training_files([good, None], [], tmp_path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def filler_oracle(relevance, catalog, ranking, size, seed):

@@ -1,8 +1,12 @@
 """The sparse top-m item-kNN against the per-item reference in knn_oracle:
-neighbour lists, scores and slates must be bit-identical."""
+neighbour lists, scores and slates must be bit-identical. Its helpers are
+checked against a full stable sort and a per-pair set intersection."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conftest import interactions, write_corpus
 from knn_oracle import OracleKnnScorer, build_item_knn_oracle, neighbor_lists
@@ -109,6 +113,97 @@ class TestNeighboursAndScores:
         train = interactions(rows)
         assert_parity(train, 4, 1, [str(i) for i in range(5)],
                       [str(u) for u in range(6)])
+
+    def test_repeat_rating_counts_twice_towards_min_co_raters(self, block_rows):
+        # user 0 rates a twice and b once: one distinct co-rater of (a, b),
+        # but a co-rater count of 2 * 1, which meets min_co_raters=2
+        rows = [(0, "a", 5.0, 1), (0, "a", 4.0, 2), (0, "b", 1.0, 3), (0, "c", 3.0, 4)]
+        rows += [(u, "a", 1.0 + u, 10 + u) for u in (1, 2)]
+        rows += [(u, "b", 2.0 + u, 20 + u) for u in (3, 4)]
+        rows += [(u, "c", 1.5 * u, 30 + u) for u in range(1, 5)]
+        train = interactions(rows)
+        expected = assert_parity(train, 5, 2, ["a", "b", "c"], [str(u) for u in range(5)])
+        assert "b" in [j for j, _ in expected["a"]]
+        assert "a" in [j for j, _ in expected["b"]]
+
+    def test_zipf_min_co_raters_drops_picks(self, block_rows):
+        train = zipf_train()
+        items = train.items.tolist()
+        expected = assert_parity(train, 8, 9, items, train.users.tolist())
+        unfiltered = build_item_knn_oracle(train, top_m=8, min_co_raters=0)
+        assert sum(expected[i] != unfiltered[i] for i in items) >= 10
+        assert sum(0 < len(expected[i]) < 8 for i in items) >= 3
+
+
+def top_oracle(sims, m):
+    """The finite entries of a stable sort of each row, sim descending."""
+    order = np.argsort(-sims, axis=1, kind="stable")[:, :m]
+    rows = np.broadcast_to(np.arange(len(sims))[:, None], order.shape)
+    keep = np.isfinite(np.take_along_axis(sims, order, axis=1))
+    return rows[keep], order[keep]
+
+
+class TestHelpers:
+    def test_top_matches_stable_sort(self):
+        rng = np.random.default_rng(11)
+        for case in range(600):
+            n_rows, n_cols = rng.integers(1, 9), rng.integers(1, 40)
+            levels = rng.integers(1, 6)  # few distinct sims: many ties
+            sims = rng.integers(-levels, levels + 1, (n_rows, n_cols)) / levels
+            sims[rng.random(sims.shape) < rng.choice([0.0, 0.3, 0.9])] = -np.inf
+            sims[rng.random(n_rows) < 0.2] = -np.inf  # whole rows out
+            sims[sims == 0] = rng.choice([0.0, -0.0])
+            m = int(rng.integers(1, n_cols + 4))  # includes m >= n_cols
+            row, col = candgen._top(sims, m)
+            want_row, want_col = top_oracle(sims, m)
+            assert np.array_equal(row, want_row) and np.array_equal(col, want_col), case
+
+    def test_top_edge_rows(self):
+        sims = np.array([[-np.inf, -np.inf, -np.inf],
+                         [0.5, -np.inf, 0.5],
+                         [0.2, 0.2, 0.2]])
+        for m in (1, 2, 3, 7):
+            row, col = candgen._top(sims, m)
+            want_row, want_col = top_oracle(sims, m)
+            assert np.array_equal(row, want_row) and np.array_equal(col, want_col)
+        row, col = candgen._top(sims, 2)
+        assert row.tolist() == [1, 1, 2, 2] and col.tolist() == [0, 2, 0, 1]
+
+    @pytest.mark.parametrize("pair_bytes", [1, 5, candgen.KNN_PAIR_BYTES])
+    def test_co_raters_are_distinct_common_raters(self, monkeypatch, pair_bytes):
+        monkeypatch.setattr(candgen, "KNN_PAIR_BYTES", pair_bytes)
+        train = zipf_train(n_users=37)  # 37 users: the last byte is partly used
+        mask_t = sp.csr_matrix((np.ones(len(train)), (train.item, train.user)))
+        bits = candgen._rater_bits(mask_t)
+        assert bits.shape == (len(train.items), 5)
+        raters = [set(train.user[train.item == i].tolist()) for i in range(len(train.items))]
+        i, j = np.meshgrid(np.arange(len(raters)), np.arange(len(raters)))
+        i, j = i.ravel(), j.ravel()
+        assert candgen._co_raters(bits, i, j).tolist() == \
+            [len(raters[a] & raters[b]) for a, b in zip(i.tolist(), j.tolist())]
+        assert candgen._co_raters(bits, i[:0], j[:0]).tolist() == []
+
+
+def test_build_holds_no_dense_items_by_users_array():
+    # many users with three ratings each: one dense items x users bool array
+    # takes n_items * n_users bytes, the packed rater table an eighth of that
+    rng = np.random.default_rng(5)
+    n_items, n_users = 1000, 12000
+    popularity = np.arange(1, n_items + 1, dtype=np.float64) ** -0.7
+    rows = [(f"u{u}", f"i{i}", float(rng.integers(1, 6)), u * 3 + k)
+            for u in range(n_users)
+            for k, i in enumerate(rng.choice(n_items, 3, replace=False,
+                                             p=popularity / popularity.sum()))]
+    train = interactions(rows)
+    assert len(train.items) * len(train.users) >= 8_000_000
+    tracemalloc.start()
+    try:
+        sim = build_item_knn(train, top_m=20, min_co_raters=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sim.nnz > 0
+    assert peak < len(train.items) * len(train.users)
 
 
 class TestSlates:
