@@ -180,12 +180,12 @@ def _top(sims, m):
     return row[order], col[order]
 
 
-def _rater_bits(mask_t):
-    """Row i packs item i's raters of CSR items x users matrix mask_t: bit
+def _rater_bits(raters_t):
+    """Row i packs item i's raters of CSR items x users matrix raters_t: bit
     u % 8 of byte u // 8 is set when user u rated item i."""
-    bits = np.zeros((mask_t.shape[0], -(-mask_t.shape[1] // 8)), dtype=np.uint8)
-    np.bitwise_or.at(bits, (_row_ids(mask_t), mask_t.indices >> 3),
-                     (1 << (mask_t.indices & 7)).astype(np.uint8))
+    bits = np.zeros((raters_t.shape[0], -(-raters_t.shape[1] // 8)), dtype=np.uint8)
+    np.bitwise_or.at(bits, (_row_ids(raters_t), raters_t.indices >> 3),
+                     (1 << (raters_t.indices & 7)).astype(np.uint8))
     return bits
 
 
@@ -203,6 +203,7 @@ def _co_raters(bits, i, j):
 def build_item_knn(train, top_m=50, min_co_raters=3):
     """Cosine similarity over mean-centered user rating vectors, as a CSR
     items x items matrix whose row and column n stand for train item code n.
+    train holds one row per (user, item), as split_leave_n_out's tables do.
 
     Pairs with fewer than min_co_raters common raters are dropped; each item
     keeps its top_m neighbors. Self-similarity is excluded. A row stores its
@@ -217,24 +218,22 @@ def build_item_knn(train, top_m=50, min_co_raters=3):
     product sums its diagonal. Each row's top_m come from a partition
     threshold, not a full sort. Co-raters are counted only for those picks,
     from a table of each item's raters packed one bit per user (items x
-    users / 8 bytes). The table counts a user who rated an item twice once,
-    where the rule counts the product of the user's rating counts of the two
-    items; so a row where some pick falls below min_co_raters is counted
-    again by the exact sparse product, loses the pairs that fail it, and is
-    picked again.
+    users / 8 bytes); with one row per pair that count is exact. A row where
+    some pick falls below min_co_raters is counted in full by the sparse
+    product, loses the pairs that fail it, and is picked again.
     """
     if not len(train):
         raise ValueError("no training interactions")
-    rows, cols, vals = train.user, train.item, train.rating
-    mat = sp.csr_matrix((vals, (rows, cols)), shape=(len(train.users), len(train.items)))
-    mask = sp.csr_matrix((np.ones(len(vals), dtype=np.int32), (rows, cols)), shape=mat.shape)
-    user_means = np.asarray(mat.sum(axis=1)).ravel() / np.maximum(
-        np.asarray(mask.sum(axis=1)).ravel(), 1)
-    centered = mat - sp.diags(user_means) @ mask
-    del mat
+    centered = sp.csr_matrix((train.rating, (train.user, train.item)),
+                             shape=(len(train.users), len(train.items)))
+    user_means = np.asarray(centered.sum(axis=1)).ravel() / np.maximum(
+        np.diff(centered.indptr), 1)
+    centered.data -= user_means[_row_ids(centered)]
+    raters = sp.csr_matrix((np.ones(centered.nnz, dtype=np.int32), centered.indices,
+                            centered.indptr), shape=centered.shape)
     centered_t = centered.T.tocsr()
-    mask_t = mask.T.tocsr()
-    bits = _rater_bits(mask_t)
+    raters_t = raters.T.tocsr()
+    bits = _rater_bits(raters_t)
 
     n = len(train.items)
     norms = np.sqrt(np.maximum(np.bincount(
@@ -252,9 +251,9 @@ def build_item_knn(train, top_m=50, min_co_raters=3):
         sims[np.arange(b - a), np.arange(a, b)] = -np.inf  # exclude self
         row, col = _top(sims, top_m)
         short = np.unique(row[_co_raters(bits, a + row, col) < min_co_raters])
-        if len(short):  # the bit count is a lower bound: count these rows exactly
+        if len(short):  # the picks beyond these rows' top_m need counts too
             again = sims[short]
-            again[(mask_t[a + short] @ mask).toarray() < min_co_raters] = -np.inf
+            again[(raters_t[a + short] @ raters).toarray() < min_co_raters] = -np.inf
             redo_row, redo_col = _top(again, top_m)
             keep = ~np.isin(row, short)
             row = np.concatenate([row[keep], short[redo_row]])
@@ -280,15 +279,14 @@ class ItemKnnRecommender:
 
     def score_items(self, user, cols):
         """Score of each train item code of cols, as an array: one product of
-        the similarity matrix with the user's dense rating vector (an item
-        rated twice holds its later rating). Each row's terms are added in
+        the similarity matrix with the user's dense rating vector (train
+        holds one row per (user, item)). Each row's terms are added in
         neighbour order; unrated neighbours add a zero. Code -1 scores 0.0."""
-        rows = self.train.rows_of(user)[::-1]
+        rows = self.train.rows_of(user)
         if not len(rows):
             raise UnknownUser(user)
-        rated, last = np.unique(self.train.item[rows], return_index=True)
         ratings = np.zeros(len(self.train.items))
-        ratings[rated] = self.train.rating[rows[last]]
+        ratings[self.train.item[rows]] = self.train.rating[rows]
         scores = np.zeros(len(cols))
         scores[cols >= 0] = (self.sim_matrix @ ratings)[cols[cols >= 0]]
         return scores

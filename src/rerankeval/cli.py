@@ -122,13 +122,18 @@ def _coerce(cls, key, value):
 
 
 def load_config(path=None, overrides=None):
-    """Read the INI config (any section layout; keys are flat) and apply
-    CLI overrides."""
+    """Read the INI config (any section layout; keys are flat, values are
+    taken as written) and apply CLI overrides. A file INI cannot parse is a
+    ValueError."""
     values = {}
     backend_values = {}
     if path:
-        parser = configparser.ConfigParser()
-        if not parser.read(path):
+        parser = configparser.ConfigParser(interpolation=None)
+        try:
+            found = parser.read(path, encoding="utf-8-sig")
+        except configparser.Error as e:
+            raise ValueError(f"{path}: {e}") from None
+        if not found:
             raise FileNotFoundError(path)
         for section in parser.sections():
             (backend_values if section == "backend" else values).update(
@@ -389,7 +394,7 @@ def cmd_build_dataset(cfg):
 
 def _read_likert(path):
     scores = []
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(),
+    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(),
                                    start=1):
         line = line.strip()
         if not line:

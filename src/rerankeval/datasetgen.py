@@ -155,13 +155,11 @@ def correct_ranking_for_user(relevance, test_entries, catalog, size, seed):
     """Ground-truth training order: held-out relevant items by rating then
     recency, padded with a seeded sample of the catalog's other items.
 
-    test_entries are the user's held-out (item, rating, timestamp) rows in
-    file order, one or more for each relevant item; the last one counts.
+    test_entries are the user's held-out (item, rating, timestamp) rows, one
+    for each relevant item, as split_leave_n_out's test table holds them.
     """
-    last = {item: (rating, ts) for item, rating, ts in test_entries}
-    ranked_relevant = sorted(relevance.relevant,
-                             key=lambda i: (-last[i][0], -last[i][1], i))
-    ranking = [i for i in ranked_relevant if i in catalog][:size]
+    ranked_relevant = sorted(test_entries, key=lambda e: (-e[1], -e[2], e[0]))
+    ranking = [i for i, _, _ in ranked_relevant if i in catalog][:size]
     if len(ranking) < size:
         pool = catalog.positions_without(relevance.relevant)
         rng = np.random.default_rng(stable_seed(seed, "filler", relevance.user))

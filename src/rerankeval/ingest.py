@@ -139,8 +139,8 @@ class History:
 
 @dataclass(eq=False)
 class SplitResult:
-    """Every rating with the held-out ones marked; train and test are the two
-    parts as tables, relevance is derived from test."""
+    """Each (user, item)'s last rating with the held-out ones marked; train
+    and test are the two parts as tables, relevance is derived from test."""
     rows: Interactions     # users in order of first appearance, file order within
     held: np.ndarray       # bool per row: held out for evaluation
     excluded_users: int    # users with too little data to evaluate
@@ -379,14 +379,20 @@ def split_leave_n_out(interactions, n_test=10, min_history=5,
                       threshold=RELEVANCE_THRESHOLD):
     """Leave-n-out split on the relevance-qualifying interactions of each user.
 
-    Users with at least min_history + n_test interactions rated >= threshold
-    hold out the items of their n_test most recent qualifying interactions
-    (ties by item id): every row of those items is test, everything else
-    train. Users below the bar, and users whose held items would take all
-    of their rows, stay in train but are excluded from evaluation.
+    An item a user rated more than once counts once, at its last rating in
+    file order: the split keeps that row and drops the earlier ones, so
+    rows, train and test hold one row per (user, item). Users with at least
+    min_history + n_test kept rows rated >= threshold hold out their n_test
+    most recent qualifying rows (ties by item id) as test; everything else is
+    train. Users below the bar stay in train but are excluded from evaluation.
     """
-    _, first = np.unique(interactions.user, return_index=True)
-    rows = interactions.take(np.argsort(first[interactions.user], kind="stable"))
+    pair = interactions.user * len(interactions.items) + interactions.item
+    _, last = np.unique(pair[::-1], return_index=True)
+    kept = np.sort(len(pair) - 1 - last)
+    # users in order of first appearance among the kept rows, file order within
+    user = interactions.user[kept]
+    _, first = np.unique(user, return_index=True)
+    rows = interactions.take(kept[np.argsort(first[user], kind="stable")])
     qualifying = np.flatnonzero(rows.rating >= threshold)
     counts = np.bincount(rows.user[qualifying], minlength=len(rows.users))
     evaluated = counts >= min_history + n_test
@@ -394,13 +400,11 @@ def split_leave_n_out(interactions, n_test=10, min_history=5,
     # each eval user's qualifying rows, most recent first, ties by item id
     q = q[np.lexsort((rows.item[q], -rows.timestamp[q], rows.user[q]))]
     rank = np.arange(len(q)) - np.searchsorted(rows.user[q], rows.user[q])
-    pair = rows.user * len(rows.items) + rows.item
-    held = np.isin(pair, pair[q[rank < n_test]])
-    # a user whose held items take every row would have no train history
-    evaluated &= np.bincount(rows.user[~held], minlength=len(rows.users)) > 0
-    held &= evaluated[rows.user]
+    held = np.zeros(len(rows), dtype=bool)
+    held[q[rank < n_test]] = True
     excluded = len(rows.users) - int(np.count_nonzero(evaluated))
-    log.info("split: %d eval users, %d excluded", len(rows.users) - excluded, excluded)
+    log.info("split: %d eval users, %d excluded, %d repeat ratings dropped",
+             len(rows.users) - excluded, excluded, len(interactions) - len(rows))
     return SplitResult(rows=rows, held=held, excluded_users=excluded)
 
 

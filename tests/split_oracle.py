@@ -8,8 +8,11 @@ import random
 
 def split_rows(rows, n_test=10, min_history=5, threshold=4.0):
     """(train rows, test rows, {eval user: held-out item set}, excluded user
-    count) of rows in file order. Train groups users in order of first
-    appearance, file order within a user; test rows keep file order."""
+    count) of rows in file order, each (user, item) at its last row. Train
+    groups users in order of first appearance, file order within a user; test
+    rows keep file order."""
+    last = {row[:2]: n for n, row in enumerate(rows)}
+    rows = [row for n, row in enumerate(rows) if last[row[:2]] == n]
     by_user = {}
     for row in rows:
         by_user.setdefault(row[0], []).append(row)
@@ -21,10 +24,9 @@ def split_rows(rows, n_test=10, min_history=5, threshold=4.0):
         qualifying = [r for r in user_rows if r[2] >= threshold]
         qualifying.sort(key=lambda r: (-r[3], r[1]))
         held = {r[1] for r in qualifying[:n_test]}
-        kept = [r for r in user_rows if r[1] not in held]
-        if len(qualifying) >= min_history + n_test and kept:
+        if len(qualifying) >= min_history + n_test:
             relevance[user] = held
-            train.extend(kept)
+            train.extend(r for r in user_rows if r[1] not in held)
         else:
             excluded += 1
             train.extend(user_rows)

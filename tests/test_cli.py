@@ -1,5 +1,7 @@
 import hashlib
 import json
+import logging
+import random
 import socket
 import warnings
 from collections import Counter
@@ -98,6 +100,31 @@ class TestConfig:
         assert main([*ingest_args(corpus), "--config", str(ini)]) == EXIT_CONFIG
         assert f"error: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text,message", [
+        ("seed = 7\n", "File contains no section headers"),
+        ("[run]\nseed = 7\nseed = 8\n", "option 'seed' in section 'run' already exists"),
+        ("[run]\nseed = 7\n[run]\n", "section 'run' already exists"),
+    ], ids=["no_section_header", "duplicate_key", "duplicate_section"])
+    def test_unparsable_ini_exits_2_and_writes_nothing(self, corpus, tmp_path, capsys,
+                                                       text, message):
+        _, _, run_dir = corpus
+        ini = tmp_path / "cfg.ini"
+        ini.write_text(text, encoding="utf-8")
+        assert main([*ingest_args(corpus), "--config", str(ini)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ini}: ") and message in err
+        assert not run_dir.exists()
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        ini = tmp_path / "cfg.ini"
+        ini.write_text("\ufeff[run]\nseed = 7\n", encoding="utf-8")
+        assert load_config(ini).seed == 7
+
+    def test_percent_sign_is_taken_as_written(self, tmp_path):
+        ini = tmp_path / "cfg.ini"
+        ini.write_text("[backend]\nendpoint = http://h/v1%20x\n", encoding="utf-8")
+        assert load_config(ini).backend.endpoint == "http://h/v1%20x"
+
     @pytest.mark.parametrize("key,value,message", [
         ("generator", "bogus", "unknown generator"),
         ("mode", "bogus", "unknown mode"),
@@ -195,7 +222,8 @@ class TestIngest:
 
     def test_user_whose_held_items_take_every_row_is_excluded(self, corpus, capsys):
         ratings, _, run_dir = corpus
-        # u1 rated item 1 fifteen times; u2 and u3 rated 16 distinct items each
+        # u1 rated item 1 fifteen times, which counts as one rating, below the
+        # bar; u2 and u3 rated 16 distinct items each
         lines = ["userId,itemId,rating,timestamp"]
         lines += [f"u1,1,5.0,{t}" for t in range(15)]
         lines += [f"u{u},{i},4.5,{i}" for u in (2, 3) for i in range(1, 17)]
@@ -206,6 +234,53 @@ class TestIngest:
         report = json.loads((run_dir / "report.json").read_text())
         assert report["users_evaluated"] == 2
         assert report["users_skipped"] == 0
+
+    def test_earlier_ratings_of_a_pair_change_nothing(self, corpus, capsys, caplog):
+        # each (user, item) counts at its last rating in file order, so a file
+        # with earlier ratings of its pairs runs as the file without them
+        ratings, _, run_dir = corpus
+        header, *lines = ratings.read_text().splitlines()
+        rows = [line.split(",") for line in lines]
+        rng = random.Random(5)
+        late = max(int(r[3]) for r in rows) + 1
+        earlier = [  # (index of the row to repeat, earlier rating, its timestamp)
+            # u3's pair ahead of u1's first row: u3 appears first in the file
+            (next(n for n, r in enumerate(rows) if r[0] == "u3"), "4.5", 5),
+            # a qualifying 5.0, the latest rating of u4's, later re-rated low
+            (next(n for n, r in enumerate(rows) if r[0] == "u4" and float(r[2]) < 4), "5.0",
+             late),
+            # a low rating, later re-rated high
+            (next(n for n, r in enumerate(rows) if r[0] == "u5"), "1.0", late),
+        ]
+        earlier += [(rng.randrange(len(rows)), rng.choice(["0.5", "3.0", "4.0", "5.0"]),
+                     rng.randrange(late)) for _ in range(20)]
+        at = [0] + [rng.randrange(n + 1) for n, _, _ in earlier[1:]]
+        keyed = [((n, 1), line) for n, line in enumerate(lines)]
+        keyed += [((p, 0), ",".join((*rows[n][:2], rating, str(ts))))
+                  for p, (n, rating, ts) in zip(at, earlier)]
+        with_repeats = [line for _, line in sorted(keyed)]
+        assert with_repeats[0].startswith("u3,")
+
+        def outputs():
+            assert main(ingest_args(corpus)) == EXIT_OK
+            files = {name: (run_dir / name).read_bytes()
+                     for name in ("split.json", "split.npz")}
+            for generator in ("random", "mf", "knn"):
+                for mode in ("none", "zero_shot"):
+                    main(run_args(corpus, generator=generator, mode=mode, sample_count=30))
+                    files[generator, mode] = (run_dir / "report.json").read_bytes()
+            assert main(["build-dataset", "--run-dir", str(run_dir), "--sample-count", "30",
+                         "--offline", "1"]) == EXIT_OK
+            files["manifest.json"] = (run_dir / "manifest.json").read_bytes()
+            return files
+
+        expected = outputs()
+        capsys.readouterr()
+        ratings.write_text("\n".join([header, *with_repeats]) + "\n")
+        caplog.set_level(logging.INFO, logger="rerankeval.ingest")
+        assert outputs() == expected
+        assert f"interactions: {len(with_repeats)}\n" in capsys.readouterr().out
+        assert "split: 30 eval users, 0 excluded, 23 repeat ratings dropped" in caplog.text
 
     def test_rerun_is_content_identical(self, corpus):
         _, _, run_dir = corpus
@@ -811,6 +886,12 @@ class TestHumanEval:
         b.write_text("4\n3\n")
         assert main(["human-eval", str(a), str(b)]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"error: {a}: no scores\n"
+
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys):
+        a = tmp_path / "a.txt"
+        a.write_text("\ufeff4\n5\n", encoding="utf-8")
+        assert main(["human-eval", str(a), str(a), "--paired"]) == EXIT_OK
+        assert "mean A: 4.5000  (n=2)" in capsys.readouterr().out
 
     def test_score_out_of_range(self, tmp_path):
         a = tmp_path / "a.txt"

@@ -23,8 +23,9 @@ def conftest_train(tmp_path):
     return split, load_items(items_path)
 
 
-def zipf_train(n_users=50, n_items=40, n_ratings=900, seed=3):
-    """Zipf-popular items on a 1-5 star scale, plus exact copies of three
+def zipf_rows(n_users=50, n_items=40, n_ratings=1200, seed=3):
+    """n_ratings draws of Zipf-popular items on a 1-5 star scale, so many
+    (user, item) pairs are drawn more than once, plus exact copies of three
     items' columns under other ids, so many similarities tie."""
     rng = np.random.default_rng(seed)
     popularity = np.arange(1, n_items + 1, dtype=np.float64) ** -1.1
@@ -33,9 +34,13 @@ def zipf_train(n_users=50, n_items=40, n_ratings=900, seed=3):
     stars = rng.integers(1, 6, n_ratings)
     rows = [(f"u{u}", f"i{i:02d}", float(s), t)
             for t, (u, i, s) in enumerate(zip(users, items, stars))]
-    rows += [(u, f"copy_{i}", r, t) for u, i, r, t in rows
-             if i in ("i00", "i01", "i02")]
-    return interactions(rows)
+    return rows + [(u, f"copy_{i}", r, t) for u, i, r, t in rows
+                   if i in ("i00", "i01", "i02")]
+
+
+def zipf_train(**kwargs):
+    """zipf_rows as the split keeps them: one row per (user, item)."""
+    return split_leave_n_out(interactions(zipf_rows(**kwargs))).rows
 
 
 def assert_parity(train, top_m, min_co_raters, items, users):
@@ -110,21 +115,10 @@ class TestNeighboursAndScores:
         rows = [(u, i, 1.0 + (u * 3 + i) % 5, u * 10 + i)
                 for u in range(6) for i in range(5)]
         rows += [(0, 1, 5.0, 99), (0, 1, 2.5, 100)]  # user 0 re-rates item 1
-        train = interactions(rows)
+        train = split_leave_n_out(interactions(rows)).train
+        assert [e for e in train.entries("0") if e[0] == "1"] == [("1", 2.5, 100)]
         assert_parity(train, 4, 1, [str(i) for i in range(5)],
                       [str(u) for u in range(6)])
-
-    def test_repeat_rating_counts_twice_towards_min_co_raters(self, block_rows):
-        # user 0 rates a twice and b once: one distinct co-rater of (a, b),
-        # but a co-rater count of 2 * 1, which meets min_co_raters=2
-        rows = [(0, "a", 5.0, 1), (0, "a", 4.0, 2), (0, "b", 1.0, 3), (0, "c", 3.0, 4)]
-        rows += [(u, "a", 1.0 + u, 10 + u) for u in (1, 2)]
-        rows += [(u, "b", 2.0 + u, 20 + u) for u in (3, 4)]
-        rows += [(u, "c", 1.5 * u, 30 + u) for u in range(1, 5)]
-        train = interactions(rows)
-        expected = assert_parity(train, 5, 2, ["a", "b", "c"], [str(u) for u in range(5)])
-        assert "b" in [j for j, _ in expected["a"]]
-        assert "a" in [j for j, _ in expected["b"]]
 
     def test_zipf_min_co_raters_drops_picks(self, block_rows):
         train = zipf_train()
@@ -182,6 +176,19 @@ class TestHelpers:
         assert candgen._co_raters(bits, i, j).tolist() == \
             [len(raters[a] & raters[b]) for a, b in zip(i.tolist(), j.tolist())]
         assert candgen._co_raters(bits, i[:0], j[:0]).tolist() == []
+
+    def test_co_raters_of_a_split_train_are_the_exact_count(self):
+        # the draws rate many (user, item) pairs more than once; the split's
+        # train keeps one row per pair, so the bit count is the sparse count
+        rows = zipf_rows()
+        assert len({r[:2] for r in rows}) < len(rows) - 100
+        train = split_leave_n_out(interactions(rows)).train
+        raters = sp.csr_matrix((np.ones(len(train), dtype=np.int32),
+                                (train.user, train.item)))
+        exact = (raters.T @ raters).toarray()
+        bits = candgen._rater_bits(raters.T.tocsr())
+        i, j = np.indices(exact.shape).reshape(2, -1)
+        assert np.array_equal(candgen._co_raters(bits, i, j), exact[i, j])
 
 
 def test_build_holds_no_dense_items_by_users_array():

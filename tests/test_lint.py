@@ -100,3 +100,58 @@ def test_np_load_never_unpickles():
     found = [(path.name, line) for path in sorted(SRC.glob("*.py"))
              for line in loads_that_may_unpickle(path.read_text(encoding="utf-8"))]
     assert found == []
+
+
+def _is_literal(node, kind):
+    return isinstance(node, ast.Constant) and type(node.value) is kind
+
+
+def text_reads_without_bom_skip(source):
+    """Line of each text read in source that does not pass
+    encoding="utf-8-sig" as a literal keyword. A text read is a read_text
+    call; an open call (the builtin, or a method such as Path.open) unless
+    its mode is a literal binary or write-only one; or a read call given a
+    positional argument other than an int literal, as ConfigParser.read is
+    given file names where a file object's read takes a size."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name == "open":
+            at = 1 if isinstance(func, ast.Name) else 0  # open(file, mode), p.open(mode)
+            mode = next((k.value for k in node.keywords if k.arg == "mode"),
+                        node.args[at] if len(node.args) > at else ast.Constant("r"))
+            reads = not (_is_literal(mode, str) and
+                         ("b" in mode.value or not {"r", "+"} & set(mode.value)))
+        elif name == "read_text":
+            reads = True
+        elif name == "read" and isinstance(func, ast.Attribute):
+            reads = any(not _is_literal(arg, int) for arg in node.args)
+        else:
+            reads = False
+        if reads and not any(k.arg == "encoding" and _is_literal(k.value, str)
+                             and k.value.value == "utf-8-sig" for k in node.keywords):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_checker_sees_text_reads_without_bom_skip():
+    source = ('Path(p).read_text()\nPath(p).read_text(encoding="utf-8")\n'
+              'Path(p).read_text(encoding="utf-8-sig")\nopen(p)\n'
+              'open(p, "w", encoding="utf-8")\nopen(p, "rb")\n'
+              'p.open(newline="", encoding="utf-8-sig")\np.open("r", encoding="utf-8")\n'
+              'p.open(mode)\nparser.read(path)\nparser.read(path, encoding="utf-8-sig")\n'
+              'fh.read()\nresp.read(1024)\nopen(p, encoding=enc)\n'
+              'p.open("a", encoding="utf-8")\np.open(mode="r+", encoding="utf-8")\n'
+              'Path(p).read_bytes()\nos.fdopen(fd, "wb")\n')
+    assert text_reads_without_bom_skip(source) == [1, 2, 4, 8, 9, 10, 14, 16]
+
+
+def test_text_reads_skip_a_byte_order_mark():
+    # editors on some systems start a UTF-8 file with a byte order mark;
+    # every input file is read the same way, with it skipped
+    found = [(path.name, line) for path in sorted(SRC.glob("*.py"))
+             for line in text_reads_without_bom_skip(path.read_text(encoding="utf-8"))]
+    assert found == []
