@@ -103,7 +103,7 @@ class MfModel:
         dot product may differ in the last ulp from one computed per item."""
         known = cols >= 0
         rows = cols[known]
-        u = self.train.user_codes([user])[0]
+        u = self.train.user_code(user)
         pred = np.full(len(cols), self.global_mean)
         if u >= 0:
             pred += self.user_bias[u]

@@ -382,8 +382,7 @@ def cmd_build_dataset(cfg):
     built = _each_user(sample_and_pair, users,
                        1 if cfg.offline else backend.max_concurrent_requests)
     if built:
-        samples, pairs = zip(*built.values())
-        datasetgen.write_training_files(samples, pairs, Path(cfg.out_dir or cfg.run_dir))
+        datasetgen.write_training_files(list(built.values()), Path(cfg.out_dir or cfg.run_dir))
     else:  # keep an earlier dataset rather than replace it with empty files
         print("no sample was built; wrote nothing", file=sys.stderr)
     print(f"sft samples: {len(built)}")

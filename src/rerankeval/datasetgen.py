@@ -6,6 +6,7 @@ import json
 import logging
 import os
 import tempfile
+from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -112,42 +113,61 @@ def make_dpo_pair(positive, seed, backend=None):
                    rejected=rejected)
 
 
-def _atomic_write(path, lines):
-    """Write the str lines to path as UTF-8 through a temp file beside it and
-    return the sha256 of the bytes written. If a line cannot be made or
-    written, the temp file is removed and path is left as it was."""
-    digest = hashlib.sha256()
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+def _atomic_write(paths, rows):
+    """Write each row, a str line for each of paths, to the paths as UTF-8
+    through a temp file beside each, and return the sha256 of each file's
+    bytes. If a row cannot be made or written, the temp files are removed
+    and every path is left as it was."""
+    digests = [hashlib.sha256() for _ in paths]
+    tmps = []
     try:
-        with os.fdopen(fd, "wb") as fh:
-            for line in lines:
-                data = line.encode("utf-8")
-                digest.update(data)
-                fh.write(data)
-        os.replace(tmp, path)
+        with ExitStack() as stack:
+            files = []
+            for path in paths:
+                fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+                tmps.append(tmp)
+                files.append(stack.enter_context(os.fdopen(fd, "wb")))
+            for row in rows:
+                for fh, digest, line in zip(files, digests, row):
+                    data = line.encode("utf-8")
+                    digest.update(data)
+                    fh.write(data)
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp in tmps:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
         raise
-    return digest.hexdigest()
+    return [digest.hexdigest() for digest in digests]
 
 
-def write_training_files(samples, pairs, out_dir):
+def _jsonl_lines(sample, pair):
+    """The sft.jsonl and dpo.jsonl lines of a sample and its pair, whose
+    prompt and chosen are the sample's prompt and completion: each of those
+    is JSON-encoded once, for both lines, to the bytes json.dumps gives the
+    whole objects."""
+    prompt, completion = json.dumps(sample.prompt), json.dumps(sample.completion)
+    return (f'{{"prompt": {prompt}, "completion": {completion}}}\n',
+            f'{{"prompt": {prompt}, "chosen": {completion}, '
+            f'"rejected": {json.dumps(pair.rejected)}}}\n')
+
+
+def write_training_files(built, out_dir):
     """Emit sft.jsonl, dpo.jsonl and a manifest with counts and sha256 hashes.
-    The two JSONL files are written line by line, hashed as they are written."""
+    built is a list of (sample, make_dpo_pair's pair of that sample). Both
+    JSONL files are written in one pass, line by line, hashed as they are
+    written; if a line fails, neither file nor the manifest changes."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    sft_sha = _atomic_write(out_dir / "sft.jsonl", (
-        json.dumps({"prompt": s.prompt, "completion": s.completion}) + "\n"
-        for s in samples))
-    dpo_sha = _atomic_write(out_dir / "dpo.jsonl", (
-        json.dumps({"prompt": p.prompt, "chosen": p.chosen, "rejected": p.rejected}) + "\n"
-        for p in pairs))
+    sft_sha, dpo_sha = _atomic_write(
+        [out_dir / "sft.jsonl", out_dir / "dpo.jsonl"],
+        (_jsonl_lines(sample, pair) for sample, pair in built))
     manifest = {
-        "sft": {"path": "sft.jsonl", "count": len(samples), "sha256": sft_sha},
-        "dpo": {"path": "dpo.jsonl", "count": len(pairs), "sha256": dpo_sha},
+        "sft": {"path": "sft.jsonl", "count": len(built), "sha256": sft_sha},
+        "dpo": {"path": "dpo.jsonl", "count": len(built), "sha256": dpo_sha},
     }
-    _atomic_write(out_dir / "manifest.json", [json.dumps(manifest, indent=2) + "\n"])
+    _atomic_write([out_dir / "manifest.json"], [[json.dumps(manifest, indent=2) + "\n"]])
     return manifest
 
 

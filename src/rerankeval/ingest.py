@@ -58,11 +58,17 @@ class Interactions:
         return Interactions(self.users[users], self.items[items], user, item,
                             self.rating[rows], self.timestamp[rows])
 
-    def user_codes(self, ids):
-        return _codes(self.users, ids)
-
     def item_codes(self, ids):
         return _codes(self.items, ids)
+
+    @cached_property
+    def _user_index(self):
+        """{user id: code}, built on first use, for one-id lookups."""
+        return {user: code for code, user in enumerate(self.users.tolist())}
+
+    def user_code(self, user):
+        """user's code; -1 for an id not in the table."""
+        return self._user_index.get(user, -1)
 
     @cached_property
     def _by_user(self):
@@ -73,7 +79,7 @@ class Interactions:
     def rows_of(self, user):
         """Indices of user's rows, in table order; none for an unknown user."""
         order, starts = self._by_user
-        code = self.user_codes([user])[0]
+        code = self.user_code(user)
         return order[starts[code]:starts[code + 1]] if code >= 0 else order[:0]
 
     def entries(self, user):
@@ -103,7 +109,12 @@ class ItemCard:
 
 @dataclass
 class Catalog:
+    """Item cards by id. The id table and each item's description are built
+    on first use: items must not be added or removed after the first, and a
+    card must not change after its first description."""
     items: dict  # item id -> ItemCard
+    _descriptions: dict = field(default_factory=dict, init=False, repr=False,
+                                compare=False)
 
     def __contains__(self, item_id):
         return item_id in self.items
@@ -113,16 +124,29 @@ class Catalog:
 
     @cached_property
     def ids(self):
-        """Item ids as one sorted str array, built on first use; items must
-        not be added or removed after that."""
+        """Item ids as one sorted str array."""
         return np.array(sorted(self.items), dtype=str)
+
+    @cached_property
+    def _positions(self):
+        """{item id: position in ids}, keyed by the items' own id strings so
+        that it copies none."""
+        return {item_id: p for p, item_id in enumerate(sorted(self.items))}
 
     def positions_without(self, ids):
         """Ascending positions of the items not among ids, which need not be in it."""
-        codes = _codes(self.ids, list(ids))
         keep = np.ones(len(self.ids), dtype=bool)
-        keep[codes[codes >= 0]] = False
+        keep[[p for p in map(self._positions.get, ids) if p is not None]] = False
         return np.flatnonzero(keep)
+
+    def description(self, item_id):
+        """build_item_description of item_id's card, made once per item;
+        None for an id not in the catalog. A card without a title raises
+        EmptyTitle on every call, as nothing is kept for it."""
+        text = self._descriptions.get(item_id)
+        if text is None and item_id in self.items:
+            text = self._descriptions[item_id] = build_item_description(self.items[item_id])
+        return text
 
 
 @dataclass
@@ -157,8 +181,11 @@ class SplitResult:
     def relevance(self):
         """Eval user -> RelevanceSet of the items of their test rows."""
         test = self.test
-        return {u: RelevanceSet(u, {i for i, _, _ in test.entries(u)})
-                for u in test.users.tolist()}
+        order, starts = test._by_user
+        ids = test.items.tolist()  # one str per item, shared by the sets
+        items = [ids[code] for code in test.item[order].tolist()]
+        return {u: RelevanceSet(u, set(items[starts[code]:starts[code + 1]]))
+                for code, u in enumerate(test.users.tolist())}
 
 
 def load_interactions(path):
@@ -411,19 +438,24 @@ def split_leave_n_out(interactions, n_test=10, min_history=5,
 # split.npz members: the Interactions fields of SplitResult.rows, and held row indices
 _SPLIT_COLUMNS = {"user": np.int64, "item": np.int64, "rating": np.float64,
                   "timestamp": np.int64, "held": np.int64}
+# split.json's "format": 2 holds one row per (user, item); the pairs written
+# before it carry no marker and may repeat one
+_SPLIT_FORMAT = 2
 
 
 def write_split(path, split):
     """Write split's row columns and held row indices (_SPLIT_COLUMNS) to
-    path.with_suffix(".npz"), then its id tables, row count and excluded_users
-    to path as JSON: a json written in full stands for a whole pair."""
+    path.with_suffix(".npz"), then its format, id tables, row count and
+    excluded_users to path as JSON: a json written in full stands for a
+    whole pair."""
     path, rows = Path(path), split.rows
     columns = dict(user=rows.user, item=rows.item, rating=rows.rating,
                    timestamp=rows.timestamp, held=np.flatnonzero(split.held))
     np.savez(path.with_suffix(".npz"), **{name: np.asarray(column, _SPLIT_COLUMNS[name])
                                           for name, column in columns.items()})
-    path.write_text(json.dumps({"users": rows.users.tolist(), "items": rows.items.tolist(),
-                                "rows": len(rows), "excluded_users": split.excluded_users})
+    path.write_text(json.dumps({"format": _SPLIT_FORMAT, "users": rows.users.tolist(),
+                                "items": rows.items.tolist(), "rows": len(rows),
+                                "excluded_users": split.excluded_users})
                     + "\n", encoding="utf-8")
 
 
@@ -435,7 +467,8 @@ def read_split(path):
         n, tables = meta["rows"], {k: np.array(meta[k], dtype=str) for k in ("users", "items")}
         with np.load(Path(path).with_suffix(".npz"), allow_pickle=False) as npz:
             c = {name: npz[name] for name in _SPLIT_COLUMNS}
-        valid = (type(n) is int and type(meta["excluded_users"]) is int
+        valid = (meta.get("format") == _SPLIT_FORMAT
+                 and type(n) is int and type(meta["excluded_users"]) is int
                  # lists of str, strictly increasing as _codes needs
                  and all(t.tolist() == meta[k] and (t[1:] > t[:-1]).all()
                          for k, t in tables.items())

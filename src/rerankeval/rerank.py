@@ -9,7 +9,6 @@ import numpy as np
 
 from .candgen import Slate, stable_seed
 from .errors import BackendError, RerankEvalError, UnknownItem
-from .ingest import build_item_description
 from .llm_client import ChatRequest, complete_batch
 
 log = logging.getLogger(__name__)
@@ -61,10 +60,10 @@ class ConsensusRanking:
 
 
 def _describe(item, catalog):
-    card = catalog.get(item)
-    if card is None:
+    text = catalog.description(item)
+    if text is None:
         raise UnknownItem(f"item {item} not in the catalog")
-    return build_item_description(card)
+    return text
 
 
 def build_prompt(history, slate, catalog, mode="zero_shot"):

@@ -33,7 +33,8 @@ def score_mf(model, user, item):
     """MF prediction with graceful fallback: unknown users/items contribute
     zero bias and zero factors."""
     pred = model.global_mean
-    u = model.train.user_codes([user])[0]
+    users = model.train.users.tolist()
+    u = users.index(user) if user in users else -1
     i = model.train.item_codes([item])[0]
     if u >= 0:
         pred += model.user_bias[u]

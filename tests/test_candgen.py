@@ -221,7 +221,7 @@ class TestScoreMf:
     def test_four_term_formula(self):
         model = train_mf(synthetic_rank1(2, 2), k=1, epochs=1, seed=0)
         model.global_mean = 3.5
-        u = model.train.user_codes(["u0"])[0]
+        u = model.train.user_code("u0")
         i = model.train.item_codes(["i0"])[0]
         model.user_bias[u] = 0.5
         model.item_bias[i] = -0.2

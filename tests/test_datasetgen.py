@@ -97,59 +97,82 @@ class TestMakeDpoPair:
                                  else verbatim)
 
 
+def built_pairs(prompts):
+    """(sample, pair) of each prompt, as build-dataset hands them to the writer."""
+    samples = [SftSample(prompt=p, completion=f"Rank 1: a - {p}\nRank 2: b - x")
+               for p in prompts]
+    return [(s, make_dpo_pair(s, seed=i)) for i, s in enumerate(samples)]
+
+
 class TestWriteTrainingFiles:
     def test_counts_and_round_trip(self, tmp_path):
-        samples = [SftSample(prompt=f"p{i}", completion=f"Rank 1: a - {i}\nRank 2: b - x")
-                   for i in range(3)]
-        pairs = [make_dpo_pair(s, seed=i) for i, s in enumerate(samples)]
-        manifest = write_training_files(samples, pairs, tmp_path)
+        built = built_pairs([f"p{i}" for i in range(3)])
+        manifest = write_training_files(built, tmp_path)
         assert manifest["sft"]["count"] == 3
         assert manifest["dpo"]["count"] == 3
 
         sft_lines = (tmp_path / "sft.jsonl").read_text().splitlines()
         assert len(sft_lines) == 3
-        obj = json.loads(sft_lines[1])
-        assert obj == {"prompt": "p1", "completion": samples[1].completion}
+        assert [SftSample(**json.loads(line)) for line in sft_lines] == [s for s, _ in built]
 
         dpo_lines = (tmp_path / "dpo.jsonl").read_text().splitlines()
-        back = json.loads(dpo_lines[0])
-        assert DpoPair(**back) == pairs[0]
+        assert [DpoPair(**json.loads(line)) for line in dpo_lines] == [p for _, p in built]
+
+    def test_lines_are_json_dumps_of_the_objects(self, tmp_path):
+        built = built_pairs(['quote " slash \\ tab \t', "caf\u00e9 \U0001f600", ""])
+        write_training_files(built, tmp_path)
+        assert (tmp_path / "sft.jsonl").read_text() == "".join(
+            json.dumps({"prompt": s.prompt, "completion": s.completion}) + "\n"
+            for s, _ in built)
+        assert (tmp_path / "dpo.jsonl").read_text() == "".join(
+            json.dumps({"prompt": p.prompt, "chosen": p.chosen, "rejected": p.rejected})
+            + "\n" for _, p in built)
 
     def test_empty_build(self, tmp_path):
-        manifest = write_training_files([], [], tmp_path)
+        manifest = write_training_files([], tmp_path)
         assert manifest["sft"]["count"] == 0
         assert (tmp_path / "sft.jsonl").read_text() == ""
+        assert (tmp_path / "dpo.jsonl").read_text() == ""
         assert json.loads((tmp_path / "manifest.json").read_text())["dpo"]["count"] == 0
 
     def test_hash_stable(self, tmp_path):
-        samples = [SftSample(prompt="p", completion="Rank 1: a - x\nRank 2: b - y")]
-        m1 = write_training_files(samples, [], tmp_path / "a")
-        m2 = write_training_files(samples, [], tmp_path / "b")
-        assert m1["sft"]["sha256"] == m2["sft"]["sha256"]
+        built = built_pairs(["p"])
+        m1 = write_training_files(built, tmp_path / "a")
+        m2 = write_training_files(built, tmp_path / "b")
+        assert m1 == m2
 
     def test_manifest_hashes_are_the_files_bytes(self, tmp_path):
-        samples = [SftSample(prompt=f"p{i} caf\u00e9",
-                             completion=f"Rank 1: a - {i}\nRank 2: b - x")
-                   for i in range(4)]
-        pairs = [make_dpo_pair(s, seed=i) for i, s in enumerate(samples)]
-        manifest = write_training_files(samples, pairs, tmp_path)
+        manifest = write_training_files(built_pairs([f"p{i} caf\u00e9" for i in range(4)]),
+                                        tmp_path)
         for key in ("sft", "dpo"):
             data = (tmp_path / manifest[key]["path"]).read_bytes()
             assert manifest[key]["sha256"] == hashlib.sha256(data).hexdigest()
             assert data.count(b"\n") == manifest[key]["count"] == 4
+        assert json.loads((tmp_path / "manifest.json").read_text()) == manifest
 
     def test_failing_line_source_leaves_no_file(self, tmp_path):
-        good = SftSample(prompt="p", completion="Rank 1: a - x")
+        good = built_pairs(["p"])[0]
         with pytest.raises(AttributeError):
-            write_training_files([good, good, None], [], tmp_path)
+            write_training_files([good, good, (None, good[1])], tmp_path)
         assert sorted(p.name for p in tmp_path.iterdir()) == []
 
     def test_failing_line_source_keeps_the_previous_file(self, tmp_path):
-        good = SftSample(prompt="p", completion="Rank 1: a - x")
-        write_training_files([good], [], tmp_path)
+        good = built_pairs(["p"])[0]
+        write_training_files([good], tmp_path)
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         with pytest.raises(AttributeError):
-            write_training_files([good, None], [], tmp_path)
+            write_training_files([good, (None, good[1])], tmp_path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_failing_dpo_line_keeps_both_earlier_files(self, tmp_path):
+        # the sft line of the failing row is made, and the rows before it are
+        # written to both temp files, before the dpo line fails
+        built = built_pairs(["p0", "p1", "p2"])
+        write_training_files(built[:1], tmp_path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert sorted(before) == ["dpo.jsonl", "manifest.json", "sft.jsonl"]
+        with pytest.raises(AttributeError):
+            write_training_files(built[1:] + [(built[0][0], None)], tmp_path)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 

@@ -1,7 +1,9 @@
 """Byte-identity of the program's outputs: sha256 of report.json, exported
 slates and the offline manifest on the conftest corpus, pinned to the values
-the code gave before ratings became one columnar table. A change that moves
-any of them must say why and update the digest."""
+the code gave before ratings became one columnar table, and of the
+scripted-backend manifest, pinned to what the code gave before one-id
+lookups went through dicts. A change that moves any of them must say why
+and update the digest."""
 
 import hashlib
 from pathlib import Path
@@ -27,6 +29,7 @@ SLATES = {
     "knn": "aa016688038c48f89155c701db01f7ab2bb1f91a04aaae7fe68bf022ed23505d",
 }
 MANIFEST = "8b77cda04e2e73d3e6b3f3d9daae9b7960651d0faf5f8cda10d787d82d907499"
+SCRIPTED_MANIFEST = "b051cdcb8eff646ab99f61256f338e7db7694f2b70a071a881935d83ddba6e68"
 
 
 def sha(path):
@@ -62,3 +65,9 @@ def test_offline_manifest(ingested):
     assert main(["build-dataset", "--run-dir", "run", "--offline", "1",
                  "--ranking-size", "10"]) == 0
     assert sha("run/manifest.json") == MANIFEST
+
+
+def test_scripted_manifest(ingested):
+    assert main(["build-dataset", "--run-dir", "run", "--offline", "0",
+                 "--ranking-size", "10"]) == 0
+    assert sha("run/manifest.json") == SCRIPTED_MANIFEST

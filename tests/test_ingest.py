@@ -7,10 +7,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import damage_split, interactions, table_rows, write_corpus
+from conftest import damage_split, interactions, make_catalog, table_rows, write_corpus
 from split_oracle import history_entries, split_rows
 from rerankeval.errors import EmptyTitle, MalformedRow, NoHistory, RerankEvalError
-from rerankeval.ingest import (ItemCard, _load_plain, _load_rows,
+from rerankeval.ingest import (ItemCard, _codes, _load_plain, _load_rows,
                                build_item_description, load_interactions,
                                load_items, read_split, split_leave_n_out,
                                user_history, write_split)
@@ -314,6 +314,8 @@ DAMAGED_SPLITS = {
     "int32_held": lambda m, c: c.__setitem__("held", c["held"].astype(np.int32)),
     "pickled_column": lambda m, c: c.__setitem__("item", c["item"].astype(object)),
     "no_held_member": lambda m, c: c.pop("held"),
+    # written before one row per (user, item) was the rule: it may repeat a pair
+    "no_format_marker": lambda m, c: m.pop("format"),
 }
 
 
@@ -356,8 +358,9 @@ class TestSplitMatchesRowOracle:
         split = split_leave_n_out(load_interactions(write_corpus(tmp_path)[0]))
         write_split(tmp_path / "split.json", split)
         assert json.loads((tmp_path / "split.json").read_text(encoding="utf-8")) == {
-            "users": split.rows.users.tolist(), "items": split.rows.items.tolist(),
-            "rows": len(split.rows), "excluded_users": split.excluded_users}
+            "format": 2, "users": split.rows.users.tolist(),
+            "items": split.rows.items.tolist(), "rows": len(split.rows),
+            "excluded_users": split.excluded_users}
         with np.load(tmp_path / "split.npz", allow_pickle=False) as npz:
             columns = dict(npz)
         assert {name: column.dtype.str for name, column in columns.items()} == {
@@ -383,6 +386,30 @@ class TestSplitMatchesRowOracle:
         assert split.test.items.tolist() == ["4", "5"]
         assert split.train.items.tolist() == ["0", "1", "2", "3"]
         assert np.array_equal(split.train.item_codes(["3", "5", "x"]), [3, -1, -1])
+
+
+class TestLookups:
+    def test_user_code_and_rows_of_an_unknown_user(self):
+        table = interactions([("v", 1, 3.0, 1), ("u", 2, 4.0, 2), ("v", 3, 5.0, 3)])
+        assert [table.user_code(u) for u in ("u", "v", "ghost")] == [0, 1, -1]
+        assert table.rows_of("v").tolist() == [0, 2]
+        assert table.rows_of("ghost").tolist() == []
+        assert table.entries("ghost") == []
+        assert interactions([]).rows_of("u").tolist() == []
+
+    def test_positions_without_matches_the_code_lookup(self):
+        rng = random.Random(11)
+        for case in range(300):
+            catalog = make_catalog(rng.randrange(0, 40))
+            # ids in and out of the catalog, with repeats
+            ids = [rng.choice([str(rng.randrange(0, 60)), f"x{rng.randrange(3)}"])
+                   for _ in range(rng.randrange(0, 30))]
+            codes = _codes(catalog.ids, ids)
+            keep = np.ones(len(catalog.ids), dtype=bool)
+            keep[codes[codes >= 0]] = False
+            for given in (ids, set(ids)):
+                assert np.array_equal(catalog.positions_without(given),
+                                      np.flatnonzero(keep)), case
 
 
 class TestSampleHistory:

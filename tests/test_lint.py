@@ -155,3 +155,32 @@ def test_text_reads_skip_a_byte_order_mark():
     found = [(path.name, line) for path in sorted(SRC.glob("*.py"))
              for line in text_reads_without_bom_skip(path.read_text(encoding="utf-8"))]
     assert found == []
+
+
+# the array lookups of ids, with user_codes, which Interactions.user_code
+# replaced; one id goes through a dict instead of a str array and a binary search
+ARRAY_LOOKUPS = {"user_codes", "item_codes", "_codes"}
+
+
+def one_id_array_lookups(source):
+    """Line of each call in source to one of ARRAY_LOOKUPS, as a function or
+    a method, that passes a one-element list or tuple literal."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and (node.func.attr if isinstance(node.func, ast.Attribute)
+                       else getattr(node.func, "id", None)) in ARRAY_LOOKUPS
+                  and any(isinstance(arg, (ast.List, ast.Tuple)) and len(arg.elts) == 1
+                          for arg in node.args))
+
+
+def test_checker_sees_one_id_array_lookups():
+    source = ("t.user_codes([u])[0]\nt.item_codes([i])\n_codes(table, [i])\n"
+              "t.item_codes(ids)\nt.item_codes([a, b])\n_codes(table, (i,))\n"
+              "t.user_code(u)\nf([i])\nt.item_codes(list(ids))\n")
+    assert one_id_array_lookups(source) == [1, 2, 3, 6]
+
+
+def test_one_id_lookups_go_through_dicts():
+    found = [(path.name, line) for path in sorted(SRC.glob("*.py"))
+             for line in one_id_array_lookups(path.read_text(encoding="utf-8"))]
+    assert found == []

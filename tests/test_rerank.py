@@ -2,10 +2,12 @@ import itertools
 
 import pytest
 
-from conftest import PeakBackend, candidate_ids, make_history, make_slate, prompt_hash
-from rerankeval.errors import HttpStatus, RerankEvalError, UnknownItem
+from conftest import (PeakBackend, candidate_ids, make_catalog, make_history, make_slate,
+                      prompt_hash)
+from rerankeval.errors import EmptyTitle, HttpStatus, RerankEvalError, UnknownItem
+from rerankeval.ingest import ItemCard, build_item_description
 from rerankeval.llm_client import ScriptedBackend
-from rerankeval.rerank import (RankedItem, RankingOutput,
+from rerankeval.rerank import (RankedItem, RankingOutput, _describe,
                                aggregate_self_consistency, bootstrap_shuffles,
                                build_prompt, none_ranker, parse_ranking,
                                rerank_users)
@@ -44,6 +46,18 @@ class TestBuildPrompt:
         slate = make_slate("u", list(range(2, 16)) + [999])
         with pytest.raises(UnknownItem):
             build_prompt(history, slate, catalog)
+
+    def test_describe_checks_every_call_and_describes_each_item_once(self):
+        catalog = make_catalog(3)
+        catalog.items["2"] = ItemCard(id="2", title="")
+        first = _describe("1", catalog)
+        for _ in range(3):
+            with pytest.raises(UnknownItem):
+                _describe("9", catalog)
+            with pytest.raises(EmptyTitle):
+                _describe("2", catalog)
+            assert _describe("1", catalog) is first
+        assert first == build_item_description(catalog.items["1"])
 
 
 class TestParseRanking:
