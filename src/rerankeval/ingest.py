@@ -53,8 +53,8 @@ class Interactions:
 
     def take(self, rows):
         """The table of rows (indices or a mask), over just the ids they use."""
-        users, user = np.unique(self.user[rows], return_inverse=True)
-        items, item = np.unique(self.item[rows], return_inverse=True)
+        users, user = _present(self.user[rows], len(self.users))
+        items, item = _present(self.item[rows], len(self.items))
         return Interactions(self.users[users], self.items[items], user, item,
                             self.rating[rows], self.timestamp[rows])
 
@@ -87,6 +87,18 @@ class Interactions:
         rows = self.rows_of(user)
         return list(zip(self.items[self.item[rows]].tolist(),
                         self.rating[rows].tolist(), self.timestamp[rows].tolist()))
+
+
+def _present(codes, n):
+    """(the codes among 0..n-1 that occur in codes, ascending; codes
+    renumbered to positions in it), as np.unique(codes, return_inverse=True)
+    gives them."""
+    present = np.zeros(n, dtype=bool)
+    present[codes] = True
+    kept = np.flatnonzero(present)
+    if len(kept) == n:
+        return kept, codes
+    return kept, (np.cumsum(present) - 1)[codes]
 
 
 def _codes(table, ids):
@@ -207,10 +219,17 @@ _PLAIN_BYTES[ord('"')] = False
 _PLAIN_BYTES[ord("\n")] = True
 # rows cut per block, so that no temporary grows with rows x field width
 _BLOCK_ROWS = 32768
-# The plain path pads each column to its longest field. A file whose padded
-# columns would take more than this many times its own bytes has an outsized
-# field, and is read row by row instead.
+# A file whose columns, each padded to its longest field, would take more than
+# this many times its own bytes has an outsized field, and is read row by row
+# instead: the plain path pads a wide id or rating column.
 _MAX_PADDING = 4
+# an id column at most this many bytes wide is sorted as one uint64 key per row
+_KEY_BYTES = 8
+# A rating at most this wide holds at most 15 digits, so the digits as an
+# integer and the power of ten are exact doubles, and one division gives
+# float()'s correctly rounded value.
+_EXACT_RATING_WIDTH = 15
+_POW10 = np.array([float(10 ** k) for k in range(_EXACT_RATING_WIDTH)])
 
 
 def _load_plain(path):
@@ -231,39 +250,39 @@ def _load_plain(path):
     commas = np.flatnonzero(buf == ord(","))
     if len(commas) != 3 * len(ends):
         return None
-    # field k of line n is buf[cuts[n, k] + 1:cuts[n, k + 1]]
-    cuts = np.column_stack((np.concatenate(([-1], ends[:-1])), commas.reshape(-1, 3), ends))
+    # field k of line n is buf[cuts[k][n] + 1:cuts[k + 1][n]]
+    cuts = [np.concatenate(([-1], ends[:-1])), *(commas[k::3].copy() for k in range(3)), ends]
     del commas, ends
-    lengths = np.diff(cuts, axis=1) - 1
-    if not (lengths > 0).all():  # each field in its line, not empty
-        return None
-    header = int(_looks_like_header(buf[:cuts[0, 4]].tobytes().decode().split(",")))
-    cuts, widths = cuts[header:], lengths[header:].max(axis=0, initial=0)
+    header = int(_looks_like_header(buf[:cuts[4][0]].tobytes().decode().split(",")))
+    widths = []
+    for k in range(4):
+        lengths = cuts[k + 1] - cuts[k] - 1
+        if not (lengths > 0).all():  # each field in its line, not empty
+            return None
+        widths.append(int(lengths[header:].max(initial=0)))
     del lengths
-    if (not len(cuts) or len(cuts) * widths.sum() > _MAX_PADDING * len(buf)
+    cuts = [column[header:] for column in cuts]
+    if (not len(cuts[0]) or len(cuts[0]) * sum(widths) > _MAX_PADDING * len(buf)
             or widths[3] > 18):
         return None
-    user, item, rating, ts = (_field(buf, cuts[:, k] + 1, cuts[:, k + 1], widths[k])
-                              for k in range(4))
-    if not (_is_number(rating, points=1) and _is_number(ts, points=0)):
+    # fields last to first, each column of cuts popped once no field needs it
+    ts = _number(buf, cuts[3], cuts.pop(), widths[3], decimal=False)
+    rating = _number(buf, cuts[2], cuts.pop(), widths[2], decimal=True)
+    if ts is None or rating is None or not ((RATING_MIN <= rating)
+                                            & (rating <= RATING_MAX)).all():
         return None
-    rating = rating.astype(np.float64)
-    if not ((RATING_MIN <= rating) & (rating <= RATING_MAX)).all():
-        return None
-    users, user = np.unique(user, return_inverse=True)
-    items, item = np.unique(item, return_inverse=True)
-    # ASCII byte order is code point order, so the id tables are from_columns's
-    return Interactions(users.astype(str), items.astype(str), user, item, rating,
-                        ts.astype(np.int64))
+    items, item = _ids(buf, cuts[1], cuts.pop(), widths[1])
+    users, user = _ids(buf, *cuts, widths[0])
+    return Interactions(users, items, user, item, rating, ts)
 
 
-def _field(buf, starts, stops, width):
-    """buf[starts[n]:stops[n]] of each row n, as a bytes column `width` wide
-    (at least the longest)."""
-    out = np.empty((len(starts), width), dtype=np.uint8)
-    offsets = np.arange(width)
-    for lo in range(0, len(starts), _BLOCK_ROWS):
-        start, stop = starts[lo:lo + _BLOCK_ROWS, None], stops[lo:lo + _BLOCK_ROWS, None]
+def _field(buf, before, stops, width):
+    """buf[before[n] + 1:stops[n]] of each row n, as a bytes column `width`
+    wide (at least the longest)."""
+    out = np.empty((len(before), width), dtype=np.uint8)
+    offsets = np.arange(1, width + 1)
+    for lo in range(0, len(before), _BLOCK_ROWS):
+        start, stop = before[lo:lo + _BLOCK_ROWS, None], stops[lo:lo + _BLOCK_ROWS, None]
         at = start + offsets
         block = buf.take(at, mode="clip")
         block[at >= stop] = 0
@@ -271,14 +290,67 @@ def _field(buf, starts, stops, width):
     return out.view(f"S{width}").ravel()
 
 
-def _is_number(column, points):
-    """Whether each entry of a bytes column is digits with at most `points`
-    decimal points."""
-    field = column.view(np.uint8).reshape(len(column), -1)
-    digit = (field >= ord("0")) & (field <= ord("9"))
-    point = field == ord(".")
-    return bool((digit | point | (field == 0)).all() and digit.any(axis=1).all()
-                and (np.count_nonzero(point, axis=1) <= points).all())
+def _byte(buf, before, stops, j):
+    """Byte j of each field buf[before[n] + 1:stops[n]], 0 past its end."""
+    at = before + (j + 1)
+    byte = buf.take(at, mode="clip")
+    byte[at >= stops] = 0
+    return byte
+
+
+def _ids(buf, before, stops, width):
+    """(sorted distinct ids as a str array, code per row) of the id fields
+    buf[before[n] + 1:stops[n]], `width` bytes the longest. Ids of at most
+    _KEY_BYTES bytes are sorted as one uint64 per row, their bytes
+    big-endian and NUL-padded: plain ids hold no NUL, so key order is byte
+    order, and ASCII byte order is code point order, as from_columns sorts."""
+    if width > _KEY_BYTES:
+        ids, codes = np.unique(_field(buf, before, stops, width), return_inverse=True)
+        return ids.astype(str), codes
+    key = np.zeros(len(before), dtype=np.uint64)
+    for j in range(width):
+        key <<= np.uint64(8)
+        key |= _byte(buf, before, stops, j)
+    key <<= np.uint64(8 * (_KEY_BYTES - width))
+    keys, codes = np.unique(key, return_inverse=True)
+    return keys.astype(">u8").view(f"S{_KEY_BYTES}").astype(f"U{width}"), codes
+
+
+def _number(buf, before, stops, width, decimal):
+    """Each field buf[before[n] + 1:stops[n]], `width` bytes the longest, as
+    a number, or None unless every field is digits (decimal: with at most one
+    point, and at least one digit). The digits are read into an int64 by one
+    Horner step per byte position, exact for at most 18 of them. Without
+    decimal that int64 is the column; with it, the float64 column equal to
+    float() of each field: the int64 over a power of ten up to
+    _EXACT_RATING_WIDTH bytes, float() of each field beyond."""
+    value = np.zeros(len(before), dtype=np.int64)
+    if decimal:
+        after = np.zeros(len(before), dtype=np.int64)  # digits after the point
+        point, any_digit = np.zeros(len(before), dtype=bool), np.zeros(len(before), dtype=bool)
+    for j in range(width):
+        byte = _byte(buf, before, stops, j)
+        digit = byte - np.uint8(ord("0"))
+        is_digit = digit < 10
+        valid = is_digit | (byte == 0)
+        if decimal:
+            is_point = byte == ord(".")
+            if (is_point & point).any():
+                return None
+            valid |= is_point
+            point |= is_point
+            after += point & is_digit
+            any_digit |= is_digit
+        if not valid.all():
+            return None
+        value = np.where(is_digit, value * 10 + digit, value)
+    if not decimal:
+        return value
+    if not any_digit.all():
+        return None
+    if width <= _EXACT_RATING_WIDTH:
+        return value / _POW10[after]
+    return _field(buf, before, stops, width).astype(np.float64)
 
 
 def _load_rows(path):
@@ -349,14 +421,19 @@ def _csv_rows(path):
 
 
 def _card(line_no, row):
-    """An ItemCard from the catalog row on line_no; genres are a list or
-    pipe-joined. No id may hold a NUL: a str array like Catalog.ids drops trailing ones."""
+    """An ItemCard from the catalog row on line_no; genres are absent, null,
+    a list of str or one pipe-joined str. No id may hold a NUL: a str array
+    like Catalog.ids drops trailing ones."""
     item_id = str(row["id"]).strip()
     if "\x00" in item_id:
         raise MalformedRow(line_no, "item id with a NUL")
-    genres = row.get("genres") or []
-    if isinstance(genres, str):
+    genres = row.get("genres")
+    if genres is None:
+        genres = []
+    elif isinstance(genres, str):
         genres = [g for g in genres.split("|") if g]
+    elif not (isinstance(genres, list) and all(isinstance(g, str) for g in genres)):
+        raise MalformedRow(line_no, "genres neither a str nor a list of str")
     return ItemCard(id=item_id, title=str(row.get("title") or "").strip(),
                     genres=list(genres), language=str(row.get("language") or "").strip(),
                     overview_short=str(row.get("overview") or "").strip())

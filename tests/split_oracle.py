@@ -1,9 +1,14 @@
 """Reference leave-n-out split and history sampling on (user, item, rating,
 timestamp) row tuples: the per-user loops that ingest's columnar
-split_leave_n_out and user_history replace. Kept only to check them against.
+split_leave_n_out and user_history replace; and Interactions.take as
+np.unique renumbers codes. Kept only to check them against.
 """
 
 import random
+
+import numpy as np
+
+from rerankeval.ingest import Interactions
 
 
 def split_rows(rows, n_test=10, min_history=5, threshold=4.0):
@@ -44,3 +49,12 @@ def history_entries(user_rows, limit=10, strategy="recent", seed=None):
         rows = random.Random(seed).sample(rows, limit)
         rows.sort(key=lambda r: (-r[3], r[1]))
     return [(item, rating, ts) for _, item, rating, ts in rows]
+
+
+def take(table, rows):
+    """The Interactions of table's rows (indices or a mask), its codes
+    renumbered by np.unique over just the ids the rows use."""
+    users, user = np.unique(table.user[rows], return_inverse=True)
+    items, item = np.unique(table.item[rows], return_inverse=True)
+    return Interactions(table.users[users], table.items[items], user, item,
+                        table.rating[rows], table.timestamp[rows])

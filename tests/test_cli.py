@@ -617,6 +617,9 @@ class TestBadInputFileExits2:
         ('[1, "List"]', "not a JSON object with id"),
         ("title,genres\nA,B", "no id field"),
         ("title,id\nA", "no id field"),
+        ('{"id": 2, "title": "T", "genres": 7}', "genres neither a str nor a list of str"),
+        ('{"id": 2, "title": "T", "genres": [1, 2]}', "genres neither a str nor a list of str"),
+        ('{"id": 2, "title": "T", "genres": {"a": 1}}', "genres neither a str nor a list of str"),
     ])
     def test_malformed_catalog_line_exits_2(self, corpus, tmp_path, capsys, line,
                                             message):
@@ -631,6 +634,7 @@ class TestBadInputFileExits2:
                      "--run-dir", str(run_dir)])
         assert code == EXIT_CONFIG
         assert f"error: line 2: {message}" in capsys.readouterr().err
+        assert not run_dir.exists()
 
 
 def dataset_answer(request):

@@ -1,6 +1,8 @@
+import itertools
 import json
 import random
 import re
+import tracemalloc
 import zipfile
 from collections import Counter
 
@@ -8,12 +10,12 @@ import numpy as np
 import pytest
 
 from conftest import damage_split, interactions, make_catalog, table_rows, write_corpus
-from split_oracle import history_entries, split_rows
+from split_oracle import history_entries, split_rows, take
 from rerankeval.errors import EmptyTitle, MalformedRow, NoHistory, RerankEvalError
-from rerankeval.ingest import (ItemCard, _codes, _load_plain, _load_rows,
-                               build_item_description, load_interactions,
-                               load_items, read_split, split_leave_n_out,
-                               user_history, write_split)
+from rerankeval.ingest import (RATING_MAX, RATING_MIN, Interactions, ItemCard, _codes,
+                               _load_plain, _load_rows, build_item_description,
+                               load_interactions, load_items, read_split,
+                               split_leave_n_out, user_history, write_split)
 
 
 def write(tmp_path, name, text):
@@ -133,20 +135,34 @@ class TestPlainPath:
         alphabet = "aZz09_-.:'~#"
         ratings = ["4.", ".5", "05.0", "0.5", "1", "2.5", "3.25", "4.0", "4.5", "5", "5.000"]
         breaks = [("rating", "nan"), ("rating", "1e0"), ("rating", " 4.0"), ("rating", "6"),
-                  ("rating", "4.5.0"), ("user", " u"),
-                  ("item", '"x"'), ("item", ""), ("item", "\u00e9"), ("ts", "-1"),
-                  ("ts", "1" * 19), ("ts", "4\r"), ("line", ""), ("end", "")]
+                  ("rating", "4.5.0"), ("rating", "."), ("rating", "4.0000000000000.0"),
+                  ("user", " u"), ("item", '"x"'), ("item", ""), ("item", "\u00e9"),
+                  ("ts", "-1"), ("ts", "1" * 19), ("ts", "4\r"), ("ts", "1.5"),
+                  ("line", ""), ("end", "")]
+        # id lengths either side of the 8-byte key; rating columns either side
+        # of 15 characters, with leading zeros
+        id_lengths = [(1, 7), (1, 8), (8, 8), (9, 12), (1, 12)]
+
+        def long_rating(width):
+            text = f"{rng.uniform(0.5, 5.0):.{rng.randint(1, width - 2)}f}"
+            return text.zfill(width) if rng.random() < 0.5 else text
+
         p = tmp_path / "r.csv"
         seen = Counter()
-        for case in range(400):
-            ids = ["".join(rng.choices(alphabet, k=rng.randint(1, 9)))
+        for case in range(500):
+            id_length = rng.choice(id_lengths)
+            ids = ["".join(rng.choices(alphabet, k=rng.randint(*id_length)))
                    for _ in range(rng.randint(1, 30))]
+            rating_width = rng.choice([0, 0, 15, rng.randint(16, 20)])
             rows = []
             for _ in range(rng.randint(1, 60)):
                 digits = rng.choice([1, 3, 10, 18])
                 rows.append({"user": rng.choice(ids), "item": rng.choice(ids[:8]),
-                             "rating": rng.choice(ratings),
+                             "rating": (long_rating(rating_width) if rating_width
+                                        else rng.choice(ratings)),
                              "ts": str(rng.randrange(10 ** digits)).zfill(rng.choice([1, digits]))})
+            if rating_width:
+                rng.choice(rows)["rating"] = long_rating(rating_width).zfill(rating_width)
             broken = case % 3 == 0
             if broken:
                 kind, value = rng.choice(breaks)
@@ -170,7 +186,68 @@ class TestPlainPath:
             seen["duplicate_pairs"] += len(rows) - len({(r["user"], r["item"]) for r in rows})
             seen["long_timestamps"] += sum(len(r["ts"]) == 18 for r in rows)
             seen["leading_zeros"] += sum(r["ts"][0] == "0" and len(r["ts"]) > 1 for r in rows)
-        assert min(seen.values()) > 50, seen
+            seen["long_timestamps_with_leading_zeros"] += sum(
+                len(r["ts"]) == 18 and r["ts"][0] == "0" for r in rows)
+            for column in ("user", "item"):
+                width = max(len(r[column]) for r in rows)
+                seen[f"{column}_keys_8_bytes" if width == 8 else
+                     f"{column}_keys" if width < 8 else f"{column}_ids_9_to_12_bytes"] += 1
+            width = max(len(r["rating"]) for r in rows)
+            seen["ratings_15_wide" if width == 15 else
+                 "ratings_by_digits" if width < 15 else "ratings_16_to_20_wide"] += 1
+        assert len(seen) == 13 and min(seen.values()) >= 15, seen
+
+    def test_peak_memory_is_a_small_multiple_of_the_file(self, tmp_path):
+        # the benchmark's largest corpus shape: 120k rows, 1500 users, 1000
+        # items. All four fields cut into padded byte-string columns, as a
+        # wide column is, peak at 6.1 times the file's bytes.
+        rng = random.Random(5)
+        p = tmp_path / "ratings.csv"
+        p.write_text("userId,itemId,rating,timestamp\n" + "".join(
+            f"u{rng.randint(1, 1500)},{rng.randint(1, 1000)},{rng.randint(1, 10) / 2:g},"
+            f"{1_000_000_000 + n}\n" for n in range(120_000)), encoding="utf-8")
+        tracemalloc.start()
+        try:
+            table = load_interactions(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(table) == 120_000
+        assert peak <= 5.5 * p.stat().st_size, peak / p.stat().st_size
+
+    @staticmethod
+    def plain_ratings(tmp_path, texts):
+        """The rating column _load_plain reads from a file of texts as ratings."""
+        p = tmp_path / "r.csv"
+        p.write_text("".join(f"u,{n},{text},1\n" for n, text in enumerate(texts)),
+                     encoding="utf-8")
+        table = _load_plain(p)
+        assert table is not None
+        return table.rating
+
+    def test_short_ratings_parse_to_float_bit_for_bit(self, tmp_path):
+        digits = "0123456789"
+        texts = [d for d in digits] + [d + "." for d in digits] + ["." + d for d in digits]
+        texts += [f"{d}.{f}" for d in digits for k in range(1, 5)
+                  for f in ("".join(p) for p in itertools.product(digits, repeat=k))]
+        texts = [t for t in texts if RATING_MIN <= float(t) <= RATING_MAX]
+        assert len(texts) > 45_000
+        expected = np.array([float(t) for t in texts])
+        assert np.array_equal(self.plain_ratings(tmp_path, texts).view(np.int64),
+                              expected.view(np.int64))
+
+    def test_ratings_up_to_15_characters_parse_to_float_bit_for_bit(self, tmp_path):
+        rng = random.Random(7)
+        texts = []
+        while len(texts) < 10_000:
+            whole = "0" * rng.randint(0, 3) + rng.choice(["", "0", "1", "2", "3", "4", "5"])
+            text = (whole + "." + "".join(rng.choices("0123456789", k=14)))[:rng.randint(2, 15)]
+            if text != "." and RATING_MIN <= float(text) <= RATING_MAX:
+                texts.append(text)
+        assert max(map(len, texts)) == 15
+        expected = np.array([float(t) for t in texts])
+        assert np.array_equal(self.plain_ratings(tmp_path, texts).view(np.int64),
+                              expected.view(np.int64))
 
     def test_benchmark_corpus_shape_takes_the_plain_path(self, tmp_path):
         # perfbench/corpus.py writes a header, then u{n},{i},{r:g},{ts} lines
@@ -182,6 +259,38 @@ class TestPlainPath:
         table = _load_plain(p)
         assert table is not None and len(table) == 78
         assert_same_table(table, _load_rows(p))
+
+
+class TestTake:
+    def test_fuzz_matches_the_unique_oracle(self):
+        rng = np.random.default_rng(3)
+        seen = Counter()
+        for case in range(300):
+            n = int(rng.integers(0, 80))
+            table = Interactions.from_columns(
+                [f"u{k}" for k in rng.integers(0, 12, n)],
+                [f"i{k}" for k in rng.integers(0, 20, n)],
+                rng.choice([1.0, 3.5, 4.5], n), rng.integers(0, 2**40, n))
+            kind = case % 5
+            if kind == 0:    # a mask
+                rows = rng.random(n) < rng.choice([0.0, 0.3, 0.9, 1.0])
+            elif kind == 1:  # every row, in some order
+                rows = rng.permutation(n)
+            elif kind == 2:  # some rows, some of them repeated
+                rows = rng.integers(0, max(n, 1), int(rng.integers(0, 2 * n + 1)))
+            elif kind == 3:  # a subset in table order
+                rows = np.flatnonzero(rng.random(n) < 0.5)
+            else:            # no row
+                rows = np.array([], dtype=np.int64)
+            got, expected = table.take(rows), take(table, rows)
+            for name in COLUMNS:
+                x, y = getattr(got, name), getattr(expected, name)
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), (case, name)
+            kept = (len(got.users) == len(table.users)) + (len(got.items) == len(table.items))
+            seen[("some ids dropped", "one table kept whole", "both tables kept whole")[kept]] += 1
+            seen["empty"] += not len(got)
+            seen["repeated rows"] += len(np.unique(rows)) < len(rows) and rows.dtype != bool
+        assert len(seen) == 5 and min(seen.values()) >= 10, seen
 
 
 class TestLoadItems:
@@ -209,6 +318,26 @@ class TestLoadItems:
         p = tmp_path / "items.jsonl"
         p.write_bytes('\ufeff{"id": 1, "title": "Toy Story"}\n'.encode("utf-8"))
         assert load_items(p).get("1").title == "Toy Story"
+
+    @pytest.mark.parametrize("genres,expected", [
+        ("null", []), ('"A|B"', ["A", "B"]), ('"A||B|"', ["A", "B"]),
+        ('["A|B", "C"]', ["A|B", "C"]), ("[]", []), ('""', []),
+    ])
+    def test_jsonl_genres_null_str_or_list_of_str(self, tmp_path, genres, expected):
+        p = write(tmp_path, "items.jsonl", f'{{"id": 1, "title": "T", "genres": {genres}}}\n')
+        assert load_items(p).get("1").genres == expected
+
+    def test_jsonl_without_genres(self, tmp_path):
+        p = write(tmp_path, "items.jsonl", '{"id": 1, "title": "T"}\n')
+        assert load_items(p).get("1").genres == []
+
+    @pytest.mark.parametrize("genres", ["7", "[1, 2]", '["A", null]', '{"a": 1}', "{}",
+                                        "false", "0"])
+    def test_jsonl_genres_of_another_type_rejected_with_its_line(self, tmp_path, genres):
+        p = write(tmp_path, "items.jsonl",
+                  '{"id": 1, "title": "T"}\n' f'{{"id": 2, "title": "U", "genres": {genres}}}\n')
+        with pytest.raises(MalformedRow, match="line 2: genres neither a str nor a list of str"):
+            load_items(p)
 
     @pytest.mark.parametrize("name,text", [
         ("items.csv", "id,title\n1,Toy Story\n2\x00,Heat\n"),
