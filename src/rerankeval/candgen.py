@@ -5,7 +5,6 @@ import hashlib
 import json
 import logging
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
@@ -321,12 +320,11 @@ def gen_model_slate(user, scorer, catalog, train_codes, exclusions, inject_posit
 # External slates
 # --------------------------------------------------------------------------
 
-def export_slates(slates, path):
-    """Write slates as JSONL {user, items, source}."""
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for s in slates:
-            fh.write(json.dumps({"user": s.user, "items": list(s.items),
-                                 "source": s.source}) + "\n")
+def export_slates(fh, slates):
+    """Write slates to the binary file fh as JSONL {user, items, source}."""
+    for s in slates:
+        fh.write(json.dumps({"user": s.user, "items": list(s.items),
+                             "source": s.source}).encode() + b"\n")
 
 
 def import_slates(path):

@@ -181,10 +181,12 @@ def cmd_ingest(cfg):
     if not split.held.any():
         raise ValueError(f"no eligible evaluation users (excluded: {split.excluded_users})")
     run_dir.mkdir(parents=True, exist_ok=True)
-    ingest.write_split(run_dir / "split.json", split)
-    ingest.write_catalog(run_dir / "catalog.jsonl", catalog)
-    (run_dir / "config.json").write_text(
-        json.dumps(asdict(cfg), indent=2) + "\n", encoding="utf-8")
+    # split.json, which stands for the pair, moves last
+    names = ("split.npz", "catalog.jsonl", "config.json", "split.json")
+    with ingest.commit(*(run_dir / name for name in names)) as (npz, cat, conf, meta):
+        ingest.write_split(npz, meta, split)
+        ingest.write_catalog(cat, catalog)
+        conf.write(json.dumps(asdict(cfg), indent=2).encode() + b"\n")
 
     print(f"interactions: {len(interactions)}")
     print(f"users: {len(interactions.users)}")
@@ -333,9 +335,6 @@ def _write_report(run_dir, cfg, users, baseline_results, ranked_results,
                           "p": r.p_value, "stars": r.significant})
             for (m, n), r in sorted(comparison.items())
         }
-    (run_dir / "report.json").write_text(json.dumps(report, indent=2,
-                                                    sort_keys=True) + "\n",
-                                         encoding="utf-8")
 
     base = {(r.metric, r.n): r.mean for r in baseline_results}
     ranked = {(r.metric, r.n): r.mean for r in (ranked_results or [])}
@@ -358,9 +357,12 @@ def _write_report(run_dir, cfg, users, baseline_results, ranked_results,
             csv_lines.append(",".join(str(row[h]) for h in header))
             row[best[0]] = f"**{best[1]:.4f}**"
             txt_lines.append(" | ".join(str(row[h]).ljust(13) for h in header))
-    (run_dir / "report.csv").write_text("\n".join(csv_lines) + "\n", encoding="utf-8",
-                                        newline="")
-    (run_dir / "report.txt").write_text("\n".join(txt_lines) + "\n", encoding="utf-8")
+    # report.json, the file readers check first, moves last
+    texts = {"csv": "\n".join(csv_lines), "txt": "\n".join(txt_lines),
+             "json": json.dumps(report, indent=2, sort_keys=True)}
+    with ingest.commit(*(run_dir / f"report.{ext}" for ext in texts)) as files:
+        for fh, text in zip(files, texts.values()):
+            fh.write(text.encode() + b"\n")
 
 
 def cmd_build_dataset(cfg):
@@ -428,7 +430,8 @@ def cmd_human_eval(ratings_a, ratings_b, paired=False):
 def cmd_export_slates(cfg, out_path):
     split, catalog, users = _load_run_dir(cfg)
     inputs = _user_inputs(cfg, users, split, catalog)
-    candgen.export_slates([inputs[u][1] for u in sorted(inputs)], out_path)
+    with ingest.commit(out_path) as (fh,):
+        candgen.export_slates(fh, [inputs[u][1] for u in sorted(inputs)])
     print(f"wrote {len(inputs)} slates to {out_path}")
     return EXIT_PARTIAL if len(inputs) < len(users) else EXIT_OK
 

@@ -4,9 +4,6 @@ and DPO chosen/rejected pairs from shuffled rankings."""
 import hashlib
 import json
 import logging
-import os
-import tempfile
-from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -14,6 +11,7 @@ import numpy as np
 
 from .candgen import Slate, stable_seed
 from .errors import GenerationOrderDrift
+from .ingest import commit
 from .llm_client import ChatRequest
 from .rerank import build_prompt, parse_ranking
 
@@ -113,35 +111,6 @@ def make_dpo_pair(positive, seed, backend=None):
                    rejected=rejected)
 
 
-def _atomic_write(paths, rows):
-    """Write each row, a str line for each of paths, to the paths as UTF-8
-    through a temp file beside each, and return the sha256 of each file's
-    bytes. If a row cannot be made or written, the temp files are removed
-    and every path is left as it was."""
-    digests = [hashlib.sha256() for _ in paths]
-    tmps = []
-    try:
-        with ExitStack() as stack:
-            files = []
-            for path in paths:
-                fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-                tmps.append(tmp)
-                files.append(stack.enter_context(os.fdopen(fd, "wb")))
-            for row in rows:
-                for fh, digest, line in zip(files, digests, row):
-                    data = line.encode("utf-8")
-                    digest.update(data)
-                    fh.write(data)
-        for tmp, path in zip(tmps, paths):
-            os.replace(tmp, path)
-    except BaseException:
-        for tmp in tmps:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-        raise
-    return [digest.hexdigest() for digest in digests]
-
-
 def _jsonl_lines(sample, pair):
     """The sft.jsonl and dpo.jsonl lines of a sample and its pair, whose
     prompt and chosen are the sample's prompt and completion: each of those
@@ -155,19 +124,24 @@ def _jsonl_lines(sample, pair):
 
 def write_training_files(built, out_dir):
     """Emit sft.jsonl, dpo.jsonl and a manifest with counts and sha256 hashes.
-    built is a list of (sample, make_dpo_pair's pair of that sample). Both
-    JSONL files are written in one pass, line by line, hashed as they are
-    written; if a line fails, neither file nor the manifest changes."""
+    built is a list of (sample, make_dpo_pair's pair of that sample). The
+    JSONL files are written in one pass, hashed as they are written, and
+    committed with the manifest last: if a line or a write fails, no file changes."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    sft_sha, dpo_sha = _atomic_write(
-        [out_dir / "sft.jsonl", out_dir / "dpo.jsonl"],
-        (_jsonl_lines(sample, pair) for sample, pair in built))
-    manifest = {
-        "sft": {"path": "sft.jsonl", "count": len(built), "sha256": sft_sha},
-        "dpo": {"path": "dpo.jsonl", "count": len(built), "sha256": dpo_sha},
-    }
-    _atomic_write([out_dir / "manifest.json"], [[json.dumps(manifest, indent=2) + "\n"]])
+    sft_sha, dpo_sha = hashlib.sha256(), hashlib.sha256()
+    names = ("sft.jsonl", "dpo.jsonl", "manifest.json")
+    with commit(*(out_dir / name for name in names)) as (sft, dpo, manifest_file):
+        for sample, pair in built:
+            for fh, sha, line in zip((sft, dpo), (sft_sha, dpo_sha), _jsonl_lines(sample, pair)):
+                data = line.encode()
+                sha.update(data)
+                fh.write(data)
+        manifest = {
+            "sft": {"path": "sft.jsonl", "count": len(built), "sha256": sft_sha.hexdigest()},
+            "dpo": {"path": "dpo.jsonl", "count": len(built), "sha256": dpo_sha.hexdigest()},
+        }
+        manifest_file.write(json.dumps(manifest, indent=2).encode() + b"\n")
     return manifest
 
 

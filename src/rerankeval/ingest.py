@@ -7,7 +7,9 @@ slates. User and item ids are opaque strings; numeric ids are not converted.
 import csv
 import json
 import logging
+import os
 import random
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -211,12 +213,6 @@ def load_interactions(path):
     return _load_rows(path) if table is None else table
 
 
-# bytes a plain ratings file may hold: printable ASCII without space or quote,
-# and LF
-_PLAIN_BYTES = np.zeros(256, dtype=bool)
-_PLAIN_BYTES[0x21:0x7f] = True
-_PLAIN_BYTES[ord('"')] = False
-_PLAIN_BYTES[ord("\n")] = True
 # rows cut per block, so that no temporary grows with rows x field width
 _BLOCK_ROWS = 32768
 # A file whose columns, each padded to its longest field, would take more than
@@ -244,9 +240,13 @@ def _load_plain(path):
     _load_rows raises MalformedRow.
     """
     buf = np.fromfile(path, dtype=np.uint8)
-    if not len(buf) or buf[-1] != ord("\n") or not _PLAIN_BYTES[buf].all():
+    if not len(buf) or buf[-1] != ord("\n"):
         return None
     ends = np.flatnonzero(buf == ord("\n"))
+    # every byte LF or printable ASCII without space (0x21-0x7e), none a quote
+    if (len(ends) + np.count_nonzero(buf - np.uint8(0x21) < 0x5e) != len(buf)
+            or np.count_nonzero(buf == ord('"'))):
+        return None
     commas = np.flatnonzero(buf == ord(","))
     if len(commas) != 3 * len(ends):
         return None
@@ -439,17 +439,40 @@ def _card(line_no, row):
                     overview_short=str(row.get("overview") or "").strip())
 
 
-def write_catalog(path, catalog):
-    """Write catalog as JSON lines, one card per line in id order, with
-    overviews longer than OVERVIEW_MAX_WORDS words cut to that many."""
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for item_id in catalog.ids.tolist():
-            c = catalog.items[item_id]
-            words = c.overview_short.split()
-            overview = (" ".join(words[:OVERVIEW_MAX_WORDS])
-                        if len(words) > OVERVIEW_MAX_WORDS else c.overview_short)
-            fh.write(json.dumps({"id": c.id, "title": c.title, "genres": c.genres,
-                                 "language": c.language, "overview": overview}) + "\n")
+def write_catalog(fh, catalog):
+    """Write catalog to the binary file fh, one JSON line per card in id
+    order, with overviews longer than OVERVIEW_MAX_WORDS words cut to that many."""
+    for item_id in catalog.ids.tolist():
+        c = catalog.items[item_id]
+        words = c.overview_short.split()
+        overview = (" ".join(words[:OVERVIEW_MAX_WORDS])
+                    if len(words) > OVERVIEW_MAX_WORDS else c.overview_short)
+        fh.write(json.dumps({"id": c.id, "title": c.title, "genres": c.genres,
+                             "language": c.language, "overview": overview}).encode() + b"\n")
+
+
+@contextmanager
+def commit(*paths):
+    """Yield a list of binary files open for writing, one temp file beside
+    each of paths, created as open(path, "wb") would create it. When the
+    block ends, each temp file replaces its path, in the order given; if the
+    block raises, the temp files are removed and no path changes. A kill
+    between two moves leaves the earlier paths new and the later ones old, so
+    a caller names last the file a reader checks first."""
+    paths, temps, files = [Path(p) for p in paths], [], []
+    try:
+        with ExitStack() as stack:
+            for path in paths:
+                tmp = path.with_name(f"{path.name}.{os.urandom(4).hex()}.tmp")
+                files.append(stack.enter_context(open(tmp, "xb")))
+                temps.append(tmp)
+            yield files
+        for tmp, path in zip(temps, paths):
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp in temps:
+            tmp.unlink(missing_ok=True)
+        raise
 
 
 def jsonl_objects(path, keys):
@@ -520,20 +543,19 @@ _SPLIT_COLUMNS = {"user": np.int64, "item": np.int64, "rating": np.float64,
 _SPLIT_FORMAT = 2
 
 
-def write_split(path, split):
-    """Write split's row columns and held row indices (_SPLIT_COLUMNS) to
-    path.with_suffix(".npz"), then its format, id tables, row count and
-    excluded_users to path as JSON: a json written in full stands for a
-    whole pair."""
-    path, rows = Path(path), split.rows
+def write_split(npz, meta, split):
+    """Write split's row columns and held row indices (_SPLIT_COLUMNS) to the
+    binary file npz (split.npz), and its format, id tables, row count and
+    excluded_users to the binary file meta (split.json) as JSON. Commit meta
+    last: a split.json in place stands for a whole pair."""
+    rows = split.rows
     columns = dict(user=rows.user, item=rows.item, rating=rows.rating,
                    timestamp=rows.timestamp, held=np.flatnonzero(split.held))
-    np.savez(path.with_suffix(".npz"), **{name: np.asarray(column, _SPLIT_COLUMNS[name])
-                                          for name, column in columns.items()})
-    path.write_text(json.dumps({"format": _SPLIT_FORMAT, "users": rows.users.tolist(),
-                                "items": rows.items.tolist(), "rows": len(rows),
-                                "excluded_users": split.excluded_users})
-                    + "\n", encoding="utf-8")
+    np.savez(npz, **{name: np.asarray(column, _SPLIT_COLUMNS[name])
+                     for name, column in columns.items()})
+    meta.write(json.dumps({"format": _SPLIT_FORMAT, "users": rows.users.tolist(),
+                           "items": rows.items.tolist(), "rows": len(rows),
+                           "excluded_users": split.excluded_users}).encode() + b"\n")
 
 
 def read_split(path):

@@ -1,5 +1,9 @@
+import builtins
+import errno
 import hashlib
+import io
 import json
+import os
 import threading
 import time
 
@@ -7,7 +11,7 @@ import numpy as np
 import pytest
 
 from rerankeval.candgen import Slate
-from rerankeval.ingest import Catalog, History, Interactions, ItemCard
+from rerankeval.ingest import Catalog, History, Interactions, ItemCard, commit, write_split
 from rerankeval.llm_client import ScriptedBackend
 
 
@@ -60,6 +64,58 @@ def write_corpus(dir_path, n_users=30, n_items=60, n_high=20, n_low=5):
         items_lines.append(f"{i},Movie {i},Drama|Comedy,en,Overview of movie {i}.")
     (dir_path / "items.csv").write_text("\n".join(items_lines) + "\n")
     return dir_path / "ratings.csv", dir_path / "items.csv"
+
+
+def save_split(path, split):
+    """Write split as ingest does: to path (split.json) and the split.npz
+    beside it."""
+    with commit(path.with_suffix(".npz"), path) as (npz, meta):
+        write_split(npz, meta, split)
+
+
+class _NoSpace:
+    """An open file whose every write fails as on a full disk."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def write(self, data):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+@pytest.fixture
+def full_disk(monkeypatch):
+    """The set of file names whose writes fail: once a name is in it, each
+    write to a file opened for writing under that name, or a temp file for
+    it (name.<suffix>), raises OSError(ENOSPC), whichever module opens it."""
+    real_open = io.open
+    names = set()
+
+    def open_(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        name = "" if isinstance(file, int) else os.path.basename(os.fspath(file))
+        if set(mode) & set("wax+") and any(name == n or name.startswith(n + ".")
+                                           for n in names):
+            return _NoSpace(fh)
+        return fh
+
+    monkeypatch.setattr(builtins, "open", open_)
+    monkeypatch.setattr(io, "open", open_)
+    return names
+
+
+def files_in(*dirs):
+    """{path: bytes} of every file in dirs."""
+    return {path: path.read_bytes() for d in dirs for path in d.iterdir()}
 
 
 def damage_split(path, damage):

@@ -14,7 +14,7 @@ from rerankeval.candgen import (ItemKnnRecommender, build_item_knn,
                                 export_slates, gen_model_slate,
                                 gen_random_slate, import_slates, train_mf)
 from rerankeval.errors import CatalogTooSmall, MalformedRow, UnknownUser
-from rerankeval.ingest import (Catalog, ItemCard, RelevanceSet, load_interactions,
+from rerankeval.ingest import (Catalog, ItemCard, RelevanceSet, commit, load_interactions,
                                load_items, split_leave_n_out)
 
 
@@ -503,7 +503,8 @@ class TestSlateIo:
         catalog = make_catalog(20)
         slates = [gen_random_slate(u, catalog, set(), seed=4) for u in "ab"]
         path = tmp_path / "slates.jsonl"
-        export_slates(slates, path)
+        with commit(path) as (fh,):
+            export_slates(fh, slates)
         loaded = import_slates(path)
         assert [(s.user, s.items, s.source) for s in loaded] == \
             [(s.user, s.items, s.source) for s in slates]

@@ -1,15 +1,18 @@
 import hashlib
 import json
 import logging
+import os
 import random
 import socket
+import stat
 import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from conftest import PeakBackend, candidate_ids, damage_split, prompt_hash, write_corpus
+from conftest import (PeakBackend, candidate_ids, damage_split, files_in, prompt_hash,
+                      save_split, write_corpus)
 from rerankeval import cli, ingest, rerank
 from rerankeval.candgen import Slate
 from rerankeval.cli import EXIT_CONFIG, EXIT_OK, EXIT_PARTIAL, load_config, main
@@ -813,7 +816,7 @@ class TestBuildDataset:
         monkeypatch.chdir(tmp_path)
         main(ingest_args(corpus))
         # a split without eval users, which ingest itself refuses to write
-        ingest.write_split(run_dir / "split.json", ingest.split_leave_n_out(
+        save_split(run_dir / "split.json", ingest.split_leave_n_out(
             ingest.load_interactions(ratings), min_history=100))
         before = sorted(path.name for path in run_dir.iterdir())
         capsys.readouterr()
@@ -857,6 +860,85 @@ class TestBuildDataset:
         assert "dropped: 1" in capsys.readouterr().out
         manifest = json.loads((run_dir / "manifest.json").read_text())
         assert (manifest["sft"]["count"], manifest["dpo"]["count"]) == (29, 29)
+
+
+def fails_keeping_every_file(args, dirs, full_disk, name):
+    """Run args with each write to name failing, and assert that it exits 2
+    and leaves every file in dirs as it was, with no temp file beside them.
+    Then run args without the fault, and return the names of the files that
+    run changed: the files the failed run would have changed."""
+    before = files_in(*dirs)
+    full_disk.add(name)
+    assert main(args) == EXIT_CONFIG
+    assert files_in(*dirs) == before
+    full_disk.clear()
+    assert main(args) in (EXIT_OK, EXIT_PARTIAL)
+    after = files_in(*dirs)
+    return sorted(path.name for path in after if after[path] != before.get(path))
+
+
+class TestFailedWriteKeepsEveryFile:
+    """A command that cannot write one of its files (here, a full disk)
+    exits 2 and leaves the files it writes as they were: it commits all of
+    them, or none."""
+
+    @pytest.mark.parametrize("name", ["split.npz", "catalog.jsonl", "config.json",
+                                      "split.json"])
+    def test_ingest(self, corpus, tmp_path, full_disk, name):
+        _, _, run_dir = corpus
+        assert main(ingest_args(corpus)) == EXIT_OK
+        # a 40-user corpus into the 30-user run directory
+        (tmp_path / "data40").mkdir()
+        ratings, items = write_corpus(tmp_path / "data40", n_users=40, n_items=70)
+        args = [*ingest_args(corpus), "--ratings", str(ratings), "--items", str(items)]
+        assert fails_keeping_every_file(args, [run_dir], full_disk, name) == [
+            "catalog.jsonl", "config.json", "split.json", "split.npz"]
+
+    @pytest.mark.parametrize("name", ["report.csv", "report.txt", "report.json"])
+    def test_run(self, corpus, full_disk, name):
+        _, _, run_dir = corpus
+        main(ingest_args(corpus))
+        main(run_args(corpus))
+        assert fails_keeping_every_file(run_args(corpus, seed=7), [run_dir], full_disk,
+                                        name) == ["report.csv", "report.json", "report.txt"]
+
+    @pytest.mark.parametrize("name", ["sft.jsonl", "dpo.jsonl", "manifest.json"])
+    def test_build_dataset(self, corpus, full_disk, name):
+        _, _, run_dir = corpus
+        main(ingest_args(corpus))
+        args = ["build-dataset", "--run-dir", str(run_dir), "--offline", "1",
+                "--sample-count", "10"]
+        assert main(args) == EXIT_OK
+        assert fails_keeping_every_file([*args, "--seed", "7"], [run_dir], full_disk,
+                                        name) == ["dpo.jsonl", "manifest.json", "sft.jsonl"]
+
+    def test_export_slates(self, corpus, tmp_path, full_disk):
+        _, _, run_dir = corpus
+        main(ingest_args(corpus))
+        (tmp_path / "out").mkdir()
+        args = ["export-slates", "--run-dir", str(run_dir), "--sample-count", "10",
+                "--out", str(tmp_path / "out" / "slates.jsonl")]
+        assert main(args) == EXIT_OK
+        assert fails_keeping_every_file([*args, "--seed", "7"], [run_dir, tmp_path / "out"],
+                                        full_disk, "slates.jsonl") == ["slates.jsonl"]
+
+    def test_outputs_get_the_mode_open_gives(self, corpus):
+        _, _, run_dir = corpus
+        umask = os.umask(0o022)
+        try:
+            assert main(ingest_args(corpus)) == EXIT_OK
+            main(run_args(corpus))
+            assert main(["build-dataset", "--run-dir", str(run_dir), "--offline", "1",
+                         "--sample-count", "5"]) == EXIT_OK
+            assert main(["export-slates", "--run-dir", str(run_dir), "--sample-count", "5",
+                         "--out", str(run_dir / "slates.jsonl")]) == EXIT_OK
+            with open(run_dir / "by_open", "wb"):
+                pass
+        finally:
+            os.umask(umask)
+        modes = {path.name: stat.S_IMODE(path.stat().st_mode) for path in run_dir.iterdir()}
+        assert len(modes) == 12
+        assert modes == dict.fromkeys(modes, 0o644)
 
 
 class TestHumanEval:

@@ -175,6 +175,16 @@ class TestWriteTrainingFiles:
             write_training_files(built[1:] + [(built[0][0], None)], tmp_path)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
+    def test_failing_manifest_write_keeps_all_three_files(self, tmp_path, full_disk):
+        # the JSONL files are complete when the manifest's write fails
+        built = built_pairs(["p0", "p1"])
+        write_training_files(built[:1], tmp_path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        full_disk.add("manifest.json")
+        with pytest.raises(OSError, match="No space left on device"):
+            write_training_files(built, tmp_path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
 
 def filler_oracle(relevance, catalog, ranking, size, seed):
     """The filler as a pass over the catalog: a seeded sample of the sorted

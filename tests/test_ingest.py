@@ -9,13 +9,14 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import damage_split, interactions, make_catalog, table_rows, write_corpus
+from conftest import (damage_split, files_in, interactions, make_catalog, save_split,
+                      table_rows, write_corpus)
 from split_oracle import history_entries, split_rows, take
 from rerankeval.errors import EmptyTitle, MalformedRow, NoHistory, RerankEvalError
 from rerankeval.ingest import (RATING_MAX, RATING_MIN, Interactions, ItemCard, _codes,
-                               _load_plain, _load_rows, build_item_description,
+                               _load_plain, _load_rows, build_item_description, commit,
                                load_interactions, load_items, read_split,
-                               split_leave_n_out, user_history, write_split)
+                               split_leave_n_out, user_history)
 
 
 def write(tmp_path, name, text):
@@ -457,7 +458,7 @@ class TestSplitMatchesRowOracle:
             split = split_leave_n_out(interactions(rows), n_test=n_test,
                                       min_history=min_history)
             if case % 10 == 0:
-                write_split(tmp_path / "split.json", split)
+                save_split(tmp_path / "split.json", split)
                 split = read_split(tmp_path / "split.json")
             pairs = split.rows.user * len(split.rows.items) + split.rows.item
             assert len(np.unique(pairs)) == len(split.rows)
@@ -485,7 +486,7 @@ class TestSplitMatchesRowOracle:
 
     def test_written_split_is_a_json_and_an_npz(self, tmp_path):
         split = split_leave_n_out(load_interactions(write_corpus(tmp_path)[0]))
-        write_split(tmp_path / "split.json", split)
+        save_split(tmp_path / "split.json", split)
         assert json.loads((tmp_path / "split.json").read_text(encoding="utf-8")) == {
             "format": 2, "users": split.rows.users.tolist(),
             "items": split.rows.items.tolist(), "rows": len(split.rows),
@@ -504,7 +505,7 @@ class TestSplitMatchesRowOracle:
     @pytest.mark.parametrize("damage", DAMAGED_SPLITS.values(), ids=DAMAGED_SPLITS.keys())
     def test_damaged_split_rejected(self, tmp_path, damage):
         split = split_leave_n_out(load_interactions(write_corpus(tmp_path)[0]))
-        write_split(tmp_path / "split.json", split)
+        save_split(tmp_path / "split.json", split)
         damage_split(tmp_path / "split.json", damage)
         with pytest.raises(RerankEvalError, match="not a split written by this version"):
             read_split(tmp_path / "split.json")
@@ -515,6 +516,27 @@ class TestSplitMatchesRowOracle:
         assert split.test.items.tolist() == ["4", "5"]
         assert split.train.items.tolist() == ["0", "1", "2", "3"]
         assert np.array_equal(split.train.item_codes(["3", "5", "x"]), [3, -1, -1])
+
+
+class TestCommit:
+    def test_block_that_raises_changes_no_path(self, tmp_path):
+        (tmp_path / "a").write_bytes(b"old a")
+        with pytest.raises(ValueError):
+            with commit(tmp_path / "a", tmp_path / "b") as (a, b):
+                a.write(b"new a")
+                b.write(b"new b")
+                raise ValueError
+        assert files_in(tmp_path) == {tmp_path / "a": b"old a"}
+
+    def test_moves_in_order_and_removes_the_temps_after_a_failed_move(self, tmp_path):
+        # a file cannot replace the directory b: a moved, b and c did not
+        (tmp_path / "b").mkdir()
+        with pytest.raises(IsADirectoryError):
+            with commit(*(tmp_path / name for name in "abc")) as files:
+                for fh, data in zip(files, (b"new a", b"new b", b"new c")):
+                    fh.write(data)
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["a", "b"]
+        assert (tmp_path / "a").read_bytes() == b"new a"
 
 
 class TestLookups:

@@ -106,6 +106,20 @@ def _is_literal(node, kind):
     return isinstance(node, ast.Constant) and type(node.value) is kind
 
 
+def _call_name(call):
+    """The name a call calls: f for f(...) and for x.f(...)."""
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
+def _open_mode(call):
+    """The mode argument of an open call, the builtin open(file, mode) or a
+    method such as p.open(mode), as an AST node; "r" when it has none."""
+    at = 1 if isinstance(call.func, ast.Name) else 0
+    return next((k.value for k in call.keywords if k.arg == "mode"),
+                call.args[at] if len(call.args) > at else ast.Constant("r"))
+
+
 def text_reads_without_bom_skip(source):
     """Line of each text read in source that does not pass
     encoding="utf-8-sig" as a literal keyword. A text read is a read_text
@@ -117,12 +131,9 @@ def text_reads_without_bom_skip(source):
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, ast.Call):
             continue
-        func = node.func
-        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        func, name = node.func, _call_name(node)
         if name == "open":
-            at = 1 if isinstance(func, ast.Name) else 0  # open(file, mode), p.open(mode)
-            mode = next((k.value for k in node.keywords if k.arg == "mode"),
-                        node.args[at] if len(node.args) > at else ast.Constant("r"))
+            mode = _open_mode(node)
             reads = not (_is_literal(mode, str) and
                          ("b" in mode.value or not {"r", "+"} & set(mode.value)))
         elif name == "read_text":
@@ -167,8 +178,7 @@ def one_id_array_lookups(source):
     a method, that passes a one-element list or tuple literal."""
     return sorted(node.lineno for node in ast.walk(ast.parse(source))
                   if isinstance(node, ast.Call)
-                  and (node.func.attr if isinstance(node.func, ast.Attribute)
-                       else getattr(node.func, "id", None)) in ARRAY_LOOKUPS
+                  and _call_name(node) in ARRAY_LOOKUPS
                   and any(isinstance(arg, (ast.List, ast.Tuple)) and len(arg.elts) == 1
                           for arg in node.args))
 
@@ -183,4 +193,50 @@ def test_checker_sees_one_id_array_lookups():
 def test_one_id_lookups_go_through_dicts():
     found = [(path.name, line) for path in sorted(SRC.glob("*.py"))
              for line in one_id_array_lookups(path.read_text(encoding="utf-8"))]
+    assert found == []
+
+
+# calls that write a file by name, besides open with a writing mode
+WRITE_CALLS = {"write_text", "write_bytes", "mkstemp"}
+
+
+def writes_outside_commit(source):
+    """Line of each call in source, outside a function named commit, that
+    writes a file: one of WRITE_CALLS, or an open call (the builtin, or a
+    method such as Path.open) whose mode is not a literal without w, a, x
+    or +."""
+    tree = ast.parse(source)
+    in_commit = {id(node) for f in ast.walk(tree)
+                 if isinstance(f, ast.FunctionDef) and f.name == "commit"
+                 for node in ast.walk(f)}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or id(node) in in_commit:
+            continue
+        name = _call_name(node)
+        if name == "open":
+            mode = _open_mode(node)
+            writes = not (_is_literal(mode, str) and not set("wax+") & set(mode.value))
+        else:
+            writes = name in WRITE_CALLS
+        if writes:
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_checker_sees_writes_outside_commit():
+    source = ('Path(p).write_text(s)\np.write_bytes(b)\ntempfile.mkstemp(dir=d)\n'
+              'open(p, "w")\np.open("a", encoding="utf-8")\nopen(p, mode="xb")\n'
+              'open(p, "r+b")\nopen(p, mode)\nopen(p)\nopen(p, "rb")\n'
+              'p.open(newline="", encoding="utf-8-sig")\np.read_text()\n'
+              'def commit(*paths):\n    open(tmp, "xb")\n    p.write_text(s)\n'
+              'def commit_all():\n    open(p, "wb")\n')
+    assert writes_outside_commit(source) == [1, 2, 3, 4, 5, 6, 7, 8, 17]
+
+
+def test_files_are_written_only_through_commit():
+    # ingest.commit commits each command's files together or leaves them as
+    # they were; a file written any other way could be left half-written
+    found = [(path.name, line) for path in sorted(SRC.glob("*.py"))
+             for line in writes_outside_commit(path.read_text(encoding="utf-8"))]
     assert found == []
