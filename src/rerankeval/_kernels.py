@@ -4,10 +4,12 @@ The SGD epoch dominates matrix-factorization training time. `sgd_epoch` runs
 the sequential SGD pass in dependency waves (the stratification idea of DSGD,
 Gemulla et al., KDD 2011): a step touches only the rows of its user and its
 item, so steps whose rows are disjoint from every not-yet-run earlier step can
-run together as one numpy update. Every row gets the same updates in the same
-order with the same arithmetic, so the results are bit-identical to the
-scalar loop, `sgd_epoch_py` in tests/mf_oracle.py, which the tests compare
-against.
+run together as one numpy update. The epoch works on one joint table, a row
+per user and then a row per item, with the bias in column 0 and the factors
+after it; a wave is one gather of its rows, one update of them all, and one
+scatter. Every row gets the same updates in the same order with the same
+arithmetic, so the results are bit-identical to the scalar loop,
+`sgd_epoch_py` in tests/mf_oracle.py, which the tests compare against.
 """
 
 import numpy as np
@@ -37,37 +39,46 @@ def sgd_epoch(u_idx, i_idx, ratings, order, user_f, item_f,
     Returns the sum of squared pre-update residuals."""
     if order.shape[0] == 0:
         return 0.0
+    n_users = user_f.shape[0]
     users = u_idx[order]
     items = i_idx[order]
-    levels = wave_levels(users.tolist(), items.tolist(),
-                         user_f.shape[0], item_f.shape[0])
+    levels = wave_levels(users.tolist(), items.tolist(), n_users, item_f.shape[0])
     # steps grouped by level; within a level, in permutation order
     steps = np.argsort(levels, kind="stable")
-    bounds = np.cumsum(np.bincount(levels)).tolist()
-    users = users[steps]
-    items = items[steps]
+    bounds = np.cumsum(np.bincount(levels))
     ratings = ratings[order[steps]]
+    # one table row per user, then per item: the bias, then the factors
+    table = np.concatenate((np.column_stack((user_b, user_f)),
+                            np.column_stack((item_b, item_f))))
+    # the rows of the wave [lo, hi) of steps: its users at lo + s, then its
+    # items at hi + s, for each step s, so the wave owns [2 lo, 2 hi)
+    s = np.arange(len(steps))
+    level = levels[steps]
+    rows = np.empty(2 * len(steps), dtype=np.intp)
+    rows[bounds[level - 1] + s] = users[steps]
+    rows[bounds[level] + s] = items[steps] + n_users
     k = user_f.shape[1]
     sq_err = np.empty(order.shape[0])  # in level order until the end
+    bounds = bounds.tolist()
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        u = users[lo:hi]
-        i = items[lo:hi]
-        pu = user_f[u]
-        qi = item_f[i]
-        bu = user_b[u]
-        bi = item_b[i]
-        # global_mean + b_u + b_i, then one product per factor in order: a
+        wave = rows[2 * lo:2 * hi]
+        x = table.take(wave, axis=0).reshape(2, hi - lo, k + 1)
+        # (global_mean + b_u) + b_i, then one product per factor in order: a
         # row-wise running sum is the scalar loop's summation order
-        terms = np.empty((hi - lo, k + 1))
-        terms[:, 0] = global_mean + bu + bi
-        np.multiply(pu, qi, out=terms[:, 1:])
+        terms = x[0] * x[1]
+        terms[:, 0] = global_mean + x[0, :, 0] + x[1, :, 0]
         err = ratings[lo:hi] - np.add.accumulate(terms, axis=1)[:, k]
-        sq_err[lo:hi] = err * err
-        user_b[u] = bu + lr * (err - reg * bu)
-        item_b[i] = bi + lr * (err - reg * bi)
-        err = err[:, None]
-        user_f[u] = pu + lr * (err * qi - reg * pu)
-        item_f[i] = qi + lr * (err * pu - reg * qi)
+        np.multiply(err, err, out=sq_err[lo:hi])
+        # x + lr * (g - reg * x) in place (IEEE + and * commute), where g is
+        # err for the bias and err times the partner row's factors
+        g = x[::-1] * err[:, None]
+        g[:, :, 0] = err
+        g -= reg * x
+        g *= lr
+        g += x
+        table[wave] = g.reshape(-1, k + 1)
+    user_b[:], item_b[:] = table[:n_users, 0], table[n_users:, 0]
+    user_f[:], item_f[:] = table[:n_users, 1:], table[n_users:, 1:]
     # back in permutation order, a running sum is the scalar loop's `sse +=`
     sq_err[steps] = sq_err.copy()
     return np.add.accumulate(sq_err)[-1]

@@ -295,6 +295,25 @@ class ItemKnnRecommender:
 # Model slates with positive injection
 # --------------------------------------------------------------------------
 
+def _best(scores, n):
+    """Indices, ascending, of the n highest scores with ties by index: the
+    first n of np.argsort(-scores, kind="stable") as a set. Every value is
+    ranked, non-finite ones too; NaN ranks last, as in the sort."""
+    if n < 1:
+        return np.array([], dtype=np.intp)
+    key = -scores
+    # the n-th best: the picks are the keys before it and the first ties
+    threshold = np.partition(key, n - 1)[n - 1]
+    if threshold != threshold:  # fewer than n numbers: each of them, then NaNs
+        better, tied = key == key, key != key
+    else:
+        better, tied = key < threshold, key == threshold
+    pick = better | tied
+    if np.count_nonzero(pick) > n:  # more ties than room: the first fill it
+        pick &= ~tied | (np.cumsum(tied) <= n - np.count_nonzero(better))
+    return np.flatnonzero(pick)
+
+
 def gen_model_slate(user, scorer, catalog, train_codes, exclusions, inject_positives,
                     relevance, seed, slate_size=SLATE_SIZE, source="mf"):
     """Top-scored eligible items, with held-out positives injected.
@@ -307,13 +326,15 @@ def gen_model_slate(user, scorer, catalog, train_codes, exclusions, inject_posit
     eligible = _eligible(catalog, exclusions, slate_size)
     injected, _ = _sample_positives(user, relevance, min(inject_positives, slate_size),
                                     catalog, exclusions, seed)
-    # score order; a stable argsort over ascending positions breaks ties by id
-    order = np.argsort(-scorer.score_items(user, train_codes[eligible]), kind="stable")
-    picked = np.zeros(len(eligible), dtype=bool)
-    picked[np.searchsorted(catalog.ids[eligible], np.array(injected, dtype=str))] = True
-    picked = picked[order]
-    picked |= np.cumsum(~picked) <= slate_size - len(injected)  # and the best others
-    return Slate(user=user, items=catalog.ids[eligible[order[picked]]].tolist(), source=source)
+    scores = scorer.score_items(user, train_codes[eligible])
+    # indices into eligible, ascending as the catalog ids are
+    picked = np.searchsorted(eligible, [catalog._positions[i] for i in injected])
+    others = np.delete(np.arange(len(eligible)), picked)
+    picked = np.sort(np.concatenate(
+        (picked, others[_best(scores[others], slate_size - len(injected))])))
+    # score order; a stable argsort over ascending indices breaks ties by id
+    picked = picked[np.argsort(-scores[picked], kind="stable")]
+    return Slate(user=user, items=catalog.ids[eligible[picked]].tolist(), source=source)
 
 
 # --------------------------------------------------------------------------

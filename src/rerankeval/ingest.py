@@ -564,7 +564,9 @@ def read_split(path):
     try:
         meta = json.loads(text)
         n, tables = meta["rows"], {k: np.array(meta[k], dtype=str) for k in ("users", "items")}
-        with np.load(Path(path).with_suffix(".npz"), allow_pickle=False) as npz:
+        # the handle is ours: np.load leaves it open when a damaged zip raises
+        with (open(Path(path).with_suffix(".npz"), "rb") as fh,
+              np.load(fh, allow_pickle=False) as npz):
             c = {name: npz[name] for name in _SPLIT_COLUMNS}
         valid = (meta.get("format") == _SPLIT_FORMAT
                  and type(n) is int and type(meta["excluded_users"]) is int

@@ -13,7 +13,7 @@ from rerankeval._kernels import sgd_epoch, wave_levels
 from rerankeval.candgen import (ItemKnnRecommender, build_item_knn,
                                 export_slates, gen_model_slate,
                                 gen_random_slate, import_slates, train_mf)
-from rerankeval.errors import CatalogTooSmall, MalformedRow, UnknownUser
+from rerankeval.errors import CatalogTooSmall, MalformedRow, RerankEvalError, UnknownUser
 from rerankeval.ingest import (Catalog, ItemCard, RelevanceSet, commit, load_interactions,
                                load_items, split_leave_n_out)
 
@@ -186,6 +186,37 @@ class TestKernelParity:
 
     def test_three_epochs_share_state(self):
         self.assert_same(sgd_problem(400, 30, 25, 6, zipf=1.1), epochs=3)
+
+    def test_default_k_hot_item_three_epochs(self):
+        problem = sgd_problem(600, 60, 40, 32, zipf=1.5)
+        u_idx, i_idx = problem[:2]
+        assert wave_levels(u_idx.tolist(), i_idx.tolist(), 60, 40).max() >= 100
+        self.assert_same(problem, epochs=3)
+
+    def test_item_rows_far_past_user_rows(self):
+        # 4 user rows, then 500 item rows in the joint parameter table
+        self.assert_same(sgd_problem(300, 4, 500, 4), epochs=2)
+
+    def test_diverging_learn_rate_diverges_in_the_same_epoch(self):
+        train = synthetic_rank1()
+        k, epochs, learn_rate, reg, seed = 4, 10, 1.0, 0.02, 3
+        # train_mf's draws: start factors, then one permutation per epoch
+        rng = np.random.default_rng(seed)
+        start = (rng.normal(0.0, 0.1, (len(train.users), k)),
+                 rng.normal(0.0, 0.1, (len(train.items), k)),
+                 np.zeros(len(train.users)), np.zeros(len(train.items)))
+        orders = [rng.permutation(len(train)) for _ in range(epochs)]
+        first_bad = []
+        for kernel in (sgd_epoch, sgd_epoch_py):
+            state = tuple(a.copy() for a in start)
+            with np.errstate(over="ignore", invalid="ignore"):
+                sses = [kernel(train.user, train.item, train.rating, order, *state,
+                               float(train.rating.mean()), learn_rate, reg)
+                        for order in orders]
+            first_bad.append(next(e for e, sse in enumerate(sses, 1) if not np.isfinite(sse)))
+        assert first_bad[0] == first_bad[1] > 1
+        with pytest.raises(RerankEvalError, match=f"diverged at epoch {first_bad[0]};"):
+            train_mf(train, k=k, epochs=epochs, learn_rate=learn_rate, reg=reg, seed=seed)
 
     def test_hot_item_gives_long_level_chain(self):
         u_idx, i_idx, _, _ = sgd_problem(600, 60, 40, 8, zipf=1.5)
@@ -366,6 +397,22 @@ class TestModelSlate:
                                 set(), 0, None, seed=1)
         assert slate.items == sorted(catalog.items)[:15]
 
+    @pytest.mark.parametrize("numbers", [3, 20])
+    def test_nan_scores_rank_last_as_in_a_stable_sort(self, numbers):
+        catalog, train, _ = slate_corpus()
+        rng = np.random.default_rng(numbers)
+        scores = np.full(len(catalog.ids), np.nan)
+        scores[rng.choice(len(scores), numbers, replace=False)] = rng.choice(
+            [-np.inf, 0.0, 1.0, np.inf], numbers)
+
+        class NanScorer:
+            def score_items(self, user, items):
+                return scores
+
+        slate = gen_model_slate("u", NanScorer(), catalog, train.item_codes(catalog.ids),
+                                set(), 0, None, seed=1)
+        assert slate.items == catalog.ids[np.argsort(-scores, kind="stable")[:15]].tolist()
+
     def test_knn_unknown_user(self):
         catalog, train, _ = slate_corpus()
         sim = build_item_knn(train, top_m=10, min_co_raters=2)
@@ -412,6 +459,9 @@ SCORE_KINDS = {
     "few_values": lambda rng, n: [rng.choice([0.5, 1.0, 2.0]) for _ in range(n)],
     "signed_zeros": lambda rng, n: [rng.choice([0.0, -0.0, 1.0]) for _ in range(n)],
     "distinct": lambda rng, n: [rng.random() for _ in range(n)],
+    # ranked like any score: neither dropped nor taken for a marker
+    "non_finite": lambda rng, n: [rng.choice([math.inf, -math.inf, 1e308, -1e308, 0.0])
+                                  for _ in range(n)],
 }
 
 
