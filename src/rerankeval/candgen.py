@@ -228,10 +228,12 @@ def build_item_knn(train, top_m=50, min_co_raters=3):
     user_means = np.asarray(centered.sum(axis=1)).ravel() / np.maximum(
         np.diff(centered.indptr), 1)
     centered.data -= user_means[_row_ids(centered)]
-    raters = sp.csr_matrix((np.ones(centered.nnz, dtype=np.int32), centered.indices,
-                            centered.indptr), shape=centered.shape)
+    ones = np.ones(centered.nnz, dtype=np.int32)
+    raters = sp.csr_matrix((ones, centered.indices, centered.indptr), shape=centered.shape)
     centered_t = centered.T.tocsr()
-    raters_t = raters.T.tocsr()
+    # raters_t has centered_t's structure: no second transpose
+    raters_t = sp.csr_matrix((ones, centered_t.indices, centered_t.indptr),
+                             shape=centered_t.shape)
     bits = _rater_bits(raters_t)
 
     n = len(train.items)

@@ -178,7 +178,7 @@ def cmd_ingest(cfg):
     split = ingest.split_leave_n_out(interactions, n_test=cfg.n_test,
                                      min_history=cfg.min_history,
                                      threshold=cfg.relevance_threshold)
-    if not split.held.any():
+    if not len(split.test):
         raise ValueError(f"no eligible evaluation users (excluded: {split.excluded_users})")
     run_dir.mkdir(parents=True, exist_ok=True)
     # split.json, which stands for the pair, moves last

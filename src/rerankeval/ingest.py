@@ -177,19 +177,12 @@ class History:
 
 @dataclass(eq=False)
 class SplitResult:
-    """Each (user, item)'s last rating with the held-out ones marked; train
-    and test are the two parts as tables, relevance is derived from test."""
-    rows: Interactions     # users in order of first appearance, file order within
-    held: np.ndarray       # bool per row: held out for evaluation
+    """Each (user, item)'s last rating, parted into the train table and the
+    held-out test table; relevance is derived from test. Both tables group
+    users in order of first appearance, file order within a user."""
+    train: Interactions
+    test: Interactions
     excluded_users: int    # users with too little data to evaluate
-
-    @cached_property
-    def train(self):
-        return self.rows.take(~self.held)
-
-    @cached_property
-    def test(self):
-        return self.rows.take(self.held)
 
     @cached_property
     def relevance(self):
@@ -508,54 +501,67 @@ def split_leave_n_out(interactions, n_test=10, min_history=5,
 
     An item a user rated more than once counts once, at its last rating in
     file order: the split keeps that row and drops the earlier ones, so
-    rows, train and test hold one row per (user, item). Users with at least
+    train and test hold one row per (user, item). Users with at least
     min_history + n_test kept rows rated >= threshold hold out their n_test
     most recent qualifying rows (ties by item id) as test; everything else is
     train. Users below the bar stay in train but are excluded from evaluation.
     """
+    kept = _last_ratings(interactions)
+    user = interactions.user[kept]
+    qualifying = np.flatnonzero(interactions.rating[kept] >= threshold)
+    counts = np.bincount(user[qualifying], minlength=len(interactions.users))
+    evaluated = counts >= min_history + n_test
+    q = qualifying[evaluated[user[qualifying]]]
+    # each eval user's qualifying rows, most recent first, ties by item id
+    rows = kept[q]
+    q = q[np.lexsort((interactions.item[rows], -interactions.timestamp[rows], user[q]))]
+    rank = np.arange(len(q)) - np.searchsorted(user[q], user[q])
+    held = np.zeros(len(kept), dtype=bool)
+    held[q[rank < n_test]] = True
+    del user, qualifying, q, rows, rank  # before the tables are built
+    excluded = len(interactions.users) - int(np.count_nonzero(evaluated))
+    log.info("split: %d eval users, %d excluded, %d repeat ratings dropped",
+             len(interactions.users) - excluded, excluded, len(interactions) - len(kept))
+    return SplitResult(train=interactions.take(kept[~held]),
+                       test=interactions.take(kept[held]), excluded_users=excluded)
+
+
+def _last_ratings(interactions):
+    """Indices of each (user, item)'s last row in file order, users in order
+    of first appearance among them, file order within a user."""
     pair = interactions.user * len(interactions.items) + interactions.item
     _, last = np.unique(pair[::-1], return_index=True)
     kept = np.sort(len(pair) - 1 - last)
-    # users in order of first appearance among the kept rows, file order within
     user = interactions.user[kept]
     _, first = np.unique(user, return_index=True)
-    rows = interactions.take(kept[np.argsort(first[user], kind="stable")])
-    qualifying = np.flatnonzero(rows.rating >= threshold)
-    counts = np.bincount(rows.user[qualifying], minlength=len(rows.users))
-    evaluated = counts >= min_history + n_test
-    q = qualifying[evaluated[rows.user[qualifying]]]
-    # each eval user's qualifying rows, most recent first, ties by item id
-    q = q[np.lexsort((rows.item[q], -rows.timestamp[q], rows.user[q]))]
-    rank = np.arange(len(q)) - np.searchsorted(rows.user[q], rows.user[q])
-    held = np.zeros(len(rows), dtype=bool)
-    held[q[rank < n_test]] = True
-    excluded = len(rows.users) - int(np.count_nonzero(evaluated))
-    log.info("split: %d eval users, %d excluded, %d repeat ratings dropped",
-             len(rows.users) - excluded, excluded, len(interactions) - len(rows))
-    return SplitResult(rows=rows, held=held, excluded_users=excluded)
+    return kept[np.argsort(first[user], kind="stable")]
 
 
-# split.npz members: the Interactions fields of SplitResult.rows, and held row indices
+# split.npz members: the Interactions columns of SplitResult.train and .test,
+# as "<table>_<column>"
+_SPLIT_TABLES = ("train", "test")
 _SPLIT_COLUMNS = {"user": np.int64, "item": np.int64, "rating": np.float64,
-                  "timestamp": np.int64, "held": np.int64}
-# split.json's "format": 2 holds one row per (user, item); the pairs written
-# before it carry no marker and may repeat one
-_SPLIT_FORMAT = 2
+                  "timestamp": np.int64}
+# split.json's "format": 3 holds the train and test tables, each with its own
+# id tables; 2 held one table of every kept row and the held row indices, and
+# the pairs written before 2 carry no marker and may repeat a (user, item)
+_SPLIT_FORMAT = 3
 
 
 def write_split(npz, meta, split):
-    """Write split's row columns and held row indices (_SPLIT_COLUMNS) to the
-    binary file npz (split.npz), and its format, id tables, row count and
-    excluded_users to the binary file meta (split.json) as JSON. Commit meta
-    last: a split.json in place stands for a whole pair."""
-    rows = split.rows
-    columns = dict(user=rows.user, item=rows.item, rating=rows.rating,
-                   timestamp=rows.timestamp, held=np.flatnonzero(split.held))
-    np.savez(npz, **{name: np.asarray(column, _SPLIT_COLUMNS[name])
-                     for name, column in columns.items()})
-    meta.write(json.dumps({"format": _SPLIT_FORMAT, "users": rows.users.tolist(),
-                           "items": rows.items.tolist(), "rows": len(rows),
-                           "excluded_users": split.excluded_users}).encode() + b"\n")
+    """Write split's train and test columns (_SPLIT_COLUMNS) to the binary
+    file npz (split.npz), and its format, each table's id tables and row
+    count, and excluded_users to the binary file meta (split.json) as JSON.
+    Commit meta last: a split.json in place stands for a whole pair."""
+    tables = {name: getattr(split, name) for name in _SPLIT_TABLES}
+    np.savez(npz, **{f"{name}_{column}": np.asarray(getattr(table, column), dtype)
+                     for name, table in tables.items()
+                     for column, dtype in _SPLIT_COLUMNS.items()})
+    meta.write(json.dumps({
+        "format": _SPLIT_FORMAT,
+        **{name: {"users": table.users.tolist(), "items": table.items.tolist(),
+                  "rows": len(table)} for name, table in tables.items()},
+        "excluded_users": split.excluded_users}).encode() + b"\n")
 
 
 def read_split(path):
@@ -563,26 +569,35 @@ def read_split(path):
     text = Path(path).read_bytes()  # a missing split.json fails with the OS text
     try:
         meta = json.loads(text)
-        n, tables = meta["rows"], {k: np.array(meta[k], dtype=str) for k in ("users", "items")}
-        # the handle is ours: np.load leaves it open when a damaged zip raises
-        with (open(Path(path).with_suffix(".npz"), "rb") as fh,
-              np.load(fh, allow_pickle=False) as npz):
-            c = {name: npz[name] for name in _SPLIT_COLUMNS}
-        valid = (meta.get("format") == _SPLIT_FORMAT
-                 and type(n) is int and type(meta["excluded_users"]) is int
-                 # lists of str, strictly increasing as _codes needs
-                 and all(t.tolist() == meta[k] and (t[1:] > t[:-1]).all()
-                         for k, t in tables.items())
-                 and all(col.ndim == 1 and col.dtype == _SPLIT_COLUMNS[name]
-                         and (name == "held" or len(col) == n) for name, col in c.items())
-                 and all(((0 <= c[name]) & (c[name] < bound)).all() for name, bound in (
-                     ("user", len(tables["users"])), ("item", len(tables["items"])), ("held", n))))
+        valid = meta.get("format") == _SPLIT_FORMAT and type(meta["excluded_users"]) is int
+        if valid:
+            # the handle is ours: np.load leaves it open when a damaged zip raises
+            with (open(Path(path).with_suffix(".npz"), "rb") as fh,
+                  np.load(fh, allow_pickle=False) as npz):
+                tables = {name: _read_table(meta[name], npz, name)
+                          for name in _SPLIT_TABLES}
+            valid = all(table is not None for table in tables.values())
     except Exception:  # zipfile and numpy's header parser raise many types on damage
         valid = False
     if not valid:
         raise RerankEvalError(f"{path}: not a split written by this version; re-run ingest")
-    held = np.bincount(c.pop("held"), minlength=n) > 0
-    return SplitResult(Interactions(**tables, **c), held, meta["excluded_users"])
+    return SplitResult(**tables, excluded_users=meta["excluded_users"])
+
+
+def _read_table(meta, npz, name):
+    """The table write_split wrote as name, from its split.json object meta
+    and the split.npz npz; None unless its parts agree."""
+    n, ids = meta["rows"], {k: np.array(meta[k], dtype=str) for k in ("users", "items")}
+    columns = {column: npz[f"{name}_{column}"] for column in _SPLIT_COLUMNS}
+    valid = (type(n) is int
+             # lists of str, strictly increasing as _codes needs
+             and all(t.tolist() == meta[k] and (t[1:] > t[:-1]).all()
+                     for k, t in ids.items())
+             and all(c.ndim == 1 and c.dtype == _SPLIT_COLUMNS[column] and len(c) == n
+                     for column, c in columns.items())
+             and all(((0 <= columns[column]) & (columns[column] < len(ids[k]))).all()
+                     for column, k in (("user", "users"), ("item", "items"))))
+    return Interactions(**ids, **columns) if valid else None
 
 
 def user_history(train, user, limit=HISTORY_LIMIT, strategy="recent", seed=None):

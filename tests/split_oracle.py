@@ -14,15 +14,15 @@ from rerankeval.ingest import Interactions
 def split_rows(rows, n_test=10, min_history=5, threshold=4.0):
     """(train rows, test rows, {eval user: held-out item set}, excluded user
     count) of rows in file order, each (user, item) at its last row. Train
-    groups users in order of first appearance, file order within a user; test
-    rows keep file order."""
+    and test each group users in order of first appearance, file order within
+    a user."""
     last = {row[:2]: n for n, row in enumerate(rows)}
     rows = [row for n, row in enumerate(rows) if last[row[:2]] == n]
     by_user = {}
     for row in rows:
         by_user.setdefault(row[0], []).append(row)
 
-    train = []
+    train, test = [], []
     relevance = {}
     excluded = 0
     for user, user_rows in by_user.items():
@@ -32,10 +32,10 @@ def split_rows(rows, n_test=10, min_history=5, threshold=4.0):
         if len(qualifying) >= min_history + n_test:
             relevance[user] = held
             train.extend(r for r in user_rows if r[1] not in held)
+            test.extend(r for r in user_rows if r[1] in held)
         else:
             excluded += 1
             train.extend(user_rows)
-    test = [r for r in rows if r[0] in relevance and r[1] in relevance[r[0]]]
     return train, test, relevance, excluded
 
 

@@ -11,8 +11,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import (PeakBackend, candidate_ids, damage_split, files_in, prompt_hash,
-                      save_split, write_corpus)
+from conftest import (PeakBackend, candidate_ids, damage_split, files_in, interactions,
+                      prompt_hash, save_split, table_rows, write_corpus)
 from rerankeval import cli, ingest, rerank
 from rerankeval.candgen import Slate
 from rerankeval.cli import EXIT_CONFIG, EXIT_OK, EXIT_PARTIAL, load_config, main
@@ -542,15 +542,35 @@ class TestRun:
             capsys.readouterr().err
 
 
+def joined_rows(split):
+    """split's train rows, then its test rows, as one table, and the indices
+    of the test rows in it: the split as versions before format 3 stored it."""
+    rows = interactions(table_rows(split.train) + table_rows(split.test))
+    return rows, np.arange(len(split.train), len(rows))
+
+
 def previous_version_split(path):
-    """Overwrite split.json at path with the all-JSON split the previous
-    version wrote, of the same split; split.npz stays beside it."""
+    """Overwrite split.json at path with the all-JSON split the version
+    before split.npz wrote, of the same split; split.npz stays beside it."""
     split = ingest.read_split(path)
-    payload = {name: getattr(split.rows, name).tolist()
+    rows, held = joined_rows(split)
+    payload = {name: getattr(rows, name).tolist()
                for name in ("users", "items", "user", "item", "rating", "timestamp")}
-    payload.update(held=np.flatnonzero(split.held).tolist(),
-                   excluded_users=split.excluded_users)
+    payload.update(held=held.tolist(), excluded_users=split.excluded_users)
     path.write_text(json.dumps(payload))
+
+
+def format_2_split(path):
+    """Overwrite the split pair at path (split.json) with the same split as
+    format 2 wrote it: one table of every row in split.npz, with the held
+    row indices, and its id tables and row count in split.json."""
+    split = ingest.read_split(path)
+    rows, held = joined_rows(split)
+    np.savez(path.with_suffix(".npz"), user=rows.user, item=rows.item, rating=rows.rating,
+             timestamp=rows.timestamp, held=held)
+    path.write_text(json.dumps({"format": 2, "users": rows.users.tolist(),
+                                "items": rows.items.tolist(), "rows": len(rows),
+                                "excluded_users": split.excluded_users}) + "\n")
 
 
 def truncate(path):
@@ -567,16 +587,23 @@ class TestBadInputFileExits2:
         "json_list": lambda path: path.write_text(json.dumps([["u1", "1", 4.0, 1]])),
         "not_json": lambda path: path.write_text("not json"),
         "previous_version": previous_version_split,
+        "format_2": format_2_split,
         "npz_missing": lambda path: path.with_suffix(".npz").unlink(),
         "npz_truncated": lambda path: truncate(path.with_suffix(".npz")),
         "unequal_columns": lambda path: damage_split(
-            path, lambda m, c: c.__setitem__("rating", c["rating"][:-1])),
+            path, lambda m, c: c.__setitem__("train_rating", c["train_rating"][:-1])),
+        "unequal_test_columns": lambda path: damage_split(
+            path, lambda m, c: c.__setitem__("test_timestamp", c["test_timestamp"][1:])),
         "float_user": lambda path: damage_split(
-            path, lambda m, c: c.__setitem__("user", c["user"].astype(np.float64))),
+            path, lambda m, c: c.__setitem__("train_user",
+                                             c["train_user"].astype(np.float64))),
         "rows_mismatch": lambda path: damage_split(
-            path, lambda m, c: m.__setitem__("rows", m["rows"] + 1)),
+            path, lambda m, c: m["train"].__setitem__("rows", m["train"]["rows"] + 1)),
+        # a negative item code in the held-out (test) table
         "negative_held": lambda path: damage_split(
-            path, lambda m, c: c["held"].__setitem__(0, -1)),
+            path, lambda m, c: c["test_item"].__setitem__(0, -1)),
+        "test_item_past_table": lambda path: damage_split(
+            path, lambda m, c: c["test_item"].__setitem__(0, len(m["test"]["items"]))),
     }
 
     @pytest.mark.parametrize("damage", STALE_SPLITS.values(), ids=STALE_SPLITS.keys())

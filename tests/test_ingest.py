@@ -425,52 +425,70 @@ def fuzz_corpus(rng):
     return rows, n_test, min_history
 
 
-# each changes a written split's JSON object m or npz members c in place
+# each changes a written split's JSON object m or npz members c in place; a
+# "held" one damages the held-out (test) table
 DAMAGED_SPLITS = {
-    "unsorted_users": lambda m, c: m["users"].reverse(),
-    "duplicate_item": lambda m, c: m["items"].__setitem__(1, m["items"][0]),
-    "int_item_id": lambda m, c: m["items"].__setitem__(0, int(m["items"][0])),
-    "id_with_nul": lambda m, c: m["users"].__setitem__(-1, m["users"][-1] + "\x00"),
-    "users_not_a_list": lambda m, c: m.__setitem__("users", dict.fromkeys(m["users"], 0)),
-    "float_rows": lambda m, c: m.__setitem__("rows", float(m["rows"])),
+    "unsorted_users": lambda m, c: m["train"]["users"].reverse(),
+    "duplicate_item": lambda m, c: m["test"]["items"].__setitem__(1, m["test"]["items"][0]),
+    "int_item_id": lambda m, c: m["train"]["items"].__setitem__(
+        0, int(m["train"]["items"][0])),
+    "id_with_nul": lambda m, c: m["test"]["users"].__setitem__(
+        -1, m["test"]["users"][-1] + "\x00"),
+    "users_not_a_list": lambda m, c: m["train"].__setitem__(
+        "users", dict.fromkeys(m["train"]["users"], 0)),
+    "float_rows": lambda m, c: m["train"].__setitem__("rows", float(m["train"]["rows"])),
     "str_excluded_users": lambda m, c: m.__setitem__("excluded_users", "0"),
-    "item_code_past_table": lambda m, c: c["item"].__setitem__(0, len(m["items"])),
-    "negative_user_code": lambda m, c: c["user"].__setitem__(0, -1),
-    "held_index_at_rows": lambda m, c: c.__setitem__("held", np.append(c["held"], m["rows"])),
-    "negative_held_index": lambda m, c: c["held"].__setitem__(0, -1),
+    "item_code_past_table": lambda m, c: c["train_item"].__setitem__(
+        0, len(m["train"]["items"])),
+    "negative_user_code": lambda m, c: c["train_user"].__setitem__(0, -1),
+    "held_index_at_rows": lambda m, c: c["test_user"].__setitem__(
+        0, len(m["test"]["users"])),
+    "negative_held_index": lambda m, c: c["test_item"].__setitem__(0, -1),
     "two_dimensional_column": lambda m, c: c.__setitem__(
-        "timestamp", c["timestamp"].reshape(-1, 1)),
-    "big_endian_column": lambda m, c: c.__setitem__("rating", c["rating"].astype(">f8")),
-    "int32_held": lambda m, c: c.__setitem__("held", c["held"].astype(np.int32)),
-    "pickled_column": lambda m, c: c.__setitem__("item", c["item"].astype(object)),
-    "no_held_member": lambda m, c: c.pop("held"),
+        "train_timestamp", c["train_timestamp"].reshape(-1, 1)),
+    "big_endian_column": lambda m, c: c.__setitem__(
+        "train_rating", c["train_rating"].astype(">f8")),
+    "int32_held": lambda m, c: c.__setitem__("test_user", c["test_user"].astype(np.int32)),
+    "pickled_column": lambda m, c: c.__setitem__("train_item",
+                                                 c["train_item"].astype(object)),
+    "no_held_member": lambda m, c: c.pop("test_timestamp"),
+    "test_rows_mismatch": lambda m, c: m["test"].__setitem__("rows", m["test"]["rows"] - 1),
     # written before one row per (user, item) was the rule: it may repeat a pair
     "no_format_marker": lambda m, c: m.pop("format"),
 }
 
 
+def assert_same_table(got, expected):
+    """got and expected hold the same id tables, codes and columns, each
+    column of the same dtype and each id table of str."""
+    for name in ("users", "items", "user", "item", "rating", "timestamp"):
+        a, b = getattr(got, name), getattr(expected, name)
+        assert np.array_equal(a, b), name
+        if a.dtype.kind == "U":  # a read id table is only as wide as its longest id
+            assert b.dtype.kind == "U", name
+        else:
+            assert a.dtype == b.dtype, name
+
+
 class TestSplitMatchesRowOracle:
     def test_fuzz(self, tmp_path):
         rng = random.Random(7)
-        seen = Counter()
+        seen, no_eval_user = Counter(), 0
         for case in range(300):
             rows, n_test, min_history = fuzz_corpus(rng)
-            split = split_leave_n_out(interactions(rows), n_test=n_test,
-                                      min_history=min_history)
-            if case % 10 == 0:
-                save_split(tmp_path / "split.json", split)
-                split = read_split(tmp_path / "split.json")
-            pairs = split.rows.user * len(split.rows.items) + split.rows.item
-            assert len(np.unique(pairs)) == len(split.rows)
+            table = interactions(rows)
+            split = split_leave_n_out(table, n_test=n_test, min_history=min_history)
+            save_split(tmp_path / "split.json", split)
             train, test, relevance, excluded = split_rows(rows, n_test, min_history)
-            assert table_rows(split.train) == train
-            test_by_user = {}
-            for row in test:
-                test_by_user.setdefault(row[0], []).append(row[1:])
-            assert {u: split.test.entries(u) for u in split.test.users.tolist()} == \
-                test_by_user
-            assert {u: rs.relevant for u, rs in split.relevance.items()} == relevance
-            assert split.excluded_users == excluded
+            last = {row[:2]: n for n, row in enumerate(rows)}
+            for result in (split, read_split(tmp_path / "split.json")):
+                for got, expected in ((result.train, train), (result.test, test)):
+                    assert table_rows(got) == expected
+                    # the codes as split_oracle.take renumbers the same rows
+                    assert_same_table(got, take(table, np.array(
+                        [last[row[:2]] for row in expected], dtype=np.intp)))
+                assert {u: rs.relevant for u, rs in result.relevance.items()} == relevance
+                assert result.excluded_users == excluded
             for user in {r[0] for r in train}:
                 user_rows = [r for r in train if r[0] == user]
                 for strategy, seed in (("recent", None), ("random", case)):
@@ -478,29 +496,60 @@ class TestSplitMatchesRowOracle:
                                         seed=seed).entries == \
                         history_entries(user_rows, 4, strategy, seed)
             # users at the bar once each (user, item) counts once
-            qualifying = np.bincount(split.rows.user[split.rows.rating >= 4.0])
-            seen["at_bar"] += int(np.count_nonzero(qualifying == n_test + min_history))
+            qualifying = Counter(r[0] for r in train + test if r[2] >= 4.0)
+            seen["at_bar"] += sum(n == n_test + min_history for n in qualifying.values())
             seen["duplicate_pairs"] += len(rows) - len({r[:2] for r in rows})
             seen["timestamp_ties"] += len(rows) - len({(r[0], r[3]) for r in rows})
-        assert min(seen.values()) > 100, seen
+            no_eval_user += not relevance  # an empty test table
+        assert min(seen.values()) > 100 and no_eval_user > 30, (seen, no_eval_user)
 
     def test_written_split_is_a_json_and_an_npz(self, tmp_path):
         split = split_leave_n_out(load_interactions(write_corpus(tmp_path)[0]))
         save_split(tmp_path / "split.json", split)
+        tables = {"train": split.train, "test": split.test}
         assert json.loads((tmp_path / "split.json").read_text(encoding="utf-8")) == {
-            "format": 2, "users": split.rows.users.tolist(),
-            "items": split.rows.items.tolist(), "rows": len(split.rows),
+            "format": 3,
+            **{name: {"users": t.users.tolist(), "items": t.items.tolist(), "rows": len(t)}
+               for name, t in tables.items()},
             "excluded_users": split.excluded_users}
         with np.load(tmp_path / "split.npz", allow_pickle=False) as npz:
             columns = dict(npz)
         assert {name: column.dtype.str for name, column in columns.items()} == {
-            "user": "<i8", "item": "<i8", "rating": "<f8", "timestamp": "<i8", "held": "<i8"}
-        for name in ("user", "item", "rating", "timestamp"):
-            assert np.array_equal(columns[name], getattr(split.rows, name)), name
-        assert np.array_equal(columns["held"], np.flatnonzero(split.held))
+            f"{name}_{column}": dtype for name in tables
+            for column, dtype in (("user", "<i8"), ("item", "<i8"), ("rating", "<f8"),
+                                  ("timestamp", "<i8"))}
+        for name, t in tables.items():
+            for column in ("user", "item", "rating", "timestamp"):
+                assert np.array_equal(columns[f"{name}_{column}"],
+                                      getattr(t, column)), (name, column)
         # no member is stamped with the write time, so a rewrite is byte-identical
         with zipfile.ZipFile(tmp_path / "split.npz") as archive:
             assert {info.date_time for info in archive.infolist()} == {(1980, 1, 1, 0, 0, 0)}
+
+    def test_read_split_holds_each_rating_once(self, tmp_path):
+        # 500 users rate 400 distinct items each: 200,000 rows, 10 held out a user
+        n_users, per_user = 500, 400
+        rng = np.random.default_rng(5)
+        user = np.repeat(np.arange(n_users), per_user)
+        item = (7 * user + 13 * np.tile(np.arange(per_user), n_users)) % 1000
+        table = Interactions(np.array([f"u{u:03d}" for u in range(n_users)]),
+                             np.array([f"i{i:03d}" for i in range(1000)]), user, item,
+                             rng.integers(1, 11, len(user)) / 2.0,
+                             rng.integers(0, 10**9, len(user)))
+        save_split(tmp_path / "split.json", split_leave_n_out(table))
+        del table, user, item
+        tracemalloc.start()
+        try:
+            split = read_split(tmp_path / "split.json")
+            tables = (split.train, split.test)
+            assert len(split.relevance) == n_users
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(map(len, tables)) == n_users * per_user
+        columns = sum(getattr(t, c).nbytes for t in tables
+                      for c in ("user", "item", "rating", "timestamp"))
+        assert held < 1.25 * columns, (held, columns)
 
     @pytest.mark.parametrize("damage", DAMAGED_SPLITS.values(), ids=DAMAGED_SPLITS.keys())
     def test_damaged_split_rejected(self, tmp_path, damage):

@@ -39,8 +39,11 @@ def zipf_rows(n_users=50, n_items=40, n_ratings=1200, seed=3):
 
 
 def zipf_train(**kwargs):
-    """zipf_rows as the split keeps them: one row per (user, item)."""
-    return split_leave_n_out(interactions(zipf_rows(**kwargs))).rows
+    """zipf_rows as the split keeps them: one row per (user, item). No user
+    is evaluated at a min_history past every user's rows, so train is every
+    kept row."""
+    rows = zipf_rows(**kwargs)
+    return split_leave_n_out(interactions(rows), min_history=len(rows)).train
 
 
 def assert_parity(train, top_m, min_co_raters, items, users):
