@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matmat
 
 from ._kernels import sgd_epoch
 from .errors import CatalogTooSmall, MalformedRow, RerankEvalError, UnknownUser
@@ -152,12 +153,47 @@ def train_mf(train, k=32, epochs=30, learn_rate=0.005, reg=0.02, seed=0):
 KNN_BLOCK_ROWS = 64  # similarity rows computed densely at a time
 KNN_PAIR_BYTES = 1 << 18  # rater bitset bytes gathered per co-rater count step
 
-_POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
-
 
 def _row_ids(m):
     """The row of each stored entry of CSR matrix m, in storage order."""
     return np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+
+
+def _block_product(a, b, rows):
+    """A function of lo and hi, with hi - lo <= rows, that returns rows lo:hi
+    of the product of CSR matrices a and b as a dense array, bit-identical to
+    (a @ b)[lo:hi].toarray().
+
+    A block is one call of csr_matmat, the kernel behind a @ b. The kernel is
+    private to scipy, so an oracle test pins it to a @ b. It sums each entry
+    in the same order, with the same arithmetic, as a @ b does, but without
+    the pass that only sizes the result: it writes into arrays of
+    rows x b.shape[1] entries, allocated once here, and one scatter fills a
+    zeroed block from them. The kernel leaves out the entries that sum to
+    exactly zero, which the zeroed block holds already.
+    """
+    n = b.shape[1]
+    wide = max(rows * n, a.nnz, b.nnz, b.shape[0]) > np.iinfo(np.int32).max
+    index = np.int64 if wide else np.result_type(
+        np.int32, a.indptr, a.indices, b.indptr, b.indices)
+    value = np.result_type(a.data, b.data)
+    a_ptr, a_col, b_ptr, b_col = (np.asarray(x, dtype=index) for x in
+                                  (a.indptr, a.indices, b.indptr, b.indices))
+    a_val, b_val = np.asarray(a.data, dtype=value), np.asarray(b.data, dtype=value)
+    c_ptr = np.empty(rows + 1, dtype=index)
+    c_col = np.empty(rows * n, dtype=index)
+    c_val = np.empty(rows * n, dtype=value)
+
+    def block(lo, hi):
+        # a_ptr[lo:hi + 1] points into all of a_col and a_val: no row slice
+        csr_matmat(hi - lo, n, a_ptr[lo:hi + 1], a_col, a_val, b_ptr, b_col, b_val,
+                   c_ptr, c_col, c_val)
+        nnz = c_ptr[hi - lo]
+        dense = np.zeros((hi - lo, n), dtype=value)
+        dense[np.repeat(np.arange(hi - lo), np.diff(c_ptr[:hi - lo + 1])),
+              c_col[:nnz]] = c_val[:nnz]
+        return dense
+    return block
 
 
 def _top(sims, m):
@@ -179,23 +215,36 @@ def _top(sims, m):
     return row[order], col[order]
 
 
-def _rater_bits(raters_t):
-    """Row i packs item i's raters of CSR items x users matrix raters_t: bit
-    u % 8 of byte u // 8 is set when user u rated item i."""
-    bits = np.zeros((raters_t.shape[0], -(-raters_t.shape[1] // 8)), dtype=np.uint8)
-    np.bitwise_or.at(bits, (_row_ids(raters_t), raters_t.indices >> 3),
-                     (1 << (raters_t.indices & 7)).astype(np.uint8))
+def _rater_bits(ratings_t):
+    """Column i packs the raters of item i, the stored entries of row i of
+    CSR items x users matrix ratings_t, into 64-bit words: bit u % 64 of row
+    u // 64 is set when user u rated item i. A table row holds one word of
+    every item, so _co_raters adds its counts a whole row at a time."""
+    bits = np.zeros((-(-ratings_t.shape[1] // 64), ratings_t.shape[0]), dtype=np.uint64)
+    np.bitwise_or.at(bits, (ratings_t.indices >> 6, _row_ids(ratings_t)),
+                     np.uint64(1) << (ratings_t.indices & 63).astype(np.uint64))
     return bits
 
 
 def _co_raters(bits, i, j):
-    """Number of distinct users who rated both item i[n] and item j[n]."""
-    counts = np.zeros(len(i), dtype=np.int64)
-    step = max(1, KNN_PAIR_BYTES // bits.shape[1])
-    for s in range(0, len(i), step):
-        both = bits[i[s:s + step]]
-        both &= bits[j[s:s + step]]
-        counts[s:s + step] = np.take(_POPCOUNT, both).sum(axis=1)
+    """Number of distinct users who rated both item i and item j, for the
+    item codes of arrays i and j broadcast together: rows[:, None] against
+    np.arange(n) counts each of rows against every item. Each step ANDs at
+    most KNN_PAIR_BYTES of _rater_bits's words, stepping along the last
+    axis, and adds up the bit counts a row of words at a time."""
+    shape = np.broadcast_shapes(i.shape, j.shape)
+    counts = np.zeros(shape, dtype=np.int64)
+    if not counts.size:
+        return counts
+    # both to the same number of axes, behind the words axis of bits
+    i, j = (x.reshape((1,) * (len(shape) - x.ndim) + x.shape) for x in (i, j))
+    step = max(1, KNN_PAIR_BYTES // (bits[:, 0].nbytes * (counts.size // shape[-1])))
+    total = np.min_scalar_type(64 * len(bits))  # holds any count
+    for s in range(0, shape[-1], step):
+        # an axis of length 1 is broadcast whole into every step
+        both = np.bitwise_and(*(np.take(bits, x if x.shape[-1] == 1 else x[..., s:s + step],
+                                        axis=1) for x in (i, j)))
+        counts[..., s:s + step] = np.bitwise_count(both).sum(axis=0, dtype=total)
     return counts
 
 
@@ -211,15 +260,18 @@ def build_item_knn(train, top_m=50, min_co_raters=3):
     never be sorted.
 
     The similarity product runs KNN_BLOCK_ROWS rows at a time, so only one
-    block is ever dense; each block is a row slice of the full product
-    computed by the same sparse kernel. The norms are one bincount of the
-    squared centered ratings in storage order, the order in which the full
-    product sums its diagonal. Each row's top_m come from a partition
-    threshold, not a full sort. Co-raters are counted only for those picks,
-    from a table of each item's raters packed one bit per user (items x
-    users / 8 bytes); with one row per pair that count is exact. A row where
-    some pick falls below min_co_raters is counted in full by the sparse
-    product, loses the pairs that fail it, and is picked again.
+    block is ever dense. Each block is one pass of scipy's sparse product
+    kernel over its rows (see _block_product), written straight into the
+    dense block, bit-identical to the same rows of the full product. The
+    norms are one bincount of the squared centered ratings in storage order,
+    the order in which the full product sums its diagonal. Each row's top_m
+    come from a partition threshold, not a full sort. Co-raters are counted
+    only for those picks, from a table of each item's raters packed one bit
+    per user into 64-bit words (ceil(users / 64) words per item, 192 B on
+    the knn-dense benchmark corpus), by AND and popcount; with one row per
+    pair that count is exact. A row where some pick falls below
+    min_co_raters is counted against every item from the same table, loses
+    the pairs that fail it, and is picked again.
     """
     if not len(train):
         raise ValueError("no training interactions")
@@ -228,22 +280,18 @@ def build_item_knn(train, top_m=50, min_co_raters=3):
     user_means = np.asarray(centered.sum(axis=1)).ravel() / np.maximum(
         np.diff(centered.indptr), 1)
     centered.data -= user_means[_row_ids(centered)]
-    ones = np.ones(centered.nnz, dtype=np.int32)
-    raters = sp.csr_matrix((ones, centered.indices, centered.indptr), shape=centered.shape)
     centered_t = centered.T.tocsr()
-    # raters_t has centered_t's structure: no second transpose
-    raters_t = sp.csr_matrix((ones, centered_t.indices, centered_t.indptr),
-                             shape=centered_t.shape)
-    bits = _rater_bits(raters_t)
+    bits = _rater_bits(centered_t)
 
     n = len(train.items)
     norms = np.sqrt(np.maximum(np.bincount(
         _row_ids(centered_t), weights=centered_t.data ** 2, minlength=n), 0.0))
 
+    product = _block_product(centered_t, centered, KNN_BLOCK_ROWS)
     data, indices, counts = [], [], []
     for a in range(0, n, KNN_BLOCK_ROWS):
         b = min(a + KNN_BLOCK_ROWS, n)
-        sims = (centered_t[a:b] @ centered).toarray()
+        sims = product(a, b)
         denom = np.outer(norms[a:b], norms)
         np.divide(sims, denom, out=sims, where=denom > 0)
         sims[denom <= 0] = 0.0
@@ -254,7 +302,7 @@ def build_item_knn(train, top_m=50, min_co_raters=3):
         short = np.unique(row[_co_raters(bits, a + row, col) < min_co_raters])
         if len(short):  # the picks beyond these rows' top_m need counts too
             again = sims[short]
-            again[(raters_t[a + short] @ raters).toarray() < min_co_raters] = -np.inf
+            again[_co_raters(bits, a + short[:, None], np.arange(n)) < min_co_raters] = -np.inf
             redo_row, redo_col = _top(again, top_m)
             keep = ~np.isin(row, short)
             row = np.concatenate([row[keep], short[redo_row]])

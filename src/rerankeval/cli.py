@@ -196,10 +196,12 @@ def cmd_ingest(cfg):
 
 
 def _sample_history(cfg, train, user):
-    """The user's history as cfg.history_sample and cfg.history_limit say."""
+    """The user's history as cfg.history_sample and cfg.history_limit say; a
+    random draw is seeded per user, like every other per-user draw."""
     strategy, _, seed = cfg.history_sample.partition(":")
+    seed = candgen.stable_seed(int(seed) if seed else cfg.seed, "history", user)
     return ingest.user_history(train, user, limit=cfg.history_limit, strategy=strategy,
-                               seed=int(seed) if seed else cfg.seed)
+                               seed=seed)
 
 
 def _sample_eval_users(split, cfg):

@@ -578,6 +578,29 @@ def truncate(path):
     path.write_bytes(data[:len(data) // 2])
 
 
+class TestSampleHistory:
+    """A random history is drawn with a seed of the user's own, keyed by the
+    run seed (or the integer after random:) and the user."""
+
+    # 50 users rate 30 items each at the same 30 timestamps, so a draw keyed
+    # by the seed alone would pick the same recency ranks for every user
+    TRAIN = interactions([(f"u{u}", f"i{(u + k) % 40}", 3.0, k)
+                          for u in range(50) for k in range(30)])
+
+    def ranks(self, history_sample, seed, user):
+        cfg = cli.RunConfig(history_sample=history_sample, seed=seed)
+        return [e[2] for e in cli._sample_history(cfg, self.TRAIN, user).entries]
+
+    @pytest.mark.parametrize("sample, other", [("random", ("random", 4)),
+                                               ("random:11", ("random:12", 3))])
+    def test_random_draws_differ_between_users(self, sample, other):
+        draws = [self.ranks(sample, 3, f"u{u}") for u in range(50)]
+        assert all(len(d) == 10 and d == sorted(d, reverse=True) for d in draws)
+        assert len({tuple(d) for d in draws}) > 40
+        assert self.ranks(sample, 3, "u7") == draws[7]  # same seed and user, same draw
+        assert sum(self.ranks(*other, f"u{u}") != draws[u] for u in range(50)) > 40
+
+
 class TestBadInputFileExits2:
     # each rewrites the split pair at the path of its split.json
     STALE_SPLITS = {

@@ -169,16 +169,26 @@ class TestHelpers:
     @pytest.mark.parametrize("pair_bytes", [1, 5, candgen.KNN_PAIR_BYTES])
     def test_co_raters_are_distinct_common_raters(self, monkeypatch, pair_bytes):
         monkeypatch.setattr(candgen, "KNN_PAIR_BYTES", pair_bytes)
-        train = zipf_train(n_users=37)  # 37 users: the last byte is partly used
-        mask_t = sp.csr_matrix((np.ones(len(train)), (train.item, train.user)))
-        bits = candgen._rater_bits(mask_t)
-        assert bits.shape == (len(train.items), 5)
-        raters = [set(train.user[train.item == i].tolist()) for i in range(len(train.items))]
-        i, j = np.meshgrid(np.arange(len(raters)), np.arange(len(raters)))
-        i, j = i.ravel(), j.ravel()
-        assert candgen._co_raters(bits, i, j).tolist() == \
-            [len(raters[a] & raters[b]) for a, b in zip(i.tolist(), j.tolist())]
-        assert candgen._co_raters(bits, i[:0], j[:0]).tolist() == []
+        # 37 users fill part of one word; 65 users all of one and one bit of a second
+        for n_users, words in ((37, 1), (65, 2)):
+            train = zipf_train(n_users=n_users)
+            assert len(train.users) == n_users
+            mask_t = sp.csr_matrix((np.ones(len(train)), (train.item, train.user)))
+            bits = candgen._rater_bits(mask_t)
+            assert bits.dtype == np.uint64 and bits.shape == (words, len(train.items))
+            raters = [set(train.user[train.item == i].tolist())
+                      for i in range(len(train.items))]
+            i, j = np.meshgrid(np.arange(len(raters)), np.arange(len(raters)))
+            i, j = i.ravel(), j.ravel()
+            want = [len(raters[a] & raters[b]) for a, b in zip(i.tolist(), j.tolist())]
+            assert candgen._co_raters(bits, i, j).tolist() == want
+            assert candgen._co_raters(bits, i[:0], j[:0]).tolist() == []
+            # rows against every item, as the short-row recount asks
+            rows = np.array([5, 0, 5, len(raters) - 1])
+            every = np.arange(len(raters))
+            assert candgen._co_raters(bits, rows[:, None], every).tolist() == \
+                [[len(raters[a] & raters[b]) for b in range(len(raters))] for a in rows]
+            assert candgen._co_raters(bits, rows[:0, None], every).shape == (0, len(raters))
 
     def test_co_raters_of_a_split_train_are_the_exact_count(self):
         # the draws rate many (user, item) pairs more than once; the split's
@@ -192,6 +202,59 @@ class TestHelpers:
         bits = candgen._rater_bits(raters.T.tocsr())
         i, j = np.indices(exact.shape).reshape(2, -1)
         assert np.array_equal(candgen._co_raters(bits, i, j), exact[i, j])
+
+
+def fuzz_csr(rng, n_rows, n_cols, index_dtype):
+    """A CSR matrix with empty rows, stored explicit zeros (+0.0 and -0.0),
+    unsorted columns, and values on a few levels, so that many sums cancel to
+    exactly 0, mixed with values that round differently in every order."""
+    dense = rng.choice([-2.0, -1.0, 1.0, 2.0, 0.5], (n_rows, n_cols))
+    noisy = rng.random(dense.shape) < 0.3
+    dense[noisy] = rng.normal(size=np.count_nonzero(noisy))
+    stored = rng.random(dense.shape) < rng.choice([0.05, 0.3, 0.8])
+    stored[rng.random(n_rows) < 0.3] = False  # empty rows
+    dense[stored & (rng.random(dense.shape) < 0.1)] = rng.choice([0.0, -0.0])
+    row, col = np.nonzero(stored)
+    order = np.lexsort((rng.random(len(row)), row))  # columns unsorted in a row
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(row, minlength=n_rows))])
+    m = sp.csr_matrix((dense[row, col][order], col[order], indptr), shape=(n_rows, n_cols))
+    # scipy narrows index arrays it is given; these are set afterwards
+    m.indices, m.indptr = m.indices.astype(index_dtype), m.indptr.astype(index_dtype)
+    return m
+
+
+class TestBlockProduct:
+    """_block_product calls a private scipy kernel: every block must equal
+    the same rows of a @ b bit for bit, or a new scipy changed it."""
+
+    @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+    def test_blocks_equal_the_sparse_product(self, index_dtype):
+        rng = np.random.default_rng(17)
+        cancelled = stored_zeros = 0
+        for case in range(300):
+            n, k, m = rng.integers(1, 30, 3)
+            a = fuzz_csr(rng, n, k, index_dtype)
+            b = fuzz_csr(rng, k, m, (np.int32, np.int64)[rng.integers(2)])
+            want = (a @ b).toarray()
+            rows = int(rng.integers(1, n + 2))
+            block = candgen._block_product(a, b, rows)
+            got = np.vstack([block(lo, min(lo + rows, n)) for lo in range(0, n, rows)])
+            assert got.dtype == want.dtype and got.shape == want.shape, case
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), case
+            products = (abs(a) @ abs(b)).toarray()
+            cancelled += np.count_nonzero((want == 0) & (products > 0))
+            stored_zeros += np.count_nonzero(a.data == 0)
+        assert cancelled >= 100 and stored_zeros >= 100
+
+    def test_block_with_no_entries(self):
+        a = sp.csr_matrix((np.array([1.5, -2.0]), np.array([0, 2]), np.array([0, 0, 0, 1, 2])),
+                          shape=(4, 3))
+        b = sp.csr_matrix(np.arange(12.0).reshape(3, 4))
+        block = candgen._block_product(a, b, 2)
+        assert np.array_equal(block(0, 2).view(np.uint64), np.zeros((2, 4)).view(np.uint64))
+        assert np.array_equal(block(2, 4), (a @ b)[2:4].toarray())
+        empty = candgen._block_product(sp.csr_matrix((3, 3)), b, 3)
+        assert np.array_equal(empty(0, 3).view(np.uint64), np.zeros((3, 4)).view(np.uint64))
 
 
 def test_build_holds_no_dense_items_by_users_array():
