@@ -7,10 +7,10 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse._sparsetools import csr_matmat
+# numpy loads numpy.random on its first use; loaded here, that is not mid-command
+from numpy.random import default_rng
 
-from ._kernels import sgd_epoch
+from ._kernels import sgd_epoch, sparsetools
 from .errors import CatalogTooSmall, MalformedRow, RerankEvalError, UnknownUser
 from .ingest import jsonl_objects
 
@@ -53,7 +53,7 @@ def _sample_positives(user, relevance, count, catalog, exclusions, seed, taken=(
         return [], None
     pool = sorted(i for i in relevance.relevant
                   if i in catalog and i not in exclusions and i not in taken)
-    rng = np.random.default_rng(stable_seed(seed, "inject", user))
+    rng = default_rng(stable_seed(seed, "inject", user))
     picks = rng.choice(len(pool), size=min(count, len(pool)), replace=False)
     return [pool[i] for i in picks], rng
 
@@ -68,7 +68,7 @@ def gen_random_slate(user, catalog, exclusions, seed, slate_size=SLATE_SIZE,
     stays uninformative.
     """
     eligible = _eligible(catalog, exclusions, slate_size)
-    rng = np.random.default_rng(stable_seed(seed, "random_slate", user))
+    rng = default_rng(stable_seed(seed, "random_slate", user))
     picks = rng.choice(len(eligible), size=slate_size, replace=False)
     items = catalog.ids[eligible[picks]].tolist()
     injected, rng = _sample_positives(user, relevance, min(inject_positives, slate_size),
@@ -124,7 +124,7 @@ def train_mf(train, k=32, epochs=30, learn_rate=0.005, reg=0.02, seed=0):
         raise ValueError("no training interactions")
     global_mean = float(train.rating.mean())
 
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     user_f = rng.normal(0.0, 0.1, size=(len(train.users), k))
     item_f = rng.normal(0.0, 0.1, size=(len(train.items), k))
     user_b = np.zeros(len(train.users))
@@ -154,6 +154,66 @@ KNN_BLOCK_ROWS = 64  # similarity rows computed densely at a time
 KNN_PAIR_BYTES = 1 << 18  # rater bitset bytes gathered per co-rater count step
 
 
+@dataclass
+class Csr:
+    """A sparse matrix in compressed sparse row form, as scipy's kernels take
+    it: row r stores data[indptr[r]:indptr[r + 1]] at the columns of the same
+    slice of indices. Each operation runs the kernel that scipy's matching
+    csr_matrix operation runs, with the same arguments, so its results are
+    bit-identical to scipy's; the oracle tests in tests/test_knn.py pin that."""
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple
+
+    @property
+    def nnz(self):
+        return len(self.data)
+
+    @property
+    def T(self):
+        """The transpose, each row's columns ascending: m.T.tocsr()."""
+        n_rows, n_cols = self.shape
+        t = Csr(np.empty_like(self.data), np.empty_like(self.indices),
+                np.empty(n_cols + 1, dtype=self.indptr.dtype), (n_cols, n_rows))
+        sparsetools.csr_tocsc(n_rows, n_cols, self.indptr, self.indices, self.data,
+                              t.indptr, t.indices, t.data)
+        return t
+
+    def row_sums(self):
+        """Each row's sum, added as m.sum(axis=1) adds it: one reduceat over
+        the rows that store anything, then a sum over no axes, which adds 0.0
+        to each sum and so turns -0.0 into 0.0."""
+        sums = np.zeros(self.shape[0], dtype=self.data.dtype)
+        rows = np.flatnonzero(np.diff(self.indptr))
+        sums[rows] = np.add.reduceat(self.data, self.indptr[rows])
+        return sums + 0.0
+
+    def __matmul__(self, x):
+        """The product with vector x, summed row by row in storage order."""
+        out = np.zeros(self.shape[0], dtype=np.result_type(self.data, x))
+        sparsetools.csr_matvec(*self.shape, self.indptr, self.indices, self.data, x, out)
+        return out
+
+
+def _index_dtype(*sizes):
+    """scipy's index type for a matrix of these dimensions and entry count:
+    int32 when they all fit in it, else int64."""
+    return np.int32 if max(sizes) <= np.iinfo(np.int32).max else np.int64
+
+
+def _ratings_csr(train):
+    """train's users x items ratings, each row's columns ascending: what
+    sp.csr_matrix((rating, (user, item))) builds from a table with one row per
+    (user, item), index type included."""
+    shape = len(train.users), len(train.items)
+    index = _index_dtype(*shape, len(train))
+    order = np.argsort(train.user * shape[1] + train.item)
+    indptr = np.zeros(shape[0] + 1, dtype=index)
+    np.cumsum(np.bincount(train.user, minlength=shape[0]), out=indptr[1:])
+    return Csr(train.rating[order], train.item[order].astype(index), indptr, shape)
+
+
 def _row_ids(m):
     """The row of each stored entry of CSR matrix m, in storage order."""
     return np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
@@ -164,12 +224,12 @@ def _block_product(a, b, rows):
     of the product of CSR matrices a and b as a dense array, bit-identical to
     (a @ b)[lo:hi].toarray().
 
-    A block is one call of csr_matmat, the kernel behind a @ b. The kernel is
-    private to scipy, so an oracle test pins it to a @ b. It sums each entry
-    in the same order, with the same arithmetic, as a @ b does, but without
-    the pass that only sizes the result: it writes into arrays of
-    rows x b.shape[1] entries, allocated once here, and one scatter fills a
-    zeroed block from them. The kernel leaves out the entries that sum to
+    A block is one call of csr_matmat, the kernel behind scipy's a @ b. The
+    kernel is private to scipy, so an oracle test pins it to a @ b. It sums
+    each entry in the same order, with the same arithmetic, as a @ b does,
+    but without the pass that only sizes the result: it writes into arrays
+    of rows x b.shape[1] entries, allocated once here, and one scatter fills
+    a zeroed block from them. The kernel leaves out the entries that sum to
     exactly zero, which the zeroed block holds already.
     """
     n = b.shape[1]
@@ -186,8 +246,8 @@ def _block_product(a, b, rows):
 
     def block(lo, hi):
         # a_ptr[lo:hi + 1] points into all of a_col and a_val: no row slice
-        csr_matmat(hi - lo, n, a_ptr[lo:hi + 1], a_col, a_val, b_ptr, b_col, b_val,
-                   c_ptr, c_col, c_val)
+        sparsetools.csr_matmat(hi - lo, n, a_ptr[lo:hi + 1], a_col, a_val,
+                               b_ptr, b_col, b_val, c_ptr, c_col, c_val)
         nnz = c_ptr[hi - lo]
         dense = np.zeros((hi - lo, n), dtype=value)
         dense[np.repeat(np.arange(hi - lo), np.diff(c_ptr[:hi - lo + 1])),
@@ -249,7 +309,7 @@ def _co_raters(bits, i, j):
 
 
 def build_item_knn(train, top_m=50, min_co_raters=3):
-    """Cosine similarity over mean-centered user rating vectors, as a CSR
+    """Cosine similarity over mean-centered user rating vectors, as a Csr
     items x items matrix whose row and column n stand for train item code n.
     train holds one row per (user, item), as split_leave_n_out's tables do.
 
@@ -259,13 +319,15 @@ def build_item_knn(train, top_m=50, min_co_raters=3):
     in column order; scoring adds them up in that order, so the indices must
     never be sorted.
 
-    The similarity product runs KNN_BLOCK_ROWS rows at a time, so only one
-    block is ever dense. Each block is one pass of scipy's sparse product
-    kernel over its rows (see _block_product), written straight into the
-    dense block, bit-identical to the same rows of the full product. The
-    norms are one bincount of the squared centered ratings in storage order,
-    the order in which the full product sums its diagonal. Each row's top_m
-    come from a partition threshold, not a full sort. Co-raters are counted
+    The ratings matrix, its user sums and its transpose hold what
+    scipy.sparse would give, bit for bit (see Csr). The similarity product
+    runs KNN_BLOCK_ROWS rows at a time, so only one block is ever dense. Each
+    block is one pass of scipy's sparse product kernel over its rows (see
+    _block_product), written straight into the dense block, bit-identical to
+    the same rows of the full product. The norms are one bincount of the
+    squared centered ratings in storage order, the order in which the full
+    product sums its diagonal. Each row's top_m come from a partition
+    threshold, not a full sort. Co-raters are counted
     only for those picks, from a table of each item's raters packed one bit
     per user into 64-bit words (ceil(users / 64) words per item, 192 B on
     the knn-dense benchmark corpus), by AND and popcount; with one row per
@@ -275,12 +337,10 @@ def build_item_knn(train, top_m=50, min_co_raters=3):
     """
     if not len(train):
         raise ValueError("no training interactions")
-    centered = sp.csr_matrix((train.rating, (train.user, train.item)),
-                             shape=(len(train.users), len(train.items)))
-    user_means = np.asarray(centered.sum(axis=1)).ravel() / np.maximum(
-        np.diff(centered.indptr), 1)
+    centered = _ratings_csr(train)
+    user_means = centered.row_sums() / np.maximum(np.diff(centered.indptr), 1)
     centered.data -= user_means[_row_ids(centered)]
-    centered_t = centered.T.tocsr()
+    centered_t = centered.T
     bits = _rater_bits(centered_t)
 
     n = len(train.items)
@@ -299,12 +359,14 @@ def build_item_knn(train, top_m=50, min_co_raters=3):
         np.clip(sims, -1.0, 1.0, out=sims)
         sims[np.arange(b - a), np.arange(a, b)] = -np.inf  # exclude self
         row, col = _top(sims, top_m)
-        short = np.unique(row[_co_raters(bits, a + row, col) < min_co_raters])
+        low = np.bincount(row[_co_raters(bits, a + row, col) < min_co_raters],
+                          minlength=b - a)
+        short = np.flatnonzero(low)
         if len(short):  # the picks beyond these rows' top_m need counts too
             again = sims[short]
             again[_co_raters(bits, a + short[:, None], np.arange(n)) < min_co_raters] = -np.inf
             redo_row, redo_col = _top(again, top_m)
-            keep = ~np.isin(row, short)
+            keep = low[row] == 0
             row = np.concatenate([row[keep], short[redo_row]])
             col = np.concatenate([col[keep], redo_col])
             order = np.argsort(row, kind="stable")
@@ -313,9 +375,11 @@ def build_item_knn(train, top_m=50, min_co_raters=3):
         indices.append(col)
         counts.append(np.bincount(row, minlength=b - a))
         del sims
-    indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
-    return sp.csr_matrix((np.concatenate(data), np.concatenate(indices), indptr),
-                         shape=(n, n))
+    data = np.concatenate(data)
+    index = _index_dtype(n, len(data))
+    indptr = np.zeros(n + 1, dtype=index)
+    np.cumsum(np.concatenate(counts), out=indptr[1:])
+    return Csr(data, np.concatenate(indices).astype(index), indptr, (n, n))
 
 
 class ItemKnnRecommender:

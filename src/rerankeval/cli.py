@@ -5,6 +5,7 @@ import argparse
 import configparser
 import json
 import logging
+import math
 import re
 import sys
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
@@ -333,7 +334,9 @@ def _write_report(run_dir, cfg, users, baseline_results, ranked_results,
         report[mode_col] = metrics.results_to_json(ranked_results)
         report["comparison_vs_non"] = {
             f"{m}@{n}": (None if r is None else
-                         {"t": r.t_value, "df": r.degrees_of_freedom,
+                         # strict JSON has no infinity: an infinite t is null
+                         {"t": r.t_value if math.isfinite(r.t_value) else None,
+                          "df": r.degrees_of_freedom,
                           "p": r.p_value, "stars": r.significant})
             for (m, n), r in sorted(comparison.items())
         }
@@ -361,7 +364,7 @@ def _write_report(run_dir, cfg, users, baseline_results, ranked_results,
             txt_lines.append(" | ".join(str(row[h]).ljust(13) for h in header))
     # report.json, the file readers check first, moves last
     texts = {"csv": "\n".join(csv_lines), "txt": "\n".join(txt_lines),
-             "json": json.dumps(report, indent=2, sort_keys=True)}
+             "json": json.dumps(report, indent=2, sort_keys=True, allow_nan=False)}
     with ingest.commit(*(run_dir / f"report.{ext}" for ext in texts)) as files:
         for fh, text in zip(files, texts.values()):
             fh.write(text.encode() + b"\n")

@@ -94,35 +94,49 @@ def _sample_var(xs):
 
 
 def paired_t_test(a, b):
-    """Paired two-sided t-test on elementwise differences a - b."""
+    """Paired two-sided t-test on elementwise differences a - b.
+
+    ZeroVariance when every difference is 0. When every difference is the
+    same nonzero value, t is infinite with its sign and p is 0."""
     if len(a) != len(b):
         raise RerankEvalError(f"{len(a)} vs {len(b)}")
     n = len(a)
     if n < 2:
         raise ValueError("need at least 2 pairs")
     diffs = [x - y for x, y in zip(a, b)]
-    var = _sample_var(diffs)
-    if var == 0.0:
-        raise ZeroVariance("all differences are equal")
-    t = _mean(diffs) / math.sqrt(var / n)
+    # equal differences have no spread, though their computed variance may
+    # round to a tiny nonzero value
+    if len(set(diffs)) == 1:
+        if diffs[0] == 0.0:
+            raise ZeroVariance("every difference is 0")
+        t = math.copysign(math.inf, diffs[0])
+    else:
+        t = _mean(diffs) / math.sqrt(_sample_var(diffs) / n)
     p = t_two_sided_p(t, n - 1)
     return TTestResult(t_value=t, degrees_of_freedom=float(n - 1),
                        p_value=p, significant=stars(p))
 
 
 def two_sample_t_test(a, b):
-    """Unpaired two-sided Welch t-test."""
+    """Unpaired two-sided Welch t-test.
+
+    ZeroVariance when both samples are constant and equal. When both are
+    constant and differ, t is infinite with the sign of a - b, p is 0, and df
+    is 1, as scipy reports it: with no spread, any df gives p = 0."""
     if len(a) < 2 or len(b) < 2:
         raise ValueError("each sample needs at least 2 observations")
-    na, nb = len(a), len(b)
-    ma, mb = _mean(a), _mean(b)
-    va, vb = _sample_var(a), _sample_var(b)
-    if va == 0.0 and vb == 0.0:
-        raise ZeroVariance("both samples are constant")
-    se = math.sqrt(va / na + vb / nb)
-    df = (va / na + vb / nb) ** 2 / (
-        (va / na) ** 2 / (na - 1) + (vb / nb) ** 2 / (nb - 1))
-    t = (ma - mb) / se
+    if len(set(a)) == 1 and len(set(b)) == 1:
+        if a[0] == b[0]:
+            raise ZeroVariance("both samples are constant and equal")
+        t, df = math.copysign(math.inf, a[0] - b[0]), 1.0
+    else:
+        na, nb = len(a), len(b)
+        ma, mb = _mean(a), _mean(b)
+        va, vb = _sample_var(a), _sample_var(b)
+        se = math.sqrt(va / na + vb / nb)
+        df = (va / na + vb / nb) ** 2 / (
+            (va / na) ** 2 / (na - 1) + (vb / nb) ** 2 / (nb - 1))
+        t = (ma - mb) / se
     p = t_two_sided_p(t, df)
     return TTestResult(t_value=t, degrees_of_freedom=df, p_value=p,
                        significant=stars(p))

@@ -50,6 +50,26 @@ def sha(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def oracle_backend(split):
+    """A backend that ranks each prompt's relevant candidates first, in
+    prompt order, then the others; it knows the user by their history."""
+    relevance = {u: rs.relevant for u, rs in split.relevance.items()}
+    history_key = {
+        frozenset(e[0] for e in ingest.user_history(split.train, u).entries): u
+        for u in split.train.users.tolist()}
+
+    def handler(request):
+        lines = request.user_prompt.splitlines()
+        hist = frozenset(l.split("[", 1)[1].split("]", 1)[0]
+                         for l in lines if l.startswith("- ["))
+        relevant = relevance[history_key[hist]]
+        ids = candidate_ids(request.user_prompt)
+        ordered = [i for i in ids if i in relevant] + [i for i in ids if i not in relevant]
+        return "\n".join(f"Rank {k}: {i} - oracle" for k, i in enumerate(ordered, start=1))
+
+    return ScriptedBackend(handler=handler)
+
+
 def per_user(report, column):
     """{(metric, n): {user: value}} of one report column."""
     return {(r["metric"], r["n"]): r["per_user"] for r in report[column]}
@@ -339,30 +359,38 @@ class TestRun:
         _, _, run_dir = corpus
         main(ingest_args(corpus))
         split = ingest.read_split(run_dir / "split.json")
-        relevance = {u: rs.relevant for u, rs in split.relevance.items()}
-        # identify the user inside the prompt by their history item set
-        history_key = {
-            frozenset(e[0] for e in ingest.user_history(split.train, u).entries): u
-            for u in split.train.users.tolist()}
-
-        def handler(request):
-            lines = request.user_prompt.splitlines()
-            hist = frozenset(l.split("[", 1)[1].split("]", 1)[0]
-                             for l in lines if l.startswith("- ["))
-            relevant = relevance[history_key[hist]]
-            ids = [l.split("[", 1)[1].split("]", 1)[0] for l in lines
-                   if l.split(".")[0].isdigit() and "[" in l]
-            ordered = [i for i in ids if i in relevant] + \
-                      [i for i in ids if i not in relevant]
-            return "\n".join(f"Rank {k}: {i} - oracle"
-                             for k, i in enumerate(ordered, start=1))
-
-        monkeypatch.setattr(cli, "make_backend",
-                            lambda cfg: ScriptedBackend(handler=handler))
+        monkeypatch.setattr(cli, "make_backend", lambda cfg: oracle_backend(split))
         main(run_args(corpus, mode="trained", inject_positives=10))
         report = json.loads((run_dir / "report.json").read_text())
         means = {(r["metric"], r["n"]): r["mean"] for r in report["sft_dpo"]}
         assert means[("ndcg", 10)] == pytest.approx(1.0, abs=1e-9)
+
+    def test_constant_difference_is_starred_with_a_null_t(self, corpus, monkeypatch,
+                                                          tmp_path):
+        # every slate puts its relevant items last and the oracle ranks them
+        # first, so every user's hit ratio at 1 goes from 0 to 1
+        _, _, run_dir = corpus
+        main(ingest_args(corpus))
+        split = ingest.read_split(run_dir / "split.json")
+        exported, slates = tmp_path / "exported.jsonl", tmp_path / "slates.jsonl"
+        assert main(["export-slates", "--run-dir", str(run_dir), "--sample-count", "25",
+                     "--inject-positives", "3", "--out", str(exported)]) == EXIT_OK
+        with slates.open("w", encoding="utf-8") as fh:
+            for slate in map(json.loads, exported.read_text().splitlines()):
+                relevant = split.relevance[slate["user"]].relevant
+                slate["items"].sort(key=lambda item: item in relevant)
+                assert slate["items"][0] not in relevant and slate["items"][-1] in relevant
+                fh.write(json.dumps(slate) + "\n")
+        monkeypatch.setattr(cli, "make_backend", lambda cfg: oracle_backend(split))
+        assert main(run_args(corpus, mode="zero_shot", generator="external",
+                             slates=slates, cutoffs="1,3")) == EXIT_OK
+        # strict JSON: no Infinity or NaN
+        report = json.loads((run_dir / "report.json").read_text(),
+                            parse_constant=lambda name: pytest.fail(name))
+        assert report["comparison_vs_non"]["hit_ratio@1"] == \
+            {"t": None, "df": 24.0, "p": 0.0, "stars": "***"}
+        assert "hit_ratio,1,0.0000,1.0000,,0.000***," in \
+            (run_dir / "report.csv").read_text().splitlines()
 
     def test_fallback_user_exits_1(self, corpus, monkeypatch):
         _, _, run_dir = corpus
@@ -997,6 +1025,17 @@ class TestHumanEval:
         f.write_text("4\n4\n4\n")
         assert main(["human-eval", str(f), str(f), "--paired"]) == EXIT_OK
         assert "no difference" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("a,b,paired,df", [("5\n5\n5\n", "3\n3\n3\n", False, "1.00"),
+                                               ("4\n5\n3\n", "3\n4\n2\n", True, "2.00")],
+                             ids=["unpaired", "paired"])
+    def test_constant_difference_is_certain(self, tmp_path, capsys, a, b, paired, df):
+        (tmp_path / "a.txt").write_text(a)
+        (tmp_path / "b.txt").write_text(b)
+        assert main(["human-eval", str(tmp_path / "a.txt"), str(tmp_path / "b.txt")]
+                    + ["--paired"] * paired) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[-1] == \
+            f"t = inf  df = {df}  p = 0.0000 ***"
 
     def test_clear_shift_significant(self, tmp_path, capsys):
         a = tmp_path / "a.txt"

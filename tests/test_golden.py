@@ -3,12 +3,19 @@ slates and the offline manifest on the conftest corpus, pinned to the values
 the code gave before ratings became one columnar table, and of the
 scripted-backend manifest, pinned to what the code gave before one-id
 lookups went through dicts. A change that moves any of them must say why
-and update the digest."""
+and update the digest. One fresh interpreter also runs every command and
+checks that none of them loads scipy."""
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import rerankeval
 
 from conftest import write_corpus
 from rerankeval.cli import main
@@ -71,3 +78,43 @@ def test_scripted_manifest(ingested):
     assert main(["build-dataset", "--run-dir", "run", "--offline", "0",
                  "--ranking-size", "10"]) == 0
     assert sha("run/manifest.json") == SCRIPTED_MANIFEST
+
+
+# runs the commands given as JSON in one interpreter; prints, after the
+# import and after each command, its exit code and the scipy modules loaded
+NO_SCIPY_SCRIPT = """
+import json, sys
+from rerankeval.cli import main
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+loaded = {"import": scipy_modules()}
+for argv in json.loads(sys.argv[1]):
+    loaded[" ".join(argv)] = (main(argv), scipy_modules())
+print(json.dumps(loaded))
+"""
+
+
+def test_no_command_loads_scipy(tmp_path):
+    # pytest has imported scipy, so the commands run in a fresh interpreter
+    write_corpus(tmp_path)
+    (tmp_path / "a.txt").write_text("4\n5\n3\n")
+    (tmp_path / "b.txt").write_text("3\n4\n2\n")
+    commands = [
+        ["ingest", "--ratings", "ratings.csv", "--items", "items.csv", "--run-dir", "run"],
+        ["run", "--run-dir", "run", "--generator", "random", "--mode", "none"],
+        ["run", "--run-dir", "run", "--generator", "mf", "--mode", "none"],
+        ["build-dataset", "--run-dir", "run", "--offline", "1", "--ranking-size", "10"],
+        ["export-slates", "--run-dir", "run", "--generator", "knn", "--out", "knn.jsonl"],
+        ["human-eval", "a.txt", "b.txt", "--paired"],
+        # last, so that run/report.json is the knn report
+        ["run", "--run-dir", "run", "--generator", "knn", "--mode", "none"],
+    ]
+    src = str(Path(rerankeval.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, json.dumps(commands)],
+                         cwd=tmp_path, capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    loaded = json.loads(out.splitlines()[-1])
+    assert loaded == {"import": [], **{" ".join(argv): [0, []] for argv in commands}}
+    assert sha(tmp_path / "run" / "report.json") == REPORTS["knn", "none"]

@@ -1,19 +1,25 @@
 """The sparse top-m item-kNN against the per-item reference in knn_oracle:
 neighbour lists, scores and slates must be bit-identical. Its helpers are
-checked against a full stable sort and a per-pair set intersection."""
+checked against a full stable sort and a per-pair set intersection, and its
+sparse matrices and the scipy kernels they run against scipy.sparse."""
 
+import importlib.machinery
+import importlib.util
+import re
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse._sparsetools
 
 from conftest import interactions, write_corpus
 from knn_oracle import OracleKnnScorer, build_item_knn_oracle, neighbor_lists
-from rerankeval import candgen
+from rerankeval import _kernels, candgen
 from rerankeval.candgen import ItemKnnRecommender, build_item_knn, gen_model_slate
 from rerankeval.errors import UnknownUser
-from rerankeval.ingest import (Catalog, ItemCard, load_interactions, load_items,
+from rerankeval.ingest import (Catalog, Interactions, ItemCard, load_interactions, load_items,
                                split_leave_n_out)
 
 
@@ -224,8 +230,9 @@ def fuzz_csr(rng, n_rows, n_cols, index_dtype):
 
 
 class TestBlockProduct:
-    """_block_product calls a private scipy kernel: every block must equal
-    the same rows of a @ b bit for bit, or a new scipy changed it."""
+    """_block_product calls a private scipy kernel, loaded from its file
+    without scipy.sparse: every block must equal the same rows of a @ b bit
+    for bit, or a new scipy changed it."""
 
     @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
     def test_blocks_equal_the_sparse_product(self, index_dtype):
@@ -255,6 +262,119 @@ class TestBlockProduct:
         assert np.array_equal(block(2, 4), (a @ b)[2:4].toarray())
         empty = candgen._block_product(sp.csr_matrix((3, 3)), b, 3)
         assert np.array_equal(empty(0, 3).view(np.uint64), np.zeros((3, 4)).view(np.uint64))
+
+
+def bits(a):
+    """a's float64 values as integers, so that equality is bit for bit."""
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+def assert_same_csr(ours, theirs, index_type=True):
+    """ours, a candgen.Csr, holds scipy matrix theirs's arrays bit for bit,
+    and their index type unless index_type is false."""
+    assert ours.shape == theirs.shape and ours.nnz == theirs.nnz
+    assert ours.indptr.dtype == ours.indices.dtype
+    if index_type:
+        assert (ours.indices.dtype, ours.indptr.dtype) == \
+            (theirs.indices.dtype, theirs.indptr.dtype)
+    assert np.array_equal(ours.indptr, theirs.indptr)
+    assert np.array_equal(ours.indices, theirs.indices)
+    assert np.array_equal(bits(ours.data), bits(theirs.data))
+
+
+def fuzz_train(rng):
+    """A ratings table with one row per (user, item), rows in no order, over
+    id lists longer than the codes it uses: users who rated nothing, items
+    nobody rated, and users with one rating. Ratings are any floats, so
+    that every order of adding them up can round differently."""
+    n_users, n_items = rng.integers(1, 25, 2)
+    rated = rng.random((n_users, n_items)) < rng.choice([0.05, 0.3, 0.9])
+    rated[rng.random(n_users) < 0.2] = False  # users who rated nothing
+    rated[:, rng.random(n_items) < 0.2] = False  # items nobody rated
+    for u in np.flatnonzero(rng.random(n_users) < 0.2):  # one rating each
+        rated[u] = False
+        rated[u, rng.integers(n_items)] = True
+    user, item = np.nonzero(rated)
+    order = rng.permutation(len(user))
+    rating = rng.uniform(0.5, 5.0, len(user)) * rng.choice([1.0, 1e-3, 1e3], len(user))
+    return Interactions(np.array([f"u{u:02d}" for u in range(n_users)]),
+                        np.array([f"i{i:02d}" for i in range(n_items)]),
+                        user[order], item[order], rating[order],
+                        np.zeros(len(user), dtype=np.int64))
+
+
+class TestCsrMatchesScipy:
+    """What the build and the scorer compute in place of scipy.sparse, bit for
+    bit against scipy.sparse's public API: the train matrix, its row sums,
+    the transpose and the matrix-vector product."""
+
+    def test_ratings_matrix_row_sums_and_transpose(self):
+        rng = np.random.default_rng(23)
+        empty_rows = unrated_items = single_rows = 0
+        for case in range(300):
+            train = fuzz_train(rng)
+            ours = candgen._ratings_csr(train)
+            theirs = sp.csr_matrix((train.rating, (train.user, train.item)),
+                                   shape=(len(train.users), len(train.items)))
+            assert_same_csr(ours, theirs)
+            assert np.array_equal(bits(ours.row_sums()),
+                                  bits(np.asarray(theirs.sum(axis=1)).ravel())), case
+            assert_same_csr(ours.T, theirs.T.tocsr())
+            per_user = np.diff(theirs.indptr)
+            empty_rows += np.count_nonzero(per_user == 0)
+            single_rows += np.count_nonzero(per_user == 1)
+            unrated_items += np.count_nonzero(np.diff(theirs.T.tocsr().indptr) == 0)
+        assert min(empty_rows, unrated_items, single_rows) >= 100
+
+    @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+    def test_transpose_row_sums_and_product_of_any_csr(self, index_dtype):
+        # unsorted columns, stored zeros and empty rows, in either index type
+        rng = np.random.default_rng(29)
+        for case in range(300):
+            m = fuzz_csr(rng, *rng.integers(1, 30, 2), index_dtype)
+            ours = candgen.Csr(m.data, m.indices, m.indptr, m.shape)
+            # scipy narrows an int64 index that fits to int32; the build's
+            # matrices have int32 indices whenever they fit
+            assert_same_csr(ours.T, m.T.tocsr(), index_type=index_dtype is np.int32)
+            assert np.array_equal(bits(ours.row_sums()),
+                                  bits(np.asarray(m.sum(axis=1)).ravel())), case
+            x = rng.normal(size=m.shape[1])
+            x[rng.random(len(x)) < 0.4] = 0.0  # unrated items
+            assert np.array_equal(bits(ours @ x), bits(m @ x)), case
+
+    def test_score_items_product_is_the_sparse_product(self, tmp_path):
+        split, _ = conftest_train(tmp_path)
+        sim = build_item_knn(split.train, top_m=10, min_co_raters=2)
+        theirs = sp.csr_matrix((sim.data, sim.indices, sim.indptr), shape=sim.shape)
+        rng = np.random.default_rng(31)
+        for user in split.train.users.tolist():
+            rows = split.train.rows_of(user)
+            ratings = np.zeros(len(split.train.items))
+            ratings[split.train.item[rows]] = split.train.rating[rows] + rng.normal(
+                scale=1e-3, size=len(rows))
+            assert np.array_equal(bits(sim @ ratings), bits(theirs @ ratings))
+
+    def test_index_type_is_scipys(self):
+        for size in (0, 1, 2**31 - 1, 2**31, 2**40):
+            assert candgen._index_dtype(3, size) == sp.get_index_dtype(maxval=size)
+
+
+class TestKernelLoader:
+    def test_loads_scipys_sparse_kernels(self):
+        assert _kernels.sparsetools.__name__ == "rerankeval._sparsetools"
+        assert _kernels.sparsetools.__file__ == scipy.sparse._sparsetools.__file__
+
+    def test_missing_file_names_its_path(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(importlib.util, "find_spec",
+                            lambda name: SimpleNamespace(submodule_search_locations=[tmp_path]))
+        want = tmp_path / "sparse" / ("_sparsetools" + importlib.machinery.EXTENSION_SUFFIXES[0])
+        with pytest.raises(ImportError, match=re.escape(f"no {want}") + "$"):
+            _kernels._load_sparsetools()
+
+    def test_missing_scipy(self, monkeypatch):
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
+        with pytest.raises(ImportError, match="scipy is not installed"):
+            _kernels._load_sparsetools()
 
 
 def test_build_holds_no_dense_items_by_users_array():

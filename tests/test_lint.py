@@ -240,3 +240,45 @@ def test_files_are_written_only_through_commit():
     found = [(path.name, line) for path in sorted(SRC.glob("*.py"))
              for line in writes_outside_commit(path.read_text(encoding="utf-8"))]
     assert found == []
+
+
+def _is_scipy(name):
+    return name == "scipy" or name.startswith("scipy.")
+
+
+def scipy_imports(source):
+    """Line of each import of scipy or of a scipy module in source, at any
+    depth: an import or from-import statement, or an import_module or
+    __import__ call given the name as a literal."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] if node.level == 0 else []
+        elif isinstance(node, ast.Call) and _call_name(node) in ("import_module", "__import__"):
+            names = [arg.value for arg in node.args[:1] if _is_literal(arg, str)]
+        else:
+            continue
+        if any(_is_scipy(name) for name in names):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_checker_sees_scipy_imports():
+    source = ("import scipy\nimport scipy.sparse as sp\nfrom scipy import special\n"
+              "from scipy.sparse._sparsetools import csr_matmat\nimport numpy, scipy.stats\n"
+              "def f():\n    import scipy.special\n"
+              "importlib.import_module('scipy.sparse')\n__import__('scipy')\n"
+              "import scipyx\nfrom . import scipy\nfrom .scipy import x\n"
+              "importlib.util.find_spec('scipy')\nimport numpy as scipy\n")
+    assert scipy_imports(source) == [1, 2, 3, 4, 5, 7, 8, 9]
+
+
+def test_no_scipy_import_under_src():
+    # importing scipy, or any of its modules, adds about 13 MB to every
+    # command's peak RSS; the kNN build loads only the compiled kernels it
+    # runs, from their file (_kernels.sparsetools)
+    found = [(path.name, line) for path in sorted(SRC.glob("*.py"))
+             for line in scipy_imports(path.read_text(encoding="utf-8"))]
+    assert found == []

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import pytest
 import scipy.stats as scipy_stats
@@ -9,6 +10,14 @@ from rerankeval.metrics import MetricResult
 from rerankeval.stats import (compare_models, paired_t_test,
                               reg_incomplete_beta, render_p, stars,
                               t_two_sided_p, two_sample_t_test)
+
+
+def no_spread(test, *args, **kwargs):
+    """The scipy test on samples with no spread, without the warning scipy
+    gives for them."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return test(*args, **kwargs)
 
 
 class TestTCdf:
@@ -48,6 +57,17 @@ class TestPaired:
         with pytest.raises(ZeroVariance):
             paired_t_test([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
 
+    def test_constant_nonzero_difference_is_certain(self):
+        # every pair differs by 1: no spread, but a difference
+        for a, b, sign in (([4.0, 5.0, 3.0], [3.0, 4.0, 2.0], 1.0),
+                           ([3.0, 4.0, 2.0], [4.0, 5.0, 3.0], -1.0)):
+            result = paired_t_test(a, b)
+            ref = no_spread(scipy_stats.ttest_rel, a, b)
+            assert (result.t_value, result.p_value, result.significant) == \
+                (sign * math.inf, 0.0, "***")
+            assert (result.t_value, result.p_value, result.degrees_of_freedom) == \
+                (ref.statistic, ref.pvalue, ref.df)
+
     def test_antisymmetry(self):
         a, b = [1.0, 2.5, 3.0, 4.0], [0.5, 2.0, 3.5, 3.0]
         assert paired_t_test(a, b).t_value == -paired_t_test(b, a).t_value
@@ -76,9 +96,19 @@ class TestTwoSample:
         assert result.t_value == 0.0
         assert result.p_value == 1.0
 
-    def test_both_constant(self):
+    def test_both_constant_and_equal_is_no_difference(self):
         with pytest.raises(ZeroVariance):
-            two_sample_t_test([0.0, 0.0], [1.0, 1.0])
+            two_sample_t_test([1.0, 1.0], [1.0, 1.0, 1.0])
+
+    def test_both_constant_and_different_is_certain(self):
+        for a, b, sign in (([5.0, 5.0, 5.0], [3.0, 3.0, 3.0], 1.0),
+                           ([0.0, 0.0], [1.0, 1.0], -1.0)):
+            result = two_sample_t_test(a, b)
+            ref = no_spread(scipy_stats.ttest_ind, a, b, equal_var=False)
+            assert (result.t_value, result.p_value, result.significant) == \
+                (sign * math.inf, 0.0, "***")
+            assert (result.t_value, result.p_value, result.degrees_of_freedom) == \
+                (ref.statistic, ref.pvalue, ref.df)
 
     def test_welch_matches_scipy_oracle(self):
         # oracle-computed (scipy.stats.ttest_ind, equal_var=False)
@@ -94,6 +124,12 @@ class TestTwoSample:
         ref = scipy_stats.ttest_ind(a, b, equal_var=False)
         assert mine.t_value == pytest.approx(ref.statistic, abs=1e-10)
         assert mine.p_value == pytest.approx(ref.pvalue, abs=1e-10)
+
+
+def test_equal_values_have_no_spread():
+    # all 0.1, yet their computed variance is not 0: the test sees no spread
+    assert paired_t_test([0.1] * 3, [0.0] * 3).t_value == math.inf
+    assert two_sample_t_test([0.1] * 3, [0.2] * 2).t_value == -math.inf
 
 
 class TestStars:
@@ -118,6 +154,14 @@ class TestCompareModels:
         table = compare_models(result_grid(vals), result_grid(vals))
         assert table[("ndcg", 3)] is None
         assert render_p(table[("ndcg", 3)]) == "-"
+
+    def test_constant_shift_is_certain(self):
+        # every user gains the same 0.25: the runs differ, so the cell is no "-"
+        base = {f"u{i}": 0.25 * (i % 3) for i in range(10)}
+        table = compare_models(result_grid({u: v + 0.25 for u, v in base.items()}),
+                               result_grid(base))
+        assert (table[("ndcg", 3)].t_value, render_p(table[("ndcg", 3)])) == \
+            (math.inf, "0.000***")
 
     def test_known_shift_is_significant(self):
         # Monte-Carlo sanity: a 0.5 shift over 50 users with sd 0.1
