@@ -19,6 +19,7 @@ peak RSS in modules that nothing here uses.
 
 import importlib.machinery
 import importlib.util
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +49,8 @@ sparsetools = _load_sparsetools()
 
 
 def wave_levels(users, items, n_users, n_items):
-    """Level of each step of a sequence of (user row, item row) updates.
+    """Level of each step of a sequence of (user row, item row) updates,
+    given as two integer arrays.
 
     Step t gets 1 + the highest level of an earlier step on its user or its
     item, so the steps of one level touch pairwise disjoint rows and each
@@ -56,13 +58,14 @@ def wave_levels(users, items, n_users, n_items):
     """
     last_u = [0] * n_users
     last_i = [0] * n_items
-    levels = [0] * len(users)
-    for t, (u, i) in enumerate(zip(users, items)):
+    levels = array("q")
+    for u, i in zip(memoryview(users), memoryview(items)):
         lu = last_u[u]
         li = last_i[i]
         level = (lu if lu > li else li) + 1
-        last_u[u] = last_i[i] = levels[t] = level
-    return np.array(levels, dtype=np.int64)
+        last_u[u] = last_i[i] = level
+        levels.append(level)
+    return np.frombuffer(levels, dtype=np.int64)
 
 
 def sgd_epoch(u_idx, i_idx, ratings, order, user_f, item_f,
@@ -74,7 +77,7 @@ def sgd_epoch(u_idx, i_idx, ratings, order, user_f, item_f,
     n_users = user_f.shape[0]
     users = u_idx[order]
     items = i_idx[order]
-    levels = wave_levels(users.tolist(), items.tolist(), n_users, item_f.shape[0])
+    levels = wave_levels(users, items, n_users, item_f.shape[0])
     # steps grouped by level; within a level, in permutation order
     steps = np.argsort(levels, kind="stable")
     bounds = np.cumsum(np.bincount(levels))

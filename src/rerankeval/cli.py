@@ -8,7 +8,9 @@ import logging
 import math
 import re
 import sys
+from contextlib import closing
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -230,17 +232,16 @@ def _external_slate(slates, user, rated, catalog):
 
 
 def _each_user(fn, users, cap):
-    """{user: fn(user)} for the users fn accepts, with at most cap calls in
-    flight. A user whose fn raises a RerankEvalError is skipped, with
-    `skipped user <user>: <reason>` logged in user order; any other
-    exception is raised (bounded_map)."""
-    accepted = {}
-    for user, result in zip(users, bounded_map(fn, users, cap, carry=RerankEvalError)):
-        if isinstance(result, RerankEvalError):
-            log.warning("skipped user %s: %s", user, result)
-        else:
-            accepted[user] = result
-    return accepted
+    """Yield (user, fn(user)) for the users fn accepts, in user order, with
+    at most cap calls in flight. A user whose fn raises a RerankEvalError is
+    skipped, with `skipped user <user>: <reason>` logged in user order; any
+    other exception is raised (bounded_map). Closing it closes bounded_map."""
+    with closing(bounded_map(fn, users, cap, carry=RerankEvalError)) as results:
+        for user, result in zip(users, results):
+            if isinstance(result, RerankEvalError):
+                log.warning("skipped user %s: %s", user, result)
+            else:
+                yield user, result
 
 
 def _user_inputs(cfg, users, split, catalog):
@@ -279,7 +280,7 @@ def _user_inputs(cfg, users, split, catalog):
         rerank.build_prompt(history, slate, catalog)
         return history, slate
 
-    return _each_user(inputs, users, 1)
+    return dict(_each_user(inputs, users, 1))
 
 
 def cmd_run(cfg):
@@ -385,17 +386,24 @@ def cmd_build_dataset(cfg):
         sample = datasetgen.make_positive_sample(backend, history, ranking, catalog)
         return sample, datasetgen.make_dpo_pair(sample, cfg.seed, backend=backend)
 
-    # users share one pool bounded by the backend's cap
-    built = _each_user(sample_and_pair, users,
-                       1 if cfg.offline else backend.max_concurrent_requests)
-    if built:
-        datasetgen.write_training_files(list(built.values()), Path(cfg.out_dir or cfg.run_dir))
-    else:  # keep an earlier dataset rather than replace it with empty files
-        print("no sample was built; wrote nothing", file=sys.stderr)
-    print(f"sft samples: {len(built)}")
-    print(f"dpo pairs: {len(built)}")
-    print(f"dropped: {len(users) - len(built)}")
-    return EXIT_OK if len(built) == len(users) else EXIT_PARTIAL
+    # users share one pool bounded by the backend's cap; each record is
+    # written as its user finishes, and closing the pool on a failed write
+    # sends none of the requests not yet started
+    cap = 1 if cfg.offline else backend.max_concurrent_requests
+    with closing(_each_user(sample_and_pair, users, cap)) as built:
+        records = (record for _, record in built)
+        first = next(records, None)
+        if first is None:  # keep an earlier dataset rather than replace it with empty files
+            print("no sample was built; wrote nothing", file=sys.stderr)
+            count = 0
+        else:
+            manifest = datasetgen.write_training_files(chain([first], records),
+                                                       Path(cfg.out_dir or cfg.run_dir))
+            count = manifest["sft"]["count"]
+    print(f"sft samples: {count}")
+    print(f"dpo pairs: {count}")
+    print(f"dropped: {len(users) - count}")
+    return EXIT_OK if count == len(users) else EXIT_PARTIAL
 
 
 def _read_likert(path):

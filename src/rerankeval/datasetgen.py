@@ -124,22 +124,24 @@ def _jsonl_lines(sample, pair):
 
 def write_training_files(built, out_dir):
     """Emit sft.jsonl, dpo.jsonl and a manifest with counts and sha256 hashes.
-    built is a list of (sample, make_dpo_pair's pair of that sample). The
-    JSONL files are written in one pass, hashed as they are written, and
-    committed with the manifest last: if a line or a write fails, no file changes."""
+    built is an iterable of (sample, make_dpo_pair's pair of that sample),
+    taken one at a time: each is written, hashed and counted as it comes, and
+    the files are committed with the manifest last. If a line, a write or
+    built itself fails, no file changes."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     sft_sha, dpo_sha = hashlib.sha256(), hashlib.sha256()
+    count = 0
     names = ("sft.jsonl", "dpo.jsonl", "manifest.json")
     with commit(*(out_dir / name for name in names)) as (sft, dpo, manifest_file):
-        for sample, pair in built:
+        for count, (sample, pair) in enumerate(built, start=1):
             for fh, sha, line in zip((sft, dpo), (sft_sha, dpo_sha), _jsonl_lines(sample, pair)):
                 data = line.encode()
                 sha.update(data)
                 fh.write(data)
         manifest = {
-            "sft": {"path": "sft.jsonl", "count": len(built), "sha256": sft_sha.hexdigest()},
-            "dpo": {"path": "dpo.jsonl", "count": len(built), "sha256": dpo_sha.hexdigest()},
+            "sft": {"path": "sft.jsonl", "count": count, "sha256": sft_sha.hexdigest()},
+            "dpo": {"path": "dpo.jsonl", "count": count, "sha256": dpo_sha.hexdigest()},
         }
         manifest_file.write(json.dumps(manifest, indent=2).encode() + b"\n")
     return manifest

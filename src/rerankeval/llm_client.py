@@ -1,14 +1,14 @@
 """Chat-model backends: a deterministic scripted backend for tests/CI and an
-HTTP backend speaking the standard chat-completions JSON protocol."""
+HTTP backend speaking the standard chat-completions JSON protocol.
 
-import email.utils
+The HTTP stack (http.client, which brings ssl, socket and email) loads with
+the first HttpBackend: it is about 2 MB of RSS that offline commands never use."""
+
 import functools
-import http.client
 import json
 import logging
 import os
 import re
-import select
 import threading
 import time
 import weakref
@@ -136,6 +136,7 @@ def _retry_after(value, limit):
     try:
         delay = float(value)
     except ValueError:
+        import email.utils
         try:
             delay = email.utils.parsedate_to_datetime(value).timestamp() - time.time()
         except (TypeError, ValueError):
@@ -159,7 +160,11 @@ class HttpBackend:
     no CA bundle but the system's. Redirects are not followed."""
 
     def __init__(self, config):
+        import http.client
+
         self.config = config
+        # what complete retries as a failed connection or exchange
+        self._transport_errors = (OSError, http.client.HTTPException)
         self._headers = {"Content-Type": "application/json"}
         if config.api_key_env:
             key = os.environ.get(config.api_key_env, "")
@@ -183,6 +188,8 @@ class HttpBackend:
 
     def _post(self, data):
         """(status, headers, body) of one POST of data to the endpoint."""
+        import select
+
         with self._lock:
             conn = self._idle.pop() if self._idle else None
         if conn is None:
@@ -227,7 +234,7 @@ class HttpBackend:
             except TimeoutError:
                 last_error = Timeout(f"no response within {self.config.timeout}s")
                 continue
-            except (OSError, http.client.HTTPException) as e:
+            except self._transport_errors as e:
                 last_error = BackendError(f"{type(e).__name__}: {e}")
                 continue
             if status == 200:
@@ -251,51 +258,78 @@ class HttpBackend:
 
 
 def bounded_map(fn, items, cap, carry=()):
-    """fn over items with at most cap calls in flight: the calling thread and
-    up to cap - 1 more take the items in order, so at cap 1 every call runs
-    in the caller. Results align with input order. An exception of a type in
-    carry comes back in its item's place; any other stops the items not yet
-    started and is raised once the running ones have finished."""
+    """Yield fn(item) for each of items, in input order, with at most cap
+    calls in flight. At cap 1 (or for one item) each call runs in the
+    caller's thread when its result is asked for; otherwise cap threads take
+    the items in order, and a result is yielded once it and every earlier
+    one are done, and held only until then. An exception of a type in carry
+    comes back in its item's place; any other stops the items not yet
+    started and is raised once the running ones have finished. Closing the
+    generator starts no further item and returns once the running ones have
+    finished, so a caller that may stop early closes it (contextlib.closing)
+    rather than leave the workers running behind a traceback."""
     items = list(items)
-    results = [None] * len(items)
+    if min(cap, len(items)) <= 1:
+        for item in items:
+            try:
+                result = fn(item)
+            except carry as e:
+                result = e
+            yield result
+        return
+    done = {}    # item index -> result not yet yielded
     errors = {}  # item index -> exception outside carry
     pending = iter(range(len(items)))
-    lock = threading.Lock()
-    stop = threading.Event()
+    ready = threading.Condition()
+    stop = False
 
     def work():
-        while not stop.is_set():
-            with lock:
-                i = next(pending, None)
+        nonlocal stop
+        while True:
+            with ready:
+                i = None if stop else next(pending, None)
             if i is None:
                 return
             try:
-                results[i] = fn(items[i])
+                result = fn(items[i])
             except carry as e:
-                results[i] = e
+                result = e
             except BaseException as e:  # raised below, once every call has returned
-                errors[i] = e
-                stop.set()
+                with ready:
+                    errors[i] = e
+                    stop = True
+                    ready.notify()
+                return
+            with ready:
+                done[i] = result
+                ready.notify()
 
     threads = []
     try:
-        for _ in range(min(cap, len(items)) - 1):
+        for _ in range(min(cap, len(items))):
             thread = threading.Thread(target=work)
             thread.start()
             threads.append(thread)
-        work()
+        for i in range(len(items)):
+            with ready:
+                while i not in done and not errors:
+                    ready.wait()
+                if errors:
+                    break
+                result = done.pop(i)
+            yield result
     finally:
-        stop.set()
+        with ready:
+            stop = True
         for thread in threads:
             thread.join()
     if errors:
         raise errors[min(errors)]
-    return results
 
 
 def complete_batch(backend, requests_list):
     """Run requests through the backend with at most max_concurrent_requests
     in flight. Results align with input order; a BackendError comes back in
     its request's place, and any other exception is raised (bounded_map)."""
-    return bounded_map(backend.complete, requests_list,
-                       backend.max_concurrent_requests, carry=BackendError)
+    return list(bounded_map(backend.complete, requests_list,
+                            backend.max_concurrent_requests, carry=BackendError))

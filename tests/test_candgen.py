@@ -190,7 +190,7 @@ class TestKernelParity:
     def test_default_k_hot_item_three_epochs(self):
         problem = sgd_problem(600, 60, 40, 32, zipf=1.5)
         u_idx, i_idx = problem[:2]
-        assert wave_levels(u_idx.tolist(), i_idx.tolist(), 60, 40).max() >= 100
+        assert wave_levels(u_idx, i_idx, 60, 40).max() >= 100
         self.assert_same(problem, epochs=3)
 
     def test_item_rows_far_past_user_rows(self):
@@ -220,13 +220,13 @@ class TestKernelParity:
 
     def test_hot_item_gives_long_level_chain(self):
         u_idx, i_idx, _, _ = sgd_problem(600, 60, 40, 8, zipf=1.5)
-        levels = wave_levels(u_idx.tolist(), i_idx.tolist(), 60, 40)
+        levels = wave_levels(u_idx, i_idx, 60, 40)
         # every step on the hot item waits for the one before it
         assert levels.max() >= np.bincount(i_idx).max() > 100
 
     def test_levels_touch_disjoint_rows_after_their_dependencies(self):
         u_idx, i_idx, _, _ = sgd_problem(300, 12, 10, 1, zipf=1.0)
-        levels = wave_levels(u_idx.tolist(), i_idx.tolist(), 12, 10)
+        levels = wave_levels(u_idx, i_idx, 12, 10)
         for level in np.unique(levels):
             steps = levels == level
             assert len(set(u_idx[steps])) == len(set(i_idx[steps])) == steps.sum()

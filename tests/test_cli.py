@@ -5,6 +5,8 @@ import os
 import random
 import socket
 import stat
+import threading
+import tracemalloc
 import warnings
 from collections import Counter
 
@@ -885,6 +887,60 @@ class TestBuildDataset:
         assert "dropped: 5" in out
         assert "no sample was built; wrote nothing" in err
         assert [(run_dir / name).read_bytes() for name in names] == before
+
+    def test_failed_write_sends_no_further_request(self, corpus, monkeypatch, capsys,
+                                                   full_disk):
+        # records are written as users finish; the first failed write stops
+        # the users not yet started, and the running ones finish first
+        _, _, run_dir = corpus
+        main(ingest_args(corpus))
+        sent = []
+
+        def answer(request):
+            sent.append(request)
+            return dataset_answer(request)
+
+        monkeypatch.setattr(cli, "make_backend", lambda cfg: PeakBackend(
+            cfg.max_concurrent_requests, lambda r: 0.005, answer))
+        args = ["build-dataset", "--run-dir", str(run_dir), "--ranking-size", "10",
+                "--backend-max-concurrent-requests", "4"]
+        assert main(args) == EXIT_PARTIAL
+        out = capsys.readouterr().out
+        users = sum(int(out.split(f"{key}: ")[1].split()[0])
+                    for key in ("sft samples", "dropped"))
+        before = files_in(run_dir)
+        sent.clear()
+        threads = threading.active_count()
+        full_disk.add("sft.jsonl")
+        assert main([*args, "--seed", "7"]) == EXIT_CONFIG
+        assert threading.active_count() == threads
+        assert 0 < len(sent) < users * 2
+        assert files_in(run_dir) == before
+        # the same when the caller keeps the traceback, and with it the
+        # command's frame
+        sent.clear()
+        cfg = load_config(None, {"run_dir": str(run_dir), "ranking_size": "10", "seed": "7",
+                                 "backend_max_concurrent_requests": "4"})
+        with pytest.raises(OSError) as failure:  # failure keeps the traceback
+            cli.cmd_build_dataset(cfg)
+        assert threading.active_count() == threads
+        assert 0 < len(sent) < users * 2
+
+    def test_memory_does_not_grow_with_sample_count(self, tmp_path):
+        ratings, items = write_corpus(tmp_path, n_users=700)
+        run_dir = tmp_path / "run"
+        main(ingest_args((ratings, items, run_dir)))
+        args = ["build-dataset", "--run-dir", str(run_dir), "--offline", "1"]
+        main([*args, "--sample-count", "10"])  # first-call caches and imports
+        peaks = []
+        for count in (100, 700):
+            tracemalloc.start()
+            try:
+                assert main([*args, "--sample-count", str(count)]) == EXIT_OK
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.2 * peaks[0]
 
     @pytest.mark.parametrize("command", [["run"], ["build-dataset", "--offline", "1"],
                                          ["export-slates", "--out", "slates.jsonl"]])

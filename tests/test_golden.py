@@ -3,8 +3,8 @@ slates and the offline manifest on the conftest corpus, pinned to the values
 the code gave before ratings became one columnar table, and of the
 scripted-backend manifest, pinned to what the code gave before one-id
 lookups went through dicts. A change that moves any of them must say why
-and update the digest. One fresh interpreter also runs every command and
-checks that none of them loads scipy."""
+and update the digest. Fresh interpreters also run every command and check
+that none of them loads scipy, and that no offline one loads the HTTP stack."""
 
 import hashlib
 import json
@@ -81,19 +81,34 @@ def test_scripted_manifest(ingested):
 
 
 # runs the commands given as JSON in one interpreter; prints, after the
-# import and after each command, its exit code and the scipy modules loaded
-NO_SCIPY_SCRIPT = """
+# import and after each command, its exit code and the loaded modules that
+# are, or are under, one of the packages named in the second argument
+LOADED_SCRIPT = """
 import json, sys
 from rerankeval.cli import main
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+packages = json.loads(sys.argv[2])
 
-loaded = {"import": scipy_modules()}
+def loaded_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] in packages)
+
+loaded = {"import": loaded_modules()}
 for argv in json.loads(sys.argv[1]):
-    loaded[" ".join(argv)] = (main(argv), scipy_modules())
+    loaded[" ".join(argv)] = (main(argv), loaded_modules())
 print(json.dumps(loaded))
 """
+
+
+def modules_loaded_by(tmp_path, commands, packages):
+    """{"import": [...], "<argv>": [exit code, [...]]} of the modules under
+    packages loaded after the CLI import and after each of commands, run in
+    that order in one fresh interpreter, in tmp_path."""
+    src = str(Path(rerankeval.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", LOADED_SCRIPT, json.dumps(commands),
+                          json.dumps(packages)],
+                         cwd=tmp_path, capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    return json.loads(out.splitlines()[-1])
 
 
 def test_no_command_loads_scipy(tmp_path):
@@ -111,10 +126,27 @@ def test_no_command_loads_scipy(tmp_path):
         # last, so that run/report.json is the knn report
         ["run", "--run-dir", "run", "--generator", "knn", "--mode", "none"],
     ]
-    src = str(Path(rerankeval.__file__).resolve().parent.parent)
-    out = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, json.dumps(commands)],
-                         cwd=tmp_path, capture_output=True, text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": src}).stdout
-    loaded = json.loads(out.splitlines()[-1])
+    loaded = modules_loaded_by(tmp_path, commands, ["scipy"])
     assert loaded == {"import": [], **{" ".join(argv): [0, []] for argv in commands}}
     assert sha(tmp_path / "run" / "report.json") == REPORTS["knn", "none"]
+
+
+def test_no_offline_command_loads_the_http_stack(tmp_path):
+    # http.client, with ssl, socket and email, loads with the first
+    # HttpBackend; no command that makes no HTTP request pays for it
+    write_corpus(tmp_path)
+    (tmp_path / "a.txt").write_text("4\n5\n3\n")
+    (tmp_path / "b.txt").write_text("3\n4\n2\n")
+    commands = [
+        ["ingest", "--ratings", "ratings.csv", "--items", "items.csv", "--run-dir", "run"],
+        ["run", "--run-dir", "run", "--generator", "random", "--mode", "none"],
+        ["run", "--run-dir", "run", "--generator", "mf", "--mode", "none"],
+        ["run", "--run-dir", "run", "--generator", "knn", "--mode", "none"],
+        ["run", "--run-dir", "run", "--generator", "random", "--mode", "zero_shot"],
+        ["build-dataset", "--run-dir", "run", "--offline", "1", "--ranking-size", "10"],
+        ["export-slates", "--run-dir", "run", "--generator", "mf", "--out", "mf.jsonl"],
+        ["human-eval", "a.txt", "b.txt"],
+    ]
+    loaded = modules_loaded_by(tmp_path, commands, ["http", "ssl", "email", "socket"])
+    assert loaded == {"import": [], **{" ".join(argv): [0, []] for argv in commands}}
+    assert sha(tmp_path / "run" / "report.json") == REPORTS["random", "zero_shot"]

@@ -242,26 +242,37 @@ def test_files_are_written_only_through_commit():
     assert found == []
 
 
-def _is_scipy(name):
-    return name == "scipy" or name.startswith("scipy.")
+def _imported_modules(node):
+    """The modules an import statement, or an import_module or __import__
+    call given the name as a literal, may load: a from-import loads its
+    module and may load, for each name, the submodule of that name."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom):
+        return ([node.module, *(f"{node.module}.{alias.name}" for alias in node.names)]
+                if node.level == 0 else [])
+    if isinstance(node, ast.Call) and _call_name(node) in ("import_module", "__import__"):
+        return [arg.value for arg in node.args[:1] if _is_literal(arg, str)]
+    return []
 
 
-def scipy_imports(source):
-    """Line of each import of scipy or of a scipy module in source, at any
-    depth: an import or from-import statement, or an import_module or
-    __import__ call given the name as a literal."""
+def imports_of(source, packages, module_level=False):
+    """Line of each import in source of one of packages or of a module under
+    one, at any depth; with module_level, only those that run when the module
+    is imported, outside any function."""
     found = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom):
-            names = [node.module or ""] if node.level == 0 else []
-        elif isinstance(node, ast.Call) and _call_name(node) in ("import_module", "__import__"):
-            names = [arg.value for arg in node.args[:1] if _is_literal(arg, str)]
-        else:
-            continue
-        if any(_is_scipy(name) for name in names):
+
+    def visit(node):
+        if module_level and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                              ast.Lambda)):
+            return
+        if any(name == p or name.startswith(p + ".")
+               for name in _imported_modules(node) for p in packages):
             found.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(ast.parse(source))
     return sorted(found)
 
 
@@ -272,7 +283,7 @@ def test_checker_sees_scipy_imports():
               "importlib.import_module('scipy.sparse')\n__import__('scipy')\n"
               "import scipyx\nfrom . import scipy\nfrom .scipy import x\n"
               "importlib.util.find_spec('scipy')\nimport numpy as scipy\n")
-    assert scipy_imports(source) == [1, 2, 3, 4, 5, 7, 8, 9]
+    assert imports_of(source, ["scipy"]) == [1, 2, 3, 4, 5, 7, 8, 9]
 
 
 def test_no_scipy_import_under_src():
@@ -280,5 +291,33 @@ def test_no_scipy_import_under_src():
     # command's peak RSS; the kNN build loads only the compiled kernels it
     # runs, from their file (_kernels.sparsetools)
     found = [(path.name, line) for path in sorted(SRC.glob("*.py"))
-             for line in scipy_imports(path.read_text(encoding="utf-8"))]
+             for line in imports_of(path.read_text(encoding="utf-8"), ["scipy"])]
+    assert found == []
+
+
+# http.client brings ssl, socket and email: about 2 MB of RSS
+HTTP_STACK = ["http", "ssl", "email", "socket", "urllib.request"]
+
+
+def test_checker_sees_module_level_http_stack_imports():
+    source = ("import http.client\nimport json, ssl\nfrom email import utils\n"
+              "import socketserver\nfrom urllib.request import urlopen\n"
+              "from urllib import request\nfrom urllib import parse\n"
+              "from urllib.parse import urlsplit\nclass C:\n    import socket\n"
+              "def f():\n    import http.client\n    from email import utils\n"
+              "async def g():\n    import ssl\n"
+              "if True:\n    import email.utils\n"
+              "try:\n    import socket\nexcept ImportError:\n    pass\n"
+              "importlib.import_module('http.client')\nimport httpx, emails\n"
+              "h = lambda: __import__('ssl')\nfrom . import http\n")
+    assert imports_of(source, HTTP_STACK, module_level=True) == [
+        1, 2, 3, 5, 6, 10, 17, 19, 22]
+
+
+def test_no_module_level_http_stack_import_under_src():
+    # only an HTTP backend uses it, so HttpBackend imports it when built;
+    # a module-level import would load it into every command
+    found = [(path.name, line) for path in sorted(SRC.glob("*.py"))
+             for line in imports_of(path.read_text(encoding="utf-8"), HTTP_STACK,
+                                    module_level=True)]
     assert found == []

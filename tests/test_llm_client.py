@@ -384,7 +384,7 @@ class TestBoundedMap:
                 raise KeyError(x)
             return x * 10
 
-        results = bounded_map(fn, range(5), 3, carry=KeyError)
+        results = list(bounded_map(fn, range(5), 3, carry=KeyError))
         assert [r if not isinstance(r, Exception) else "err" for r in results] == \
             [0, 10, "err", 30, 40]
 
@@ -399,12 +399,12 @@ class TestBoundedMap:
             return x
 
         with pytest.raises(RuntimeError, match="boom"):
-            bounded_map(fn, range(50), 2, carry=KeyError)
+            list(bounded_map(fn, range(50), 2, carry=KeyError))
         assert len(started) < 10
 
     def test_cap_one_runs_in_the_caller(self):
         caller = threading.get_ident()
-        assert bounded_map(lambda x: threading.get_ident(), range(5), 1) == [caller] * 5
+        assert list(bounded_map(lambda x: threading.get_ident(), range(5), 1)) == [caller] * 5
 
     def test_each_item_taken_once_under_contention(self):
         calls = Counter()
@@ -418,11 +418,55 @@ class TestBoundedMap:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            results = bounded_map(fn, range(20000), 12)
+            results = list(bounded_map(fn, range(20000), 12))
         finally:
             sys.setswitchinterval(interval)
         assert results == [x * 2 for x in range(20000)]
         assert calls == Counter(range(20000))
+
+    def test_cap_one_starts_an_item_once_the_last_result_is_taken(self):
+        events = []
+
+        def fn(x):
+            events.append(("start", x))
+            return x
+
+        for result in bounded_map(fn, range(4), 1):
+            events.append(("took", result))
+        assert events == [(e, x) for x in range(4) for e in ("start", "took")]
+
+    def test_slow_first_item_holds_back_the_later_results(self):
+        finished = []
+        others_done = threading.Event()
+
+        def fn(x):
+            if x == 0:  # finishes only after every other item has
+                assert others_done.wait(10)
+            finished.append(x)
+            if len(finished) == 5:
+                others_done.set()
+            return x * 10
+
+        assert list(bounded_map(fn, range(6), 3)) == [0, 10, 20, 30, 40, 50]
+        assert sorted(finished[:5]) == [1, 2, 3, 4, 5] and finished[5] == 0
+
+    def test_close_starts_no_further_item_and_waits_for_the_running_ones(self):
+        started, finished = [], []
+        threads = threading.active_count()
+
+        def fn(x):
+            started.append(x)
+            time.sleep(0.02)
+            finished.append(x)
+            return x
+
+        results = bounded_map(fn, range(50), 3)
+        assert next(results) == 0
+        results.close()
+        assert sorted(finished) == sorted(started)
+        assert threading.active_count() == threads
+        time.sleep(0.05)
+        assert len(started) == len(finished) < 10
 
 
 class TestBackendConfig:
@@ -435,10 +479,12 @@ class TestBackendConfig:
             BackendConfig(kind="scripted", timeout=0)
 
 
-def test_cli_imports_neither_requests_nor_urllib3():
+def test_cli_import_loads_no_http_stack():
+    # an offline command never needs them; HttpBackend loads http.client
     src = os.path.dirname(os.path.dirname(llm_client.__file__))
     code = ("import sys, rerankeval.cli; "
-            "print(sorted({'requests', 'urllib3'} & set(sys.modules)))")
+            "print(sorted({'requests', 'urllib3', 'http.client', 'ssl', 'email', 'socket'}"
+            " & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src}).stdout
     assert out == "[]\n"
