@@ -1,8 +1,10 @@
 """Byte-identity of the program's outputs: sha256 of report.json, exported
 slates and the offline manifest on the conftest corpus, pinned to the values
-the code gave before ratings became one columnar table, and of the
+the code gave before ratings became one columnar table; of the
 scripted-backend manifest, pinned to what the code gave before one-id
-lookups went through dicts. A change that moves any of them must say why
+lookups went through dicts; and of report.csv and report.txt for every run,
+and all three report files of a trained run, pinned to what the code gave
+before the tables were rendered from the report.json object. A change that moves any of them must say why
 and update the digest. Fresh interpreters also run every command and check
 that none of them loads scipy, and that no offline one loads the HTTP stack."""
 
@@ -20,15 +22,27 @@ import rerankeval
 from conftest import write_corpus
 from rerankeval.cli import main
 
-REPORTS = {
-    ("random", "none"):
-        "4818b5dd299473910c8b9f4513e40100fddc5e6c71ccfe0f0b385f2b7f84b88b",
-    ("mf", "none"):
-        "c43c8f90edf0bafb4e7afa57ae3e6c5ea66c121e8914174648192b6a45a37693",
-    ("knn", "none"):
-        "58b562b3ff7844fa86e95dc8298e8cfc86e0f34700a4b26699a69055b109b651",
-    ("random", "zero_shot"):
-        "ac59ed29477f579c990d012234a936671f43e1b59aea96c5ba0a1c38ed2612a6",
+REPORTS = {  # (generator, mode) -> {report file extension: sha256}
+    ("random", "none"): {
+        "json": "4818b5dd299473910c8b9f4513e40100fddc5e6c71ccfe0f0b385f2b7f84b88b",
+        "csv": "ca0df1c052a26fd6cf893090149b95c3dde048e1d81c31456e749a4c15c93ee7",
+        "txt": "f2e2bf75e1aebdaa18eaaa9ac65dc90a196e3288901fa3ec93bf01b396f0a1ca"},
+    ("mf", "none"): {
+        "json": "c43c8f90edf0bafb4e7afa57ae3e6c5ea66c121e8914174648192b6a45a37693",
+        "csv": "94058488934c3a3efa075e06ce177309bee743fcea1c29db3b6936c3b9ed9a4b",
+        "txt": "324ed1817ee4154e740a82f9a37b0783741d91257d5f68d3a955c5cfc92c38f0"},
+    ("knn", "none"): {
+        "json": "58b562b3ff7844fa86e95dc8298e8cfc86e0f34700a4b26699a69055b109b651",
+        "csv": "65b7d6fbf2970f90cfac383b56fbdcb2ceabc39223bf4cc69b1c50800dc99d2f",
+        "txt": "525b8cc2b9b5b77f9dcf5bae3b9b78d250a6da067ec6edfd9383ba0eee7d5f1c"},
+    ("random", "zero_shot"): {
+        "json": "ac59ed29477f579c990d012234a936671f43e1b59aea96c5ba0a1c38ed2612a6",
+        "csv": "73d7a224c134d0f56e801d3e0accfd6593fe3fcdaf1a0e26fc7e7536ce612d0a",
+        "txt": "7df16cde7b00ad1fdc2661f6faf224ee652ca5e82d3d3e7ac1a18814bc398328"},
+    ("random", "trained"): {
+        "json": "dfa666b42e4785bdc024b4c4bc32390c2f3deab6ace673c4e4ac24f911b07956",
+        "csv": "37819f688dae3a6577cbb8413380618325acb109bb3f7c8ed8ae6496574928fb",
+        "txt": "aab8ae151fdb20012c0f20826915d13edd641721d6696f942a30aead25867349"},
 }
 SLATES = {
     "random": "3513602ac7586850d6dee84bcc4a2c92cede1b3ec3fd10488f15907bb66eb17b",
@@ -57,7 +71,8 @@ def ingested(tmp_path, monkeypatch):
 def test_report(ingested, generator, mode):
     assert main(["run", "--run-dir", "run", "--generator", generator,
                  "--mode", mode]) == 0
-    assert sha("run/report.json") == REPORTS[generator, mode]
+    assert {ext: sha(f"run/report.{ext}") for ext in REPORTS[generator, mode]} == \
+        REPORTS[generator, mode]
 
 
 def test_exported_slates(ingested):
@@ -128,7 +143,7 @@ def test_no_command_loads_scipy(tmp_path):
     ]
     loaded = modules_loaded_by(tmp_path, commands, ["scipy"])
     assert loaded == {"import": [], **{" ".join(argv): [0, []] for argv in commands}}
-    assert sha(tmp_path / "run" / "report.json") == REPORTS["knn", "none"]
+    assert sha(tmp_path / "run" / "report.json") == REPORTS["knn", "none"]["json"]
 
 
 def test_no_offline_command_loads_the_http_stack(tmp_path):
@@ -149,4 +164,4 @@ def test_no_offline_command_loads_the_http_stack(tmp_path):
     ]
     loaded = modules_loaded_by(tmp_path, commands, ["http", "ssl", "email", "socket"])
     assert loaded == {"import": [], **{" ".join(argv): [0, []] for argv in commands}}
-    assert sha(tmp_path / "run" / "report.json") == REPORTS["random", "zero_shot"]
+    assert sha(tmp_path / "run" / "report.json") == REPORTS["random", "zero_shot"]["json"]
