@@ -10,7 +10,7 @@ import re
 import sys
 from contextlib import closing
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
-from itertools import chain
+from itertools import chain, zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -27,8 +27,10 @@ EXIT_PARTIAL = 1
 EXIT_CONFIG = 2
 
 GENERATORS = ("random", "mf", "knn", "external")
-_MODE_COLUMN = {"zero_shot": "zero_shot", "trained": "sft_dpo"}  # report column
-MODES = ("none", *_MODE_COLUMN)
+# report column and table p-value column of each re-ranking mode
+_MODE_COLUMNS = {"zero_shot": ("zero_shot", "p_zero_vs_non"),
+                 "trained": ("sft_dpo", "p_sft_vs_non")}
+MODES = ("none", *_MODE_COLUMNS)
 
 
 @dataclass
@@ -72,7 +74,7 @@ class RunConfig:
                      "min_history", "history_limit", "knn_top_m", "mf_k", "mf_epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        for name in ("inject_positives", "mf_reg"):
+        for name in ("inject_positives", "mf_reg", "temperature"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
         if self.mf_learn_rate <= 0:
@@ -217,11 +219,14 @@ def _sample_eval_users(split, cfg):
 
 
 def _external_slate(slates, user, rated, catalog):
-    """user's slate among the imported slates; BadSlate when there is none
-    or it names an item outside the catalog or one the user rated in train."""
+    """user's slate among the imported slates; BadSlate when there is none,
+    it is empty, or it names an item outside the catalog or one the user
+    rated in train."""
     slate = slates.get(user)
     if slate is None:
         raise BadSlate("no external slate")
+    if not slate.items:
+        raise BadSlate("empty slate")
     unknown = [i for i in slate.items if i not in catalog]
     if unknown:
         raise BadSlate(f"slate items not in the catalog: {unknown}")
@@ -274,7 +279,7 @@ def _user_inputs(cfg, users, split, catalog):
                 user, scorer, catalog, train_codes, exclusions, cfg.inject_positives,
                 relevance.get(user), cfg.seed, slate_size=cfg.slate_size,
                 source=cfg.generator)
-        if cfg.mode not in _MODE_COLUMN:
+        if cfg.mode not in _MODE_COLUMNS:
             return None, slate
         history = _sample_history(cfg, train, user)
         rerank.build_prompt(history, slate, catalog)
@@ -285,12 +290,12 @@ def _user_inputs(cfg, users, split, catalog):
 
 def cmd_run(cfg):
     run_dir = Path(cfg.run_dir)
-    backend = make_backend(cfg.backend) if cfg.mode in _MODE_COLUMN else None
+    backend = make_backend(cfg.backend) if cfg.mode in _MODE_COLUMNS else None
     split, catalog, users = _load_run_dir(cfg)
     inputs = _user_inputs(cfg, users, split, catalog)
     skipped = len(users) - len(inputs)
     users = sorted(inputs)
-    if cfg.mode in _MODE_COLUMN and len(users) < 2:
+    if cfg.mode in _MODE_COLUMNS and len(users) < 2:
         # the paired t-test needs two users; stop before paying for requests
         print(f"error: re-ranking needs at least 2 evaluable users, got "
               f"{len(users)} (skipped {skipped})", file=sys.stderr)
@@ -299,76 +304,65 @@ def cmd_run(cfg):
     baseline_rankings = {u: rerank.none_ranker(inputs[u][1]).items for u in users}
     baseline_results = metrics.evaluate_run(baseline_rankings, split.relevance,
                                             cfg.cutoffs)
-
-    ranked_results = None
-    comparison = None
-    fallbacks = 0
+    report = {"config": asdict(cfg), "users_evaluated": len(users),
+              "users_skipped": skipped, "bootstrap_fallbacks": 0,
+              "non_ranker": [vars(r) for r in baseline_results]}
     if backend is not None:
         ranked = rerank.rerank_users([inputs[u] for u in users], catalog, backend,
                                      k=cfg.bootstraps, mode=cfg.mode, seed=cfg.seed,
                                      temperature=cfg.temperature)
-        fallbacks = sum(consensus.fallback for consensus, _outputs in ranked)
+        report["bootstrap_fallbacks"] = sum(consensus.fallback for consensus, _ in ranked)
         rankings = {user: consensus.items
                     for user, (consensus, _outputs) in zip(users, ranked)}
         ranked_results = metrics.evaluate_run(rankings, split.relevance, cfg.cutoffs)
-        comparison = stats.compare_models(ranked_results, baseline_results)
-
-    _write_report(run_dir, cfg, users, baseline_results, ranked_results,
-                  comparison, skipped, fallbacks)
-    print(f"evaluated {len(users)} users "
-          f"(skipped {skipped}, bootstrap fallbacks {fallbacks})")
-    print(f"report written to {run_dir / 'report.json'}")
-    return EXIT_PARTIAL if skipped or fallbacks else EXIT_OK
-
-
-def _write_report(run_dir, cfg, users, baseline_results, ranked_results,
-                  comparison, skipped, fallbacks):
-    mode_col = _MODE_COLUMN.get(cfg.mode)
-    report = {
-        "config": asdict(cfg),
-        "users_evaluated": len(users),
-        "users_skipped": skipped,
-        "bootstrap_fallbacks": fallbacks,
-        "non_ranker": metrics.results_to_json(baseline_results),
-    }
-    if ranked_results is not None:
-        report[mode_col] = metrics.results_to_json(ranked_results)
+        report[_MODE_COLUMNS[cfg.mode][0]] = [vars(r) for r in ranked_results]
         report["comparison_vs_non"] = {
             f"{m}@{n}": (None if r is None else
                          # strict JSON has no infinity: an infinite t is null
                          {"t": r.t_value if math.isfinite(r.t_value) else None,
                           "df": r.degrees_of_freedom,
                           "p": r.p_value, "stars": r.significant})
-            for (m, n), r in sorted(comparison.items())
+            for (m, n), r in stats.compare_models(ranked_results,
+                                                  baseline_results).items()
         }
 
-    base = {(r.metric, r.n): r.mean for r in baseline_results}
-    ranked = {(r.metric, r.n): r.mean for r in (ranked_results or [])}
+    # report.json, the file readers check first, moves last
+    texts = {**_report_tables(report),
+             "report.json": json.dumps(report, indent=2, sort_keys=True, allow_nan=False)}
+    with ingest.commit(*(run_dir / name for name in texts)) as files:
+        for fh, text in zip(files, texts.values()):
+            fh.write(text.encode() + b"\n")
+    fallbacks = report["bootstrap_fallbacks"]
+    print(f"evaluated {len(users)} users "
+          f"(skipped {skipped}, bootstrap fallbacks {fallbacks})")
+    print(f"report written to {run_dir / 'report.json'}")
+    return EXIT_PARTIAL if skipped or fallbacks else EXIT_OK
+
+
+def _report_tables(report):
+    """{"report.csv": text, "report.txt": text} of a report.json object: a
+    row per (metric, cutoff), in the order of report["non_ranker"], with the
+    re-ranked mean and its p-value ("-" when the runs are indistinguishable)
+    in its mode's columns. The text table bolds the higher mean."""
+    column, p_column = _MODE_COLUMNS.get(report["config"]["mode"], (None, None))
     header = ["metric", "n", "non_ranker", "zero_shot", "sft_dpo",
               "p_zero_vs_non", "p_sft_vs_non"]
     csv_lines = [",".join(header)]
     txt_lines = [" | ".join(h.ljust(13) for h in header)]
-    for metric in metrics.METRIC_NAMES:
-        for n in cfg.cutoffs:
-            key = (metric, n)
-            row = dict.fromkeys(header, "")
-            row.update(metric=metric, n=n, non_ranker=f"{base[key]:.4f}")
-            best = "non_ranker", base[key]  # the text table bolds the higher mean
-            if key in ranked:
-                row[mode_col] = f"{ranked[key]:.4f}"
-                p_col = "p_zero_vs_non" if mode_col == "zero_shot" else "p_sft_vs_non"
-                row[p_col] = stats.render_p(comparison[key])
-                if ranked[key] > base[key]:
-                    best = mode_col, ranked[key]
-            csv_lines.append(",".join(str(row[h]) for h in header))
-            row[best[0]] = f"**{best[1]:.4f}**"
-            txt_lines.append(" | ".join(str(row[h]).ljust(13) for h in header))
-    # report.json, the file readers check first, moves last
-    texts = {"csv": "\n".join(csv_lines), "txt": "\n".join(txt_lines),
-             "json": json.dumps(report, indent=2, sort_keys=True, allow_nan=False)}
-    with ingest.commit(*(run_dir / f"report.{ext}" for ext in texts)) as files:
-        for fh, text in zip(files, texts.values()):
-            fh.write(text.encode() + b"\n")
+    for base, ranked in zip_longest(report["non_ranker"], report.get(column, ())):
+        row = dict.fromkeys(header, "")
+        row.update(metric=base["metric"], n=base["n"], non_ranker=f"{base['mean']:.4f}")
+        best = "non_ranker", base["mean"]
+        if ranked is not None:
+            test = report["comparison_vs_non"][f"{base['metric']}@{base['n']}"]
+            row[column] = f"{ranked['mean']:.4f}"
+            row[p_column] = "-" if test is None else f"{test['p']:.3f}{test['stars']}"
+            if ranked["mean"] > base["mean"]:
+                best = column, ranked["mean"]
+        csv_lines.append(",".join(str(row[h]) for h in header))
+        row[best[0]] = f"**{best[1]:.4f}**"
+        txt_lines.append(" | ".join(str(row[h]).ljust(13) for h in header))
+    return {"report.csv": "\n".join(csv_lines), "report.txt": "\n".join(txt_lines)}
 
 
 def cmd_build_dataset(cfg):

@@ -8,12 +8,10 @@ from .errors import RerankEvalError
 
 DEFAULT_CUTOFFS = (3, 5, 10)
 
-METRIC_NAMES = ("hit_ratio", "recall", "precision", "ndcg")
-
 
 @dataclass
 class MetricResult:
-    metric: str        # one of METRIC_NAMES
+    metric: str        # hit_ratio, recall, precision or ndcg
     n: int
     per_user: dict     # user -> value in [0, 1]
     mean: float
@@ -75,11 +73,3 @@ def evaluate_run(rankings, relevance, cutoffs=DEFAULT_CUTOFFS):
             mean = sum(per_user.values()) / len(per_user) if per_user else 0.0
             results.append(MetricResult(metric=name, n=n, per_user=per_user, mean=mean))
     return results
-
-
-def results_to_json(results):
-    return [
-        {"metric": r.metric, "n": r.n, "mean": r.mean,
-         "per_user": {u: r.per_user[u] for u in sorted(r.per_user)}}
-        for r in results
-    ]

@@ -145,7 +145,7 @@ def two_sample_t_test(a, b):
 def compare_models(results_a, results_b):
     """Paired t-tests per (metric, cutoff) between two runs' per-user metrics.
 
-    Cells where the per-user values match exactly carry None (rendered "-").
+    Cells where the per-user values match exactly carry None.
     Returns {(metric, n): TTestResult | None}.
     """
     by_key_a = {(r.metric, r.n): r for r in results_a}
@@ -165,11 +165,3 @@ def compare_models(results_a, results_b):
         except ZeroVariance:
             table[key] = None
     return table
-
-
-def render_p(result):
-    """Table cell for a comparison: p-value with stars, or "-" when the runs
-    are indistinguishable."""
-    if result is None:
-        return "-"
-    return f"{result.p_value:.3f}{result.significant}"

@@ -170,6 +170,7 @@ class TestConfig:
         ("mf_epochs", "0", "mf_epochs must be >= 1"),
         ("mf_epochs", "-2", "mf_epochs must be >= 1"),
         ("inject_positives", "-3", "inject_positives must be >= 0"),
+        ("temperature", "-3", "temperature must be >= 0"),
         ("backend_endpoint", "localhost:9/v1", "endpoint must be an http or https URL "
                                                "with a host, got 'localhost:9/v1'"),
         ("backend_endpoint", "http:///v1", "endpoint must be an http or https URL"),
@@ -393,6 +394,10 @@ class TestRun:
             {"t": None, "df": 24.0, "p": 0.0, "stars": "***"}
         assert "hit_ratio,1,0.0000,1.0000,,0.000***," in \
             (run_dir / "report.csv").read_text().splitlines()
+        # the tables are a view of the record alone
+        assert {name: text.encode() + b"\n"
+                for name, text in cli._report_tables(report).items()} == \
+            {name: (run_dir / name).read_bytes() for name in ("report.csv", "report.txt")}
 
     def test_fallback_user_exits_1(self, corpus, monkeypatch):
         _, _, run_dir = corpus
@@ -445,9 +450,9 @@ class TestRun:
         report = json.loads((run_dir / "report.json").read_text())
         assert report["users_evaluated"] == 10
 
-    @pytest.mark.parametrize("bad_item", ["catalog", "train"])
+    @pytest.mark.parametrize("bad_item", ["catalog", "train", "empty"])
     def test_bad_external_slate_skips_its_user(self, corpus, tmp_path, caplog,
-                                               bad_item):
+                                               monkeypatch, bad_item):
         _, _, run_dir = corpus
         main(ingest_args(corpus))
         out = tmp_path / "slates.jsonl"
@@ -455,12 +460,19 @@ class TestRun:
               "--out", str(out)])
         lines = [json.loads(l) for l in out.read_text().splitlines()]
         victim = lines[3]
+        train = ingest.read_split(run_dir / "split.json").train
         if bad_item == "catalog":
             victim["items"][5] = "999999"
-        else:
-            train = ingest.read_split(run_dir / "split.json").train
+        elif bad_item == "train":
             victim["items"][5] = train.entries(victim["user"])[0][0]
+        else:
+            victim["items"] = []
         out.write_text("".join(json.dumps(l) + "\n" for l in lines))
+        prompts = []
+        backend = ScriptedBackend()
+        monkeypatch.setattr(backend, "complete", lambda request, echo=backend.complete:
+                            prompts.append(request.user_prompt) or echo(request))
+        monkeypatch.setattr(cli, "make_backend", lambda cfg: backend)
         code = main(["run", "--run-dir", str(run_dir), "--sample-count", "10",
                      "--generator", "external", "--slates", str(out),
                      "--mode", "zero_shot"])
@@ -468,8 +480,17 @@ class TestRun:
         report = json.loads((run_dir / "report.json").read_text())
         assert (report["users_evaluated"], report["users_skipped"]) == (9, 1)
         assert victim["user"] not in report["zero_shot"][0]["per_user"]
-        reason = "not in the catalog" if bad_item == "catalog" else "rated in train"
-        assert f"skipped user {victim['user']}: slate items {reason}" in caplog.text
+        reason = {"catalog": "slate items not in the catalog",
+                  "train": "slate items rated in train", "empty": "empty slate"}[bad_item]
+        assert f"skipped user {victim['user']}: {reason}" in caplog.text
+        # the skipped user's history opens no prompt: it sent no request
+        catalog = ingest.load_items(run_dir / "catalog.jsonl")
+        _, prompt = rerank.build_prompt(ingest.user_history(train, victim["user"]),
+                                        Slate(user=victim["user"], items=[], source="x"),
+                                        catalog)
+        history_block = prompt.split("Candidates:")[0]
+        assert len(prompts) == 9 * 3
+        assert not any(p.startswith(history_block) for p in prompts)
 
     @pytest.mark.parametrize("case", ["empty_title", "unknown_item"])
     def test_unpromptable_item_skips_its_user(self, corpus, tmp_path, caplog, case):
