@@ -12,7 +12,7 @@ from numpy.random import default_rng
 
 from ._kernels import sgd_epoch, sparsetools
 from .errors import CatalogTooSmall, MalformedRow, RerankEvalError, UnknownUser
-from .ingest import jsonl_objects
+from .ingest import index_dtype, jsonl_objects
 
 log = logging.getLogger(__name__)
 
@@ -196,27 +196,32 @@ class Csr:
         return out
 
 
-def _index_dtype(*sizes):
-    """scipy's index type for a matrix of these dimensions and entry count:
-    int32 when they all fit in it, else int64."""
-    return np.int32 if max(sizes) <= np.iinfo(np.int32).max else np.int64
-
-
 def _ratings_csr(train):
     """train's users x items ratings, each row's columns ascending: what
     sp.csr_matrix((rating, (user, item))) builds from a table with one row per
     (user, item), index type included."""
     shape = len(train.users), len(train.items)
-    index = _index_dtype(*shape, len(train))
-    order = np.argsort(train.user * shape[1] + train.item)
+    index = index_dtype(*shape, len(train))
+    # a distinct key per row, in the narrowest type that holds them all
+    key = train.user.astype(index_dtype(shape[0] * shape[1]))
+    key *= shape[1]
+    key += train.item
+    order = np.argsort(key)
+    del key
+    indices = train.item.astype(index)[order]
     indptr = np.zeros(shape[0] + 1, dtype=index)
     np.cumsum(np.bincount(train.user, minlength=shape[0]), out=indptr[1:])
-    return Csr(train.rating[order], train.item[order].astype(index), indptr, shape)
+    return Csr(train.rating[order], indices, indptr, shape)
 
 
-def _row_ids(m):
-    """The row of each stored entry of CSR matrix m, in storage order."""
-    return np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+def _entries(m):
+    """(rows, columns, values) of the stored entries of CSR matrix m in
+    storage order, KNN_PAIR_BYTES // 64 entries at a time, the rows in m's
+    index type: no temporary made from them spans every entry."""
+    rows = np.repeat(np.arange(m.shape[0], dtype=m.indptr.dtype), np.diff(m.indptr))
+    step = max(1, KNN_PAIR_BYTES // 64)
+    for lo in range(0, m.nnz, step):
+        yield rows[lo:lo + step], m.indices[lo:lo + step], m.data[lo:lo + step]
 
 
 def _block_product(a, b, rows):
@@ -228,9 +233,11 @@ def _block_product(a, b, rows):
     kernel is private to scipy, so an oracle test pins it to a @ b. It sums
     each entry in the same order, with the same arithmetic, as a @ b does,
     but without the pass that only sizes the result: it writes into arrays
-    of rows x b.shape[1] entries, allocated once here, and one scatter fills
-    a zeroed block from them. The kernel leaves out the entries that sum to
-    exactly zero, which the zeroed block holds already.
+    of (hi - lo) x b.shape[1] entries, and csr_todense, the kernel behind
+    .toarray(), adds them into a zeroed block; they are dropped before the
+    block is used. The product kernel leaves out the entries that sum to
+    exactly zero, or to -0.0, so each entry it keeps is distinct and
+    nonzero, and 0.0 plus it is itself.
     """
     n = b.shape[1]
     wide = max(rows * n, a.nnz, b.nnz, b.shape[0]) > np.iinfo(np.int32).max
@@ -240,18 +247,16 @@ def _block_product(a, b, rows):
     a_ptr, a_col, b_ptr, b_col = (np.asarray(x, dtype=index) for x in
                                   (a.indptr, a.indices, b.indptr, b.indices))
     a_val, b_val = np.asarray(a.data, dtype=value), np.asarray(b.data, dtype=value)
-    c_ptr = np.empty(rows + 1, dtype=index)
-    c_col = np.empty(rows * n, dtype=index)
-    c_val = np.empty(rows * n, dtype=value)
 
     def block(lo, hi):
+        c_ptr = np.empty(hi - lo + 1, dtype=index)
+        c_col = np.empty((hi - lo) * n, dtype=index)
+        c_val = np.empty((hi - lo) * n, dtype=value)
         # a_ptr[lo:hi + 1] points into all of a_col and a_val: no row slice
         sparsetools.csr_matmat(hi - lo, n, a_ptr[lo:hi + 1], a_col, a_val,
                                b_ptr, b_col, b_val, c_ptr, c_col, c_val)
-        nnz = c_ptr[hi - lo]
         dense = np.zeros((hi - lo, n), dtype=value)
-        dense[np.repeat(np.arange(hi - lo), np.diff(c_ptr[:hi - lo + 1])),
-              c_col[:nnz]] = c_val[:nnz]
+        sparsetools.csr_todense(hi - lo, n, c_ptr, c_col, c_val, dense.ravel())
         return dense
     return block
 
@@ -281,9 +286,19 @@ def _rater_bits(ratings_t):
     u // 64 is set when user u rated item i. A table row holds one word of
     every item, so _co_raters adds its counts a whole row at a time."""
     bits = np.zeros((-(-ratings_t.shape[1] // 64), ratings_t.shape[0]), dtype=np.uint64)
-    np.bitwise_or.at(bits, (ratings_t.indices >> 6, _row_ids(ratings_t)),
-                     np.uint64(1) << (ratings_t.indices & 63).astype(np.uint64))
+    for items, users, _ in _entries(ratings_t):
+        np.bitwise_or.at(bits, (users >> 6, items),
+                         np.uint64(1) << (users & 63).astype(np.uint64))
     return bits
+
+
+def _row_norms(m):
+    """The Euclidean norm of each row of CSR matrix m, its squares added in
+    storage order, as m @ m.T adds its diagonal."""
+    squares = np.zeros(m.shape[0])
+    for rows, _, values in _entries(m):
+        np.add.at(squares, rows, values ** 2)
+    return np.sqrt(np.maximum(squares, 0.0))
 
 
 def _co_raters(bits, i, j):
@@ -339,13 +354,12 @@ def build_item_knn(train, top_m=50, min_co_raters=3):
         raise ValueError("no training interactions")
     centered = _ratings_csr(train)
     user_means = centered.row_sums() / np.maximum(np.diff(centered.indptr), 1)
-    centered.data -= user_means[_row_ids(centered)]
+    centered.data -= np.repeat(user_means, np.diff(centered.indptr))
     centered_t = centered.T
     bits = _rater_bits(centered_t)
 
     n = len(train.items)
-    norms = np.sqrt(np.maximum(np.bincount(
-        _row_ids(centered_t), weights=centered_t.data ** 2, minlength=n), 0.0))
+    norms = _row_norms(centered_t)
 
     product = _block_product(centered_t, centered, KNN_BLOCK_ROWS)
     data, indices, counts = [], [], []
@@ -376,7 +390,7 @@ def build_item_knn(train, top_m=50, min_co_raters=3):
         counts.append(np.bincount(row, minlength=b - a))
         del sims
     data = np.concatenate(data)
-    index = _index_dtype(n, len(data))
+    index = index_dtype(n, len(data))
     indptr = np.zeros(n + 1, dtype=index)
     np.cumsum(np.concatenate(counts), out=indptr[1:])
     return Csr(data, np.concatenate(indices).astype(index), indptr, (n, n))
@@ -463,13 +477,13 @@ def export_slates(fh, slates):
 
 
 def import_slates(path):
-    """Read slates from JSONL; MalformedRow for a line that is no JSON object
-    with a user and a list of distinct items."""
+    """Read slates from JSONL as (line number, slate) pairs; MalformedRow for
+    a line that is no JSON object with a user and a list of distinct items."""
     slates = []
     for line_no, obj in jsonl_objects(path, ("user", "items")):
         items = obj["items"]
         if not isinstance(items, list) or len(set(map(str, items))) != len(items):
             raise MalformedRow(line_no, "items is not a list of distinct ids")
-        slates.append(Slate(user=str(obj["user"]), items=[str(i) for i in items],
-                            source=str(obj.get("source", "external"))))
+        slates.append((line_no, Slate(user=str(obj["user"]), items=[str(i) for i in items],
+                                      source=str(obj.get("source", "external")))))
     return slates

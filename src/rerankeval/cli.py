@@ -178,11 +178,10 @@ def _load_run_dir(cfg):
 
 def cmd_ingest(cfg):
     run_dir = Path(cfg.run_dir)
-    interactions = ingest.load_interactions(cfg.ratings)
+    split, ratings, users = ingest.split_file(cfg.ratings, n_test=cfg.n_test,
+                                              min_history=cfg.min_history,
+                                              threshold=cfg.relevance_threshold)
     catalog = ingest.load_items(cfg.items)
-    split = ingest.split_leave_n_out(interactions, n_test=cfg.n_test,
-                                     min_history=cfg.min_history,
-                                     threshold=cfg.relevance_threshold)
     if not len(split.test):
         raise ValueError(f"no eligible evaluation users (excluded: {split.excluded_users})")
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -193,8 +192,8 @@ def cmd_ingest(cfg):
         ingest.write_catalog(cat, catalog)
         conf.write(json.dumps(asdict(cfg), indent=2).encode() + b"\n")
 
-    print(f"interactions: {len(interactions)}")
-    print(f"users: {len(interactions.users)}")
+    print(f"interactions: {ratings}")
+    print(f"users: {users}")
     print(f"items: {len(catalog.items)}")
     print(f"eval users: {len(split.relevance)} (excluded: {split.excluded_users})")
     return EXIT_OK
@@ -219,12 +218,17 @@ def _sample_eval_users(split, cfg):
 
 
 def _external_slate(slates, user, rated, catalog):
-    """user's slate among the imported slates; BadSlate when there is none,
-    it is empty, or it names an item outside the catalog or one the user
-    rated in train."""
-    slate = slates.get(user)
-    if slate is None:
+    """user's slate among the imported slates ({user: [(line number, slate),
+    ...]}); BadSlate when there is none or more than one, or when it is
+    empty, or names an item outside the catalog or one the user rated in
+    train."""
+    found = slates.get(user, [])
+    if not found:
         raise BadSlate("no external slate")
+    if len(found) > 1:
+        raise BadSlate(f"{len(found)} external slates, on lines "
+                       f"{', '.join(str(line_no) for line_no, _ in found)}")
+    slate = found[0][1]
     if not slate.items:
         raise BadSlate("empty slate")
     unknown = [i for i in slate.items if i not in catalog]
@@ -255,7 +259,9 @@ def _user_inputs(cfg, users, split, catalog):
     once as a check. A bad slate, history or prompt skips its user."""
     train, relevance = split.train, split.relevance
     if cfg.generator == "external":
-        external = {s.user: s for s in candgen.import_slates(cfg.slates)}
+        external = {}
+        for line_no, slate in candgen.import_slates(cfg.slates):
+            external.setdefault(slate.user, []).append((line_no, slate))
     elif cfg.generator == "mf":
         scorer = candgen.train_mf(train, k=cfg.mf_k, epochs=cfg.mf_epochs,
                                   learn_rate=cfg.mf_learn_rate, reg=cfg.mf_reg,

@@ -10,12 +10,13 @@ import logging
 import os
 import random
 from contextlib import ExitStack, contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
+from . import _csvscan as scan
 from .errors import EmptyTitle, MalformedRow, NoHistory, RerankEvalError
 
 log = logging.getLogger(__name__)
@@ -50,15 +51,16 @@ class Interactions:
         return cls(users, items, user, item, np.array(ratings, dtype=np.float64),
                    np.array(timestamps, dtype=np.int64))
 
+    @classmethod
+    def from_codes(cls, users, items, user, item, rating, timestamp):
+        """The table of these columns, whose codes index the id tables users
+        and items, over just the ids the codes use."""
+        users, user = _present(user, users)
+        items, item = _present(item, items)
+        return cls(users, items, user, item, rating, timestamp)
+
     def __len__(self):
         return len(self.user)
-
-    def take(self, rows):
-        """The table of rows (indices or a mask), over just the ids they use."""
-        users, user = _present(self.user[rows], len(self.users))
-        items, item = _present(self.item[rows], len(self.items))
-        return Interactions(self.users[users], self.items[items], user, item,
-                            self.rating[rows], self.timestamp[rows])
 
     def item_codes(self, ids):
         return _codes(self.items, ids)
@@ -91,16 +93,14 @@ class Interactions:
                         self.rating[rows].tolist(), self.timestamp[rows].tolist()))
 
 
-def _present(codes, n):
-    """(the codes among 0..n-1 that occur in codes, ascending; codes
-    renumbered to positions in it), as np.unique(codes, return_inverse=True)
-    gives them."""
-    present = np.zeros(n, dtype=bool)
+def _present(codes, ids):
+    """(the ids of the id table that codes use, codes renumbered to positions
+    among them), as np.unique(codes, return_inverse=True) renumbers them."""
+    present = np.zeros(len(ids), dtype=bool)
     present[codes] = True
-    kept = np.flatnonzero(present)
-    if len(kept) == n:
-        return kept, codes
-    return kept, (np.cumsum(present) - 1)[codes]
+    if present.all():
+        return ids, codes
+    return ids[present], (np.cumsum(present) - 1)[codes]
 
 
 def _codes(table, ids):
@@ -206,19 +206,17 @@ def load_interactions(path):
     return _load_rows(path) if table is None else table
 
 
-# rows cut per block, so that no temporary grows with rows x field width
-_BLOCK_ROWS = 32768
 # A file whose columns, each padded to its longest field, would take more than
 # this many times its own bytes has an outsized field, and is read row by row
 # instead: the plain path pads a wide id or rating column.
 _MAX_PADDING = 4
-# an id column at most this many bytes wide is sorted as one uint64 key per row
-_KEY_BYTES = 8
-# A rating at most this wide holds at most 15 digits, so the digits as an
-# integer and the power of ten are exact doubles, and one division gives
-# float()'s correctly rounded value.
-_EXACT_RATING_WIDTH = 15
-_POW10 = np.array([float(10 ** k) for k in range(_EXACT_RATING_WIDTH)])
+
+
+def index_dtype(*sizes):
+    """The index type scipy gives a sparse matrix of these dimensions and
+    entry count, and the type of offsets into a file of one of these sizes:
+    int32 when they all fit in it, else int64."""
+    return np.int32 if max(sizes) <= np.iinfo(np.int32).max else np.int64
 
 
 def _load_plain(path):
@@ -231,119 +229,41 @@ def _load_plain(path):
     fields, fit in _MAX_PADDING times the file's bytes. csv.reader and
     _parse_row read such a file to the same values without error, so only
     _load_rows raises MalformedRow.
+
+    Per row it holds the line's bytes, its four separator offsets and the
+    table's columns, the id columns as sort keys until the bytes and offsets
+    are dropped; any other array spans one step of the scan (see _csvscan).
     """
     buf = np.fromfile(path, dtype=np.uint8)
     if not len(buf) or buf[-1] != ord("\n"):
         return None
-    ends = np.flatnonzero(buf == ord("\n"))
-    # every byte LF or printable ASCII without space (0x21-0x7e), none a quote
-    if (len(ends) + np.count_nonzero(buf - np.uint8(0x21) < 0x5e) != len(buf)
-            or np.count_nonzero(buf == ord('"'))):
+    cuts = scan.separators(buf, index_dtype(len(buf)))
+    if cuts is None:
         return None
-    commas = np.flatnonzero(buf == ord(","))
-    if len(commas) != 3 * len(ends):
-        return None
-    # field k of line n is buf[cuts[k][n] + 1:cuts[k + 1][n]]
-    cuts = [np.concatenate(([-1], ends[:-1])), *(commas[k::3].copy() for k in range(3)), ends]
-    del commas, ends
     header = int(_looks_like_header(buf[:cuts[4][0]].tobytes().decode().split(",")))
     widths = []
     for k in range(4):
-        lengths = cuts[k + 1] - cuts[k] - 1
-        if not (lengths > 0).all():  # each field in its line, not empty
+        spans = cuts[k + 1] - cuts[k]  # field length + 1
+        if not (spans > 1).all():  # each field in its line, not empty
             return None
-        widths.append(int(lengths[header:].max(initial=0)))
-    del lengths
+        widths.append(int(spans[header:].max(initial=1)) - 1)
+    del spans
     cuts = [column[header:] for column in cuts]
     if (not len(cuts[0]) or len(cuts[0]) * sum(widths) > _MAX_PADDING * len(buf)
             or widths[3] > 18):
         return None
     # fields last to first, each column of cuts popped once no field needs it
-    ts = _number(buf, cuts[3], cuts.pop(), widths[3], decimal=False)
-    rating = _number(buf, cuts[2], cuts.pop(), widths[2], decimal=True)
+    ts = scan.column(scan.number, buf, cuts[3], cuts.pop(), widths[3], False)
+    rating = scan.column(scan.number, buf, cuts[2], cuts.pop(), widths[2], True)
     if ts is None or rating is None or not ((RATING_MIN <= rating)
                                             & (rating <= RATING_MAX)).all():
         return None
-    items, item = _ids(buf, cuts[1], cuts.pop(), widths[1])
-    users, user = _ids(buf, *cuts, widths[0])
+    item = scan.column(scan.key, buf, cuts[1], cuts.pop(), widths[1])
+    user = scan.column(scan.key, buf, *cuts, widths[0])
+    del buf, cuts
+    items, item = scan.ids(item, widths[1])
+    users, user = scan.ids(user, widths[0])
     return Interactions(users, items, user, item, rating, ts)
-
-
-def _field(buf, before, stops, width):
-    """buf[before[n] + 1:stops[n]] of each row n, as a bytes column `width`
-    wide (at least the longest)."""
-    out = np.empty((len(before), width), dtype=np.uint8)
-    offsets = np.arange(1, width + 1)
-    for lo in range(0, len(before), _BLOCK_ROWS):
-        start, stop = before[lo:lo + _BLOCK_ROWS, None], stops[lo:lo + _BLOCK_ROWS, None]
-        at = start + offsets
-        block = buf.take(at, mode="clip")
-        block[at >= stop] = 0
-        out[lo:lo + _BLOCK_ROWS] = block
-    return out.view(f"S{width}").ravel()
-
-
-def _byte(buf, before, stops, j):
-    """Byte j of each field buf[before[n] + 1:stops[n]], 0 past its end."""
-    at = before + (j + 1)
-    byte = buf.take(at, mode="clip")
-    byte[at >= stops] = 0
-    return byte
-
-
-def _ids(buf, before, stops, width):
-    """(sorted distinct ids as a str array, code per row) of the id fields
-    buf[before[n] + 1:stops[n]], `width` bytes the longest. Ids of at most
-    _KEY_BYTES bytes are sorted as one uint64 per row, their bytes
-    big-endian and NUL-padded: plain ids hold no NUL, so key order is byte
-    order, and ASCII byte order is code point order, as from_columns sorts."""
-    if width > _KEY_BYTES:
-        ids, codes = np.unique(_field(buf, before, stops, width), return_inverse=True)
-        return ids.astype(str), codes
-    key = np.zeros(len(before), dtype=np.uint64)
-    for j in range(width):
-        key <<= np.uint64(8)
-        key |= _byte(buf, before, stops, j)
-    key <<= np.uint64(8 * (_KEY_BYTES - width))
-    keys, codes = np.unique(key, return_inverse=True)
-    return keys.astype(">u8").view(f"S{_KEY_BYTES}").astype(f"U{width}"), codes
-
-
-def _number(buf, before, stops, width, decimal):
-    """Each field buf[before[n] + 1:stops[n]], `width` bytes the longest, as
-    a number, or None unless every field is digits (decimal: with at most one
-    point, and at least one digit). The digits are read into an int64 by one
-    Horner step per byte position, exact for at most 18 of them. Without
-    decimal that int64 is the column; with it, the float64 column equal to
-    float() of each field: the int64 over a power of ten up to
-    _EXACT_RATING_WIDTH bytes, float() of each field beyond."""
-    value = np.zeros(len(before), dtype=np.int64)
-    if decimal:
-        after = np.zeros(len(before), dtype=np.int64)  # digits after the point
-        point, any_digit = np.zeros(len(before), dtype=bool), np.zeros(len(before), dtype=bool)
-    for j in range(width):
-        byte = _byte(buf, before, stops, j)
-        digit = byte - np.uint8(ord("0"))
-        is_digit = digit < 10
-        valid = is_digit | (byte == 0)
-        if decimal:
-            is_point = byte == ord(".")
-            if (is_point & point).any():
-                return None
-            valid |= is_point
-            point |= is_point
-            after += point & is_digit
-            any_digit |= is_digit
-        if not valid.all():
-            return None
-        value = np.where(is_digit, value * 10 + digit, value)
-    if not decimal:
-        return value
-    if not any_digit.all():
-        return None
-    if width <= _EXACT_RATING_WIDTH:
-        return value / _POW10[after]
-    return _field(buf, before, stops, width).astype(np.float64)
 
 
 def _load_rows(path):
@@ -506,35 +426,86 @@ def split_leave_n_out(interactions, n_test=10, min_history=5,
     most recent qualifying rows (ties by item id) as test; everything else is
     train. Users below the bar stay in train but are excluded from evaluation.
     """
-    kept = _last_ratings(interactions)
-    user = interactions.user[kept]
-    qualifying = np.flatnonzero(interactions.rating[kept] >= threshold)
-    counts = np.bincount(user[qualifying], minlength=len(interactions.users))
+    return _split(_columns(interactions), n_test, min_history, threshold)
+
+
+def split_file(path, n_test=10, min_history=5, threshold=RELEVANCE_THRESHOLD):
+    """(split_leave_n_out of load_interactions(path), the loaded table's row
+    count, its user count). The split consumes the loaded table, which
+    nothing else holds: each of its columns is dropped once train and test
+    hold their copies of it."""
+    columns = _columns(load_interactions(path))
+    rows, users = len(columns["user"]), len(columns["users"])
+    return _split(columns, n_test, min_history, threshold), rows, users
+
+
+def _columns(table):
+    """{field name: array} of an Interactions table."""
+    return {f.name: getattr(table, f.name) for f in fields(Interactions)}
+
+
+def _split(columns, n_test, min_history, threshold):
+    """split_leave_n_out of the table of _columns `columns`, which it empties:
+    train and test are built a column at a time, and each column is popped
+    once both of its copies exist."""
+    users, items = columns.pop("users"), columns.pop("items")
+    n = len(columns["user"])
+    kept = _last_ratings(columns["user"], columns["item"], len(items))
+    user = columns["user"][kept]
+    qualifying = np.flatnonzero(columns["rating"][kept] >= threshold)
+    counts = np.bincount(user[qualifying], minlength=len(users))
     evaluated = counts >= min_history + n_test
     q = qualifying[evaluated[user[qualifying]]]
     # each eval user's qualifying rows, most recent first, ties by item id
     rows = kept[q]
-    q = q[np.lexsort((interactions.item[rows], -interactions.timestamp[rows], user[q]))]
+    q = q[np.lexsort((columns["item"][rows], -columns["timestamp"][rows], user[q]))]
     rank = np.arange(len(q)) - np.searchsorted(user[q], user[q])
     held = np.zeros(len(kept), dtype=bool)
     held[q[rank < n_test]] = True
     del user, qualifying, q, rows, rank  # before the tables are built
-    excluded = len(interactions.users) - int(np.count_nonzero(evaluated))
+    excluded = len(users) - int(np.count_nonzero(evaluated))
     log.info("split: %d eval users, %d excluded, %d repeat ratings dropped",
-             len(interactions.users) - excluded, excluded, len(interactions) - len(kept))
-    return SplitResult(train=interactions.take(kept[~held]),
-                       test=interactions.take(kept[held]), excluded_users=excluded)
+             len(users) - excluded, excluded, n - len(kept))
+    parts = kept[~held], kept[held]
+    del kept, held
+    train, test = {}, {}
+    for name in ("user", "item", "rating", "timestamp"):
+        column = columns.pop(name)
+        train[name], test[name] = (column[rows] for rows in parts)
+    del column, parts
+    return SplitResult(train=Interactions.from_codes(users, items, **train),
+                       test=Interactions.from_codes(users, items, **test),
+                       excluded_users=excluded)
 
 
-def _last_ratings(interactions):
+def _last_ratings(user, item, n_items):
     """Indices of each (user, item)'s last row in file order, users in order
-    of first appearance among them, file order within a user."""
-    pair = interactions.user * len(interactions.items) + interactions.item
-    _, last = np.unique(pair[::-1], return_index=True)
-    kept = np.sort(len(pair) - 1 - last)
-    user = interactions.user[kept]
-    _, first = np.unique(user, return_index=True)
-    return kept[np.argsort(first[user], kind="stable")]
+    of first appearance among them, file order within a user: one stable
+    argsort of the (user, item) key, whose runs each end at a pair's last
+    row, then one sort of those rows by their user's first row and their own."""
+    n = len(user)
+    pair = user * n_items + item
+    order = np.argsort(pair, kind="stable")
+    pair = pair[order]
+    last = np.ones(n, dtype=bool)  # where each pair's run ends
+    np.not_equal(pair[1:], pair[:-1], out=last[:-1])
+    del pair
+    kept = order[last]  # users ascending
+    del order, last
+    if not n:
+        return kept
+    user = user[kept]
+    starts = np.ones(len(kept), dtype=bool)  # where each user's rows start
+    np.not_equal(user[1:], user[:-1], out=starts[1:])
+    del user
+    first = np.minimum.reduceat(kept, np.flatnonzero(starts))  # each user's first
+    key = first[np.cumsum(starts) - 1]
+    del starts
+    key *= n
+    key += kept
+    key.sort()
+    key %= n
+    return key
 
 
 # split.npz members: the Interactions columns of SplitResult.train and .test,

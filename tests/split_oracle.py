@@ -1,7 +1,8 @@
 """Reference leave-n-out split and history sampling on (user, item, rating,
 timestamp) row tuples: the per-user loops that ingest's columnar
-split_leave_n_out and user_history replace; and Interactions.take as
-np.unique renumbers codes. Kept only to check them against.
+split_leave_n_out and user_history replace; and a table of some of a
+table's rows, its codes renumbered by np.unique, as Interactions.from_codes
+renumbers them. Kept only to check them against.
 """
 
 import random

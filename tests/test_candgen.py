@@ -556,8 +556,8 @@ class TestSlateIo:
         with commit(path) as (fh,):
             export_slates(fh, slates)
         loaded = import_slates(path)
-        assert [(s.user, s.items, s.source) for s in loaded] == \
-            [(s.user, s.items, s.source) for s in slates]
+        assert [(n, s.user, s.items, s.source) for n, s in loaded] == \
+            [(n, s.user, s.items, s.source) for n, s in enumerate(slates, start=1)]
 
     def test_duplicate_items_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"

@@ -450,7 +450,7 @@ class TestRun:
         report = json.loads((run_dir / "report.json").read_text())
         assert report["users_evaluated"] == 10
 
-    @pytest.mark.parametrize("bad_item", ["catalog", "train", "empty"])
+    @pytest.mark.parametrize("bad_item", ["catalog", "train", "empty", "duplicate"])
     def test_bad_external_slate_skips_its_user(self, corpus, tmp_path, caplog,
                                                monkeypatch, bad_item):
         _, _, run_dir = corpus
@@ -465,8 +465,10 @@ class TestRun:
             victim["items"][5] = "999999"
         elif bad_item == "train":
             victim["items"][5] = train.entries(victim["user"])[0][0]
-        else:
+        elif bad_item == "empty":
             victim["items"] = []
+        else:  # a second slate, on line 11, for the user of line 4
+            lines.append({**victim, "items": victim["items"][::-1]})
         out.write_text("".join(json.dumps(l) + "\n" for l in lines))
         prompts = []
         backend = ScriptedBackend()
@@ -481,7 +483,8 @@ class TestRun:
         assert (report["users_evaluated"], report["users_skipped"]) == (9, 1)
         assert victim["user"] not in report["zero_shot"][0]["per_user"]
         reason = {"catalog": "slate items not in the catalog",
-                  "train": "slate items rated in train", "empty": "empty slate"}[bad_item]
+                  "train": "slate items rated in train", "empty": "empty slate",
+                  "duplicate": "2 external slates, on lines 4, 11"}[bad_item]
         assert f"skipped user {victim['user']}: {reason}" in caplog.text
         # the skipped user's history opens no prompt: it sent no request
         catalog = ingest.load_items(run_dir / "catalog.jsonl")

@@ -6,7 +6,8 @@ lookups went through dicts; and of report.csv and report.txt for every run,
 and all three report files of a trained run, pinned to what the code gave
 before the tables were rendered from the report.json object. A change that moves any of them must say why
 and update the digest. Fresh interpreters also run every command and check
-that none of them loads scipy, and that no offline one loads the HTTP stack."""
+that none of them loads scipy or numpy.ma, and that no offline one loads the
+HTTP stack."""
 
 import hashlib
 import json
@@ -97,7 +98,7 @@ def test_scripted_manifest(ingested):
 
 # runs the commands given as JSON in one interpreter; prints, after the
 # import and after each command, its exit code and the loaded modules that
-# are, or are under, one of the packages named in the second argument
+# are, or are under, one of the dotted module names in the second argument
 LOADED_SCRIPT = """
 import json, sys
 from rerankeval.cli import main
@@ -105,7 +106,8 @@ from rerankeval.cli import main
 packages = json.loads(sys.argv[2])
 
 def loaded_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] in packages)
+    return sorted(m for m in sys.modules
+                  if any(m == p or m.startswith(p + ".") for p in packages))
 
 loaded = {"import": loaded_modules()}
 for argv in json.loads(sys.argv[1]):
@@ -115,9 +117,10 @@ print(json.dumps(loaded))
 
 
 def modules_loaded_by(tmp_path, commands, packages):
-    """{"import": [...], "<argv>": [exit code, [...]]} of the modules under
-    packages loaded after the CLI import and after each of commands, run in
-    that order in one fresh interpreter, in tmp_path."""
+    """{"import": [...], "<argv>": [exit code, [...]]} of the modules that
+    are, or are under, the dotted module names of packages, loaded after the
+    CLI import and after each of commands, run in that order in one fresh
+    interpreter, in tmp_path."""
     src = str(Path(rerankeval.__file__).resolve().parent.parent)
     out = subprocess.run([sys.executable, "-c", LOADED_SCRIPT, json.dumps(commands),
                           json.dumps(packages)],
@@ -126,24 +129,38 @@ def modules_loaded_by(tmp_path, commands, packages):
     return json.loads(out.splitlines()[-1])
 
 
-def test_no_command_loads_scipy(tmp_path):
-    # pytest has imported scipy, so the commands run in a fresh interpreter
+COMMANDS = [
+    ["ingest", "--ratings", "ratings.csv", "--items", "items.csv", "--run-dir", "run"],
+    ["run", "--run-dir", "run", "--generator", "random", "--mode", "none"],
+    ["run", "--run-dir", "run", "--generator", "mf", "--mode", "none"],
+    ["build-dataset", "--run-dir", "run", "--offline", "1", "--ranking-size", "10"],
+    ["export-slates", "--run-dir", "run", "--generator", "knn", "--out", "knn.jsonl"],
+    ["human-eval", "a.txt", "b.txt", "--paired"],
+    # last, so that run/report.json is the knn report
+    ["run", "--run-dir", "run", "--generator", "knn", "--mode", "none"],
+]
+
+
+def loaded_by_every_command(tmp_path, packages):
+    """modules_loaded_by of COMMANDS on the conftest corpus."""
     write_corpus(tmp_path)
     (tmp_path / "a.txt").write_text("4\n5\n3\n")
     (tmp_path / "b.txt").write_text("3\n4\n2\n")
-    commands = [
-        ["ingest", "--ratings", "ratings.csv", "--items", "items.csv", "--run-dir", "run"],
-        ["run", "--run-dir", "run", "--generator", "random", "--mode", "none"],
-        ["run", "--run-dir", "run", "--generator", "mf", "--mode", "none"],
-        ["build-dataset", "--run-dir", "run", "--offline", "1", "--ranking-size", "10"],
-        ["export-slates", "--run-dir", "run", "--generator", "knn", "--out", "knn.jsonl"],
-        ["human-eval", "a.txt", "b.txt", "--paired"],
-        # last, so that run/report.json is the knn report
-        ["run", "--run-dir", "run", "--generator", "knn", "--mode", "none"],
-    ]
-    loaded = modules_loaded_by(tmp_path, commands, ["scipy"])
-    assert loaded == {"import": [], **{" ".join(argv): [0, []] for argv in commands}}
+    return modules_loaded_by(tmp_path, COMMANDS, packages)
+
+
+def test_no_command_loads_scipy(tmp_path):
+    # pytest has imported scipy, so the commands run in a fresh interpreter
+    loaded = loaded_by_every_command(tmp_path, ["scipy"])
+    assert loaded == {"import": [], **{" ".join(argv): [0, []] for argv in COMMANDS}}
     assert sha(tmp_path / "run" / "report.json") == REPORTS["knn", "none"]["json"]
+
+
+def test_no_command_loads_numpy_ma(tmp_path):
+    # numpy.ma loads with np.unique(x) and no return_* flag on numpy 2.4, and
+    # adds about 2 MB to a command's peak RSS; no command needs it
+    loaded = loaded_by_every_command(tmp_path, ["numpy.ma"])
+    assert loaded == {"import": [], **{" ".join(argv): [0, []] for argv in COMMANDS}}
 
 
 def test_no_offline_command_loads_the_http_stack(tmp_path):

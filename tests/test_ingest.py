@@ -13,10 +13,22 @@ from conftest import (damage_split, files_in, interactions, make_catalog, save_s
                       table_rows, write_corpus)
 from split_oracle import history_entries, split_rows, take
 from rerankeval.errors import EmptyTitle, MalformedRow, NoHistory, RerankEvalError
+from rerankeval import _csvscan, ingest
 from rerankeval.ingest import (RATING_MAX, RATING_MIN, Interactions, ItemCard, _codes,
                                _load_plain, _load_rows, build_item_description, commit,
-                               load_interactions, load_items, read_split,
-                               split_leave_n_out, user_history)
+                               index_dtype, load_interactions, load_items, read_split,
+                               split_file, split_leave_n_out, user_history, write_split)
+
+
+def write_large_corpus(tmp_path):
+    """ratings.csv in the benchmark's largest corpus shape: a header and 120k
+    rows of 1500 users and 1000 items."""
+    rng = random.Random(5)
+    p = tmp_path / "ratings.csv"
+    p.write_text("userId,itemId,rating,timestamp\n" + "".join(
+        f"u{rng.randint(1, 1500)},{rng.randint(1, 1000)},{rng.randint(1, 10) / 2:g},"
+        f"{1_000_000_000 + n}\n" for n in range(120_000)), encoding="utf-8")
+    return p
 
 
 def write(tmp_path, name, text):
@@ -198,15 +210,18 @@ class TestPlainPath:
                  "ratings_by_digits" if width < 15 else "ratings_16_to_20_wide"] += 1
         assert len(seen) == 13 and min(seen.values()) >= 15, seen
 
+    def test_small_blocks_and_scan_steps_match_the_row_loop(self, tmp_path, monkeypatch):
+        # the fuzz above, with scan steps and row blocks that cut its files
+        # and columns anywhere, a line or a field across two steps
+        monkeypatch.setattr(_csvscan, "_SCAN_BYTES", 16)
+        monkeypatch.setattr(_csvscan, "_BLOCK_ROWS", 3)
+        self.test_fuzz_matches_the_row_loop(tmp_path)
+
     def test_peak_memory_is_a_small_multiple_of_the_file(self, tmp_path):
-        # the benchmark's largest corpus shape: 120k rows, 1500 users, 1000
-        # items. All four fields cut into padded byte-string columns, as a
-        # wide column is, peak at 6.1 times the file's bytes.
-        rng = random.Random(5)
-        p = tmp_path / "ratings.csv"
-        p.write_text("userId,itemId,rating,timestamp\n" + "".join(
-            f"u{rng.randint(1, 1500)},{rng.randint(1, 1000)},{rng.randint(1, 10) / 2:g},"
-            f"{1_000_000_000 + n}\n" for n in range(120_000)), encoding="utf-8")
+        # the file, its separator offsets and the table: about 2.9 times the
+        # file's bytes. All four fields cut into padded byte-string columns,
+        # as a wide column is, peak at 6.1 times.
+        p = write_large_corpus(tmp_path)
         tracemalloc.start()
         try:
             table = load_interactions(p)
@@ -214,7 +229,51 @@ class TestPlainPath:
         finally:
             tracemalloc.stop()
         assert len(table) == 120_000
-        assert peak <= 5.5 * p.stat().st_size, peak / p.stat().st_size
+        assert peak <= 3.5 * p.stat().st_size, peak / p.stat().st_size
+
+    def test_ingest_holds_each_rating_about_once(self, tmp_path):
+        # parse, split and write: the split drops each parsed column once
+        # train and test hold theirs, so the parse sets the peak, about 2.1
+        # times the table's columns; holding the parsed table through the
+        # split and the write took 3.5 times
+        p = write_large_corpus(tmp_path)
+        loaded = load_interactions(p)
+        columns = sum(getattr(loaded, c).nbytes for c in ("user", "item", "rating", "timestamp"))
+        expected = split_leave_n_out(loaded)
+        counts = len(loaded), len(loaded.users)
+        del loaded
+        tracemalloc.start()
+        try:
+            split, *got_counts = split_file(p)
+            with commit(tmp_path / "split.npz", tmp_path / "split.json") as (npz, meta):
+                write_split(npz, meta, split)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * columns, peak / columns
+        assert tuple(got_counts) == counts and counts[0] == 120_000
+        for name in ("train", "test"):
+            assert_same_table(getattr(split, name), getattr(expected, name))
+        assert split.excluded_users == expected.excluded_users
+
+    def test_offsets_hold_the_file_and_never_wrap(self, tmp_path, monkeypatch):
+        # int32 offsets up to a file of 2**31 - 1 bytes, int64 beyond
+        assert [index_dtype(size) for size in (2**31 - 1, 2**31)] == [np.int32, np.int64]
+        # int16 offsets stand in for int32 ones at the limit: a file of
+        # 2**15 - 1 bytes whose last line's fields are short, so that its
+        # offsets plus the byte positions of the longest fields pass the limit
+        lines = []
+        while sum(map(len, lines)) < 2**15 - 40:
+            n = len(lines)
+            lines.append(f"u{n % 97},{n % 89},{n % 9 / 2 + 0.5:g},{1_000_000_000 + n}\n")
+        lines.append("u" * (2**15 - 1 - sum(map(len, lines)) - len(",1,3,7\n")) + ",1,3,7\n")
+        p = tmp_path / "ratings.csv"
+        p.write_text("".join(lines), encoding="utf-8")
+        assert p.stat().st_size == 2**15 - 1
+        expected = _load_rows(p)
+        for dtype in (np.int16, np.int64):
+            monkeypatch.setattr(ingest, "index_dtype", lambda *sizes: dtype)
+            assert_same_table(_load_plain(p), expected)
 
     @staticmethod
     def plain_ratings(tmp_path, texts):
@@ -283,7 +342,10 @@ class TestTake:
                 rows = np.flatnonzero(rng.random(n) < 0.5)
             else:            # no row
                 rows = np.array([], dtype=np.int64)
-            got, expected = table.take(rows), take(table, rows)
+            got = Interactions.from_codes(
+                table.users, table.items,
+                *(getattr(table, c)[rows] for c in ("user", "item", "rating", "timestamp")))
+            expected = take(table, rows)
             for name in COLUMNS:
                 x, y = getattr(got, name), getattr(expected, name)
                 assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), (case, name)

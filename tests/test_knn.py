@@ -16,7 +16,7 @@ import scipy.sparse._sparsetools
 
 from conftest import interactions, write_corpus
 from knn_oracle import OracleKnnScorer, build_item_knn_oracle, neighbor_lists
-from rerankeval import _kernels, candgen
+from rerankeval import _kernels, candgen, ingest
 from rerankeval.candgen import ItemKnnRecommender, build_item_knn, gen_model_slate
 from rerankeval.errors import UnknownUser
 from rerankeval.ingest import (Catalog, Interactions, ItemCard, load_interactions, load_items,
@@ -356,7 +356,7 @@ class TestCsrMatchesScipy:
 
     def test_index_type_is_scipys(self):
         for size in (0, 1, 2**31 - 1, 2**31, 2**40):
-            assert candgen._index_dtype(3, size) == sp.get_index_dtype(maxval=size)
+            assert ingest.index_dtype(3, size) == sp.get_index_dtype(maxval=size)
 
 
 class TestKernelLoader:
