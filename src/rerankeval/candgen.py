@@ -338,10 +338,11 @@ def build_item_knn(train, top_m=50, min_co_raters=3):
     scipy.sparse would give, bit for bit (see Csr). The similarity product
     runs KNN_BLOCK_ROWS rows at a time, so only one block is ever dense. Each
     block is one pass of scipy's sparse product kernel over its rows (see
-    _block_product), written straight into the dense block, bit-identical to
-    the same rows of the full product. The norms are one bincount of the
-    squared centered ratings in storage order, the order in which the full
-    product sums its diagonal. Each row's top_m come from a partition
+    _block_product), added into the dense block, bit-identical to the same
+    rows of the full product. The norms add the squared centered ratings in
+    storage order, the order in which the full product sums its diagonal.
+    Each step over every stored rating runs on bounded chunks of them (see
+    _entries). Each row's top_m come from a partition
     threshold, not a full sort. Co-raters are counted
     only for those picks, from a table of each item's raters packed one bit
     per user into 64-bit words (ceil(users / 64) words per item, 192 B on
