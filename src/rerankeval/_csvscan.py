@@ -96,15 +96,16 @@ def key(buf, before, stops, width):
     """A sort key per id field buf[before[n] + 1:stops[n]], `width` bytes the
     longest. Ids of at most _KEY_BYTES bytes get one uint64, their bytes
     big-endian and NUL-padded: plain ids hold no NUL, so key order is byte
-    order, and ASCII byte order is code point order, as Interactions.from_columns sorts.
-    Longer ids are their fields, NUL-padded to `width` bytes."""
+    order, and ASCII byte order is code point order, as
+    Interactions.from_columns sorts. Longer ids are their fields, NUL-padded
+    to `width` bytes."""
     if width > _KEY_BYTES:
         return _field(buf, before, stops, width)
-    key = np.zeros(len(before), dtype=np.uint64)
+    packed = np.zeros(len(before), dtype=np.uint64)
     for j in range(width):
-        key <<= np.uint64(8)
-        key |= _byte(buf, before, stops, j)
-    return key << np.uint64(8 * (_KEY_BYTES - width))
+        packed <<= np.uint64(8)
+        packed |= _byte(buf, before, stops, j)
+    return packed << np.uint64(8 * (_KEY_BYTES - width))
 
 
 def ids(keys, width):
@@ -113,15 +114,15 @@ def ids(keys, width):
     each run of equal keys starts. np.unique(keys) gives the ids too, but
     it loads numpy.ma, which no command otherwise needs."""
     order = np.argsort(keys)
-    ids = keys[order]
-    starts = np.ones(len(ids), dtype=bool)
-    np.not_equal(ids[1:], ids[:-1], out=starts[1:])
-    ids = ids[starts]
+    distinct = keys[order]
+    starts = np.ones(len(keys), dtype=bool)
+    np.not_equal(distinct[1:], distinct[:-1], out=starts[1:])
+    distinct = distinct[starts]
     codes = np.empty(len(keys), dtype=np.intp)
     codes[order] = np.cumsum(starts) - 1
-    if ids.dtype == np.uint64:
-        ids = ids.astype(">u8").view(f"S{_KEY_BYTES}")
-    return ids.astype(f"U{width}"), codes
+    if distinct.dtype == np.uint64:
+        distinct = distinct.astype(">u8").view(f"S{_KEY_BYTES}")
+    return distinct.astype(f"U{width}"), codes
 
 
 def number(buf, before, stops, width, decimal):

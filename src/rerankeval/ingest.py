@@ -232,7 +232,8 @@ def _load_plain(path):
 
     Per row it holds the line's bytes, its four separator offsets and the
     table's columns, the id columns as sort keys until the bytes and offsets
-    are dropped; any other array spans one step of the scan (see _csvscan).
+    are dropped, and at any moment temporaries of a few bytes more; the
+    scan's other arrays span one of its steps (see _csvscan).
     """
     buf = np.fromfile(path, dtype=np.uint8)
     if not len(buf) or buf[-1] != ord("\n"):
@@ -425,6 +426,8 @@ def split_leave_n_out(interactions, n_test=10, min_history=5,
     min_history + n_test kept rows rated >= threshold hold out their n_test
     most recent qualifying rows (ties by item id) as test; everything else is
     train. Users below the bar stay in train but are excluded from evaluation.
+    interactions is left whole; split_file splits a file without holding
+    its table and both tables at once.
     """
     return _split(_columns(interactions), n_test, min_history, threshold)
 

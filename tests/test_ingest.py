@@ -12,8 +12,8 @@ import pytest
 from conftest import (damage_split, files_in, interactions, make_catalog, save_split,
                       table_rows, write_corpus)
 from split_oracle import history_entries, split_rows, take
-from rerankeval.errors import EmptyTitle, MalformedRow, NoHistory, RerankEvalError
 from rerankeval import _csvscan, ingest
+from rerankeval.errors import EmptyTitle, MalformedRow, NoHistory, RerankEvalError
 from rerankeval.ingest import (RATING_MAX, RATING_MIN, Interactions, ItemCard, _codes,
                                _load_plain, _load_rows, build_item_description, commit,
                                index_dtype, load_interactions, load_items, read_split,
