@@ -314,9 +314,16 @@ def cmd_run(cfg):
               "users_skipped": skipped, "bootstrap_fallbacks": 0,
               "non_ranker": [vars(r) for r in baseline_results]}
     if backend is not None:
-        ranked = rerank.rerank_users([inputs[u] for u in users], catalog, backend,
-                                     k=cfg.bootstraps, mode=cfg.mode, seed=cfg.seed,
-                                     temperature=cfg.temperature)
+        # up to the backend's cap of users at a time; any error stops the run
+        ranked = list(bounded_map(
+            lambda user: rerank.rerank_user(
+                *inputs[user], catalog, backend, k=cfg.bootstraps, mode=cfg.mode,
+                seed=cfg.seed, temperature=cfg.temperature),
+            users, backend.max_concurrent_requests))
+        for user, (consensus, _) in zip(users, ranked):
+            if consensus.fallback:
+                log.warning("all %d bootstraps failed for user %s; using original "
+                            "slate order", cfg.bootstraps, user)
         report["bootstrap_fallbacks"] = sum(consensus.fallback for consensus, _ in ranked)
         rankings = {user: consensus.items
                     for user, (consensus, _outputs) in zip(users, ranked)}

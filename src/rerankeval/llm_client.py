@@ -181,7 +181,7 @@ class HttpBackend:
         self._connect = functools.partial(connection, url.hostname, port,
                                           timeout=config.timeout)
         # kept-alive connections not in use: never more than were ever in
-        # flight at once, and they outlive the threads of one batch
+        # flight at once, and they outlive the pool threads that used them
         self._idle = []
         self._lock = threading.Lock()
         weakref.finalize(self, _close_all, self._idle)
@@ -267,7 +267,9 @@ def bounded_map(fn, items, cap, carry=()):
     started and is raised once the running ones have finished. Closing the
     generator starts no further item and returns once the running ones have
     finished, so a caller that may stop early closes it (contextlib.closing)
-    rather than leave the workers running behind a traceback."""
+    rather than leave the workers running behind a traceback. run and
+    build-dataset each map their per-user step through it, so each user's
+    requests go one after another and up to cap users run side by side."""
     items = list(items)
     if min(cap, len(items)) <= 1:
         for item in items:
@@ -326,10 +328,3 @@ def bounded_map(fn, items, cap, carry=()):
     if errors:
         raise errors[min(errors)]
 
-
-def complete_batch(backend, requests_list):
-    """Run requests through the backend with at most max_concurrent_requests
-    in flight. Results align with input order; a BackendError comes back in
-    its request's place, and any other exception is raised (bounded_map)."""
-    return list(bounded_map(backend.complete, requests_list,
-                            backend.max_concurrent_requests, carry=BackendError))

@@ -1,7 +1,8 @@
 """Re-ranking pipeline: prompt construction, output parsing, bootstrapped
-shuffles, and self-consistency aggregation by summed position index."""
+shuffles, and self-consistency aggregation by summed position index.
+rerank_user sends one user's bootstrap requests in sequence; callers run
+users side by side (cli.cmd_run through bounded_map)."""
 
-import logging
 import re
 from dataclasses import dataclass
 
@@ -9,9 +10,7 @@ import numpy as np
 
 from .candgen import Slate, stable_seed
 from .errors import BackendError, RerankEvalError, UnknownItem
-from .llm_client import ChatRequest, complete_batch
-
-log = logging.getLogger(__name__)
+from .llm_client import ChatRequest
 
 SYSTEM_PROMPT_ZERO_SHOT = (
     "You are a movie recommendation assistant. Given a user's viewing history "
@@ -188,38 +187,25 @@ def none_ranker(slate):
     )
 
 
-def rerank_users(jobs, catalog, backend, k=3, mode="zero_shot", seed=0,
-                 temperature=0.7):
-    """Re-rank each (history, slate) job: shuffle k times, prompt, complete,
-    parse, and aggregate. Every job's requests go through one
-    complete_batch, so up to the backend's max_concurrent_requests are in
-    flight across users; results are keyed by (job, bootstrap), so the
-    output does not depend on completion order. A failed request degrades
-    to an all-missing output; if no bootstrap ranks any item the original
-    slate order is returned with the fallback flag set. Returns one
-    (consensus, outputs) pair per job, in job order."""
-    shuffles = [bootstrap_shuffles(slate, k, seed) for _, slate in jobs]
-    requests = []
-    for (history, slate), user_shuffles in zip(jobs, shuffles):
-        for n, shuffled in enumerate(user_shuffles):
-            system, user = build_prompt(history, shuffled, catalog, mode=mode)
-            requests.append(ChatRequest(
+def rerank_user(history, slate, catalog, backend, k=3, mode="zero_shot", seed=0,
+                temperature=0.7):
+    """Re-rank one user's slate: shuffle k times, then prompt, complete and
+    parse each shuffle in turn, and aggregate. A failed request degrades to
+    an all-missing output; if no bootstrap ranks any item the original slate
+    order is returned with the fallback flag set (the caller logs it, in
+    user order). Returns (consensus, outputs)."""
+    outputs = []
+    for n, shuffled in enumerate(bootstrap_shuffles(slate, k, seed)):
+        system, user = build_prompt(history, shuffled, catalog, mode=mode)
+        try:
+            text = backend.complete(ChatRequest(
                 system_prompt=system, user_prompt=user, temperature=temperature,
-                seed=stable_seed(seed, "req", slate.user, n) % 2**31))
-    results = complete_batch(backend, requests)
-
-    ranked = []
-    for j, ((_history, slate), user_shuffles) in enumerate(zip(jobs, shuffles)):
-        outputs = []
-        for shuffled, result in zip(user_shuffles, results[j * k:(j + 1) * k]):
-            text = "" if isinstance(result, BackendError) else result.text
-            outputs.append(parse_ranking(text, shuffled, catalog=catalog))
-        if any(out.ranked for out in outputs):
-            ranked.append((aggregate_self_consistency(outputs, slate), outputs))
-        else:
-            log.warning("all %d bootstraps failed for user %s; using original "
-                        "slate order", k, slate.user)
-            consensus = none_ranker(slate)
-            consensus.fallback = True
-            ranked.append((consensus, outputs))
-    return ranked
+                seed=stable_seed(seed, "req", slate.user, n) % 2**31)).text
+        except BackendError:
+            text = ""
+        outputs.append(parse_ranking(text, shuffled, catalog=catalog))
+    if any(out.ranked for out in outputs):
+        return aggregate_self_consistency(outputs, slate), outputs
+    consensus = none_ranker(slate)
+    consensus.fallback = True
+    return consensus, outputs

@@ -99,7 +99,7 @@ def paired_t_test(a, b):
     ZeroVariance when every difference is 0. When every difference is the
     same nonzero value, t is infinite with its sign and p is 0."""
     if len(a) != len(b):
-        raise RerankEvalError(f"{len(a)} vs {len(b)}")
+        raise RerankEvalError(f"paired samples differ in length: {len(a)} vs {len(b)}")
     n = len(a)
     if n < 2:
         raise ValueError("need at least 2 pairs")

@@ -19,7 +19,7 @@ from rerankeval.errors import ZeroVariance
 from rerankeval.llm_client import ScriptedBackend
 from rerankeval.rerank import (RankedItem, RankingOutput,
                                aggregate_self_consistency, parse_ranking,
-                               rerank_users)
+                               rerank_user)
 
 
 def report(criterion, ok, detail=""):
@@ -207,8 +207,8 @@ def test_criterion_5_directional_reproduction():
     backend = ScriptedBackend(handler=noisy_oracle)
     baseline_rankings = {u: rerank.none_ranker(slates[u]).items for u in slates}
     users = list(slates)
-    ranked = rerank_users([(histories[u], slates[u]) for u in users], catalog,
-                          backend, k=3, seed=5)
+    ranked = [rerank_user(histories[u], slates[u], catalog, backend, k=3, seed=5)
+              for u in users]
     reranked = {user: consensus.items for user, (consensus, _) in zip(users, ranked)}
 
     cutoffs = (3, 5, 10)

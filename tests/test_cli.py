@@ -6,6 +6,7 @@ import random
 import socket
 import stat
 import threading
+import time
 import tracemalloc
 import warnings
 from collections import Counter
@@ -402,22 +403,8 @@ class TestRun:
     def test_fallback_user_exits_1(self, corpus, monkeypatch):
         _, _, run_dir = corpus
         main(ingest_args(corpus))
-        main(run_args(corpus))
-        report = json.loads((run_dir / "report.json").read_text())
-        victim = min(report["non_ranker"][0]["per_user"])
-        train = ingest.read_split(run_dir / "split.json").train
-        catalog = ingest.load_items(run_dir / "catalog.jsonl")
-        _, prompt = rerank.build_prompt(ingest.user_history(train, victim),
-                                        Slate(user=victim, items=[], source="x"), catalog)
-        history_block = prompt.split("Candidates:")[0]
-
-        def answer(request):
-            if request.user_prompt.startswith(history_block):
-                raise HttpStatus(500)
-            return dataset_answer(request)
-
-        monkeypatch.setattr(cli, "make_backend",
-                            lambda cfg: ScriptedBackend(handler=answer))
+        monkeypatch.setattr(cli, "make_backend", lambda cfg: ScriptedBackend(
+            handler=failing_user_answer(corpus, 0)))
         assert main(run_args(corpus, mode="zero_shot")) == EXIT_PARTIAL
         report = json.loads((run_dir / "report.json").read_text())
         assert (report["users_evaluated"], report["users_skipped"],
@@ -426,15 +413,64 @@ class TestRun:
     def test_unexpected_backend_error_exits_2(self, corpus, monkeypatch, capsys):
         _, _, run_dir = corpus
         main(ingest_args(corpus))
+        cap, k = 4, 3
+        calls = []
+        lock = threading.Lock()
 
         def answer(request):
-            raise ValueError("backend bug")
+            with lock:
+                calls.append(request)
+                first = len(calls) == 1
+            if first:
+                raise ValueError("backend bug")
+            time.sleep(0.02)
+            return dataset_answer(request)
 
-        monkeypatch.setattr(cli, "make_backend",
-                            lambda cfg: ScriptedBackend(handler=answer))
-        assert main(run_args(corpus, mode="zero_shot")) == EXIT_CONFIG
+        monkeypatch.setattr(cli, "make_backend", lambda cfg: ScriptedBackend(
+            handler=answer, max_concurrent_requests=cfg.max_concurrent_requests))
+        assert main(run_args(corpus, mode="zero_shot", bootstraps=k,
+                             backend_max_concurrent_requests=cap)) == EXIT_CONFIG
         assert "error: backend bug" in capsys.readouterr().err
-        assert not (run_dir / "report.json").exists()
+        # no user starts after the failure; the users already running finish
+        assert len(calls) <= 1 + (cap - 1) * k
+        assert not any((run_dir / name).exists()
+                       for name in ("report.json", "report.csv", "report.txt"))
+
+    def test_pooled_run_matches_serial(self, corpus, monkeypatch, caplog):
+        _, _, run_dir = corpus
+        main(ingest_args(corpus))
+        answer = failing_user_answer(corpus, 0, 2)
+        runs = {}
+        for cap in (4, 1):
+            # the cap is the backend's, not the config's, so that report.json
+            # records the same config; sleeping by a hash of the prompt
+            # scrambles the completion order
+            backend = PeakBackend(cap, lambda r: prompt_hash(r) % 10 / 1000, answer)
+            monkeypatch.setattr(cli, "make_backend", lambda cfg: backend)
+            caplog.clear()
+            code = main(run_args(corpus, mode="zero_shot"))
+            assert backend.peak == cap
+            fallbacks = [r.args[1] for r in caplog.records
+                         if "bootstraps failed" in r.getMessage()]
+            runs[cap] = (code, fallbacks, [
+                (run_dir / name).read_bytes()
+                for name in ("report.json", "report.csv", "report.txt")])
+        assert runs[4] == runs[1]
+        code, fallbacks, (report, _, _) = runs[4]
+        assert code == EXIT_PARTIAL
+        assert json.loads(report)["bootstrap_fallbacks"] == len(fallbacks) == 2
+        assert fallbacks == sorted(fallbacks)
+
+    @pytest.mark.parametrize("users,cap,peak", [(25, 6, 6), (5, 6, 5)],
+                             ids=["more_users_than_cap", "fewer_users_than_cap"])
+    def test_requests_in_flight_reach_cap_or_user_count(self, corpus, monkeypatch,
+                                                       users, cap, peak):
+        # each user's bootstraps go in sequence, so a user holds one request
+        main(ingest_args(corpus))
+        backend = PeakBackend(cap, lambda r: 0.02, dataset_answer)
+        monkeypatch.setattr(cli, "make_backend", lambda cfg: backend)
+        assert main(run_args(corpus, mode="zero_shot", sample_count=users)) in (0, 1)
+        assert backend.peak == peak
 
     def test_external_slates(self, corpus, tmp_path):
         _, _, run_dir = corpus
@@ -742,6 +778,32 @@ class TestBadInputFileExits2:
         assert code == EXIT_CONFIG
         assert f"error: line 2: {message}" in capsys.readouterr().err
         assert not run_dir.exists()
+
+
+def failing_user_answer(corpus, *nths):
+    """dataset_answer for every user but the nth evaluated ones (by id), whose
+    every request gets HTTP 500: the first named user's after the longest
+    wait, so that side by side it fails last."""
+    _, _, run_dir = corpus
+    main(run_args(corpus))
+    report = json.loads((run_dir / "report.json").read_text())
+    users = sorted(report["non_ranker"][0]["per_user"])
+    train = ingest.read_split(run_dir / "split.json").train
+    catalog = ingest.load_items(run_dir / "catalog.jsonl")
+    history_blocks = tuple(
+        rerank.build_prompt(ingest.user_history(train, users[nth]),
+                            Slate(user=users[nth], items=[], source="x"),
+                            catalog)[1].split("Candidates:")[0]
+        for nth in nths)
+
+    def answer(request):
+        for wait, block in enumerate(reversed(history_blocks), start=1):
+            if request.user_prompt.startswith(block):
+                time.sleep(0.03 * wait)
+                raise HttpStatus(500)
+        return dataset_answer(request)
+
+    return answer
 
 
 def dataset_answer(request):
@@ -1133,6 +1195,7 @@ class TestHumanEval:
         a.write_text("4\n4\n4\n")
         b.write_text("3\n3\n")
         assert main(["human-eval", str(a), str(b), "--paired"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: paired samples differ in length: 3 vs 2\n"
 
     def test_file_without_scores_exits_2(self, tmp_path, capsys):
         a = tmp_path / "a.txt"

@@ -520,7 +520,7 @@ DAMAGED_SPLITS = {
 }
 
 
-def assert_same_table(got, expected):
+def assert_same_split_table(got, expected):
     """got and expected hold the same id tables, codes and columns, each
     column of the same dtype and each id table of str."""
     for name in ("users", "items", "user", "item", "rating", "timestamp"):
@@ -547,7 +547,7 @@ class TestSplitMatchesRowOracle:
                 for got, expected in ((result.train, train), (result.test, test)):
                     assert table_rows(got) == expected
                     # the codes as split_oracle.take renumbers the same rows
-                    assert_same_table(got, take(table, np.array(
+                    assert_same_split_table(got, take(table, np.array(
                         [last[row[:2]] for row in expected], dtype=np.intp)))
                 assert {u: rs.relevant for u, rs in result.relevance.items()} == relevance
                 assert result.excluded_users == excluded

@@ -15,12 +15,19 @@ from rerankeval import llm_client
 from rerankeval.errors import (BackendError, ExhaustedRetries, HttpStatus,
                                RerankEvalError, Timeout)
 from rerankeval.llm_client import (BackendConfig, ChatRequest, HttpBackend,
-                                   ScriptedBackend, bounded_map, complete_batch,
+                                   ScriptedBackend, bounded_map,
                                    load_fixtures, make_backend)
 
 
 def req(text="hello", **kw):
     return ChatRequest(system_prompt="sys", user_prompt=text, **kw)
+
+
+def complete_all(backend, requests_list):
+    """Every request's response, or its BackendError, in input order, with
+    at most the backend's cap in flight."""
+    return list(bounded_map(backend.complete, requests_list,
+                            backend.max_concurrent_requests, carry=BackendError))
 
 
 class StubState:
@@ -155,8 +162,8 @@ class TestScriptedBackend:
     def test_pure_function_of_inputs(self):
         backend = ScriptedBackend(fixtures=[("x", "y")])
         batch = [req("x")] * 3
-        a = [r.text for r in complete_batch(backend, batch)]
-        b = [r.text for r in complete_batch(backend, batch)]
+        a = [r.text for r in complete_all(backend, batch)]
+        b = [r.text for r in complete_all(backend, batch)]
         assert a == b == ["y", "y", "y"]
 
     def test_fixture_file(self, tmp_path):
@@ -264,9 +271,9 @@ class TestHttpBackend:
         batch = [req(str(i)) for i in range(160)]
         state.hold.clear()
         state.release_at = 16   # the first replies wait until all 16 are in flight
-        results = complete_batch(backend, batch)
+        results = complete_all(backend, batch)
         ports = set(state.client_ports)
-        results += complete_batch(backend, batch)
+        results += complete_all(backend, batch)
         assert not any(isinstance(r, Exception) for r in results)
         assert state.max_in_flight == len(ports) == 16
         assert state.client_ports == ports   # the second batch opened no connection
@@ -356,7 +363,7 @@ class TestCompleteBatch:
         state.fixtures = [("alpha", "A"), ("beta", "B"), ("gamma", "C")]
         backend = HttpBackend(http_config(url))
         backend.max_concurrent_requests = 3
-        results = complete_batch(backend, [req("gamma"), req("alpha"), req("beta")])
+        results = complete_all(backend, [req("gamma"), req("alpha"), req("beta")])
         assert [r.text for r in results] == ["C", "A", "B"]
 
     def test_per_item_failure_isolated(self, stub):
@@ -364,7 +371,7 @@ class TestCompleteBatch:
         state.status_script = [200, 404, 200]
         backend = HttpBackend(http_config(url))
         backend.max_concurrent_requests = 1
-        results = complete_batch(backend, [req("a"), req("b"), req("c")])
+        results = complete_all(backend, [req("a"), req("b"), req("c")])
         assert not isinstance(results[0], Exception)
         assert isinstance(results[1], HttpStatus)
         assert not isinstance(results[2], Exception)
@@ -373,7 +380,7 @@ class TestCompleteBatch:
         url, state = stub
         backend = HttpBackend(http_config(url))
         backend.max_concurrent_requests = 1
-        complete_batch(backend, [req(str(i)) for i in range(5)])
+        complete_all(backend, [req(str(i)) for i in range(5)])
         assert state.max_in_flight == 1
 
 

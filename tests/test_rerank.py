@@ -2,15 +2,15 @@ import itertools
 
 import pytest
 
-from conftest import (PeakBackend, candidate_ids, make_catalog, make_history, make_slate,
-                      prompt_hash)
+from conftest import make_catalog, make_history, make_slate
+from rerankeval.candgen import stable_seed
 from rerankeval.errors import EmptyTitle, HttpStatus, RerankEvalError, UnknownItem
 from rerankeval.ingest import ItemCard, build_item_description
 from rerankeval.llm_client import ScriptedBackend
 from rerankeval.rerank import (RankedItem, RankingOutput, _describe,
                                aggregate_self_consistency, bootstrap_shuffles,
                                build_prompt, none_ranker, parse_ranking,
-                               rerank_users)
+                               rerank_user)
 
 
 def output(user, items, slate):
@@ -204,8 +204,7 @@ class TestRerankUser:
         history = make_history("u", [1, 2])
         slate = make_slate("u", range(3, 18))
         backend = ScriptedBackend()  # echoes candidates in prompt order
-        consensus, outputs = rerank_users([(history, slate)], catalog, backend,
-                                          k=3, seed=7)[0]
+        consensus, outputs = rerank_user(history, slate, catalog, backend, k=3, seed=7)
         # brute-force: sum positions over the three seeded shuffles
         shuffles = bootstrap_shuffles(slate, 3, seed=7)
         scores = {i: 0 for i in slate.items}
@@ -216,20 +215,31 @@ class TestRerankUser:
         assert consensus.ordered == expected
         assert len(outputs) == 3
 
+    def test_requests_go_in_shuffle_order_with_per_bootstrap_seeds(self, catalog):
+        history = make_history("u", [1, 2])
+        slate = make_slate("u", range(3, 18))
+        sent = []
+        backend = ScriptedBackend(handler=lambda r: sent.append(r) or "")
+        rerank_user(history, slate, catalog, backend, k=3, seed=4, temperature=0.2)
+        assert [(r.system_prompt, r.user_prompt) for r in sent] == \
+            [build_prompt(history, s, catalog) for s in bootstrap_shuffles(slate, 3, 4)]
+        assert [r.seed for r in sent] == [stable_seed(4, "req", "u", n) % 2**31
+                                          for n in range(3)]
+        assert {r.temperature for r in sent} == {0.2}
+
     def test_oracle_backend_puts_relevant_first(self, catalog):
         relevant = {"3", "4", "5"}
         history = make_history("u", [1, 2])
         slate = make_slate("u", range(3, 18))
-        consensus, _ = rerank_users([(history, slate)], catalog,
-                                    oracle_backend(relevant), k=3, seed=1)[0]
+        consensus, _ = rerank_user(history, slate, catalog, oracle_backend(relevant),
+                                   k=3, seed=1)
         assert set(consensus.items[:3]) == relevant
 
     def test_k_equals_one(self, catalog):
         history = make_history("u", [1])
         slate = make_slate("u", range(2, 17))
         backend = ScriptedBackend()
-        consensus, outputs = rerank_users([(history, slate)], catalog, backend,
-                                          k=1, seed=3)[0]
+        consensus, outputs = rerank_user(history, slate, catalog, backend, k=1, seed=3)
         [out] = outputs
         assert consensus.items == [r.item for r in out.ranked]
 
@@ -237,55 +247,35 @@ class TestRerankUser:
         history = make_history("u", [1])
         slate = make_slate("u", range(2, 17))
         backend = ScriptedBackend(handler=lambda r: "complete gibberish")
-        consensus, _ = rerank_users([(history, slate)], catalog, backend, k=3,
-                                    seed=1)[0]
+        consensus, _ = rerank_user(history, slate, catalog, backend, k=3, seed=1)
         assert consensus.fallback
         assert consensus.items == slate.items
+
+    def test_failed_request_is_an_empty_answer_and_other_errors_raise(self, catalog):
+        history = make_history("u", [1])
+        slate = make_slate("u", range(2, 17))
+        calls = []
+
+        def answer(request):
+            calls.append(request)
+            if len(calls) != 2:
+                raise HttpStatus(500)
+            return ScriptedBackend().complete(request).text
+
+        consensus, outputs = rerank_user(history, slate, catalog,
+                                         ScriptedBackend(handler=answer), k=3, seed=1)
+        assert [len(out.ranked) for out in outputs] == [0, 15, 0]
+        assert not consensus.fallback and outputs[0].raw_text == ""
+
+        def bug(request):
+            raise ValueError("backend bug")
+
+        with pytest.raises(ValueError, match="backend bug"):
+            rerank_user(history, slate, catalog, ScriptedBackend(handler=bug))
 
     def test_deterministic(self, catalog):
         history = make_history("u", [1, 2])
         slate = make_slate("u", range(3, 18))
-        a = rerank_users([(history, slate)], catalog, ScriptedBackend(), k=3,
-                         seed=11)[0]
-        b = rerank_users([(history, slate)], catalog, ScriptedBackend(), k=3,
-                         seed=11)[0]
+        a = rerank_user(history, slate, catalog, ScriptedBackend(), k=3, seed=11)
+        b = rerank_user(history, slate, catalog, ScriptedBackend(), k=3, seed=11)
         assert a[0].ordered == b[0].ordered
-
-
-def hashed_answer(request):
-    """Candidates in prompt order or reversed, by a hash of the prompt; the
-    user whose history starts with item 3 gets HTTP 500 on every bootstrap."""
-    if "- [3] " in request.user_prompt:
-        raise HttpStatus(500)
-    ids = candidate_ids(request.user_prompt)
-    if prompt_hash(request) % 2:
-        ids.reverse()
-    return "\n".join(f"Rank {k}: {i} - hashed" for k, i in enumerate(ids, start=1))
-
-
-def user_jobs(n):
-    return [(make_history(f"u{j}", [j + 1]), make_slate(f"u{j}", range(10, 25)))
-            for j in range(n)]
-
-
-class TestRerankUsers:
-    def test_cap_reached_across_users(self, catalog):
-        # k=3 requests per user; the pool keeps 6 in flight, never more
-        backend = PeakBackend(6, lambda r: 0.03, hashed_answer)
-        rerank_users(user_jobs(5), catalog, backend, k=3, seed=2)
-        assert backend.peak == 6
-
-    def test_matches_per_user_serial_results(self, catalog):
-        jobs = user_jobs(6)
-        # sleeping by a hash of the prompt scrambles the completion order
-        pooled = PeakBackend(6, lambda r: prompt_hash(r) % 20 / 1000, hashed_answer)
-        got = rerank_users(jobs, catalog, pooled, k=3, seed=9)
-        serial = PeakBackend(1, lambda r: 0.0, hashed_answer)
-        want = [rerank_users([(history, slate)], catalog, serial, k=3, seed=9)[0]
-                for history, slate in jobs]
-        assert got == want
-        assert [consensus.fallback for consensus, _ in got] == \
-            [False, False, True, False, False, False]
-        failed_consensus, failed_outputs = got[2]
-        assert failed_consensus.items == jobs[2][1].items
-        assert all(not out.ranked for out in failed_outputs)

@@ -75,7 +75,7 @@ class TestPaired:
             pytest.approx(paired_t_test(b, a).p_value, abs=1e-15)
 
     def test_length_mismatch(self):
-        with pytest.raises(RerankEvalError, match="2 vs 1"):
+        with pytest.raises(RerankEvalError, match="paired samples differ in length: 2 vs 1"):
             paired_t_test([1.0, 2.0], [1.0])
 
     def test_matches_scipy(self):
