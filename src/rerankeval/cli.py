@@ -273,7 +273,7 @@ def _user_inputs(cfg, users, split, catalog):
     train_codes = train.item_codes(catalog.ids)  # of each catalog position
 
     def inputs(user):
-        exclusions = {item for item, _, _ in train.entries(user)}
+        exclusions = set(train.items[train.item[train.rows_of(user)]].tolist())
         if cfg.generator == "external":
             slate = _external_slate(external, user, exclusions, catalog)
         elif cfg.generator == "random":
@@ -314,19 +314,21 @@ def cmd_run(cfg):
               "users_skipped": skipped, "bootstrap_fallbacks": 0,
               "non_ranker": [vars(r) for r in baseline_results]}
     if backend is not None:
-        # up to the backend's cap of users at a time; any error stops the run
-        ranked = list(bounded_map(
-            lambda user: rerank.rerank_user(
+        def rerank_one(user):
+            """The user's consensus; its k bootstrap outputs die with this step."""
+            consensus, _outputs = rerank.rerank_user(
                 *inputs[user], catalog, backend, k=cfg.bootstraps, mode=cfg.mode,
-                seed=cfg.seed, temperature=cfg.temperature),
-            users, backend.max_concurrent_requests))
-        for user, (consensus, _) in zip(users, ranked):
+                seed=cfg.seed, temperature=cfg.temperature)
+            return consensus
+
+        # up to the backend's cap of users at a time; any error stops the run
+        ranked = list(bounded_map(rerank_one, users, backend.max_concurrent_requests))
+        for user, consensus in zip(users, ranked):
             if consensus.fallback:
                 log.warning("all %d bootstraps failed for user %s; using original "
                             "slate order", cfg.bootstraps, user)
-        report["bootstrap_fallbacks"] = sum(consensus.fallback for consensus, _ in ranked)
-        rankings = {user: consensus.items
-                    for user, (consensus, _outputs) in zip(users, ranked)}
+        report["bootstrap_fallbacks"] = sum(consensus.fallback for consensus in ranked)
+        rankings = {user: consensus.items for user, consensus in zip(users, ranked)}
         ranked_results = metrics.evaluate_run(rankings, split.relevance, cfg.cutoffs)
         report[_MODE_COLUMNS[cfg.mode][0]] = [vars(r) for r in ranked_results]
         report["comparison_vs_non"] = {
@@ -339,12 +341,16 @@ def cmd_run(cfg):
                                                   baseline_results).items()
         }
 
-    # report.json, the file readers check first, moves last
-    texts = {**_report_tables(report),
-             "report.json": json.dumps(report, indent=2, sort_keys=True, allow_nan=False)}
-    with ingest.commit(*(run_dir / name for name in texts)) as files:
-        for fh, text in zip(files, texts.values()):
+    # report.json, the file readers check first, moves last; it is encoded
+    # piece by piece, and a non-finite number in it writes none of the files
+    tables = _report_tables(report)
+    with ingest.commit(*(run_dir / name for name in (*tables, "report.json"))) as files:
+        for fh, text in zip(files, tables.values()):
             fh.write(text.encode() + b"\n")
+        encoder = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False)
+        for chunk in encoder.iterencode(report):
+            files[-1].write(chunk.encode())
+        files[-1].write(b"\n")
     fallbacks = report["bootstrap_fallbacks"]
     print(f"evaluated {len(users)} users "
           f"(skipped {skipped}, bootstrap fallbacks {fallbacks})")

@@ -1,7 +1,9 @@
 """Re-ranking pipeline: prompt construction, output parsing, bootstrapped
 shuffles, and self-consistency aggregation by summed position index.
-rerank_user sends one user's bootstrap requests in sequence; callers run
-users side by side (cli.cmd_run through bounded_map)."""
+rerank_user sends one user's bootstrap requests in sequence and returns
+the consensus with every parsed output; callers run users side by side
+(cli.cmd_run through bounded_map), and cmd_run's per-user step keeps only
+the consensus, so each user's outputs die with that step."""
 
 import re
 from dataclasses import dataclass

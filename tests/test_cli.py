@@ -472,6 +472,32 @@ class TestRun:
         assert main(run_args(corpus, mode="zero_shot", sample_count=users)) in (0, 1)
         assert backend.peak == peak
 
+    def test_memory_does_not_grow_with_replies(self, tmp_path, monkeypatch):
+        # each reply gives every one of the 15 candidates a 2,000-character
+        # reason; a run that kept every user's k replies would grow by k of
+        # them per user
+        ratings, items = write_corpus(tmp_path, n_users=400, n_items=120)
+        run_dir = tmp_path / "run"
+        main(ingest_args((ratings, items, run_dir)))
+        reason = "x" * 2000
+        monkeypatch.setattr(cli, "make_backend", lambda cfg: ScriptedBackend(
+            handler=lambda request: "\n".join(
+                f"Rank {k}: {i} - {reason}"
+                for k, i in enumerate(candidate_ids(request.user_prompt), start=1))))
+        args = ["run", "--run-dir", str(run_dir), "--mode", "zero_shot",
+                "--slate-size", "15"]
+        main([*args, "--sample-count", "5"])  # first-call caches and imports
+        peaks = []
+        for count in (20, 80):
+            tracemalloc.start()
+            try:
+                assert main([*args, "--sample-count", str(count)]) == EXIT_OK
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        reply_length = 15 * len(f"Rank 15: 120 - {reason}\n")
+        assert peaks[1] - peaks[0] < 60 * reply_length
+
     def test_external_slates(self, corpus, tmp_path):
         _, _, run_dir = corpus
         main(ingest_args(corpus))
@@ -1121,6 +1147,26 @@ class TestFailedWriteKeepsEveryFile:
         main(run_args(corpus))
         assert fails_keeping_every_file(run_args(corpus, seed=7), [run_dir], full_disk,
                                         name) == ["report.csv", "report.json", "report.txt"]
+
+    def test_run_with_a_non_finite_number(self, corpus, monkeypatch, capsys):
+        # report.json is encoded inside the commit, so the error it raises
+        # there must still leave every file as it was
+        _, _, run_dir = corpus
+        main(ingest_args(corpus))
+        assert main(run_args(corpus)) == EXIT_OK
+        before = files_in(run_dir)
+
+        def evaluate_run(*args, evaluate=cli.metrics.evaluate_run):
+            results = evaluate(*args)
+            results[-1].mean = float("nan")
+            return results
+
+        monkeypatch.setattr(cli.metrics, "evaluate_run", evaluate_run)
+        capsys.readouterr()
+        assert main(run_args(corpus, seed=7)) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(
+            "error: Out of range float values are not JSON compliant")
+        assert files_in(run_dir) == before
 
     @pytest.mark.parametrize("name", ["sft.jsonl", "dpo.jsonl", "manifest.json"])
     def test_build_dataset(self, corpus, full_disk, name):
