@@ -6,6 +6,7 @@ import json
 import os
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -172,6 +173,19 @@ class PeakBackend(ScriptedBackend):
         finally:
             with self._lock:
                 self.in_flight -= 1
+
+
+def traced(call, *args, **kwargs):
+    """call(*args, **kwargs) under tracemalloc: its result, and the bytes
+    allocated during the call that are still held at its end and at their
+    peak. What was allocated before the call is not counted."""
+    tracemalloc.start()
+    try:
+        result = call(*args, **kwargs)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, current, peak
 
 
 def prompt_hash(request):

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 import slate_oracle
-from conftest import interactions, make_catalog, write_corpus
+from conftest import interactions, make_catalog, traced, write_corpus
 from knn_oracle import OracleKnnScorer, build_item_knn_oracle, neighbor_lists
 from mf_oracle import score_mf, sgd_epoch_py
+from rerankeval import _kernels
 from rerankeval._kernels import sgd_epoch, wave_levels
 from rerankeval.candgen import (ItemKnnRecommender, build_item_knn,
                                 export_slates, gen_model_slate,
@@ -187,6 +188,16 @@ class TestKernelParity:
     def test_three_epochs_share_state(self):
         self.assert_same(sgd_problem(400, 30, 25, 6, zipf=1.1), epochs=3)
 
+    @pytest.mark.parametrize("chunk", [1, 5, 7])
+    def test_chunk_ends_inside_waves(self, monkeypatch, chunk):
+        # chunk ends fall inside waves; 5 divides 600, 120 and 400 steps, so
+        # there only the single step is a partial last chunk, and 7 leaves
+        # one in every case
+        monkeypatch.setattr(_kernels, "SGD_CHUNK_STEPS", chunk)
+        for case in ("zipf_hot_item", "repeated_pairs", "single_interaction"):
+            self.assert_same(self.CASES[case](), epochs=1)
+        self.test_three_epochs_share_state()
+
     def test_default_k_hot_item_three_epochs(self):
         problem = sgd_problem(600, 60, 40, 32, zipf=1.5)
         u_idx, i_idx = problem[:2]
@@ -242,6 +253,18 @@ class TestKernelParity:
             assert sses == [0.0]
             for a, b in zip(state, start):
                 assert np.array_equal(a, b)
+
+
+def test_epoch_scratch_per_step():
+    # the wave order, two table rows and the rating of each step, 32 bytes,
+    # plus the joint table and one wave's temporaries: about 37 bytes a step.
+    # Laying out every wave's rows in one go, with whole-length temporaries,
+    # took 98.
+    n, n_users, n_items, k = 200_000, 4000, 4000, 4
+    u_idx, i_idx, ratings, start = sgd_problem(n, n_users, n_items, k)
+    order = np.random.default_rng(1).permutation(n)
+    _, _, peak = traced(sgd_epoch, u_idx, i_idx, ratings, order, *start, 3.0, 0.01, 0.02)
+    assert peak <= 56 * n, peak / n
 
 
 class TestScoreMf:

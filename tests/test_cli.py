@@ -7,7 +7,6 @@ import socket
 import stat
 import threading
 import time
-import tracemalloc
 import warnings
 from collections import Counter
 
@@ -15,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import (PeakBackend, candidate_ids, damage_split, files_in, interactions,
-                      prompt_hash, save_split, table_rows, write_corpus)
+                      prompt_hash, save_split, table_rows, traced, write_corpus)
 from rerankeval import cli, ingest, rerank
 from rerankeval.candgen import Slate
 from rerankeval.cli import EXIT_CONFIG, EXIT_OK, EXIT_PARTIAL, load_config, main
@@ -489,12 +488,9 @@ class TestRun:
         main([*args, "--sample-count", "5"])  # first-call caches and imports
         peaks = []
         for count in (20, 80):
-            tracemalloc.start()
-            try:
-                assert main([*args, "--sample-count", str(count)]) == EXIT_OK
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+            rc, _, peak = traced(main, [*args, "--sample-count", str(count)])
+            assert rc == EXIT_OK
+            peaks.append(peak)
         reply_length = 15 * len(f"Rank 15: 120 - {reason}\n")
         assert peaks[1] - peaks[0] < 60 * reply_length
 
@@ -1046,12 +1042,9 @@ class TestBuildDataset:
         main([*args, "--sample-count", "10"])  # first-call caches and imports
         peaks = []
         for count in (100, 700):
-            tracemalloc.start()
-            try:
-                assert main([*args, "--sample-count", str(count)]) == EXIT_OK
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+            rc, _, peak = traced(main, [*args, "--sample-count", str(count)])
+            assert rc == EXIT_OK
+            peaks.append(peak)
         assert peaks[1] < 1.2 * peaks[0]
 
     @pytest.mark.parametrize("command", [["run"], ["build-dataset", "--offline", "1"],

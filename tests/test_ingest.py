@@ -2,7 +2,6 @@ import itertools
 import json
 import random
 import re
-import tracemalloc
 import zipfile
 from collections import Counter
 
@@ -10,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import (damage_split, files_in, interactions, make_catalog, save_split,
-                      table_rows, write_corpus)
+                      table_rows, traced, write_corpus)
 from split_oracle import history_entries, split_rows, take
 from rerankeval import _csvscan, ingest
 from rerankeval.errors import EmptyTitle, MalformedRow, NoHistory, RerankEvalError
@@ -222,12 +221,7 @@ class TestPlainPath:
         # file's bytes. All four fields cut into padded byte-string columns,
         # as a wide column is, peak at 6.1 times.
         p = write_large_corpus(tmp_path)
-        tracemalloc.start()
-        try:
-            table = load_interactions(p)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        table, _, peak = traced(load_interactions, p)
         assert len(table) == 120_000
         assert peak <= 3.5 * p.stat().st_size, peak / p.stat().st_size
 
@@ -242,14 +236,14 @@ class TestPlainPath:
         expected = split_leave_n_out(loaded)
         counts = len(loaded), len(loaded.users)
         del loaded
-        tracemalloc.start()
-        try:
-            split, *got_counts = split_file(p)
+
+        def parse_split_write():
+            split, *got = split_file(p)
             with commit(tmp_path / "split.npz", tmp_path / "split.json") as (npz, meta):
                 write_split(npz, meta, split)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+            return split, got
+
+        (split, got_counts), _, peak = traced(parse_split_write)
         assert peak <= 2.5 * columns, peak / columns
         assert tuple(got_counts) == counts and counts[0] == 120_000
         for name in ("train", "test"):
@@ -600,14 +594,9 @@ class TestSplitMatchesRowOracle:
                              rng.integers(0, 10**9, len(user)))
         save_split(tmp_path / "split.json", split_leave_n_out(table))
         del table, user, item
-        tracemalloc.start()
-        try:
-            split = read_split(tmp_path / "split.json")
-            tables = (split.train, split.test)
-            assert len(split.relevance) == n_users
-            held, _ = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        split, held, _ = traced(read_split, tmp_path / "split.json")
+        tables = (split.train, split.test)
+        assert len(split.relevance) == n_users
         assert sum(map(len, tables)) == n_users * per_user
         columns = sum(getattr(t, c).nbytes for t in tables
                       for c in ("user", "item", "rating", "timestamp"))

@@ -6,7 +6,6 @@ sparse matrices and the scipy kernels they run against scipy.sparse."""
 import importlib.machinery
 import importlib.util
 import re
-import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,7 +13,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse._sparsetools
 
-from conftest import interactions, write_corpus
+from conftest import interactions, traced, write_corpus
 from knn_oracle import OracleKnnScorer, build_item_knn_oracle, neighbor_lists
 from rerankeval import _kernels, candgen, ingest
 from rerankeval.candgen import ItemKnnRecommender, build_item_knn, gen_model_slate
@@ -389,12 +388,7 @@ def test_build_holds_no_dense_items_by_users_array():
                                              p=popularity / popularity.sum()))]
     train = interactions(rows)
     assert len(train.items) * len(train.users) >= 8_000_000
-    tracemalloc.start()
-    try:
-        sim = build_item_knn(train, top_m=20, min_co_raters=2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    sim, _, peak = traced(build_item_knn, train, top_m=20, min_co_raters=2)
     assert sim.nnz > 0
     assert peak < len(train.items) * len(train.users)
 
