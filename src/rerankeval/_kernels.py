@@ -11,9 +11,7 @@ scatter. Every row gets the same updates in the same order with the same
 arithmetic, so the results are bit-identical to the scalar loop,
 `sgd_epoch_py` in tests/mf_oracle.py, which the tests compare against. The
 waves' row layout is made once per epoch, SGD_CHUNK_STEPS steps at a time,
-and no array over every step outlives its use: through the waves an epoch
-holds 32 bytes per step beside the joint table, and its traced peak on
-200,000 uniform steps is about 37 bytes per step.
+and no array over every step outlives its use.
 
 The item-kNN build and scorer run on scipy's compiled sparse kernels,
 `sparsetools`, loaded from their file alone: importing scipy.sparse would
@@ -72,7 +70,7 @@ def wave_levels(users, items, n_users, n_items):
     return np.frombuffer(levels, dtype=np.int64)
 
 
-SGD_CHUNK_STEPS = 4096  # steps laid out, and summed back, at a time
+SGD_CHUNK_STEPS = 4096  # steps laid out at a time
 
 
 def sgd_epoch(u_idx, i_idx, ratings, order, user_f, item_f,
@@ -81,9 +79,9 @@ def sgd_epoch(u_idx, i_idx, ratings, order, user_f, item_f,
     Returns the sum of squared pre-update residuals.
 
     The rows of every wave are laid out once per epoch, SGD_CHUNK_STEPS steps
-    at a time. Through the waves the epoch holds 32 bytes per step: the wave
-    order of the steps, their two table rows, and their ratings, which each
-    wave overwrites with its squared errors.
+    at a time. Through the waves the epoch holds, per step, its place in the
+    wave order, its two table rows, and its rating, which its wave overwrites
+    with the squared error.
     """
     n = order.shape[0]
     if n == 0:
@@ -133,14 +131,8 @@ def sgd_epoch(u_idx, i_idx, ratings, order, user_f, item_f,
     del rows, wave  # the last wave is a view of rows
     user_b[:], item_b[:] = table[:n_users, 0], table[n_users:, 0]
     user_f[:], item_f[:] = table[:n_users, 1:], table[n_users:, 1:]
-    # back in permutation order, one running sum from 0.0 carried across the
-    # chunks is the scalar loop's `sse +=`
+    # back in permutation order, a running sum is the scalar loop's `sse +=`
     sq_err = np.empty(n)
     sq_err[steps] = wave_ratings
     del steps, wave_ratings
-    sse = 0.0
-    for lo in range(0, n, SGD_CHUNK_STEPS):
-        part = sq_err[lo:lo + SGD_CHUNK_STEPS]
-        part[0] += sse
-        sse = np.add.accumulate(part)[-1]
-    return sse
+    return np.add.accumulate(sq_err)[-1]

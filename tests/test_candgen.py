@@ -257,9 +257,7 @@ class TestKernelParity:
 
 def test_epoch_scratch_per_step():
     # the wave order, two table rows and the rating of each step, 32 bytes,
-    # plus the joint table and one wave's temporaries: about 37 bytes a step.
-    # Laying out every wave's rows in one go, with whole-length temporaries,
-    # took 98.
+    # plus the joint table and one wave's temporaries
     n, n_users, n_items, k = 200_000, 4000, 4000, 4
     u_idx, i_idx, ratings, start = sgd_problem(n, n_users, n_items, k)
     order = np.random.default_rng(1).permutation(n)

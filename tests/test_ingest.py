@@ -594,9 +594,14 @@ class TestSplitMatchesRowOracle:
                              rng.integers(0, 10**9, len(user)))
         save_split(tmp_path / "split.json", split_leave_n_out(table))
         del table, user, item
-        split, held, _ = traced(read_split, tmp_path / "split.json")
+
+        def read_with_relevance():
+            split = read_split(tmp_path / "split.json")
+            assert len(split.relevance) == n_users
+            return split
+
+        split, held, _ = traced(read_with_relevance)
         tables = (split.train, split.test)
-        assert len(split.relevance) == n_users
         assert sum(map(len, tables)) == n_users * per_user
         columns = sum(getattr(t, c).nbytes for t in tables
                       for c in ("user", "item", "rating", "timestamp"))
