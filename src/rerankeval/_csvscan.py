@@ -108,18 +108,21 @@ def key(buf, before, stops, width):
     return packed << np.uint64(8 * (_KEY_BYTES - width))
 
 
-def ids(keys, width):
-    """(sorted distinct ids as a str array, code per row) of the key() keys of
-    an id column `width` bytes wide, from one argsort and a mask of where
-    each run of equal keys starts. np.unique(keys) gives the ids too, but
-    it loads numpy.ma, which no command otherwise needs."""
+def ids(keys, width, index):
+    """(sorted distinct ids as a str array, code per row of integer type
+    index) of the key() keys of an id column `width` bytes wide, from one
+    argsort and a mask of where each run of equal keys starts.
+    np.unique(keys) gives the ids too, but it loads numpy.ma, which no
+    command otherwise needs."""
     order = np.argsort(keys)
     distinct = keys[order]
     starts = np.ones(len(keys), dtype=bool)
     np.not_equal(distinct[1:], distinct[:-1], out=starts[1:])
     distinct = distinct[starts]
-    codes = np.empty(len(keys), dtype=np.intp)
-    codes[order] = np.cumsum(starts) - 1
+    ranks = np.cumsum(starts, dtype=index)  # code of each key in sorted order
+    ranks -= 1
+    codes = np.empty(len(keys), dtype=index)
+    codes[order] = ranks
     if distinct.dtype == np.uint64:
         distinct = distinct.astype(">u8").view(f"S{_KEY_BYTES}")
     return distinct.astype(f"U{width}"), codes

@@ -104,7 +104,7 @@ def sgd_epoch(u_idx, i_idx, ratings, order, user_f, item_f,
         level = bounds.searchsorted(s, side="right")  # of the wave holding s
         taken = order[steps[lo:hi]]
         rows[bounds[level - 1] + s] = u_idx[taken]
-        rows[bounds[level] + s] = i_idx[taken] + n_users
+        rows[bounds[level] + s] = i_idx[taken].astype(np.intp) + n_users  # never wraps
         wave_ratings[lo:hi] = ratings[taken]
     # one table row per user, then per item: the bias, then the factors
     table = np.concatenate((np.column_stack((user_b, user_f)),

@@ -158,9 +158,10 @@ KNN_PAIR_BYTES = 1 << 18  # rater bitset bytes gathered per co-rater count step
 class Csr:
     """A sparse matrix in compressed sparse row form, as scipy's kernels take
     it: row r stores data[indptr[r]:indptr[r + 1]] at the columns of the same
-    slice of indices. Each operation runs the kernel that scipy's matching
-    csr_matrix operation runs, with the same arguments, so its results are
-    bit-identical to scipy's; the oracle tests in tests/test_knn.py pin that."""
+    slice of indices, indptr and indices of one integer type. Each operation
+    runs the kernel that scipy's matching csr_matrix operation runs, with the
+    same arguments, so its results are bit-identical to scipy's; the oracle
+    tests in tests/test_knn.py pin that."""
     data: np.ndarray
     indices: np.ndarray
     indptr: np.ndarray
@@ -169,16 +170,6 @@ class Csr:
     @property
     def nnz(self):
         return len(self.data)
-
-    @property
-    def T(self):
-        """The transpose, each row's columns ascending: m.T.tocsr()."""
-        n_rows, n_cols = self.shape
-        t = Csr(np.empty_like(self.data), np.empty_like(self.indices),
-                np.empty(n_cols + 1, dtype=self.indptr.dtype), (n_cols, n_rows))
-        sparsetools.csr_tocsc(n_rows, n_cols, self.indptr, self.indices, self.data,
-                              t.indptr, t.indices, t.data)
-        return t
 
     def row_sums(self):
         """Each row's sum, added as m.sum(axis=1) adds it: one reduceat over
@@ -224,38 +215,58 @@ def _entries(m):
         yield rows[lo:lo + step], m.indices[lo:lo + step], m.data[lo:lo + step]
 
 
-def _block_product(a, b, rows):
-    """A function of lo and hi, with hi - lo <= rows, that returns rows lo:hi
-    of the product of CSR matrices a and b as a dense array, bit-identical to
-    (a @ b)[lo:hi].toarray().
+def _by_column(indptr, indices, n_cols):
+    """(column pointer, positions) of the entries of a CSR matrix with these
+    index arrays, of one integer type, by column: column j stores the
+    entries at positions[pointer[j]:pointer[j + 1]] of the matrix's indices
+    and data, rows ascending, in the order in which row j of m.T.tocsr()
+    stores them. csr_tocsc, the kernel behind that transpose, moves each
+    entry's position where the transpose's value goes; the row indices it
+    also writes are dropped, so the index holds one position per entry."""
+    index = indptr.dtype
+    pointer = np.empty(n_cols + 1, dtype=index)
+    positions = np.empty(len(indices), dtype=index)
+    sparsetools.csr_tocsc(len(indptr) - 1, n_cols, indptr, indices,
+                          np.arange(len(indices), dtype=index), pointer,
+                          np.empty(len(indices), dtype=index), positions)
+    return pointer, positions
 
-    A block is one call of csr_matmat, the kernel behind scipy's a @ b. The
-    kernel is private to scipy, so an oracle test pins it to a @ b. It sums
-    each entry in the same order, with the same arithmetic, as a @ b does,
-    but without the pass that only sizes the result: it writes into arrays
-    of (hi - lo) x b.shape[1] entries, and csr_todense, the kernel behind
-    .toarray(), adds them into a zeroed block; they are dropped before the
-    block is used. The product kernel leaves out the entries that sum to
-    exactly zero, or to -0.0, so each entry it keeps is distinct and
-    nonzero, and 0.0 plus it is itself.
+
+def _block_product(m, rows):
+    """A function of lo and hi, with hi - lo <= rows, that returns rows lo:hi
+    of the product m.T @ m of CSR matrix m with itself as a dense array,
+    bit-identical to (m.T @ m)[lo:hi].toarray().
+
+    Rows lo:hi of m.T, m's columns lo:hi, are cut from m when their block is
+    computed: _by_column's index gives their entries' positions, rows
+    ascending as the transpose stores them, a binary search of m.indptr
+    their rows and m.data their values. Beside m, the product holds that
+    index, one position per entry, and no transpose. A block is one call of
+    csr_matmat, the kernel behind scipy's a @ b. The kernel is private to
+    scipy, so an oracle test pins it to m.T @ m. It sums each entry in the
+    same order, with the same arithmetic, as m.T @ m does, but without the
+    pass that only sizes the result: it writes into arrays of (hi - lo) x
+    m.shape[1] entries, and csr_todense, the kernel behind .toarray(), adds
+    them into a zeroed block; they are dropped before the block is used.
+    The product kernel leaves out the entries that sum to exactly zero, or
+    to -0.0, so each entry it keeps is distinct and nonzero, and 0.0 plus
+    it is itself.
     """
-    n = b.shape[1]
-    wide = max(rows * n, a.nnz, b.nnz, b.shape[0]) > np.iinfo(np.int32).max
-    index = np.int64 if wide else np.result_type(
-        np.int32, a.indptr, a.indices, b.indptr, b.indices)
-    value = np.result_type(a.data, b.data)
-    a_ptr, a_col, b_ptr, b_col = (np.asarray(x, dtype=index) for x in
-                                  (a.indptr, a.indices, b.indptr, b.indices))
-    a_val, b_val = np.asarray(a.data, dtype=value), np.asarray(b.data, dtype=value)
+    n = m.shape[1]
+    wide = max(rows * n, m.nnz, m.shape[0]) > np.iinfo(np.int32).max
+    index = np.int64 if wide else np.result_type(np.int32, m.indptr, m.indices)
+    ptr, col = (np.asarray(x, dtype=index) for x in (m.indptr, m.indices))
+    t_ptr, positions = _by_column(ptr, col, n)
 
     def block(lo, hi):
+        at = positions[t_ptr[lo]:t_ptr[hi]]
+        t_col = (np.searchsorted(ptr, at, side="right") - 1).astype(index)  # their rows
         c_ptr = np.empty(hi - lo + 1, dtype=index)
         c_col = np.empty((hi - lo) * n, dtype=index)
-        c_val = np.empty((hi - lo) * n, dtype=value)
-        # a_ptr[lo:hi + 1] points into all of a_col and a_val: no row slice
-        sparsetools.csr_matmat(hi - lo, n, a_ptr[lo:hi + 1], a_col, a_val,
-                               b_ptr, b_col, b_val, c_ptr, c_col, c_val)
-        dense = np.zeros((hi - lo, n), dtype=value)
+        c_val = np.empty((hi - lo) * n, dtype=m.data.dtype)
+        sparsetools.csr_matmat(hi - lo, n, t_ptr[lo:hi + 1] - t_ptr[lo], t_col, m.data[at],
+                               ptr, col, m.data, c_ptr, c_col, c_val)
+        dense = np.zeros((hi - lo, n), dtype=m.data.dtype)
         sparsetools.csr_todense(hi - lo, n, c_ptr, c_col, c_val, dense.ravel())
         return dense
     return block
@@ -280,24 +291,26 @@ def _top(sims, m):
     return row[order], col[order]
 
 
-def _rater_bits(ratings_t):
-    """Column i packs the raters of item i, the stored entries of row i of
-    CSR items x users matrix ratings_t, into 64-bit words: bit u % 64 of row
-    u // 64 is set when user u rated item i. A table row holds one word of
-    every item, so _co_raters adds its counts a whole row at a time."""
-    bits = np.zeros((-(-ratings_t.shape[1] // 64), ratings_t.shape[0]), dtype=np.uint64)
-    for items, users, _ in _entries(ratings_t):
+def _rater_bits(ratings):
+    """Column i packs the raters of item i, the rows that store an entry in
+    column i of CSR users x items matrix ratings, into 64-bit words: bit
+    u % 64 of row u // 64 is set when user u rated item i. A table row holds
+    one word of every item, so _co_raters adds its counts a whole row at a
+    time."""
+    bits = np.zeros((-(-ratings.shape[0] // 64), ratings.shape[1]), dtype=np.uint64)
+    for users, items, _ in _entries(ratings):
         np.bitwise_or.at(bits, (users >> 6, items),
                          np.uint64(1) << (users & 63).astype(np.uint64))
     return bits
 
 
-def _row_norms(m):
-    """The Euclidean norm of each row of CSR matrix m, its squares added in
-    storage order, as m @ m.T adds its diagonal."""
-    squares = np.zeros(m.shape[0])
-    for rows, _, values in _entries(m):
-        np.add.at(squares, rows, values ** 2)
+def _column_norms(m):
+    """The Euclidean norm of each column of CSR matrix m. np.add.at adds a
+    column's squares in m's storage order, rows ascending, as m.T @ m adds
+    its diagonal."""
+    squares = np.zeros(m.shape[1])
+    for _, columns, values in _entries(m):
+        np.add.at(squares, columns, values ** 2)
     return np.sqrt(np.maximum(squares, 0.0))
 
 
@@ -334,16 +347,18 @@ def build_item_knn(train, top_m=50, min_co_raters=3):
     in column order; scoring adds them up in that order, so the indices must
     never be sorted.
 
-    The ratings matrix, its user sums and its transpose hold what
-    scipy.sparse would give, bit for bit (see Csr). The similarity product
-    runs KNN_BLOCK_ROWS rows at a time, so only one block is ever dense. Each
-    block is one pass of scipy's sparse product kernel over its rows (see
-    _block_product), added into the dense block, bit-identical to the same
-    rows of the full product. The norms add the squared centered ratings in
-    storage order, the order in which the full product sums its diagonal.
-    Each step over every stored rating runs on bounded chunks of them (see
-    _entries). Each row's top_m come from a partition
-    threshold, not a full sort. Co-raters are counted
+    The build holds one ratings matrix, users x items, and its user sums
+    hold what scipy.sparse would give, bit for bit (see Csr): per stored
+    rating, its centered value and item code (12 B) and a position in the
+    product's by-item index (4 B; see _block_product). The similarity
+    product runs KNN_BLOCK_ROWS rows at a time, so only one block is ever
+    dense. Each block is one pass of scipy's sparse product kernel over its
+    rows, cut from the matrix by that index, added into the dense block,
+    bit-identical to the same rows of the full product. The norms add the
+    squared centered ratings in storage order, the order in which the full
+    product sums its diagonal. Each step over every stored rating runs on
+    bounded chunks of them (see _entries). Each row's top_m come from a
+    partition threshold, not a full sort. Co-raters are counted
     only for those picks, from a table of each item's raters packed one bit
     per user into 64-bit words (ceil(users / 64) words per item, 192 B on
     the knn-dense benchmark corpus), by AND and popcount; with one row per
@@ -356,13 +371,14 @@ def build_item_knn(train, top_m=50, min_co_raters=3):
     centered = _ratings_csr(train)
     user_means = centered.row_sums() / np.maximum(np.diff(centered.indptr), 1)
     centered.data -= np.repeat(user_means, np.diff(centered.indptr))
-    centered_t = centered.T
-    bits = _rater_bits(centered_t)
+    bits = _rater_bits(centered)
 
     n = len(train.items)
-    norms = _row_norms(centered_t)
+    norms = _column_norms(centered)
 
-    product = _block_product(centered_t, centered, KNN_BLOCK_ROWS)
+    product = _block_product(centered, KNN_BLOCK_ROWS)
+    # a row keeps at most top_m of the other items
+    index = index_dtype(n, n * min(top_m, n))
     data, indices, counts = [], [], []
     for a in range(0, n, KNN_BLOCK_ROWS):
         b = min(a + KNN_BLOCK_ROWS, n)
@@ -387,14 +403,12 @@ def build_item_knn(train, top_m=50, min_co_raters=3):
             order = np.argsort(row, kind="stable")
             row, col = row[order], col[order]
         data.append(sims[row, col])
-        indices.append(col)
+        indices.append(col.astype(index))
         counts.append(np.bincount(row, minlength=b - a))
         del sims
-    data = np.concatenate(data)
-    index = index_dtype(n, len(data))
     indptr = np.zeros(n + 1, dtype=index)
     np.cumsum(np.concatenate(counts), out=indptr[1:])
-    return Csr(data, np.concatenate(indices).astype(index), indptr, (n, n))
+    return Csr(np.concatenate(data), np.concatenate(indices), indptr, (n, n))
 
 
 class ItemKnnRecommender:

@@ -38,8 +38,8 @@ class Interactions:
     sorted distinct ids of the rows, so code order is id order."""
     users: np.ndarray      # str
     items: np.ndarray      # str
-    user: np.ndarray       # int64 code per row
-    item: np.ndarray       # int64 code per row
+    user: np.ndarray       # code per row, index_dtype(rows): int32 below 2**31 rows
+    item: np.ndarray       # code per row, of the same type
     rating: np.ndarray     # float64
     timestamp: np.ndarray  # int64
 
@@ -48,8 +48,9 @@ class Interactions:
         """The table of parallel id, rating and timestamp columns, in row order."""
         users, user = np.unique(np.array(users, dtype=str), return_inverse=True)
         items, item = np.unique(np.array(items, dtype=str), return_inverse=True)
-        return cls(users, items, user, item, np.array(ratings, dtype=np.float64),
-                   np.array(timestamps, dtype=np.int64))
+        index = index_dtype(len(user))
+        return cls(users, items, user.astype(index), item.astype(index),
+                   np.array(ratings, dtype=np.float64), np.array(timestamps, dtype=np.int64))
 
     @classmethod
     def from_codes(cls, users, items, user, item, rating, timestamp):
@@ -77,8 +78,9 @@ class Interactions:
     @cached_property
     def _by_user(self):
         """Rows by user code, table order within a user; where each user starts."""
-        order = np.argsort(self.user, kind="stable")
-        return order, np.searchsorted(self.user[order], np.arange(len(self.users) + 1))
+        starts = np.zeros(len(self.users) + 1, dtype=np.intp)
+        np.cumsum(np.bincount(self.user, minlength=len(self.users)), out=starts[1:])
+        return np.argsort(self.user, kind="stable"), starts
 
     def rows_of(self, user):
         """Indices of user's rows, in table order; none for an unknown user."""
@@ -95,12 +97,16 @@ class Interactions:
 
 def _present(codes, ids):
     """(the ids of the id table that codes use, codes renumbered to positions
-    among them), as np.unique(codes, return_inverse=True) renumbers them."""
+    among them), as np.unique(codes, return_inverse=True) renumbers them, in
+    the type index_dtype(len(codes))."""
+    index = index_dtype(len(codes))
     present = np.zeros(len(ids), dtype=bool)
     present[codes] = True
     if present.all():
-        return ids, codes
-    return ids[present], (np.cumsum(present) - 1)[codes]
+        return ids, codes.astype(index, copy=False)
+    renumbered = np.cumsum(present, dtype=index)
+    renumbered -= 1
+    return ids[present], renumbered[codes]
 
 
 def _codes(table, ids):
@@ -214,8 +220,10 @@ _MAX_PADDING = 4
 
 def index_dtype(*sizes):
     """The index type scipy gives a sparse matrix of these dimensions and
-    entry count, and the type of offsets into a file of one of these sizes:
-    int32 when they all fit in it, else int64."""
+    entry count, the type of offsets into a file of one of these sizes, and
+    the type of the code columns of a table of one of these row counts:
+    int32 when they all fit in it, else int64. A key or position computed
+    from codes is widened first to a type that holds it."""
     return np.int32 if max(sizes) <= np.iinfo(np.int32).max else np.int64
 
 
@@ -262,8 +270,9 @@ def _load_plain(path):
     item = scan.column(scan.key, buf, cuts[1], cuts.pop(), widths[1])
     user = scan.column(scan.key, buf, *cuts, widths[0])
     del buf, cuts
-    items, item = scan.ids(item, widths[1])
-    users, user = scan.ids(user, widths[0])
+    index = index_dtype(len(item))
+    items, item = scan.ids(item, widths[1], index)
+    users, user = scan.ids(user, widths[0], index)
     return Interactions(users, items, user, item, rating, ts)
 
 
@@ -453,7 +462,7 @@ def _split(columns, n_test, min_history, threshold):
     once both of its copies exist."""
     users, items = columns.pop("users"), columns.pop("items")
     n = len(columns["user"])
-    kept = _last_ratings(columns["user"], columns["item"], len(items))
+    kept = _last_ratings(columns["user"], columns["item"], len(users), len(items))
     user = columns["user"][kept]
     qualifying = np.flatnonzero(columns["rating"][kept] >= threshold)
     counts = np.bincount(user[qualifying], minlength=len(users))
@@ -481,13 +490,16 @@ def _split(columns, n_test, min_history, threshold):
                        excluded_users=excluded)
 
 
-def _last_ratings(user, item, n_items):
+def _last_ratings(user, item, n_users, n_items):
     """Indices of each (user, item)'s last row in file order, users in order
     of first appearance among them, file order within a user: one stable
     argsort of the (user, item) key, whose runs each end at a pair's last
-    row, then one sort of those rows by their user's first row and their own."""
+    row, then one sort of those rows by their user's first row and their own.
+    The key is computed in the narrowest type that holds n_users x n_items."""
     n = len(user)
-    pair = user * n_items + item
+    pair = user.astype(index_dtype(n_users * n_items))
+    pair *= n_items
+    pair += item
     order = np.argsort(pair, kind="stable")
     pair = pair[order]
     last = np.ones(n, dtype=bool)  # where each pair's run ends
@@ -514,23 +526,30 @@ def _last_ratings(user, item, n_items):
 # split.npz members: the Interactions columns of SplitResult.train and .test,
 # as "<table>_<column>"
 _SPLIT_TABLES = ("train", "test")
-_SPLIT_COLUMNS = {"user": np.int64, "item": np.int64, "rating": np.float64,
-                  "timestamp": np.int64}
-# split.json's "format": 3 holds the train and test tables, each with its own
-# id tables; 2 held one table of every kept row and the held row indices, and
-# the pairs written before 2 carry no marker and may repeat a (user, item)
-_SPLIT_FORMAT = 3
+_SPLIT_COLUMNS = ("user", "item", "rating", "timestamp")
+# split.json's "format": 4 holds the train and test tables, each with its own
+# id tables and its codes in its index_dtype; 3 held the same tables with
+# int64 codes; 2 held one table of every kept row and the held row indices,
+# and the pairs written before 2 carry no marker and may repeat a (user, item)
+_SPLIT_FORMAT = 4
+
+
+def _column_dtypes(rows):
+    """{split.npz column: its dtype} of a table of this many rows."""
+    index = index_dtype(rows)
+    return {"user": index, "item": index, "rating": np.float64, "timestamp": np.int64}
 
 
 def write_split(npz, meta, split):
-    """Write split's train and test columns (_SPLIT_COLUMNS) to the binary
-    file npz (split.npz), and its format, each table's id tables and row
-    count, and excluded_users to the binary file meta (split.json) as JSON.
-    Commit meta last: a split.json in place stands for a whole pair."""
+    """Write split's train and test columns (_SPLIT_COLUMNS, of the types
+    _column_dtypes gives) to the binary file npz (split.npz), and its format,
+    each table's id tables and row count, and excluded_users to the binary
+    file meta (split.json) as JSON. Commit meta last: a split.json in place
+    stands for a whole pair."""
     tables = {name: getattr(split, name) for name in _SPLIT_TABLES}
     np.savez(npz, **{f"{name}_{column}": np.asarray(getattr(table, column), dtype)
                      for name, table in tables.items()
-                     for column, dtype in _SPLIT_COLUMNS.items()})
+                     for column, dtype in _column_dtypes(len(table)).items()})
     meta.write(json.dumps({
         "format": _SPLIT_FORMAT,
         **{name: {"users": table.users.tolist(), "items": table.items.tolist(),
@@ -567,10 +586,10 @@ def _read_table(meta, npz, name):
              # lists of str, strictly increasing as _codes needs
              and all(t.tolist() == meta[k] and (t[1:] > t[:-1]).all()
                      for k, t in ids.items())
-             and all(c.ndim == 1 and c.dtype == _SPLIT_COLUMNS[column] and len(c) == n
+             and all(c.ndim == 1 and c.dtype == _column_dtypes(n)[column] and len(c) == n
                      for column, c in columns.items())
-             and all(((0 <= columns[column]) & (columns[column] < len(ids[k]))).all()
-                     for column, k in (("user", "users"), ("item", "items"))))
+             and all(c.min(initial=0) >= 0 and c.max(initial=-1) < len(ids[k])
+                     for c, k in ((columns["user"], "users"), (columns["item"], "items"))))
     return Interactions(**ids, **columns) if valid else None
 
 

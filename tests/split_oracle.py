@@ -9,7 +9,7 @@ import random
 
 import numpy as np
 
-from rerankeval.ingest import Interactions
+from rerankeval.ingest import Interactions, index_dtype
 
 
 def split_rows(rows, n_test=10, min_history=5, threshold=4.0):
@@ -54,8 +54,10 @@ def history_entries(user_rows, limit=10, strategy="recent", seed=None):
 
 def take(table, rows):
     """The Interactions of table's rows (indices or a mask), its codes
-    renumbered by np.unique over just the ids the rows use."""
+    renumbered by np.unique over just the ids the rows use, in the index
+    type of its row count."""
     users, user = np.unique(table.user[rows], return_inverse=True)
     items, item = np.unique(table.item[rows], return_inverse=True)
-    return Interactions(table.users[users], table.items[items], user, item,
-                        table.rating[rows], table.timestamp[rows])
+    index = index_dtype(len(user))
+    return Interactions(table.users[users], table.items[items], user.astype(index),
+                        item.astype(index), table.rating[rows], table.timestamp[rows])

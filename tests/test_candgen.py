@@ -9,7 +9,7 @@ import slate_oracle
 from conftest import interactions, make_catalog, traced, write_corpus
 from knn_oracle import OracleKnnScorer, build_item_knn_oracle, neighbor_lists
 from mf_oracle import score_mf, sgd_epoch_py
-from rerankeval import _kernels
+from rerankeval import _kernels, candgen, ingest
 from rerankeval._kernels import sgd_epoch, wave_levels
 from rerankeval.candgen import (ItemKnnRecommender, build_item_knn,
                                 export_slates, gen_model_slate,
@@ -263,6 +263,37 @@ def test_epoch_scratch_per_step():
     order = np.random.default_rng(1).permutation(n)
     _, _, peak = traced(sgd_epoch, u_idx, i_idx, ratings, order, *start, 3.0, 0.01, 0.02)
     assert peak <= 56 * n, peak / n
+
+
+def test_codes_never_wrap():
+    # 60,000 ids a side, so users x items passes 2**31 though each code fits
+    # the int32 of a table this short. User 35,791's (user, item) keys
+    # straddle 2**31 at item 23,648: int32 keys would part their rows in two.
+    n_users = n_items = 60_000
+    user, item = np.array([(35_791, 5), (0, 5), (35_791, 23_648), (0, 23_648),
+                           (35_791, 23_647), (59_999, 59_999), (0, 5), (59_999, 5),
+                           (35_791, 59_999)], dtype=np.int32).T
+    wide = user.astype(np.int64), item.astype(np.int64)
+    kept = ingest._last_ratings(user, item, n_users, n_items)
+    assert kept.tolist() == [0, 2, 4, 8, 3, 6, 5, 7]
+    assert np.array_equal(kept, ingest._last_ratings(*wide, n_users, n_items))
+    rng = np.random.default_rng(9)
+    ids = np.array([f"u{n:05d}" for n in range(n_users)])
+    rating, timestamp = rng.uniform(0.5, 5.0, len(kept)), np.arange(len(kept))
+    tables = [ingest.Interactions(ids, ids, u[kept], i[kept], rating, timestamp)
+              for u, i in ((user, item), wide)]
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(*(getattr(candgen._ratings_csr(t), name) for t in tables)), name
+    for u in (0, 35_791, 59_999):
+        assert np.array_equal(*(t.rows_of(f"u{u:05d}") for t in tables)), u
+    k = 2
+    start = (rng.normal(0, 0.1, (n_users, k)), rng.normal(0, 0.1, (n_items, k)),
+             np.zeros(n_users), np.zeros(n_items))
+    order = rng.permutation(len(kept))
+    narrow_run, wide_run = (run_epochs(sgd_epoch, u[kept], i[kept], rating, start, [order])
+                            for u, i in ((user, item), wide))
+    assert narrow_run[0] == wide_run[0]
+    assert all(np.array_equal(a, b) for a, b in zip(narrow_run[1], wide_run[1]))
 
 
 class TestScoreMf:

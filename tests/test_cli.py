@@ -685,6 +685,16 @@ def format_2_split(path):
                                 "excluded_users": split.excluded_users}) + "\n")
 
 
+def format_3_split(path):
+    """Rewrite the split pair at path (split.json) as format 3 wrote it: the
+    same tables, their codes int64."""
+    def damage(meta, columns):
+        meta["format"] = 3
+        for name in ("train_user", "train_item", "test_user", "test_item"):
+            columns[name] = columns[name].astype(np.int64)
+    damage_split(path, damage)
+
+
 def truncate(path):
     data = path.read_bytes()
     path.write_bytes(data[:len(data) // 2])
@@ -723,6 +733,7 @@ class TestBadInputFileExits2:
         "not_json": lambda path: path.write_text("not json"),
         "previous_version": previous_version_split,
         "format_2": format_2_split,
+        "format_3": format_3_split,
         "npz_missing": lambda path: path.with_suffix(".npz").unlink(),
         "npz_truncated": lambda path: truncate(path.with_suffix(".npz")),
         "unequal_columns": lambda path: damage_split(

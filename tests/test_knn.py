@@ -178,8 +178,8 @@ class TestHelpers:
         for n_users, words in ((37, 1), (65, 2)):
             train = zipf_train(n_users=n_users)
             assert len(train.users) == n_users
-            mask_t = sp.csr_matrix((np.ones(len(train)), (train.item, train.user)))
-            bits = candgen._rater_bits(mask_t)
+            mask = sp.csr_matrix((np.ones(len(train)), (train.user, train.item)))
+            bits = candgen._rater_bits(mask)
             assert bits.dtype == np.uint64 and bits.shape == (words, len(train.items))
             raters = [set(train.user[train.item == i].tolist())
                       for i in range(len(train.items))]
@@ -204,7 +204,7 @@ class TestHelpers:
         raters = sp.csr_matrix((np.ones(len(train), dtype=np.int32),
                                 (train.user, train.item)))
         exact = (raters.T @ raters).toarray()
-        bits = candgen._rater_bits(raters.T.tocsr())
+        bits = candgen._rater_bits(raters)
         i, j = np.indices(exact.shape).reshape(2, -1)
         assert np.array_equal(candgen._co_raters(bits, i, j), exact[i, j])
 
@@ -230,7 +230,7 @@ def fuzz_csr(rng, n_rows, n_cols, index_dtype):
 
 class TestBlockProduct:
     """_block_product calls a private scipy kernel, loaded from its file
-    without scipy.sparse: every block must equal the same rows of a @ b bit
+    without scipy.sparse: every block must equal the same rows of m.T @ m bit
     for bit, or a new scipy changed it."""
 
     @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
@@ -238,28 +238,29 @@ class TestBlockProduct:
         rng = np.random.default_rng(17)
         cancelled = stored_zeros = 0
         for case in range(300):
-            n, k, m = rng.integers(1, 30, 3)
-            a = fuzz_csr(rng, n, k, index_dtype)
-            b = fuzz_csr(rng, k, m, (np.int32, np.int64)[rng.integers(2)])
-            want = (a @ b).toarray()
+            k, n = rng.integers(1, 30, 2)
+            m = fuzz_csr(rng, k, n, index_dtype)
+            want = (m.T @ m).toarray()
             rows = int(rng.integers(1, n + 2))
-            block = candgen._block_product(a, b, rows)
+            block = candgen._block_product(m, rows)
             got = np.vstack([block(lo, min(lo + rows, n)) for lo in range(0, n, rows)])
             assert got.dtype == want.dtype and got.shape == want.shape, case
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), case
-            products = (abs(a) @ abs(b)).toarray()
+            products = (abs(m).T @ abs(m)).toarray()
             cancelled += np.count_nonzero((want == 0) & (products > 0))
-            stored_zeros += np.count_nonzero(a.data == 0)
+            stored_zeros += np.count_nonzero(m.data == 0)
         assert cancelled >= 100 and stored_zeros >= 100
 
     def test_block_with_no_entries(self):
-        a = sp.csr_matrix((np.array([1.5, -2.0]), np.array([0, 2]), np.array([0, 0, 0, 1, 2])),
-                          shape=(4, 3))
-        b = sp.csr_matrix(np.arange(12.0).reshape(3, 4))
-        block = candgen._block_product(a, b, 2)
-        assert np.array_equal(block(0, 2).view(np.uint64), np.zeros((2, 4)).view(np.uint64))
-        assert np.array_equal(block(2, 4), (a @ b)[2:4].toarray())
-        empty = candgen._block_product(sp.csr_matrix((3, 3)), b, 3)
+        # column 1 stores nothing; column 0 one entry, and column 2 two
+        m = sp.csr_matrix((np.array([1.5, -2.0, 0.5]), np.array([0, 2, 2]),
+                           np.array([0, 0, 0, 1, 3])), shape=(4, 3))
+        block = candgen._block_product(m, 2)
+        want = (m.T @ m).toarray()
+        assert np.array_equal(block(1, 2).view(np.uint64), np.zeros((1, 3)).view(np.uint64))
+        assert np.array_equal(block(0, 2), want[0:2])
+        assert np.array_equal(block(2, 3), want[2:3])
+        empty = candgen._block_product(sp.csr_matrix((3, 4)), 3)
         assert np.array_equal(empty(0, 3).view(np.uint64), np.zeros((3, 4)).view(np.uint64))
 
 
@@ -268,17 +269,37 @@ def bits(a):
     return np.asarray(a, dtype=np.float64).view(np.uint64)
 
 
-def assert_same_csr(ours, theirs, index_type=True):
+def assert_same_csr(ours, theirs):
     """ours, a candgen.Csr, holds scipy matrix theirs's arrays bit for bit,
-    and their index type unless index_type is false."""
+    and their index type."""
     assert ours.shape == theirs.shape and ours.nnz == theirs.nnz
     assert ours.indptr.dtype == ours.indices.dtype
-    if index_type:
-        assert (ours.indices.dtype, ours.indptr.dtype) == \
-            (theirs.indices.dtype, theirs.indptr.dtype)
+    assert (ours.indices.dtype, ours.indptr.dtype) == \
+        (theirs.indices.dtype, theirs.indptr.dtype)
     assert np.array_equal(ours.indptr, theirs.indptr)
     assert np.array_equal(ours.indices, theirs.indices)
     assert np.array_equal(bits(ours.data), bits(theirs.data))
+
+
+def assert_transposes(m, theirs):
+    """_by_column's index of the entries of m (a candgen.Csr or a scipy
+    matrix) cuts scipy matrix theirs, m.T.tocsr(), from m: its pointer is
+    theirs's, and its positions pick theirs's columns (m's rows) and values,
+    in theirs's order, bit for bit."""
+    pointer, positions = candgen._by_column(m.indptr, m.indices, m.shape[1])
+    assert pointer.dtype == positions.dtype == m.indptr.dtype
+    assert np.array_equal(pointer, theirs.indptr)
+    rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))  # of each entry
+    assert np.array_equal(rows[positions], theirs.indices)
+    assert np.array_equal(bits(m.data[positions]), bits(theirs.data))
+
+
+def assert_column_norms(ours, theirs):
+    """_column_norms of ours, a candgen.Csr, are the square roots of the
+    diagonal of theirs.T @ theirs, bit for bit."""
+    diagonal = (theirs.T @ theirs).diagonal()
+    assert np.array_equal(bits(candgen._column_norms(ours)),
+                          bits(np.sqrt(np.maximum(diagonal, 0.0))))
 
 
 def fuzz_train(rng):
@@ -305,7 +326,8 @@ def fuzz_train(rng):
 class TestCsrMatchesScipy:
     """What the build and the scorer compute in place of scipy.sparse, bit for
     bit against scipy.sparse's public API: the train matrix, its row sums,
-    the transpose and the matrix-vector product."""
+    the by-column position index that cuts the transpose from a matrix, the
+    column norms, and the matrix-vector product."""
 
     def test_ratings_matrix_row_sums_and_transpose(self):
         rng = np.random.default_rng(23)
@@ -318,7 +340,8 @@ class TestCsrMatchesScipy:
             assert_same_csr(ours, theirs)
             assert np.array_equal(bits(ours.row_sums()),
                                   bits(np.asarray(theirs.sum(axis=1)).ravel())), case
-            assert_same_csr(ours.T, theirs.T.tocsr())
+            assert_transposes(ours, theirs.T.tocsr())
+            assert_column_norms(ours, theirs)
             per_user = np.diff(theirs.indptr)
             empty_rows += np.count_nonzero(per_user == 0)
             single_rows += np.count_nonzero(per_user == 1)
@@ -332,9 +355,8 @@ class TestCsrMatchesScipy:
         for case in range(300):
             m = fuzz_csr(rng, *rng.integers(1, 30, 2), index_dtype)
             ours = candgen.Csr(m.data, m.indices, m.indptr, m.shape)
-            # scipy narrows an int64 index that fits to int32; the build's
-            # matrices have int32 indices whenever they fit
-            assert_same_csr(ours.T, m.T.tocsr(), index_type=index_dtype is np.int32)
+            assert_transposes(ours, m.T.tocsr())
+            assert_column_norms(ours, m)
             assert np.array_equal(bits(ours.row_sums()),
                                   bits(np.asarray(m.sum(axis=1)).ravel())), case
             x = rng.normal(size=m.shape[1])
@@ -391,6 +413,25 @@ def test_build_holds_no_dense_items_by_users_array():
     sim, _, peak = traced(build_item_knn, train, top_m=20, min_co_raters=2)
     assert sim.nnz > 0
     assert peak < len(train.items) * len(train.users)
+
+
+def test_build_scratch_per_stored_rating():
+    # many users rate few items, so what grows with the stored ratings sets
+    # the peak: the centered ratings matrix (12 B a rating) and, while its
+    # by-item position index is made, the index and the transpose kernel's
+    # two other arrays (12 B). Holding the matrix's transpose beside it, as
+    # well as a row per rating, took 32 B.
+    n_users, n_items, per_user = 12_000, 100, 15
+    rng = np.random.default_rng(7)
+    user = np.repeat(np.arange(n_users, dtype=np.int32), per_user)
+    item = (7 * user + 13 * np.tile(np.arange(per_user, dtype=np.int32), n_users)) % n_items
+    train = Interactions(np.array([f"u{u:05d}" for u in range(n_users)]),
+                         np.array([f"i{i:03d}" for i in range(n_items)]), user, item,
+                         rng.integers(1, 11, len(user)) / 2.0,
+                         np.zeros(len(user), dtype=np.int64))
+    sim, _, peak = traced(build_item_knn, train, top_m=20, min_co_raters=2)
+    assert sim.nnz > 0
+    assert peak <= 28 * len(train), peak / len(train)
 
 
 class TestSlates:
