@@ -124,7 +124,8 @@ def train_mf(train, k=32, epochs=30, learn_rate=0.005, reg=0.02, seed=0):
         raise ValueError("no training interactions")
     global_mean = float(train.rating.mean())
 
-    rng = default_rng(seed)
+    # default_rng refuses a negative seed, so that one is hashed as other draws are
+    rng = default_rng(seed if seed >= 0 else stable_seed(seed, "mf"))
     user_f = rng.normal(0.0, 0.1, size=(len(train.users), k))
     item_f = rng.normal(0.0, 0.1, size=(len(train.items), k))
     user_b = np.zeros(len(train.users))

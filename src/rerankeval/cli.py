@@ -18,7 +18,8 @@ import numpy as np
 from . import candgen, datasetgen, ingest, metrics, rerank, stats
 from .errors import (BadSlate, CatalogTooSmall, MalformedRow, RerankEvalError,
                      ZeroVariance)
-from .llm_client import BackendConfig, bounded_map, make_backend
+from .llm_client import (BOUNDS, BackendConfig, bounded_map, check_settings, make_backend,
+                         setting)
 
 log = logging.getLogger(__name__)
 
@@ -26,11 +27,9 @@ EXIT_OK = 0
 EXIT_PARTIAL = 1
 EXIT_CONFIG = 2
 
-GENERATORS = ("random", "mf", "knn", "external")
 # report column and table p-value column of each re-ranking mode
 _MODE_COLUMNS = {"zero_shot": ("zero_shot", "p_zero_vs_non"),
                  "trained": ("sft_dpo", "p_sft_vs_non")}
-MODES = ("none", *_MODE_COLUMNS)
 
 
 @dataclass
@@ -38,47 +37,39 @@ class RunConfig:
     ratings: str = ""
     items: str = ""
     run_dir: str = "run"
-    slates: str = ""              # external slates JSONL (generator=external)
-    out_dir: str = ""             # dataset output dir (defaults to run_dir)
+    slates: str = setting("", help="external slates JSONL (generator=external)")
+    out_dir: str = setting("", help="dataset output dir (defaults to run_dir)")
 
-    slate_size: int = 15
-    history_limit: int = 10
-    bootstraps: int = 3
+    slate_size: int = setting(15, min=1)
+    history_limit: int = setting(10, min=1)
+    bootstraps: int = setting(3, min=1)
     cutoffs: tuple = (3, 5, 10)
-    sample_count: int = 1000
+    sample_count: int = setting(1000, min=1)
     seed: int = 0
-    n_test: int = 10
-    min_history: int = 5
+    n_test: int = setting(10, min=1)
+    min_history: int = setting(5, min=1)
     relevance_threshold: float = 4.0
-    history_sample: str = "recent"  # recent | random | random:<seed>
+    history_sample: str = setting("recent", help="recent | random | random:<seed>")
 
-    generator: str = "random"     # random | mf | knn | external
-    inject_positives: int = 5
-    mode: str = "none"            # none | zero_shot | trained
-    temperature: float = 0.7
+    generator: str = setting("random", choices=("random", "mf", "knn", "external"))
+    inject_positives: int = setting(5, min=0)
+    mode: str = setting("none", choices=("none", *_MODE_COLUMNS))
+    temperature: float = setting(0.7, min=0)
 
-    mf_k: int = 32
-    mf_epochs: int = 30
-    mf_learn_rate: float = 0.005
-    mf_reg: float = 0.02
-    knn_top_m: int = 50
+    mf_k: int = setting(32, min=1)
+    mf_epochs: int = setting(30, min=1)
+    mf_learn_rate: float = setting(0.005, above=0)
+    mf_reg: float = setting(0.02, min=0)
+    knn_top_m: int = setting(50, min=1)
     knn_min_co_raters: int = 3
 
-    ranking_size: int = 15        # items per training ranking
-    offline: bool = False         # dataset build without a backend
+    ranking_size: int = setting(15, min=2, help="items per training ranking")
+    offline: bool = setting(False, help="dataset build without a backend")
 
     backend: BackendConfig = field(default_factory=BackendConfig)
 
     def __post_init__(self):
-        for name in ("slate_size", "bootstraps", "sample_count", "n_test",
-                     "min_history", "history_limit", "knn_top_m", "mf_k", "mf_epochs"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        for name in ("inject_positives", "mf_reg", "temperature"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        if self.mf_learn_rate <= 0:
-            raise ValueError("mf_learn_rate must be > 0")
+        check_settings(self)
         if not self.cutoffs:
             raise ValueError("cutoffs must name at least one cutoff")
         if any(c < 1 or c > self.slate_size for c in self.cutoffs):
@@ -88,13 +79,6 @@ class RunConfig:
         if not re.fullmatch(r"recent|random(:-?\d+)?", self.history_sample):
             raise ValueError("history_sample must be recent, random or "
                              "random:<integer>")
-        if self.generator not in GENERATORS:
-            raise ValueError(f"unknown generator: {self.generator}")
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode: {self.mode}")
-        if self.ranking_size < 2:
-            raise ValueError("ranking_size must be >= 2 (a 1-item ranking has no "
-                             "rejected permutation)")
 
 
 # what a config string must spell for a field of each parsed type
@@ -105,10 +89,9 @@ def _coerce(cls, key, value):
     """A config string as the type of the dataclass cls's field key; a
     nested config (RunConfig.backend) is a section, not a key. A string
     that does not parse as that type is a ValueError naming key."""
-    types = {f.name: f.type for f in fields(cls)}
-    if key not in types or is_dataclass(types[key]):
+    kind = {f.name: f.type for f in fields(cls)}.get(key)
+    if kind is None or is_dataclass(kind):
         raise ValueError(f"unknown config key: {key}")
-    kind = types[key]
     if kind is bool:
         states = configparser.ConfigParser.BOOLEAN_STATES
         if str(value).lower() not in states:
@@ -466,17 +449,22 @@ def cmd_export_slates(cfg, out_path):
 # argparse wiring
 # --------------------------------------------------------------------------
 
-_OVERRIDE_KEYS = [f.name for f in fields(RunConfig) if f.name != "backend"]
-_BACKEND_KEYS = [f.name for f in fields(BackendConfig)]
+# the flag dest and field of each setting; a backend key's dest is backend_<key>
+_SETTINGS = [(f.name, f) for f in fields(RunConfig) if f.name != "backend"] + [
+    (f"backend_{f.name}", f) for f in fields(BackendConfig)]
 
 
 def _add_common(sub):
+    """--config and a flag for each setting, whose help is its field's help
+    line, allowed values or bound, and default."""
     sub.add_argument("--config", help="INI config file")
-    for key in _OVERRIDE_KEYS:
-        sub.add_argument(f"--{key.replace('_', '-')}", dest=key)
-    for key in _BACKEND_KEYS:
-        sub.add_argument(f"--backend-{key.replace('_', '-')}",
-                         dest=f"backend_{key}")
+    for dest, f in _SETTINGS:
+        rule = f.metadata
+        parts = [rule.get("help"), " | ".join(rule.get("choices", ()))]
+        parts += [f"{sign} {rule[key]}" for key, (sign, _) in BOUNDS.items() if key in rule]
+        default = ",".join(map(str, f.default)) if f.type is tuple else str(f.default) or "''"
+        sub.add_argument(f"--{dest.replace('_', '-')}", dest=dest,
+                         help="; ".join(filter(None, [*parts, f"default: {default}"])))
 
 
 def build_parser():
@@ -507,10 +495,7 @@ def main(argv=None):
     try:
         if args.command == "human-eval":
             return cmd_human_eval(args.ratings_a, args.ratings_b, args.paired)
-        overrides = {k: getattr(args, k, None) for k in _OVERRIDE_KEYS}
-        overrides.update({f"backend_{k}": getattr(args, f"backend_{k}", None)
-                          for k in _BACKEND_KEYS})
-        cfg = load_config(args.config, overrides)
+        cfg = load_config(args.config, {dest: getattr(args, dest) for dest, _ in _SETTINGS})
         if args.command == "export-slates":
             return cmd_export_slates(cfg, args.out)
         return {"ingest": cmd_ingest, "run": cmd_run,

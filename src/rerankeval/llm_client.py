@@ -7,12 +7,13 @@ the first HttpBackend: it is about 2 MB of RSS that offline commands never use."
 import functools
 import json
 import logging
+import operator
 import os
 import re
 import threading
 import time
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from urllib.parse import urlsplit
 
 from .errors import (BackendError, ExhaustedRetries, HttpStatus, RerankEvalError,
@@ -41,21 +42,42 @@ class ChatResponse:
     retry_count: int = 0
 
 
+def setting(default, **rule):
+    """A config field with its rule as its metadata; see check_settings."""
+    return field(default=default, metadata=rule)
+
+
+BOUNDS = {"min": (">=", operator.ge), "above": (">", operator.gt)}
+
+
+def check_settings(config):
+    """ValueError for the first field of the dataclass config that breaks the
+    rule in its metadata: a lower bound, min (inclusive) or above (BOUNDS); or
+    choices, where a bad value is an "unknown <noun>" (the field's name unless
+    noun is given). A help line is shown by the CLI's help and checks nothing."""
+    for f in fields(config):
+        value, rule = getattr(config, f.name), f.metadata
+        if "choices" in rule and value not in rule["choices"]:
+            raise ValueError(f"unknown {rule.get('noun', f.name)}: {value}")
+        for key, (sign, holds) in BOUNDS.items():
+            if key in rule and not holds(value, rule[key]):
+                raise ValueError(f"{f.name} must be {sign} {rule[key]}")
+
+
 @dataclass
 class BackendConfig:
-    kind: str = "scripted"          # "scripted" | "http"
+    kind: str = setting("scripted", choices=("scripted", "http"), noun="backend kind")
     endpoint: str = ""
     model: str = ""
-    api_key_env: str = ""           # env var holding the key; "" = no auth
-    timeout: float = 30.0
-    max_retries: int = 3
-    max_concurrent_requests: int = 4
-    backoff_base: float = 0.5       # seconds; doubles per retry
-    fixtures_path: str = ""         # scripted backend fixture JSONL
+    api_key_env: str = setting("", help='env var holding the key; "" = no auth')
+    timeout: float = setting(30.0, above=0)
+    max_retries: int = setting(3, min=0)
+    max_concurrent_requests: int = setting(4, min=1)
+    backoff_base: float = setting(0.5, min=0, help="seconds; doubles per retry")
+    fixtures_path: str = setting("", help="scripted backend fixture JSONL")
 
     def __post_init__(self):
-        if self.kind not in ("scripted", "http"):
-            raise ValueError(f"unknown backend kind: {self.kind}")
+        check_settings(self)
         if self.kind == "http" and (not self.endpoint or not self.model):
             raise ValueError("http backend requires endpoint and model")
         url = urlsplit(self.endpoint)
@@ -63,14 +85,6 @@ class BackendConfig:
                               or not _encodable_host(url.hostname)):
             raise ValueError(f"endpoint must be an http or https URL with a host, "
                              f"got {self.endpoint!r}")
-        if self.timeout <= 0:
-            raise ValueError("timeout must be > 0")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.max_concurrent_requests < 1:
-            raise ValueError("max_concurrent_requests must be >= 1")
-        if self.backoff_base < 0:
-            raise ValueError("backoff_base must be >= 0")
 
 
 def _encodable_host(host):

@@ -1,14 +1,18 @@
 import hashlib
 import json
 import logging
+import math
 import os
 import random
+import re
 import socket
 import stat
 import threading
 import time
 import warnings
 from collections import Counter
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +23,7 @@ from rerankeval import cli, ingest, rerank
 from rerankeval.candgen import Slate
 from rerankeval.cli import EXIT_CONFIG, EXIT_OK, EXIT_PARTIAL, load_config, main
 from rerankeval.errors import ExhaustedRetries, HttpStatus
-from rerankeval.llm_client import ScriptedBackend
+from rerankeval.llm_client import BackendConfig, ScriptedBackend
 
 
 @pytest.fixture
@@ -50,6 +54,30 @@ def run_args(corpus, **extra):
 
 def sha(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+# (flag dest, field) of every setting: RunConfig's, then BackendConfig's as backend_<key>
+SETTINGS = [(f.name, f) for f in fields(cli.RunConfig) if f.name != "backend"] + [
+    (f"backend_{f.name}", f) for f in fields(BackendConfig)]
+BOUNDED = [(dest, f) for dest, f in SETTINGS if {"min", "above"} & set(f.metadata)]
+ENUMERATED = [(dest, f) for dest, f in SETTINGS if "choices" in f.metadata]
+# what every accepted value below is loaded beside: a cutoff that fits a
+# 1-item slate, and what an http backend needs
+VALID = {"cutoffs": "1", "backend_endpoint": "http://h/v1", "backend_model": "m"}
+
+
+def setting_of(cfg, dest):
+    """The value of a setting, by its flag dest, in a loaded RunConfig."""
+    if dest.startswith("backend_"):
+        return getattr(cfg.backend, dest.removeprefix("backend_"))
+    return getattr(cfg, dest)
+
+
+def next_value(value, toward):
+    """The value of value's type next to it toward +-inf: +-1 for an int."""
+    if isinstance(value, int):
+        return value + (1 if toward > 0 else -1)
+    return math.nextafter(value, toward)
 
 
 def oracle_backend(split):
@@ -194,6 +222,7 @@ class TestConfig:
         ("bootstraps", "0", "bootstraps must be >= 1"),
         ("sample_count", "0", "sample_count must be >= 1"),
         ("cutoffs", "0,3", "cutoffs must be within [1, slate_size]"),
+        ("backend_kind", "http", "http backend requires endpoint and model"),
     ])
     def test_bad_value_rejected_before_any_work(self, corpus, monkeypatch, capsys,
                                                 key, value, message):
@@ -208,6 +237,69 @@ class TestConfig:
         assert main(ingest_args(corpus, **{key: value})) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.count(f"error: {message}") == 2
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("work started before the config was checked")
+
+        monkeypatch.setattr(cli.ingest, "read_split", no_work)
+        monkeypatch.setattr(cli.ingest, "load_interactions", no_work)
+
+    @pytest.mark.parametrize("dest,field", BOUNDED, ids=[dest for dest, _ in BOUNDED])
+    def test_each_bound_holds_at_its_edge(self, tmp_path, capsys, no_work, dest, field):
+        # an inclusive bound accepts itself and rejects the next value below;
+        # an exclusive one rejects itself and accepts the next value above
+        kind = type(field.default)
+        if "min" in field.metadata:
+            bound, sign = field.metadata["min"], ">="
+            ok, bad = kind(bound), next_value(kind(bound), -math.inf)
+        else:
+            bound, sign = field.metadata["above"], ">"
+            ok, bad = next_value(kind(bound), math.inf), kind(bound)
+        assert setting_of(load_config(None, {**VALID, dest: str(ok)}), dest) == ok
+        flag = f"--{dest.replace('_', '-')}={bad}"  # argparse reads -5e-324 as a flag
+        assert main(["run", "--run-dir", str(tmp_path), flag]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {field.name} must be {sign} {bound}\n"
+
+    @pytest.mark.parametrize("dest,field", ENUMERATED, ids=[dest for dest, _ in ENUMERATED])
+    def test_each_choice_accepted_and_no_other(self, tmp_path, capsys, no_work, dest,
+                                               field):
+        for value in field.metadata["choices"]:
+            assert setting_of(load_config(None, {**VALID, dest: value}), dest) == value
+        flag = f"--{dest.replace('_', '-')}"
+        assert main(["run", "--run-dir", str(tmp_path), flag, "bogus"]) == EXIT_CONFIG
+        noun = field.metadata.get("noun", field.name)
+        assert capsys.readouterr().err == f"error: unknown {noun}: bogus\n"
+
+    def test_help_shows_each_default_and_rule(self, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "400")
+        with pytest.raises(SystemExit) as exit_:
+            main(["run", "--help"])
+        assert exit_.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        for dest, f in SETTINGS:
+            flag = f"--{dest.replace('_', '-')} {dest.upper()} "
+            assert text.count(flag) == 1, flag
+            shown = text.split(flag)[1].split(" --")[0]
+            default = (",".join(map(str, f.default)) if isinstance(f.default, tuple)
+                       else str(f.default) or "''")
+            rule = f.metadata
+            expected = [rule.get("help"), " | ".join(rule.get("choices", ())),
+                        *(f"{sign} {rule[key]}" for key, sign in
+                          (("min", ">="), ("above", ">")) if key in rule),
+                        f"default: {default}"]
+            assert shown == "; ".join(filter(None, expected)), flag
+
+    def test_readme_example_config_loads(self, tmp_path):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        example, = re.findall(r"```ini\n(.*?)```", readme.read_text(encoding="utf-8"),
+                              re.DOTALL)
+        ini = tmp_path / "demo.ini"
+        ini.write_text(example, encoding="utf-8")
+        cfg = load_config(ini)
+        assert (cfg.generator, cfg.mode, cfg.seed, cfg.backend.kind) == (
+            "random", "zero_shot", 17, "http")
 
     @pytest.mark.parametrize("command", [["run", "--mode", "zero_shot"],
                                          ["build-dataset"]])
@@ -621,6 +713,16 @@ class TestRun:
         assert victim not in report["zero_shot"][0]["per_user"]
         exported = [json.loads(l)["user"] for l in out.read_text().splitlines()]
         assert len(exported) == 29 and victim not in exported
+
+    def test_negative_seed_trains_mf_reproducibly(self, corpus):
+        # every generator takes any integer seed; MF's factors are drawn from it
+        _, _, run_dir = corpus
+        main(ingest_args(corpus))
+        args = run_args(corpus, generator="mf", seed=-1, mf_epochs=3)
+        assert main(args) == EXIT_OK
+        first = (run_dir / "report.json").read_bytes()
+        assert main(args) == EXIT_OK
+        assert (run_dir / "report.json").read_bytes() == first
 
     def test_diverging_mf_exits_2(self, corpus, capsys):
         main(ingest_args(corpus))
