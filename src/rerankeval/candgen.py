@@ -1,5 +1,6 @@
 """Candidate slate generation: random retrieval, item-kNN CF, and SGD matrix
-factorization, plus JSONL import/export for externally produced slates."""
+factorization, plus the slates JSONL that a run writes and an external
+generator reads."""
 
 import hashlib
 import json
@@ -482,7 +483,7 @@ def gen_model_slate(user, scorer, catalog, train_codes, exclusions, inject_posit
 
 
 # --------------------------------------------------------------------------
-# External slates
+# Slates JSONL
 # --------------------------------------------------------------------------
 
 def export_slates(fh, slates):

@@ -1,5 +1,5 @@
-"""Command-line entry point: ingest, run, build-dataset, human-eval and
-slate export, driven by an INI config plus same-named flag overrides."""
+"""Command-line entry point: ingest, run, build-dataset and human-eval,
+driven by an INI config plus same-named flag overrides."""
 
 import argparse
 import configparser
@@ -143,9 +143,9 @@ def load_config(path=None, overrides=None):
 # --------------------------------------------------------------------------
 
 def _load_run_dir(cfg):
-    """What run, build-dataset and export-slates read from cfg.run_dir: the
-    split, the catalog and the sampled eval users; ValueError when there are
-    no eval users."""
+    """What run and build-dataset read from cfg.run_dir: the split, the
+    catalog and the sampled eval users; ValueError when there are no eval
+    users."""
     run_dir = Path(cfg.run_dir)
     split = ingest.read_split(run_dir / "split.json")
     catalog = ingest.load_items(run_dir / "catalog.jsonl")
@@ -327,7 +327,9 @@ def cmd_run(cfg):
     # report.json, the file readers check first, moves last; it is encoded
     # piece by piece, and a non-finite number in it writes none of the files
     tables = _report_tables(report)
-    with ingest.commit(*(run_dir / name for name in (*tables, "report.json"))) as files:
+    names = ("slates.jsonl", *tables, "report.json")
+    with ingest.commit(*(run_dir / name for name in names)) as (slates, *files):
+        candgen.export_slates(slates, (inputs[user][1] for user in users))
         for fh, text in zip(files, tables.values()):
             fh.write(text.encode() + b"\n")
         encoder = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False)
@@ -436,15 +438,6 @@ def cmd_human_eval(ratings_a, ratings_b, paired=False):
     return EXIT_OK
 
 
-def cmd_export_slates(cfg, out_path):
-    split, catalog, users = _load_run_dir(cfg)
-    inputs = _user_inputs(cfg, users, split, catalog)
-    with ingest.commit(out_path) as (fh,):
-        candgen.export_slates(fh, [inputs[u][1] for u in sorted(inputs)])
-    print(f"wrote {len(inputs)} slates to {out_path}")
-    return EXIT_PARTIAL if len(inputs) < len(users) else EXIT_OK
-
-
 # --------------------------------------------------------------------------
 # argparse wiring
 # --------------------------------------------------------------------------
@@ -453,10 +446,17 @@ def cmd_export_slates(cfg, out_path):
 _SETTINGS = [(f.name, f) for f in fields(RunConfig) if f.name != "backend"] + [
     (f"backend_{f.name}", f) for f in fields(BackendConfig)]
 
+# argparse reads an argument that starts with "-" as a flag unless it matches
+# the parser's private _negative_number_matcher, which in Python 3.11 admits
+# only -<digits>[.<digits>]; this one admits every negative number float()
+# reads, such as -1e-3 and -inf, so the config's own check rejects them
+_NEGATIVE_NUMBER = re.compile(r"-\.?\d|-(inf|nan)", re.IGNORECASE)
+
 
 def _add_common(sub):
     """--config and a flag for each setting, whose help is its field's help
     line, allowed values or bound, and default."""
+    sub._negative_number_matcher = _NEGATIVE_NUMBER
     sub.add_argument("--config", help="INI config file")
     for dest, f in _SETTINGS:
         rule = f.metadata
@@ -482,9 +482,6 @@ def build_parser():
     he.add_argument("ratings_b")
     he.add_argument("--paired", action="store_true")
 
-    ex = subs.add_parser("export-slates")
-    _add_common(ex)
-    ex.add_argument("--out", required=True)
     return parser
 
 
@@ -496,8 +493,6 @@ def main(argv=None):
         if args.command == "human-eval":
             return cmd_human_eval(args.ratings_a, args.ratings_b, args.paired)
         cfg = load_config(args.config, {dest: getattr(args, dest) for dest, _ in _SETTINGS})
-        if args.command == "export-slates":
-            return cmd_export_slates(cfg, args.out)
         return {"ingest": cmd_ingest, "run": cmd_run,
                 "build-dataset": cmd_build_dataset}[args.command](cfg)
     except (RerankEvalError, OSError, ValueError) as e:

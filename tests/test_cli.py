@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import logging
@@ -105,17 +106,14 @@ def per_user(report, column):
     return {(r["metric"], r["n"]): r["per_user"] for r in report[column]}
 
 
-def prompt_items(run_dir, tmp_path, sample_count):
+def prompt_items(run_dir):
     """{user: ids of the items in the user's re-ranking prompt} for the users
-    a run with sample_count and the default generator evaluates: the
-    exported slate plus the sampled (recent) history."""
-    out = tmp_path / "prompt_slates.jsonl"
-    main(["export-slates", "--run-dir", str(run_dir), "--sample-count",
-          str(sample_count), "--out", str(out)])
+    the last run in run_dir evaluated: their slate in its slates.jsonl plus
+    the sampled (recent) history."""
     train = ingest.read_split(run_dir / "split.json").train
     return {s["user"]: set(s["items"]) | {
                 e[0] for e in ingest.user_history(train, s["user"]).entries}
-            for s in map(json.loads, out.read_text().splitlines())}
+            for s in map(json.loads, (run_dir / "slates.jsonl").read_text().splitlines())}
 
 
 class TestConfig:
@@ -211,6 +209,8 @@ class TestConfig:
         ("mf_learn_rate", "-1", "mf_learn_rate must be > 0"),
         ("mf_learn_rate", "0", "mf_learn_rate must be > 0"),
         ("mf_reg", "-5", "mf_reg must be >= 0"),
+        ("mf_reg", "-1e-3", "mf_reg must be >= 0"),
+        ("temperature", "-inf", "temperature must be a finite number, got '-inf'"),
         ("backend_endpoint", "http://a..b/v1", "endpoint must be an http or https URL "
                                                "with a host, got 'http://a..b/v1'"),
         ("slate_size", "abc", "slate_size must be an integer, got 'abc'"),
@@ -238,6 +238,13 @@ class TestConfig:
         err = capsys.readouterr().err
         assert err.count(f"error: {message}") == 2
 
+    def test_negative_numbers_are_values_not_flags(self):
+        # the pattern build_parser sets is argparse's private
+        # _negative_number_matcher; an argparse that no longer has it fails here
+        assert isinstance(argparse.ArgumentParser()._negative_number_matcher, re.Pattern)
+        for value in ("-1", "-.5", "-1e-3", "-5E+2", "-inf", "-NaN", "-Infinity"):
+            assert cli.build_parser().parse_args(["run", "--mf-reg", value]).mf_reg == value
+
     @pytest.fixture
     def no_work(self, monkeypatch):
         def no_work(*args):
@@ -258,8 +265,8 @@ class TestConfig:
             bound, sign = field.metadata["above"], ">"
             ok, bad = next_value(kind(bound), math.inf), kind(bound)
         assert setting_of(load_config(None, {**VALID, dest: str(ok)}), dest) == ok
-        flag = f"--{dest.replace('_', '-')}={bad}"  # argparse reads -5e-324 as a flag
-        assert main(["run", "--run-dir", str(tmp_path), flag]) == EXIT_CONFIG
+        flag = f"--{dest.replace('_', '-')}"
+        assert main(["run", "--run-dir", str(tmp_path), flag, str(bad)]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"error: {field.name} must be {sign} {bound}\n"
 
     @pytest.mark.parametrize("dest,field", ENUMERATED, ids=[dest for dest, _ in ENUMERATED])
@@ -300,6 +307,13 @@ class TestConfig:
         cfg = load_config(ini)
         assert (cfg.generator, cfg.mode, cfg.seed, cfg.backend.kind) == (
             "random", "zero_shot", 17, "http")
+
+    def test_readme_lists_every_command_and_no_other(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        listed = set(re.findall(r"^rerankeval ([\w-]+)", readme.read_text(encoding="utf-8"),
+                                re.MULTILINE))
+        commands, = re.findall(r"\{(.*?)\}", cli.build_parser().format_usage())
+        assert listed == set(commands.split(","))
 
     @pytest.mark.parametrize("command", [["run", "--mode", "zero_shot"],
                                          ["build-dataset"]])
@@ -467,11 +481,10 @@ class TestRun:
         _, _, run_dir = corpus
         main(ingest_args(corpus))
         split = ingest.read_split(run_dir / "split.json")
-        exported, slates = tmp_path / "exported.jsonl", tmp_path / "slates.jsonl"
-        assert main(["export-slates", "--run-dir", str(run_dir), "--sample-count", "25",
-                     "--inject-positives", "3", "--out", str(exported)]) == EXIT_OK
+        assert main(run_args(corpus, inject_positives=3)) == EXIT_OK
+        slates = tmp_path / "slates.jsonl"
         with slates.open("w", encoding="utf-8") as fh:
-            for slate in map(json.loads, exported.read_text().splitlines()):
+            for slate in map(json.loads, (run_dir / "slates.jsonl").read_text().splitlines()):
                 relevant = split.relevance[slate["user"]].relevant
                 slate["items"].sort(key=lambda item: item in relevant)
                 assert slate["items"][0] not in relevant and slate["items"][-1] in relevant
@@ -586,29 +599,30 @@ class TestRun:
         reply_length = 15 * len(f"Rank 15: 120 - {reason}\n")
         assert peaks[1] - peaks[0] < 60 * reply_length
 
-    def test_external_slates(self, corpus, tmp_path):
+    def test_external_slates(self, corpus):
+        # a run on its own slates.jsonl, read and replaced in place, builds
+        # the same slates and the same report, but for the config
         _, _, run_dir = corpus
+        slates = run_dir / "slates.jsonl"
         main(ingest_args(corpus))
-        out = tmp_path / "slates.jsonl"
-        assert main(["export-slates", "--run-dir", str(run_dir),
-                     "--sample-count", "10", "--out", str(out)]) == EXIT_OK
-        # score the exported slates through the external path
-        code = main(["run", "--run-dir", str(run_dir), "--sample-count", "10",
-                     "--generator", "external", "--slates", str(out),
-                     "--mode", "none"])
-        assert code == EXIT_OK
-        report = json.loads((run_dir / "report.json").read_text())
-        assert report["users_evaluated"] == 10
+        assert main(run_args(corpus, generator="knn", mode="none")) == EXIT_OK
+        report, digest = (run_dir / "report.json").read_text(), sha(slates)
+        assert main(run_args(corpus, generator="external", slates=slates,
+                             mode="none")) == EXIT_OK
+        again = json.loads((run_dir / "report.json").read_text())
+        assert again["config"]["slates"] == str(slates)
+        again["config"].update(generator="knn", slates="")
+        assert json.dumps(again, indent=2, sort_keys=True) + "\n" == report
+        assert sha(slates) == digest
 
     @pytest.mark.parametrize("bad_item", ["catalog", "train", "empty", "duplicate"])
     def test_bad_external_slate_skips_its_user(self, corpus, tmp_path, caplog,
                                                monkeypatch, bad_item):
         _, _, run_dir = corpus
         main(ingest_args(corpus))
+        main(run_args(corpus, sample_count=10))
+        lines = [json.loads(l) for l in (run_dir / "slates.jsonl").read_text().splitlines()]
         out = tmp_path / "slates.jsonl"
-        main(["export-slates", "--run-dir", str(run_dir), "--sample-count", "10",
-              "--out", str(out)])
-        lines = [json.loads(l) for l in out.read_text().splitlines()]
         victim = lines[3]
         train = ingest.read_split(run_dir / "split.json").train
         if bad_item == "catalog":
@@ -646,7 +660,7 @@ class TestRun:
         assert not any(p.startswith(history_block) for p in prompts)
 
     @pytest.mark.parametrize("case", ["empty_title", "unknown_item"])
-    def test_unpromptable_item_skips_its_user(self, corpus, tmp_path, caplog, case):
+    def test_unpromptable_item_skips_its_user(self, corpus, caplog, case):
         ratings, _, run_dir = corpus
         main(ingest_args(corpus))
         args = run_args(corpus, mode="zero_shot", sample_count=8)
@@ -654,7 +668,7 @@ class TestRun:
         base = json.loads((run_dir / "report.json").read_text())
         if case == "empty_title":
             # an item that only one evaluated user's prompt shows
-            shown = prompt_items(run_dir, tmp_path, 8)
+            shown = prompt_items(run_dir)
             counts = Counter(i for items in shown.values() for i in items)
             item = min(i for i, n in counts.items() if n == 1)
             victim = next(u for u, items in shown.items() if item in items)
@@ -687,7 +701,7 @@ class TestRun:
         report = json.loads((run_dir / "report.json").read_text())
         assert (report["users_evaluated"], report["users_skipped"]) == (8, 0)
 
-    def test_too_few_eligible_items_skips_its_user(self, corpus, tmp_path, caplog):
+    def test_too_few_eligible_items_skips_its_user(self, corpus, caplog):
         ratings, _, run_dir = corpus
         # the victim rates five more items, below the relevance threshold, so
         # 60 - 20 train items are eligible for their slate; every other
@@ -699,20 +713,17 @@ class TestRun:
         ratings.write_text(text + "".join(f"{victim},{i},1.0,{99000 + k}\n"
                                           for k, i in enumerate(extra)))
         main(ingest_args(corpus))
-        out = tmp_path / "slates.jsonl"
-        for args in (run_args(corpus, sample_count=30, slate_size=45, mode="zero_shot"),
-                     ["export-slates", "--run-dir", str(run_dir), "--sample-count",
-                      "30", "--slate-size", "45", "--out", str(out)]):
-            caplog.clear()
-            assert main(args) == EXIT_PARTIAL
-            assert caplog.text.count("skipped user") == 1
-            assert f"skipped user {victim}: 40 eligible items < slate size 45" in \
-                caplog.text
+        assert main(run_args(corpus, sample_count=30, slate_size=45,
+                             mode="zero_shot")) == EXIT_PARTIAL
+        assert caplog.text.count("skipped user") == 1
+        assert f"skipped user {victim}: 40 eligible items < slate size 45" in caplog.text
         report = json.loads((run_dir / "report.json").read_text())
         assert (report["users_evaluated"], report["users_skipped"]) == (29, 1)
         assert victim not in report["zero_shot"][0]["per_user"]
-        exported = [json.loads(l)["user"] for l in out.read_text().splitlines()]
-        assert len(exported) == 29 and victim not in exported
+        # slates.jsonl holds the slates of the evaluated users, in user order
+        slated = [json.loads(l)["user"] for l in
+                  (run_dir / "slates.jsonl").read_text().splitlines()]
+        assert slated == sorted(report["zero_shot"][0]["per_user"])
 
     def test_negative_seed_trains_mf_reproducibly(self, corpus):
         # every generator takes any integer seed; MF's factors are drawn from it
@@ -739,21 +750,24 @@ class TestRun:
         if case == "one_user":
             args = run_args(corpus, mode="zero_shot", sample_count=1)
         else:
-            out = tmp_path / "slates.jsonl"
-            main(["export-slates", "--run-dir", str(run_dir), "--sample-count", "2",
-                  "--out", str(out)])
-            lines = [json.loads(l) for l in out.read_text().splitlines()]
+            main(run_args(corpus, sample_count=2))
+            lines = [json.loads(l) for l in (run_dir / "slates.jsonl").read_text()
+                     .splitlines()]
             lines[0]["items"][0] = "999999"
+            out = tmp_path / "slates.jsonl"
             out.write_text("".join(json.dumps(l) + "\n" for l in lines))
             args = run_args(corpus, mode="zero_shot", sample_count=2,
                             generator="external", slates=out)
         requests = []
         monkeypatch.setattr(cli, "make_backend", lambda cfg: ScriptedBackend(
             handler=lambda r: requests.append(r) or ""))
+        before = files_in(run_dir)
         assert main(args) == EXIT_CONFIG
         assert requests == []
         assert "error: re-ranking needs at least 2 evaluable users, got 1" in \
             capsys.readouterr().err
+        # no slates.jsonl and no report is written, or replaced
+        assert files_in(run_dir) == before
 
 
 def joined_rows(split):
@@ -855,8 +869,10 @@ class TestBadInputFileExits2:
     }
 
     @pytest.mark.parametrize("damage", STALE_SPLITS.values(), ids=STALE_SPLITS.keys())
+    # an external run checks the split before it opens its slates file
     @pytest.mark.parametrize("command", [
-        ["run"], ["build-dataset", "--offline", "1"], ["export-slates", "--out", "s.jsonl"]])
+        ["run"], ["build-dataset", "--offline", "1"],
+        ["run", "--generator", "external", "--slates", "s.jsonl"]])
     def test_stale_split_exits_2_before_any_work(self, corpus, monkeypatch, capsys,
                                                   damage, command):
         _, _, run_dir = corpus
@@ -1160,8 +1176,10 @@ class TestBuildDataset:
             peaks.append(peak)
         assert peaks[1] < 1.2 * peaks[0]
 
+    # an external run samples its users before it opens its slates file
     @pytest.mark.parametrize("command", [["run"], ["build-dataset", "--offline", "1"],
-                                         ["export-slates", "--out", "slates.jsonl"]])
+                                         ["run", "--generator", "external",
+                                          "--slates", "slates.jsonl"]])
     def test_no_eligible_users_exits_2(self, corpus, tmp_path, monkeypatch, capsys,
                                        command):
         ratings, _, run_dir = corpus
@@ -1246,13 +1264,15 @@ class TestFailedWriteKeepsEveryFile:
         assert fails_keeping_every_file(args, [run_dir], full_disk, name) == [
             "catalog.jsonl", "config.json", "split.json", "split.npz"]
 
-    @pytest.mark.parametrize("name", ["report.csv", "report.txt", "report.json"])
+    @pytest.mark.parametrize("name", ["slates.jsonl", "report.csv", "report.txt",
+                                      "report.json"])
     def test_run(self, corpus, full_disk, name):
         _, _, run_dir = corpus
         main(ingest_args(corpus))
         main(run_args(corpus))
         assert fails_keeping_every_file(run_args(corpus, seed=7), [run_dir], full_disk,
-                                        name) == ["report.csv", "report.json", "report.txt"]
+                                        name) == ["report.csv", "report.json", "report.txt",
+                                                  "slates.jsonl"]
 
     def test_run_with_a_non_finite_number(self, corpus, monkeypatch, capsys):
         # report.json is encoded inside the commit, so the error it raises
@@ -1284,16 +1304,6 @@ class TestFailedWriteKeepsEveryFile:
         assert fails_keeping_every_file([*args, "--seed", "7"], [run_dir], full_disk,
                                         name) == ["dpo.jsonl", "manifest.json", "sft.jsonl"]
 
-    def test_export_slates(self, corpus, tmp_path, full_disk):
-        _, _, run_dir = corpus
-        main(ingest_args(corpus))
-        (tmp_path / "out").mkdir()
-        args = ["export-slates", "--run-dir", str(run_dir), "--sample-count", "10",
-                "--out", str(tmp_path / "out" / "slates.jsonl")]
-        assert main(args) == EXIT_OK
-        assert fails_keeping_every_file([*args, "--seed", "7"], [run_dir, tmp_path / "out"],
-                                        full_disk, "slates.jsonl") == ["slates.jsonl"]
-
     def test_outputs_get_the_mode_open_gives(self, corpus):
         _, _, run_dir = corpus
         umask = os.umask(0o022)
@@ -1302,8 +1312,6 @@ class TestFailedWriteKeepsEveryFile:
             main(run_args(corpus))
             assert main(["build-dataset", "--run-dir", str(run_dir), "--offline", "1",
                          "--sample-count", "5"]) == EXIT_OK
-            assert main(["export-slates", "--run-dir", str(run_dir), "--sample-count", "5",
-                         "--out", str(run_dir / "slates.jsonl")]) == EXIT_OK
             with open(run_dir / "by_open", "wb"):
                 pass
         finally:

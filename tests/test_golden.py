@@ -1,6 +1,7 @@
-"""Byte-identity of the program's outputs: sha256 of report.json, exported
-slates and the offline manifest on the conftest corpus, pinned to the values
-the code gave before ratings became one columnar table; of the
+"""Byte-identity of the program's outputs: sha256 of report.json, a run's
+slates.jsonl and the offline manifest on the conftest corpus, pinned to the
+values the code gave before ratings became one columnar table (the slates as
+the former export-slates command wrote them); of the
 scripted-backend manifest, pinned to what the code gave before one-id
 lookups went through dicts; and of report.csv and report.txt for every run,
 and all three report files of a trained run, pinned to what the code gave
@@ -78,10 +79,9 @@ def test_report(ingested, generator, mode):
 
 def test_exported_slates(ingested):
     for generator, digest in SLATES.items():
-        out = f"{generator}.jsonl"
-        assert main(["export-slates", "--run-dir", "run", "--generator", generator,
-                     "--out", out]) == 0
-        assert (generator, sha(out)) == (generator, digest)
+        assert main(["run", "--run-dir", "run", "--generator", generator,
+                     "--mode", "none"]) == 0
+        assert (generator, sha("run/slates.jsonl")) == (generator, digest)
 
 
 def test_offline_manifest(ingested):
@@ -134,7 +134,6 @@ COMMANDS = [
     ["run", "--run-dir", "run", "--generator", "random", "--mode", "none"],
     ["run", "--run-dir", "run", "--generator", "mf", "--mode", "none"],
     ["build-dataset", "--run-dir", "run", "--offline", "1", "--ranking-size", "10"],
-    ["export-slates", "--run-dir", "run", "--generator", "knn", "--out", "knn.jsonl"],
     ["human-eval", "a.txt", "b.txt", "--paired"],
     # last, so that run/report.json is the knn report
     ["run", "--run-dir", "run", "--generator", "knn", "--mode", "none"],
@@ -176,7 +175,6 @@ def test_no_offline_command_loads_the_http_stack(tmp_path):
         ["run", "--run-dir", "run", "--generator", "knn", "--mode", "none"],
         ["run", "--run-dir", "run", "--generator", "random", "--mode", "zero_shot"],
         ["build-dataset", "--run-dir", "run", "--offline", "1", "--ranking-size", "10"],
-        ["export-slates", "--run-dir", "run", "--generator", "mf", "--out", "mf.jsonl"],
         ["human-eval", "a.txt", "b.txt"],
     ]
     loaded = modules_loaded_by(tmp_path, commands, ["http", "ssl", "email", "socket"])
