@@ -154,6 +154,7 @@ def train_mf(train, k=32, epochs=30, learn_rate=0.005, reg=0.02, seed=0):
 
 KNN_BLOCK_ROWS = 64  # similarity rows computed densely at a time
 KNN_PAIR_BYTES = 1 << 18  # rater bitset bytes gathered per co-rater count step
+KNN_PICK_WINDOW = 4  # a short row's candidates counted, in multiples of top_m
 
 
 @dataclass
@@ -218,20 +219,21 @@ def _entries(m):
 
 
 def _by_column(indptr, indices, n_cols):
-    """(column pointer, positions) of the entries of a CSR matrix with these
-    index arrays, of one integer type, by column: column j stores the
-    entries at positions[pointer[j]:pointer[j + 1]] of the matrix's indices
-    and data, rows ascending, in the order in which row j of m.T.tocsr()
-    stores them. csr_tocsc, the kernel behind that transpose, moves each
-    entry's position where the transpose's value goes; the row indices it
-    also writes are dropped, so the index holds one position per entry."""
+    """(column pointer, rows, positions) of the entries of a CSR matrix with
+    these index arrays, of one integer type, by column: column j stores the
+    entries of rows[pointer[j]:pointer[j + 1]], at positions[pointer[j]:
+    pointer[j + 1]] of the matrix's indices and data, rows ascending, in the
+    order in which row j of m.T.tocsr() stores them. csr_tocsc, the kernel
+    behind that transpose, writes the rows as the transpose's columns and
+    moves each entry's position where the transpose's value goes, so the
+    index holds a row and a position per entry."""
     index = indptr.dtype
     pointer = np.empty(n_cols + 1, dtype=index)
+    rows = np.empty(len(indices), dtype=index)
     positions = np.empty(len(indices), dtype=index)
     sparsetools.csr_tocsc(len(indptr) - 1, n_cols, indptr, indices,
-                          np.arange(len(indices), dtype=index), pointer,
-                          np.empty(len(indices), dtype=index), positions)
-    return pointer, positions
+                          np.arange(len(indices), dtype=index), pointer, rows, positions)
+    return pointer, rows, positions
 
 
 def _block_product(m, rows):
@@ -240,14 +242,14 @@ def _block_product(m, rows):
     bit-identical to (m.T @ m)[lo:hi].toarray().
 
     Rows lo:hi of m.T, m's columns lo:hi, are cut from m when their block is
-    computed: _by_column's index gives their entries' positions, rows
-    ascending as the transpose stores them, a binary search of m.indptr
-    their rows and m.data their values. Beside m, the product holds that
-    index, one position per entry, and no transpose. A block is one call of
-    csr_matmat, the kernel behind scipy's a @ b. The kernel is private to
-    scipy, so an oracle test pins it to m.T @ m. It sums each entry in the
-    same order, with the same arithmetic, as m.T @ m does, but without the
-    pass that only sizes the result: it writes into arrays of (hi - lo) x
+    computed: _by_column's index gives their entries' rows and positions,
+    rows ascending as the transpose stores them, and m.data their values.
+    Beside m, the product holds that index, a row and a position per entry,
+    and no transpose. A block is one call of csr_matmat, the kernel behind
+    scipy's a @ b. The kernel is private to scipy, so an oracle test pins it
+    to m.T @ m. It sums each entry in the same order, with the same
+    arithmetic, as m.T @ m does, but without the pass that only sizes the
+    result: it writes into arrays of (hi - lo) x
     m.shape[1] entries, and csr_todense, the kernel behind .toarray(), adds
     them into a zeroed block; they are dropped before the block is used.
     The product kernel leaves out the entries that sum to exactly zero, or
@@ -258,15 +260,15 @@ def _block_product(m, rows):
     wide = max(rows * n, m.nnz, m.shape[0]) > np.iinfo(np.int32).max
     index = np.int64 if wide else np.result_type(np.int32, m.indptr, m.indices)
     ptr, col = (np.asarray(x, dtype=index) for x in (m.indptr, m.indices))
-    t_ptr, positions = _by_column(ptr, col, n)
+    t_ptr, t_col, positions = _by_column(ptr, col, n)
 
     def block(lo, hi):
         at = positions[t_ptr[lo]:t_ptr[hi]]
-        t_col = (np.searchsorted(ptr, at, side="right") - 1).astype(index)  # their rows
         c_ptr = np.empty(hi - lo + 1, dtype=index)
         c_col = np.empty((hi - lo) * n, dtype=index)
         c_val = np.empty((hi - lo) * n, dtype=m.data.dtype)
-        sparsetools.csr_matmat(hi - lo, n, t_ptr[lo:hi + 1] - t_ptr[lo], t_col, m.data[at],
+        sparsetools.csr_matmat(hi - lo, n, t_ptr[lo:hi + 1] - t_ptr[lo],
+                               t_col[t_ptr[lo]:t_ptr[hi]], m.data[at],
                                ptr, col, m.data, c_ptr, c_col, c_val)
         dense = np.zeros((hi - lo, n), dtype=m.data.dtype)
         sparsetools.csr_todense(hi - lo, n, c_ptr, c_col, c_val, dense.ravel())
@@ -274,13 +276,13 @@ def _block_product(m, rows):
     return block
 
 
-def _top(sims, m):
-    """Row and column of each row's m highest finite sims, rows ascending and
-    each row sim descending with ties by column: the finite entries of
-    np.argsort(-sims, axis=1, kind="stable")[:, :m]."""
-    k = min(m, sims.shape[1])
+def _picks(sims, m):
+    """Mask of each row's m highest finite sims, ties by column: the finite
+    entries among the first m of np.argsort(-sims, axis=1, kind="stable")."""
+    n = sims.shape[1]
+    k = min(m, n)
     # each row's k-th highest sim: the picks are among the entries at or above it
-    threshold = np.partition(sims, sims.shape[1] - k, axis=1)[:, -k, None]
+    threshold = np.partition(sims, n - k, axis=1)[:, -k, None]
     pick = (sims >= threshold) & (sims > -np.inf)
     over = np.flatnonzero(np.count_nonzero(pick, axis=1) > m)
     if len(over):  # ties at the threshold: the first in column order fill the row
@@ -288,9 +290,25 @@ def _top(sims, m):
         tied = sub == cut
         room = m - np.count_nonzero(sub > cut, axis=1, keepdims=True)
         pick[over] &= ~tied | (np.cumsum(tied, axis=1, dtype=np.int32) <= room)
-    row, col = np.nonzero(pick)
-    order = np.lexsort((col, -sims[row, col], row))
-    return row[order], col[order]
+    return pick
+
+
+def _top(sims, m):
+    """Row and column of each row's m highest finite sims, rows ascending and
+    each row sim descending with ties by column: the finite entries of
+    np.argsort(-sims, axis=1, kind="stable")[:, :m]."""
+    n = sims.shape[1]
+    k = min(m, n)
+    flat = np.flatnonzero(_picks(sims, m))  # rows ascending, columns ascending in each
+    key = -sims.take(flat)
+    # a stable sort within each row keeps tied sims in column order
+    if len(flat) == len(sims) * k:  # k picks in every row
+        order = np.argsort(key.reshape(-1, k), axis=1, kind="stable")
+        order += np.arange(0, len(flat), k)[:, None]
+        flat = flat[order.ravel()]
+    else:
+        flat = flat[np.lexsort((key, flat // n))]
+    return np.divmod(flat, n)
 
 
 def _rater_bits(ratings):
@@ -338,6 +356,54 @@ def _co_raters(bits, i, j):
     return counts
 
 
+def _neighbours(sims, first, bits, top_m, min_co_raters):
+    """Row and column, in _top's order, of each row's top_m highest finite
+    sims among the pairs that at least min_co_raters users rated both: row r
+    of sims holds the sims of item first + r, and bits is _rater_bits's table.
+
+    Co-raters are counted for each row's top_m picks. A short row, one with
+    a pick that fails, loses its failing pairs and is picked again:
+    - when its picks pass at one in KNN_PICK_WINDOW or more, it is counted
+      over a window, its best KNN_PICK_WINDOW * top_m candidates (_picks).
+      Every candidate outside the window ranks below every one in it, so
+      when top_m in the window pass, the first top_m that pass are the
+      row's picks;
+    - a row whose picks pass more rarely, or that has fewer than top_m
+      passing in its window and more candidates beyond it, is counted
+      against every item."""
+    row, col = _top(sims, top_m)
+    low = np.bincount(row[_co_raters(bits, first + row, col) < min_co_raters],
+                      minlength=len(sims))
+    short = np.flatnonzero(low)
+    if not len(short):
+        return row, col
+    again = sims[short]
+    full = np.ones(len(short), dtype=bool)  # to count against every item
+    passed = np.bincount(row, minlength=len(sims))[short] - low[short]
+    win = np.flatnonzero(passed * KNN_PICK_WINDOW >= top_m)
+    if len(win):
+        sub = again[win]
+        window = _picks(sub, KNN_PICK_WINDOW * top_m)
+        beyond = np.count_nonzero(sub > -np.inf, axis=1) > np.count_nonzero(window, axis=1)
+        w_row, w_col = np.nonzero(window)
+        fails = _co_raters(bits, first + short[win[w_row]], w_col) < min_co_raters
+        sub[w_row[fails], w_col[fails]] = -np.inf
+        again[win] = sub
+        full[win] = beyond & (np.count_nonzero(window & (sub > -np.inf), axis=1) < top_m)
+    redo = np.flatnonzero(full)
+    if len(redo):
+        fails = np.zeros(again.shape, dtype=bool)
+        fails[redo] = _co_raters(bits, first + short[redo, None],
+                                 np.arange(sims.shape[1])) < min_co_raters
+        again[fails] = -np.inf
+    redo_row, redo_col = _top(again, top_m)
+    keep = low[row] == 0
+    row = np.concatenate([row[keep], short[redo_row]])
+    col = np.concatenate([col[keep], redo_col])
+    order = np.argsort(row, kind="stable")
+    return row[order], col[order]
+
+
 def build_item_knn(train, top_m=50, min_co_raters=3):
     """Cosine similarity over mean-centered user rating vectors, as a Csr
     items x items matrix whose row and column n stand for train item code n.
@@ -351,22 +417,31 @@ def build_item_knn(train, top_m=50, min_co_raters=3):
 
     The build holds one ratings matrix, users x items, and its user sums
     hold what scipy.sparse would give, bit for bit (see Csr): per stored
-    rating, its centered value and item code (12 B) and a position in the
-    product's by-item index (4 B; see _block_product). The similarity
-    product runs KNN_BLOCK_ROWS rows at a time, so only one block is ever
-    dense. Each block is one pass of scipy's sparse product kernel over its
+    rating, its centered value and item code (12 B) and a row and a
+    position in the product's by-item index (8 B; see _block_product).
+    The similarity product runs KNN_BLOCK_ROWS rows at a time, so only one
+    block is ever dense. Each block is one pass of scipy's sparse product kernel over its
     rows, cut from the matrix by that index, added into the dense block,
     bit-identical to the same rows of the full product. The norms add the
     squared centered ratings in storage order, the order in which the full
     product sums its diagonal. Each step over every stored rating runs on
-    bounded chunks of them (see _entries). Each row's top_m come from a
-    partition threshold, not a full sort. Co-raters are counted
-    only for those picks, from a table of each item's raters packed one bit
-    per user into 64-bit words (ceil(users / 64) words per item, 192 B on
-    the knn-dense benchmark corpus), by AND and popcount; with one row per
-    pair that count is exact. A row where some pick falls below
-    min_co_raters is counted against every item from the same table, loses
-    the pairs that fail it, and is picked again.
+    bounded chunks of them (see _entries).
+
+    A row picks its neighbours in four steps (_neighbours):
+    - its top_m come from a partition threshold, not a full sort, and only
+      the picks are sorted, each row's on their own (_top);
+    - co-raters are counted only for those picks, from a table of each
+      item's raters packed one bit per user into 64-bit words
+      (ceil(users / 64) words per item, 192 B on the knn-dense benchmark
+      corpus), by AND and popcount; with one row per pair that count is
+      exact;
+    - a short row, one with a pick below min_co_raters, is counted over a
+      window of its best KNN_PICK_WINDOW * top_m candidates, and keeps the
+      first top_m that pass;
+    - a short row whose picks pass too rarely to fill top_m from its window,
+      or that has fewer than top_m passing in it and more candidates beyond
+      it, is counted against every item from the same table as the
+      fallback. A short row loses the pairs that fail and is picked again.
     """
     if not len(train):
         raise ValueError("no training interactions")
@@ -391,19 +466,7 @@ def build_item_knn(train, top_m=50, min_co_raters=3):
         del denom  # each dense block is freed once used
         np.clip(sims, -1.0, 1.0, out=sims)
         sims[np.arange(b - a), np.arange(a, b)] = -np.inf  # exclude self
-        row, col = _top(sims, top_m)
-        low = np.bincount(row[_co_raters(bits, a + row, col) < min_co_raters],
-                          minlength=b - a)
-        short = np.flatnonzero(low)
-        if len(short):  # the picks beyond these rows' top_m need counts too
-            again = sims[short]
-            again[_co_raters(bits, a + short[:, None], np.arange(n)) < min_co_raters] = -np.inf
-            redo_row, redo_col = _top(again, top_m)
-            keep = low[row] == 0
-            row = np.concatenate([row[keep], short[redo_row]])
-            col = np.concatenate([col[keep], redo_col])
-            order = np.argsort(row, kind="stable")
-            row, col = row[order], col[order]
+        row, col = _neighbours(sims, a, bits, top_m, min_co_raters)
         data.append(sims[row, col])
         indices.append(col.astype(index))
         counts.append(np.bincount(row, minlength=b - a))

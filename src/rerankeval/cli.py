@@ -117,12 +117,11 @@ def load_config(path=None, overrides=None):
     backend_values = {}
     if path:
         parser = configparser.ConfigParser(interpolation=None)
-        try:
-            found = parser.read(path, encoding="utf-8-sig")
-        except configparser.Error as e:
-            raise ValueError(f"{path}: {e}") from None
-        if not found:
-            raise FileNotFoundError(path)
+        with open(path, encoding="utf-8-sig") as fh:
+            try:
+                parser.read_file(fh)
+            except configparser.Error as e:
+                raise ValueError(f"{path}: {e}") from None
         for section in parser.sections():
             (backend_values if section == "backend" else values).update(
                 parser.items(section))
@@ -453,18 +452,21 @@ _SETTINGS = [(f.name, f) for f in fields(RunConfig) if f.name != "backend"] + [
 _NEGATIVE_NUMBER = re.compile(r"-\.?\d|-(inf|nan)", re.IGNORECASE)
 
 
-def _add_common(sub):
-    """--config and a flag for each setting, whose help is its field's help
-    line, allowed values or bound, and default."""
-    sub._negative_number_matcher = _NEGATIVE_NUMBER
-    sub.add_argument("--config", help="INI config file")
+def _common_flags():
+    """A parser, with no -h of its own, of --config and a flag for each
+    setting, whose help is its field's help line, allowed values or bound,
+    and default: the parent of every settings subparser, so the flags are
+    made once."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="INI config file")
     for dest, f in _SETTINGS:
         rule = f.metadata
         parts = [rule.get("help"), " | ".join(rule.get("choices", ()))]
         parts += [f"{sign} {rule[key]}" for key, (sign, _) in BOUNDS.items() if key in rule]
         default = ",".join(map(str, f.default)) if f.type is tuple else str(f.default) or "''"
-        sub.add_argument(f"--{dest.replace('_', '-')}", dest=dest,
-                         help="; ".join(filter(None, [*parts, f"default: {default}"])))
+        common.add_argument(f"--{dest.replace('_', '-')}", dest=dest,
+                            help="; ".join(filter(None, [*parts, f"default: {default}"])))
+    return common
 
 
 def build_parser():
@@ -474,8 +476,10 @@ def build_parser():
     parser.add_argument("-v", "--verbose", action="store_true")
     subs = parser.add_subparsers(dest="command", required=True)
 
+    common = _common_flags()
     for name in ("ingest", "run", "build-dataset"):
-        _add_common(subs.add_parser(name))
+        # the matcher is the parser's own, so a parent's is not inherited
+        subs.add_parser(name, parents=[common])._negative_number_matcher = _NEGATIVE_NUMBER
 
     he = subs.add_parser("human-eval")
     he.add_argument("ratings_a")

@@ -166,6 +166,14 @@ class TestConfig:
         assert err.startswith(f"error: {ini}: ") and message in err
         assert not run_dir.exists()
 
+    def test_missing_config_file_exits_2_and_writes_nothing(self, corpus, tmp_path, capsys):
+        _, _, run_dir = corpus
+        ini = tmp_path / "absent.ini"
+        assert main([*ingest_args(corpus), "--config", str(ini)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == \
+            f"error: [Errno 2] No such file or directory: '{ini}'\n"
+        assert not run_dir.exists()
+
     def test_byte_order_mark_is_skipped(self, tmp_path):
         ini = tmp_path / "cfg.ini"
         ini.write_text("\ufeff[run]\nseed = 7\n", encoding="utf-8")
@@ -242,8 +250,10 @@ class TestConfig:
         # the pattern build_parser sets is argparse's private
         # _negative_number_matcher; an argparse that no longer has it fails here
         assert isinstance(argparse.ArgumentParser()._negative_number_matcher, re.Pattern)
-        for value in ("-1", "-.5", "-1e-3", "-5E+2", "-inf", "-NaN", "-Infinity"):
-            assert cli.build_parser().parse_args(["run", "--mf-reg", value]).mf_reg == value
+        parser = cli.build_parser()
+        for command in ("ingest", "run", "build-dataset"):
+            for value in ("-1", "-.5", "-1e-3", "-5E+2", "-inf", "-NaN", "-Infinity"):
+                assert parser.parse_args([command, "--mf-reg", value]).mf_reg == value
 
     @pytest.fixture
     def no_work(self, monkeypatch):
@@ -297,6 +307,25 @@ class TestConfig:
                           (("min", ">="), ("above", ">")) if key in rule),
                         f"default: {default}"]
             assert shown == "; ".join(filter(None, expected)), flag
+
+    # sha256 of each subcommand's --help at 80 columns, pinned to the text
+    # the parser gave when each settings subparser made its own flags
+    HELP = {
+        "ingest": "7edee3944c388c92655b22711ace402a9fa26e7f9895ddc48e23cdee77c8ed9d",
+        "run": "012636c70219b5e162503b35598c5ab9f98528fcb3ff28a3619fcbf2b73d6313",
+        "build-dataset": "19d70182df5aa1e676b9d51bfe797d1b7fac92b92720bf028ee77177149a602c",
+        "human-eval": "cf47be0b6cf9899cdf6117b409bef38ec2283344e404b2404e2fbfe39acbc306",
+    }
+
+    @pytest.mark.parametrize("command", list(HELP))
+    def test_help_text_is_pinned(self, monkeypatch, capsys, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exit_:
+            main([command, "--help"])
+        assert exit_.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: rerankeval {command} [-h]")
+        assert hashlib.sha256(out.encode()).hexdigest() == self.HELP[command]
 
     def test_readme_example_config_loads(self, tmp_path):
         readme = Path(__file__).resolve().parents[1] / "README.md"
@@ -431,6 +460,17 @@ class TestIngest:
         main(ingest_args(corpus))
         first = json.loads((run_dir / "catalog.jsonl").read_text().splitlines()[0])
         assert len(first["overview"].split()) <= 15
+
+    def test_header_only_ratings_exits_2_and_writes_nothing(self, corpus, tmp_path, capsys):
+        ratings, items, run_dir = corpus
+        header = tmp_path / "header.csv"
+        header.write_text(ratings.read_text().splitlines()[0] + "\n")
+        code = main(["ingest", "--ratings", str(header), "--items", str(items),
+                     "--run-dir", str(run_dir)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == \
+            "error: no eligible evaluation users (excluded: 0)\n"
+        assert not run_dir.exists()
 
     def test_missing_ratings_exits_2(self, corpus, capsys):
         ratings, items, run_dir = corpus
@@ -615,7 +655,7 @@ class TestRun:
         assert json.dumps(again, indent=2, sort_keys=True) + "\n" == report
         assert sha(slates) == digest
 
-    @pytest.mark.parametrize("bad_item", ["catalog", "train", "empty", "duplicate"])
+    @pytest.mark.parametrize("bad_item", ["catalog", "train", "empty", "duplicate", "missing"])
     def test_bad_external_slate_skips_its_user(self, corpus, tmp_path, caplog,
                                                monkeypatch, bad_item):
         _, _, run_dir = corpus
@@ -631,6 +671,8 @@ class TestRun:
             victim["items"][5] = train.entries(victim["user"])[0][0]
         elif bad_item == "empty":
             victim["items"] = []
+        elif bad_item == "missing":  # no line for the user of line 4
+            lines.remove(victim)
         else:  # a second slate, on line 11, for the user of line 4
             lines.append({**victim, "items": victim["items"][::-1]})
         out.write_text("".join(json.dumps(l) + "\n" for l in lines))
@@ -648,7 +690,8 @@ class TestRun:
         assert victim["user"] not in report["zero_shot"][0]["per_user"]
         reason = {"catalog": "slate items not in the catalog",
                   "train": "slate items rated in train", "empty": "empty slate",
-                  "duplicate": "2 external slates, on lines 4, 11"}[bad_item]
+                  "duplicate": "2 external slates, on lines 4, 11",
+                  "missing": "no external slate"}[bad_item]
         assert f"skipped user {victim['user']}: {reason}" in caplog.text
         # the skipped user's history opens no prompt: it sent no request
         catalog = ingest.load_items(run_dir / "catalog.jsonl")
@@ -1364,6 +1407,13 @@ class TestHumanEval:
         b.write_text("4\n3\n")
         assert main(["human-eval", str(a), str(b)]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"error: {a}: no scores\n"
+
+    def test_non_number_line_exits_2_naming_it(self, tmp_path, capsys):
+        a = tmp_path / "a.txt"
+        a.write_text("4\n\n3.5\nfour\n")
+        assert main(["human-eval", str(a), str(a)]) == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: line 4: not a number: 'four'\n")
 
     def test_byte_order_mark_is_skipped(self, tmp_path, capsys):
         a = tmp_path / "a.txt"

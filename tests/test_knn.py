@@ -137,6 +137,50 @@ class TestNeighboursAndScores:
         assert sum(0 < len(expected[i]) < 8 for i in items) >= 3
 
 
+def full_counts(monkeypatch):
+    """A list that gets the number of rows of each _co_raters call that
+    counts rows against every item: the one call with two axes."""
+    rows = []
+    count = candgen._co_raters
+
+    def recording(bits, i, j):
+        shape = np.broadcast_shapes(i.shape, j.shape)
+        if len(shape) == 2:
+            rows.append(shape[0])
+        return count(bits, i, j)
+
+    monkeypatch.setattr(candgen, "_co_raters", recording)
+    return rows
+
+
+class TestShortRows:
+    """A short row, whose top_m picks hold a pair below min_co_raters, is
+    picked again from a window of its best candidates, or counted against
+    every item when the window cannot settle it; both against the oracle."""
+
+    def short_rows(self, train, top_m, min_co_raters):
+        filtered = build_item_knn_oracle(train, top_m=top_m, min_co_raters=min_co_raters)
+        unfiltered = build_item_knn_oracle(train, top_m=top_m, min_co_raters=0)
+        return sum(filtered[i] != unfiltered[i] for i in train.items.tolist())
+
+    def test_window_of_the_picks_counts_every_short_row_in_full(self, monkeypatch,
+                                                                block_rows):
+        # a window of top_m candidates holds only the picks, one of which fails
+        monkeypatch.setattr(candgen, "KNN_PICK_WINDOW", 1)
+        counted = full_counts(monkeypatch)
+        train = zipf_train()
+        assert_parity(train, 5, 3, train.items.tolist(), train.users.tolist())
+        short = self.short_rows(train, 5, 3)
+        assert short >= 20 and sum(counted) == short
+
+    def test_window_settles_most_short_rows(self, monkeypatch, block_rows):
+        counted = full_counts(monkeypatch)
+        train = zipf_train()
+        assert_parity(train, 5, 3, train.items.tolist(), train.users.tolist())
+        short = self.short_rows(train, 5, 3)
+        assert short >= 20 and sum(counted) < short / 2
+
+
 def top_oracle(sims, m):
     """The finite entries of a stable sort of each row, sim descending."""
     order = np.argsort(-sims, axis=1, kind="stable")[:, :m]
@@ -285,12 +329,13 @@ def assert_transposes(m, theirs):
     """_by_column's index of the entries of m (a candgen.Csr or a scipy
     matrix) cuts scipy matrix theirs, m.T.tocsr(), from m: its pointer is
     theirs's, and its positions pick theirs's columns (m's rows) and values,
-    in theirs's order, bit for bit."""
-    pointer, positions = candgen._by_column(m.indptr, m.indices, m.shape[1])
-    assert pointer.dtype == positions.dtype == m.indptr.dtype
+    in theirs's order, bit for bit, and its rows are theirs's columns."""
+    pointer, rows, positions = candgen._by_column(m.indptr, m.indices, m.shape[1])
+    assert pointer.dtype == rows.dtype == positions.dtype == m.indptr.dtype
     assert np.array_equal(pointer, theirs.indptr)
-    rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))  # of each entry
-    assert np.array_equal(rows[positions], theirs.indices)
+    assert np.array_equal(rows, theirs.indices)
+    of_entry = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+    assert np.array_equal(of_entry[positions], theirs.indices)
     assert np.array_equal(bits(m.data[positions]), bits(theirs.data))
 
 

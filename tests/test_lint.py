@@ -323,3 +323,71 @@ def test_no_module_level_http_stack_import_under_src():
              for line in imports_of(path.read_text(encoding="utf-8"), HTTP_STACK,
                                     module_level=True)]
     assert found == []
+
+
+# constants that cut work into pieces: a test sets each to other values, so
+# that every seam between pieces is crossed, not only those the defaults make
+PIECE_SIZES = {"_csvscan._BLOCK_ROWS", "_csvscan._SCAN_BYTES", "_kernels.SGD_CHUNK_STEPS",
+               "candgen.KNN_BLOCK_ROWS", "candgen.KNN_PAIR_BYTES", "candgen.KNN_PICK_WINDOW"}
+# integer constants of the same modules that fix a format, not a piece size
+FORMAT_CONSTANTS = {"_csvscan._KEY_BYTES", "_csvscan._EXACT_RATING_WIDTH",
+                    "candgen.SLATE_SIZE"}
+
+
+def _is_int_expression(node):
+    """An int literal, or unary and binary operators on int literals alone."""
+    if isinstance(node, ast.UnaryOp):
+        return _is_int_expression(node.operand)
+    if isinstance(node, ast.BinOp):
+        return _is_int_expression(node.left) and _is_int_expression(node.right)
+    return _is_literal(node, int)
+
+
+def int_constants(source):
+    """Each top-level all-caps name in source, a leading underscore allowed,
+    assigned an integer expression."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None \
+                and _is_int_expression(node.value):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [t.id for t in targets if isinstance(t, ast.Name)
+                      and t.id.lstrip("_")[:1].isupper() and t.id.upper() == t.id]
+    return sorted(found)
+
+
+def monkeypatched(source):
+    """module.name of each call in source of the form
+    x.setattr(module, "name", ...): module a plain name, name a literal."""
+    return sorted(f"{node.args[0].id}.{node.args[1].value}"
+                  for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "setattr" and len(node.args) >= 2
+                  and isinstance(node.args[0], ast.Name) and _is_literal(node.args[1], str))
+
+
+def test_checker_sees_int_constants():
+    source = ("A = 1\n_B = 1 << 16\nC = -(2 * 3)\nD = 1.5\nE = np.array([1])\n"
+              "lower = 4\nF: int = 5\nG = True\n_H9_I = 0x10  # note\nJ = K = 7\n"
+              "M: int\ndef f():\n    L = 1\n")
+    assert int_constants(source) == ["A", "C", "F", "J", "K", "_B", "_H9_I"]
+
+
+def test_checker_sees_monkeypatched_constants():
+    source = ('monkeypatch.setattr(candgen, "KNN_BLOCK_ROWS", 1)\n'
+              'mp.setattr(_csvscan, "_SCAN_BYTES", 16)\n'
+              'monkeypatch.setattr(cli.ingest, "read_split", f)\n'
+              'monkeypatch.setattr("candgen.X", 1)\nsetattr(candgen, "Y", 2)\n'
+              'monkeypatch.setattr(candgen, name, 3)\n')
+    assert monkeypatched(source) == ["_csvscan._SCAN_BYTES", "candgen.KNN_BLOCK_ROWS"]
+
+
+def test_every_piece_size_is_varied_by_a_test():
+    # a new integer constant in these modules is a piece size, which some
+    # test must vary, or a format constant, listed as one
+    defined = {f"{module}.{name}" for module in ("_csvscan", "_kernels", "candgen")
+               for name in int_constants((SRC / f"{module}.py").read_text(encoding="utf-8"))}
+    assert defined == PIECE_SIZES | FORMAT_CONSTANTS
+    varied = {name for path in sorted(TESTS.glob("test_*.py"))
+              for name in monkeypatched(path.read_text(encoding="utf-8"))}
+    assert sorted(PIECE_SIZES - varied) == []

@@ -45,6 +45,7 @@ class StubState:
         self.requests_seen = 0
         self.client_ports = set()
         self.received = []        # (request target, Authorization) per request
+        self.bodies = []          # the JSON body of each request
         self.hold = threading.Event()
         self.hold.set()
         self.release_at = None    # set hold once this many are in flight
@@ -89,6 +90,8 @@ def make_stub():
             try:
                 state.hold.wait(timeout=5)
                 body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+                with state.lock:
+                    state.bodies.append(body)
                 if status != 200:
                     self.reply(status, headers=(extra or {}).items())
                 elif extra is not None:
@@ -182,6 +185,18 @@ class TestHttpBackend:
         resp = backend.complete(req("hello"))
         assert resp.text == "Rank 1: 5 - great"
         assert resp.retry_count == 0
+
+    @pytest.mark.parametrize("seed", [None, 0, 7])
+    def test_request_body_carries_seed_only_when_set(self, stub, seed):
+        url, state = stub
+        HttpBackend(http_config(url)).complete(req("hello", seed=seed, max_tokens=64))
+        want = {"model": "stub-model",
+                "messages": [{"role": "system", "content": "sys"},
+                             {"role": "user", "content": "hello"}],
+                "temperature": 0.7, "max_tokens": 64}
+        if seed is not None:
+            want["seed"] = seed
+        assert state.bodies == [want]
 
     def test_retry_on_429(self, stub):
         url, state = stub
