@@ -303,8 +303,8 @@ def cmd_run(cfg):
                 seed=cfg.seed, temperature=cfg.temperature)
             return consensus
 
-        # up to the backend's cap of users at a time; any error stops the run
-        ranked = list(bounded_map(rerank_one, users, backend.max_concurrent_requests))
+        # up to the config's cap of users at a time; any error stops the run
+        ranked = list(bounded_map(rerank_one, users, cfg.backend.max_concurrent_requests))
         for user, consensus in zip(users, ranked):
             if consensus.fallback:
                 log.warning("all %d bootstraps failed for user %s; using original "
@@ -383,10 +383,10 @@ def cmd_build_dataset(cfg):
         sample = datasetgen.make_positive_sample(backend, history, ranking, catalog)
         return sample, datasetgen.make_dpo_pair(sample, cfg.seed, backend=backend)
 
-    # users share one pool bounded by the backend's cap; each record is
+    # users share one pool bounded by the config's cap; each record is
     # written as its user finishes, and closing the pool on a failed write
     # sends none of the requests not yet started
-    cap = 1 if cfg.offline else backend.max_concurrent_requests
+    cap = 1 if cfg.offline else cfg.backend.max_concurrent_requests
     with closing(_each_user(sample_and_pair, users, cap)) as built:
         records = (record for _, record in built)
         first = next(records, None)

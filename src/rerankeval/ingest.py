@@ -90,9 +90,18 @@ class Interactions:
 
     def entries(self, user):
         """(item id, rating, timestamp) of each of user's rows, in table order."""
-        rows = self.rows_of(user)
+        return self.entries_at(self.rows_of(user))
+
+    def entries_at(self, rows):
+        """(item id, rating, timestamp) of each of rows, in the order given."""
         return list(zip(self.items[self.item[rows]].tolist(),
                         self.rating[rows].tolist(), self.timestamp[rows].tolist()))
+
+
+def _recent_first(item, timestamp, *groups):
+    """Positions of these rows by groups (the last one primary), then most
+    recent first, ties by item code (id order): the split's and the history's rule."""
+    return np.lexsort((item, -timestamp, *groups))
 
 
 def _present(codes, ids):
@@ -178,7 +187,7 @@ class RelevanceSet:
 @dataclass
 class History:
     user: str
-    entries: list  # of (item, rating, timestamp), timestamp-descending
+    entries: list  # of (item, rating, timestamp), most recent first, ties by item id
 
 
 @dataclass(eq=False)
@@ -470,7 +479,7 @@ def _split(columns, n_test, min_history, threshold):
     q = qualifying[evaluated[user[qualifying]]]
     # each eval user's qualifying rows, most recent first, ties by item id
     rows = kept[q]
-    q = q[np.lexsort((columns["item"][rows], -columns["timestamp"][rows], user[q]))]
+    q = q[_recent_first(columns["item"][rows], columns["timestamp"][rows], user[q])]
     rank = np.arange(len(q)) - np.searchsorted(user[q], user[q])
     held = np.zeros(len(kept), dtype=bool)
     held[q[rank < n_test]] = True
@@ -597,17 +606,15 @@ def user_history(train, user, limit=HISTORY_LIMIT, strategy="recent", seed=None)
     """Sample user's history from their rows in the train table.
 
     strategy "random" draws `limit` uniformly without replacement (needs
-    `seed`); any other keeps the `limit` most recent. Entries come back
-    timestamp-descending, ties broken by item id ascending.
+    `seed`); any other keeps the `limit` most recent. Entries come back in
+    the split's own order (_recent_first): most recent first, ties by item id.
     """
-    def by_recency(entries):
-        return sorted(entries, key=lambda e: (-e[2], e[0]))
-
-    entries = by_recency(train.entries(user))
-    if not entries:
+    rows = train.rows_of(user)
+    if not len(rows):
         raise NoHistory(f"user {user} has no train interactions")
+    rows = rows[_recent_first(train.item[rows], train.timestamp[rows])]
     if strategy != "random":
-        entries = entries[:limit]
-    elif len(entries) > limit:
-        entries = by_recency(random.Random(seed).sample(entries, limit))
-    return History(user=user, entries=entries)
+        rows = rows[:limit]
+    elif len(rows) > limit:
+        rows = rows[sorted(random.Random(seed).sample(range(len(rows)), limit))]
+    return History(user=user, entries=train.entries_at(rows))

@@ -103,7 +103,7 @@ def make_backend(config):
     if config.kind == "http":
         return HttpBackend(config)
     fixtures = load_fixtures(config.fixtures_path) if config.fixtures_path else []
-    return ScriptedBackend(fixtures, max_concurrent_requests=config.max_concurrent_requests)
+    return ScriptedBackend(fixtures)
 
 
 def load_fixtures(path):
@@ -116,10 +116,9 @@ class ScriptedBackend:
     """Deterministic backend: answers from fixtures, a handler callable, or
     by echoing the prompt's candidate lines back in order."""
 
-    def __init__(self, fixtures=None, handler=None, max_concurrent_requests=4):
+    def __init__(self, fixtures=None, handler=None):
         self.fixtures = list(fixtures or [])
         self.handler = handler
-        self.max_concurrent_requests = max_concurrent_requests
 
     def complete(self, request):
         for needle, response in self.fixtures:
@@ -186,7 +185,6 @@ class HttpBackend:
                 raise RerankEvalError(f"environment variable {config.api_key_env} "
                                       "is not set")
             self._headers["Authorization"] = f"Bearer {key}"
-        self.max_concurrent_requests = config.max_concurrent_requests
         url = urlsplit(config.endpoint)
         self._path = (url.path or "/") + (f"?{url.query}" if url.query else "")
         connection = (http.client.HTTPSConnection if url.scheme == "https"

@@ -155,8 +155,8 @@ class PeakBackend(ScriptedBackend):
     """Scripted backend whose handler sleeps for delay(request) seconds and
     records the peak number of requests in flight."""
 
-    def __init__(self, cap, delay, handler):
-        super().__init__(handler=self._timed, max_concurrent_requests=cap)
+    def __init__(self, delay, handler):
+        super().__init__(handler=self._timed)
         self._delay = delay
         self._answer = handler
         self._lock = threading.Lock()

@@ -124,6 +124,10 @@ class TestTrainMf:
         model = train_mf(train, k=2, epochs=200, learn_rate=0.02, reg=0.0, seed=1)
         assert model.train_rmse[-1] <= 0.05
 
+    def test_empty_table_raises(self):
+        with pytest.raises(ValueError, match="no training interactions"):
+            train_mf(interactions([]))
+
     def test_deterministic(self):
         train = synthetic_rank1()
         m1 = train_mf(train, k=4, epochs=5, seed=9)

@@ -14,6 +14,7 @@ import warnings
 from collections import Counter
 from dataclasses import fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -570,8 +571,7 @@ class TestRun:
             time.sleep(0.02)
             return dataset_answer(request)
 
-        monkeypatch.setattr(cli, "make_backend", lambda cfg: ScriptedBackend(
-            handler=answer, max_concurrent_requests=cfg.max_concurrent_requests))
+        monkeypatch.setattr(cli, "make_backend", lambda cfg: ScriptedBackend(handler=answer))
         assert main(run_args(corpus, mode="zero_shot", bootstraps=k,
                              backend_max_concurrent_requests=cap)) == EXIT_CONFIG
         assert "error: backend bug" in capsys.readouterr().err
@@ -586,23 +586,24 @@ class TestRun:
         answer = failing_user_answer(corpus, 0, 2)
         runs = {}
         for cap in (4, 1):
-            # the cap is the backend's, not the config's, so that report.json
-            # records the same config; sleeping by a hash of the prompt
-            # scrambles the completion order
-            backend = PeakBackend(cap, lambda r: prompt_hash(r) % 10 / 1000, answer)
+            # sleeping by a hash of the prompt scrambles the completion order
+            backend = PeakBackend(lambda r: prompt_hash(r) % 10 / 1000, answer)
             monkeypatch.setattr(cli, "make_backend", lambda cfg: backend)
             caplog.clear()
-            code = main(run_args(corpus, mode="zero_shot"))
+            code = main(run_args(corpus, mode="zero_shot",
+                                 backend_max_concurrent_requests=cap))
             assert backend.peak == cap
             fallbacks = [r.args[1] for r in caplog.records
                          if "bootstraps failed" in r.getMessage()]
-            runs[cap] = (code, fallbacks, [
-                (run_dir / name).read_bytes()
-                for name in ("report.json", "report.csv", "report.txt")])
+            # report.json records the config, cap and all; nothing else differs
+            report = json.loads((run_dir / "report.json").read_text())
+            assert report["config"]["backend"].pop("max_concurrent_requests") == cap
+            runs[cap] = (code, fallbacks, report, [
+                (run_dir / name).read_bytes() for name in ("report.csv", "report.txt")])
         assert runs[4] == runs[1]
-        code, fallbacks, (report, _, _) = runs[4]
+        code, fallbacks, report, _ = runs[4]
         assert code == EXIT_PARTIAL
-        assert json.loads(report)["bootstrap_fallbacks"] == len(fallbacks) == 2
+        assert report["bootstrap_fallbacks"] == len(fallbacks) == 2
         assert fallbacks == sorted(fallbacks)
 
     @pytest.mark.parametrize("users,cap,peak", [(25, 6, 6), (5, 6, 5)],
@@ -611,9 +612,10 @@ class TestRun:
                                                        users, cap, peak):
         # each user's bootstraps go in sequence, so a user holds one request
         main(ingest_args(corpus))
-        backend = PeakBackend(cap, lambda r: 0.02, dataset_answer)
+        backend = PeakBackend(lambda r: 0.02, dataset_answer)
         monkeypatch.setattr(cli, "make_backend", lambda cfg: backend)
-        assert main(run_args(corpus, mode="zero_shot", sample_count=users)) in (0, 1)
+        assert main(run_args(corpus, mode="zero_shot", sample_count=users,
+                             backend_max_concurrent_requests=cap)) in (0, 1)
         assert backend.peak == peak
 
     def test_memory_does_not_grow_with_replies(self, tmp_path, monkeypatch):
@@ -1019,6 +1021,29 @@ def ranked_ids(text):
     return {line.split(": ", 1)[1].split(" - ")[0] for line in text.splitlines()}
 
 
+@pytest.mark.parametrize("command", ["run", "build-dataset"])
+def test_backend_needs_only_complete(corpus, monkeypatch, command):
+    # the request cap is the config's, so a wrapper around a backend (a cache,
+    # a trace) needs nothing but complete: this one has no other attribute
+    _, _, run_dir = corpus
+    main(ingest_args(corpus))
+    if command == "run":
+        args, names = run_args(corpus, mode="zero_shot"), ("slates.jsonl", "report.json")
+    else:
+        args = ["build-dataset", "--run-dir", str(run_dir), "--sample-count", "10",
+                "--ranking-size", "10"]
+        names = ("sft.jsonl", "dpo.jsonl", "manifest.json")
+    args += ["--backend-max-concurrent-requests", "3"]
+    assert main(args) == EXIT_OK  # the scripted backend make_backend builds
+    expected = [(run_dir / name).read_bytes() for name in names]
+    inner = PeakBackend(lambda r: 0.02, lambda r: ScriptedBackend().complete(r).text)
+    wrapper = SimpleNamespace(complete=inner.complete)
+    monkeypatch.setattr(cli, "make_backend", lambda cfg: wrapper)
+    assert main(args) == EXIT_OK
+    assert [(run_dir / name).read_bytes() for name in names] == expected
+    assert inner.peak == 3
+
+
 class TestBuildDataset:
     def test_offline_build_hash_stable(self, corpus):
         _, _, run_dir = corpus
@@ -1041,8 +1066,7 @@ class TestBuildDataset:
 
         def make(cfg):
             # sleeping by a hash of the prompt scrambles the completion order
-            backends.append(PeakBackend(cfg.max_concurrent_requests,
-                                        lambda r: 0.005 + prompt_hash(r) % 10 / 1000,
+            backends.append(PeakBackend(lambda r: 0.005 + prompt_hash(r) % 10 / 1000,
                                         dataset_answer))
             return backends[-1]
 
@@ -1081,7 +1105,6 @@ class TestBuildDataset:
                              for line in request.user_prompt.splitlines())
 
         monkeypatch.setattr(cli, "make_backend", lambda cfg: PeakBackend(
-            cfg.max_concurrent_requests,
             lambda r: 0.002 + prompt_hash(r) % 5 / 1000, answer))
 
         def build(cap):
@@ -1132,9 +1155,9 @@ class TestBuildDataset:
             return dataset_answer(request)
 
         monkeypatch.setattr(cli, "make_backend",
-                            lambda cfg: PeakBackend(2, lambda r: 0.02, answer))
+                            lambda cfg: PeakBackend(lambda r: 0.02, answer))
         code = main(["build-dataset", "--run-dir", str(run_dir), "--sample-count",
-                     "20", "--ranking-size", "10"])
+                     "20", "--ranking-size", "10", "--backend-max-concurrent-requests", "2"])
         assert code == EXIT_CONFIG
         assert "error: backend bug" in capsys.readouterr().err
         assert len(calls) < 10
@@ -1180,8 +1203,8 @@ class TestBuildDataset:
             sent.append(request)
             return dataset_answer(request)
 
-        monkeypatch.setattr(cli, "make_backend", lambda cfg: PeakBackend(
-            cfg.max_concurrent_requests, lambda r: 0.005, answer))
+        monkeypatch.setattr(cli, "make_backend",
+                            lambda cfg: PeakBackend(lambda r: 0.005, answer))
         args = ["build-dataset", "--run-dir", str(run_dir), "--ranking-size", "10",
                 "--backend-max-concurrent-requests", "4"]
         assert main(args) == EXIT_PARTIAL
@@ -1414,6 +1437,15 @@ class TestHumanEval:
         assert main(["human-eval", str(a), str(a)]) == EXIT_CONFIG
         out, err = capsys.readouterr()
         assert (out, err) == ("", "error: line 4: not a number: 'four'\n")
+
+    @pytest.mark.parametrize("paired,message", [
+        (False, "each sample needs at least 2 observations"),
+        (True, "need at least 2 pairs")], ids=["unpaired", "paired"])
+    def test_one_score_exits_2(self, tmp_path, capsys, paired, message):
+        a = tmp_path / "a.txt"
+        a.write_text("4\n")
+        assert main(["human-eval", str(a), str(a)] + ["--paired"] * paired) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_byte_order_mark_is_skipped(self, tmp_path, capsys):
         a = tmp_path / "a.txt"

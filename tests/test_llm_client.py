@@ -23,11 +23,10 @@ def req(text="hello", **kw):
     return ChatRequest(system_prompt="sys", user_prompt=text, **kw)
 
 
-def complete_all(backend, requests_list):
+def complete_all(backend, requests_list, cap):
     """Every request's response, or its BackendError, in input order, with
-    at most the backend's cap in flight."""
-    return list(bounded_map(backend.complete, requests_list,
-                            backend.max_concurrent_requests, carry=BackendError))
+    at most cap in flight."""
+    return list(bounded_map(backend.complete, requests_list, cap, carry=BackendError))
 
 
 class StubState:
@@ -165,8 +164,8 @@ class TestScriptedBackend:
     def test_pure_function_of_inputs(self):
         backend = ScriptedBackend(fixtures=[("x", "y")])
         batch = [req("x")] * 3
-        a = [r.text for r in complete_all(backend, batch)]
-        b = [r.text for r in complete_all(backend, batch)]
+        a = [r.text for r in complete_all(backend, batch, 4)]
+        b = [r.text for r in complete_all(backend, batch, 1)]
         assert a == b == ["y", "y", "y"]
 
     def test_fixture_file(self, tmp_path):
@@ -282,13 +281,13 @@ class TestHttpBackend:
 
     def test_connection_pool_sized_to_cap(self, stub):
         url, state = stub
-        backend = make_backend(http_config(url, max_concurrent_requests=16))
+        backend = make_backend(http_config(url))
         batch = [req(str(i)) for i in range(160)]
         state.hold.clear()
         state.release_at = 16   # the first replies wait until all 16 are in flight
-        results = complete_all(backend, batch)
+        results = complete_all(backend, batch, 16)
         ports = set(state.client_ports)
-        results += complete_all(backend, batch)
+        results += complete_all(backend, batch, 16)
         assert not any(isinstance(r, Exception) for r in results)
         assert state.max_in_flight == len(ports) == 16
         assert state.client_ports == ports   # the second batch opened no connection
@@ -377,16 +376,14 @@ class TestCompleteBatch:
         url, state = stub
         state.fixtures = [("alpha", "A"), ("beta", "B"), ("gamma", "C")]
         backend = HttpBackend(http_config(url))
-        backend.max_concurrent_requests = 3
-        results = complete_all(backend, [req("gamma"), req("alpha"), req("beta")])
+        results = complete_all(backend, [req("gamma"), req("alpha"), req("beta")], 3)
         assert [r.text for r in results] == ["C", "A", "B"]
 
     def test_per_item_failure_isolated(self, stub):
         url, state = stub
         state.status_script = [200, 404, 200]
         backend = HttpBackend(http_config(url))
-        backend.max_concurrent_requests = 1
-        results = complete_all(backend, [req("a"), req("b"), req("c")])
+        results = complete_all(backend, [req("a"), req("b"), req("c")], 1)
         assert not isinstance(results[0], Exception)
         assert isinstance(results[1], HttpStatus)
         assert not isinstance(results[2], Exception)
@@ -394,8 +391,7 @@ class TestCompleteBatch:
     def test_concurrency_cap_of_one(self, stub):
         url, state = stub
         backend = HttpBackend(http_config(url))
-        backend.max_concurrent_requests = 1
-        complete_all(backend, [req(str(i)) for i in range(5)])
+        complete_all(backend, [req(str(i)) for i in range(5)], 1)
         assert state.max_in_flight == 1
 
 

@@ -91,6 +91,14 @@ class TestParseRanking:
         out = parse_ranking("Rank 1: [6] Whatever - fine", slate)
         assert out.ranked[0].item == "6"
 
+    def test_id_then_title(self):
+        # the line starts with a slate id, not with a slate title
+        slate = make_slate("u", [42, 7])
+        out = parse_ranking("Rank 1: 42 Some Title - reason", slate,
+                            catalog=make_catalog(50))
+        assert [(r.item, r.rank, r.reason) for r in out.ranked] == [("42", 1, "reason")]
+        assert out.hallucinated == set()
+
     def test_rank_renumbering(self):
         slate = make_slate("u", [1, 2, 3])
         out = parse_ranking("Rank 1: 3 - a\nRank 7: 1 - b\nRank 9: 2 - c",

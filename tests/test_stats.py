@@ -176,6 +176,12 @@ class TestCompareModels:
         with pytest.raises(ValueError):
             compare_models(a, b)
 
+    def test_grid_mismatch(self):
+        # runs scored at different cutoffs cannot be paired cell by cell
+        vals = {"u1": 0.2, "u2": 0.3}
+        with pytest.raises(RerankEvalError, match="metric/cutoff grids differ"):
+            compare_models(result_grid(vals, cutoffs=(3, 5)), result_grid(vals))
+
     def test_user_set_mismatch(self):
         a = result_grid({"u1": 0.2, "u2": 0.3})
         b = result_grid({"u1": 0.2, "u3": 0.3})
